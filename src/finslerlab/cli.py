@@ -72,6 +72,10 @@ _DEFAULTS = {
 }
 
 
+# integer config keys and their smallest allowed values
+_INT_KEYS = {"dim": 2, "samples": 1, "mc_samples": 1}
+
+
 def resolve_config(args) -> dict:
     cfg = dict(_DEFAULTS)
     if getattr(args, "config", None):
@@ -89,6 +93,11 @@ def resolve_config(args) -> dict:
             cfg[key] = val
     if cfg["metric"] == "berwald_product":
         cfg["dim"] = 3  # the product chart is three-dimensional
+    for key, low in _INT_KEYS.items():
+        val = cfg[key]
+        if isinstance(val, bool) or not isinstance(val, int) or val < low:
+            raise ConfigurationError(f"config key {key!r} must be an integer >= {low}, "
+                                     f"got {val!r}")
     return cfg
 
 
@@ -228,8 +237,9 @@ def _check_definiteness(metric, cfg):
     for s in samples:
         ft = fundamental_tensor(metric, s)
         min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(ft.g))))
-    # passes when the smallest eigenvalue stays positive
-    return -min_eig, 0.0
+    # passes only when the smallest eigenvalue is positive: a zero
+    # eigenvalue (singular g) stays above the tolerance
+    return -min_eig, -np.finfo(float).tiny
 
 
 def _check_jb(metric, cfg):

@@ -39,7 +39,3 @@ class ChartExitError(FinslerError):
 
 class NumericalIntegrityError(FinslerError):
     """Two independent numerical routes disagree beyond their error budget."""
-
-
-class OracleFailure(FinslerError):
-    """A finite-difference oracle hit non-finite evaluations."""

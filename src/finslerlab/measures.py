@@ -69,11 +69,7 @@ class BallSpec:
 def _batched_sigma(metric: MetricSpec):
     if metric.sigma_bh is not None:
         return lambda pts: np.asarray(metric.sigma_bh(pts), dtype=float)
-
-    def sigma(pts):
-        return np.array([bh_density(metric, p) for p in pts])
-
-    return sigma
+    return lambda pts: bh_density(metric, pts)
 
 
 def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,

@@ -16,10 +16,17 @@ from scipy.optimize import brentq
 
 from . import jets
 from ._grids import halton, halton_directions, unit_ball_volume
-from .errors import ConfigurationError, GeometryError, MetricValidityError
+from .errors import (
+    ConfigurationError,
+    GeometryError,
+    MetricValidityError,
+    NumericalIntegrityError,
+)
 from .jets import Jet, JetSpec, lift
 
 F_FLOOR = 1e-12
+# Newton passes allowed per batched ray exit; quartic domains take eight to ten
+_RAY_NEWTON_CAP = 64
 
 
 def _dot(u, v):
@@ -97,17 +104,47 @@ class ConvexDomain:
         if not self.phi([0.0] * self.n) < 0:
             raise MetricValidityError("domain does not contain the origin")
         dirs = halton_directions(self.n, n_samples)
-        for d in dirs:
-            r = brentq(lambda t: self.phi(list(t * d)), 0.0, 2.0)
-            z = r * d
-            g = np.array(self.grad_phi(list(z)))
-            if np.linalg.norm(g) < 1e-10:
-                raise MetricValidityError("vanishing boundary gradient", sample=z)
-            h = 2.0 * np.eye(self.n)
-            if self.kind == "quartic_perturbed":
-                h = h + np.diag(12.0 * self.eps * z ** 2)
-            if np.min(np.linalg.eigvalsh(h)) <= 0:
-                raise MetricValidityError("boundary Hessian not positive definite", sample=z)
+        z = self.ray_exit(np.zeros_like(dirs), dirs)[:, None] * dirs
+        grad = np.stack(self.grad_phi(list(z.T)), axis=-1)
+        # the Hessian of phi is diagonal, so its eigenvalues are its entries
+        hess = np.full_like(z, 2.0)
+        if self.kind == "quartic_perturbed":
+            hess = hess + 12.0 * self.eps * z ** 2
+        for bad, message in ((np.linalg.norm(grad, axis=-1) < 1e-10,
+                              "vanishing boundary gradient"),
+                             (np.min(hess, axis=-1) <= 0,
+                              "boundary Hessian not positive definite")):
+            if np.any(bad):
+                raise MetricValidityError(message, sample=z[np.argmax(bad)])
+
+    def ray_exit(self, x0, y0):
+        """Exit parameters s > 0 with phi(x0 + s y0) = 0; x0, y0 of shape (..., n).
+
+        The unit ball has a closed form.  Otherwise Newton's method runs on
+        phi along each ray, started at the exit of the bounding unit ball,
+        which lies outside the domain.  phi is convex along the ray, so the
+        iterates decrease monotonically to the root; the loop ends when no
+        entry decreases any more.  A base point outside the domain or a
+        vanishing direction raises GeometryError.
+        """
+        x0 = np.asarray(x0, dtype=float)
+        y0 = np.asarray(y0, dtype=float)
+        xs = [x0[..., i] for i in range(self.n)]
+        if self.kind != "unit_ball" and np.any(self.phi(xs) >= 0):
+            raise GeometryError("ray base point outside the convex domain")
+        s = _ball_exit_parameter(x0, y0)
+        if self.kind == "unit_ball":
+            return s
+        ys = [y0[..., i] for i in range(self.n)]
+        for _ in range(_RAY_NEWTON_CAP):
+            z = [xi + s * yi for xi, yi in zip(xs, ys)]
+            step = s - self.phi(z) / _dot(self.grad_phi(z), ys)
+            down = step < s
+            if not np.any(down):
+                return s
+            s = np.where(down, step, s)
+        raise NumericalIntegrityError(
+            f"ray exit: Newton still decreasing after {_RAY_NEWTON_CAP} steps")
 
 
 def unit_ball_domain(n):
@@ -209,10 +246,14 @@ def funk_unit_ball(x, y):
 
 
 def _ball_exit_parameter(x0, y0):
-    """Closed-form s with |x0 + s y0| = 1, s > 0."""
+    """Closed-form s with |x0 + s y0| = 1, s > 0, for x0 inside the unit ball."""
     xy = np.sum(x0 * y0, axis=-1)
     yy = np.sum(y0 * y0, axis=-1)
     xx = np.sum(x0 * x0, axis=-1)
+    if np.any(yy < F_FLOOR * F_FLOOR):
+        raise GeometryError("funk metric evaluated on a vanishing vector")
+    if np.any(xx >= 1.0):
+        raise GeometryError("ray base point outside the unit ball")
     return (np.sqrt(xy * xy + yy * (1.0 - xx)) - xy) / yy
 
 
@@ -232,26 +273,6 @@ def _funk_ray_scalar(domain, x0, y0):
     if g(s_hi) <= 0:
         raise GeometryError("ray failed to exit the convex domain")
     return brentq(g, 0.0, s_hi, xtol=1e-15, rtol=8.9e-16)
-
-
-def _funk_ray_batch(domain, x0, y0, iters=70):
-    """Vectorized exit parameter; x0, y0 of shape (m, n)."""
-    if domain.kind == "unit_ball":
-        return _ball_exit_parameter(x0, y0)
-    ny = np.linalg.norm(y0, axis=-1)
-    s_hi = (domain.bounding_radius + np.linalg.norm(x0, axis=-1) + 1.0) / ny
-    s_lo = np.zeros_like(s_hi)
-
-    def phi_at(s):
-        z = x0 + s[..., None] * y0
-        return domain.phi([z[..., i] for i in range(domain.n)])
-
-    for _ in range(iters):
-        mid = 0.5 * (s_lo + s_hi)
-        inside = phi_at(mid) < 0.0
-        s_lo = np.where(inside, mid, s_lo)
-        s_hi = np.where(inside, s_hi, mid)
-    return 0.5 * (s_lo + s_hi)
 
 
 def funk_general(domain: ConvexDomain, x, y):
@@ -289,7 +310,7 @@ def funk_general(domain: ConvexDomain, x, y):
         shape = np.broadcast_shapes(*[a.shape for a in arrs])
         x0 = np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in x], axis=-1)
         y0 = np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in y], axis=-1)
-        return 1.0 / _funk_ray_batch(domain, x0, y0)
+        return 1.0 / domain.ray_exit(x0, y0)
     return 1.0 / _funk_ray_scalar(domain, [float(v) for v in x], [float(v) for v in y])
 
 
@@ -338,7 +359,7 @@ def funk_distance_batch(domain: ConvexDomain, p, Q):
     mask = du > 0
     if np.any(mask):
         P = np.broadcast_to(p, Q.shape)[mask]
-        s = _funk_ray_batch(domain, P, u[mask])
+        s = domain.ray_exit(P, u[mask])
         out[mask] = np.log(s / (s - 1.0))
     return out
 
@@ -352,7 +373,7 @@ def hilbert_distance_batch(domain: ConvexDomain, p, Q):
     out = np.zeros(Q.shape[:-1])
     mask = du > 0
     if np.any(mask):
-        s = _funk_ray_batch(domain, Q[mask], u[mask])
+        s = domain.ray_exit(Q[mask], u[mask])
         out[mask] = np.log(s / (s - 1.0))
     return 0.5 * (forward + out)
 
@@ -485,12 +506,12 @@ def _berwald_product_sigma(c):
     return sigma
 
 
-def _domain_lebesgue_volume(domain: ConvexDomain, m=2048):
+def _domain_lebesgue_volume(domain: ConvexDomain):
     """Lebesgue volume of the convex body by radial quadrature."""
     from ._grids import sphere_surface_nodes
 
     dirs, w = sphere_surface_nodes(domain.n)
-    r = np.array([brentq(lambda t: domain.phi(list(t * d)), 0.0, 2.0) for d in dirs])
+    r = domain.ray_exit(np.zeros_like(dirs), dirs)
     return float(np.sum(w * r ** domain.n) / domain.n)
 
 

@@ -45,6 +45,18 @@ class TestConfig:
         assert (tmp_path / "envout" / "verify_euclidean_n2.json").exists()
 
 
+    @pytest.mark.parametrize("bad", [{"dim": "x"}, {"dim": 1}, {"dim": True},
+                                     {"samples": 0}, {"samples": 2.5},
+                                     {"mc_samples": 0}])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict({"metric": "euclidean"}, **bad)))
+        code = cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not list(tmp_path.glob("verify_*.json"))
+
+
 class TestVerify:
     def test_euclidean_all_pass(self, tmp_path, capsys):
         code = run(["verify", "--metric", "euclidean", "--samples", "5"], tmp_path)
@@ -107,6 +119,22 @@ class TestVerify:
         code = cli.main(["verify", "--metric", "euclidean", "--samples", "3",
                          "--out", str(tmp_path)])
         assert code == 3
+
+
+    def test_singular_fundamental_tensor_fails_definiteness(self, tmp_path, monkeypatch):
+        from finslerlab.minkowski import FundamentalTensor
+
+        def singular(metric, sample):
+            g = np.diag([1.0, 0.0])
+            return FundamentalTensor(g=g, g_inv=np.eye(2), det_g=0.0, F=1.0)
+
+        monkeypatch.setattr(cli, "fundamental_tensor", singular)
+        code = run(["verify", "--metric", "euclidean", "--samples", "3",
+                    "--checks", "positive_definite_f2b"], tmp_path)
+        assert code == 1
+        payload = json.loads((tmp_path / "verify_euclidean_n2.json").read_text())
+        check = payload["checks"][0]
+        assert check["status"] == "fail" and check["value"] == 0.0
 
 
 class TestReports:

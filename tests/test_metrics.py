@@ -176,6 +176,78 @@ class TestDistances:
             assert hb[k] == pytest.approx(hilbert_distance(dom, p, Q[k]), rel=1e-9)
 
 
+class TestRayExit:
+    """The batched Newton ray-exit solver of ConvexDomain."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_newton_matches_scalar_brentq(self, n):
+        from finslerlab.metrics import _funk_ray_scalar
+
+        dom = quartic_domain(n, 0.1)
+        rng = np.random.default_rng(40 + n)
+        X = rng.uniform(-0.55, 0.55, (200, n))
+        Y = rng.uniform(-1, 1, (200, n)) * rng.uniform(0.01, 100.0, (200, 1))
+        batch = dom.ray_exit(X, Y)
+        scalar = np.array([_funk_ray_scalar(dom, x, y) for x, y in zip(X, Y)])
+        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=0)
+
+    def test_exit_lies_on_the_boundary(self):
+        dom = quartic_domain(3, 0.5)
+        rng = np.random.default_rng(42)
+        X = rng.uniform(-0.5, 0.5, (100, 3))
+        Y = rng.uniform(-1, 1, (100, 3))
+        Z = X + dom.ray_exit(X, Y)[:, None] * Y
+        assert np.max(np.abs(dom.phi(list(Z.T)))) < 1e-14
+
+    @pytest.mark.parametrize("dom", [unit_ball_domain(2), quartic_domain(2, 0.1)],
+                             ids=["unit_ball", "quartic"])
+    def test_batch_ray_checks(self, dom):
+        X = np.array([[0.1, 0.2], [0.3, -0.1]])
+        Y = np.array([[1.0, 0.0], [0.0, 1.0]])
+        outside = X.copy()
+        outside[1] = [0.99, 0.5]
+        with pytest.raises(GeometryError, match="outside"):
+            dom.ray_exit(outside, Y)
+        vanishing = Y.copy()
+        vanishing[0] = 0.0
+        with pytest.raises(GeometryError, match="vanishing"):
+            dom.ray_exit(X, vanishing)
+        with pytest.raises(GeometryError):
+            funk_distance_batch(dom, [1.2, 0.0], X)
+
+    def test_newton_cap_raises(self, monkeypatch):
+        from finslerlab.errors import NumericalIntegrityError
+
+        dom = quartic_domain(2, 0.1)
+        X = np.array([[0.1, 0.2]])
+        Y = np.array([[1.0, 0.5]])
+        monkeypatch.setattr(metrics, "_RAY_NEWTON_CAP", 2)
+        with pytest.raises(NumericalIntegrityError):
+            dom.ray_exit(X, Y)
+
+    def test_batch_ray_checks_reach_f_batch(self, zoo):
+        m = zoo["hilbert_quartic"]
+        with pytest.raises(GeometryError):
+            m.F_batch([[0.1, 0.1], [0.98, 0.3]], [[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(GeometryError):
+            m.F_batch([[0.1, 0.1], [0.2, 0.3]], [[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_quartic_lebesgue_volume_unchanged(self, n):
+        # the radial quadrature with a per-direction scalar root finder
+        from scipy.optimize import brentq
+
+        from finslerlab._grids import sphere_surface_nodes
+        from finslerlab.metrics import _domain_lebesgue_volume
+
+        dom = quartic_domain(n, 0.1)
+        dirs, w = sphere_surface_nodes(n)
+        r = np.array([brentq(lambda t: dom.phi(list(t * d)), 0.0, 2.0,
+                             xtol=1e-15, rtol=8.9e-16) for d in dirs])
+        reference = float(np.sum(w * r ** n) / n)
+        assert _domain_lebesgue_volume(dom) == pytest.approx(reference, rel=1e-14)
+
+
 class TestOkada:
     def test_funk_satisfies_okada(self, zoo):
         worst = 0.0

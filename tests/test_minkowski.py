@@ -263,6 +263,48 @@ class TestBhDensity:
             assert closed == pytest.approx(quadr, rel=1e-8)
 
 
+class TestStackedBhDensity:
+    """bh_density on a stack of points equals the per-point quadrature."""
+
+    def _check(self, m, pts):
+        stacked = bh_density(m, pts)
+        single = np.array([bh_density(m, p) for p in pts])
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (len(pts),)
+        np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0)
+
+    def test_single_point_stack(self, zoo):
+        m = zoo["hilbert_quartic"]
+        x = np.array([0.3, -0.2])
+        assert isinstance(bh_density(m, x), float)
+        self._check(m, x[None, :])
+
+    def test_stack_across_uneven_chunks(self, zoo, monkeypatch):
+        from finslerlab import minkowski
+
+        m = zoo["hilbert_quartic"]
+        pts = np.random.default_rng(50).uniform(-0.6, 0.6, (7, 2))
+        # three points (3 x 720 rays) per F_batch call: chunks of 3, 3 and 1
+        monkeypatch.setattr(minkowski, "_RAY_CHUNK", 3 * 720 + 5)
+        self._check(m, pts)
+
+    def test_n3_quartic_stack(self):
+        # 33 points span two chunks of the default size (32 points each)
+        m = metrics.make_hilbert(3, domain="quartic:0.1", validate=False)
+        pts = np.random.default_rng(51).uniform(-0.4, 0.4, (33, 3))
+        self._check(m, pts)
+
+    def test_closed_forms_stack(self, zoo):
+        pts = np.array([[0.1, 0.2], [-0.3, 0.05]])
+        for name in ("funk", "hilbert", "euclidean"):
+            np.testing.assert_array_equal(
+                bh_density(zoo[name], pts), [bh_density(zoo[name], p) for p in pts])
+
+    def test_stacked_mc_check(self, zoo):
+        pts = np.array([[0.1, 0.2], [-0.3, 0.05]])
+        vals = bh_density(zoo["hilbert_quartic"], pts, mc_check=True, seed=99)
+        assert vals.shape == (2,)
+
+
 class TestIndicatrix:
     def test_euclidean_sectional_is_one(self, zoo):
         m = zoo["euclidean3"]
