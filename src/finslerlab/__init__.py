@@ -5,15 +5,15 @@ built-in and user-supplied Finsler metrics, driven by truncated Taylor (jet)
 arithmetic with independent finite-difference and Monte-Carlo oracles.
 """
 
-from .jets import Jet, JetSpec, FdScheme, fd_oracle, lift, partial
+from .jets import Jet, JetSpec, FdScheme, derivative_tensor, fd_oracle, lift
 
 __all__ = [
     "Jet",
     "JetSpec",
     "FdScheme",
+    "derivative_tensor",
     "fd_oracle",
     "lift",
-    "partial",
 ]
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -73,7 +74,30 @@ _DEFAULTS = {
 
 
 # integer config keys and their smallest allowed values
-_INT_KEYS = {"dim": 2, "samples": 1, "mc_samples": 1}
+_INT_KEYS = {"dim": 2, "samples": 1, "mc_samples": 1, "t_points": 2}
+
+
+def _number(v):
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _point_or_null(v, dim):
+    return v is None or (isinstance(v, list) and len(v) == dim and all(map(_number, v)))
+
+
+# the other value keys: a test of (value, dim) and what it asks for
+_VALUE_KEYS = {
+    "radii": (lambda v, dim: isinstance(v, list) and len(v) > 0
+              and all(_number(r) and r > 0 for r in v),
+              "a non-empty list of positive numbers"),
+    "t_end": (lambda v, dim: _number(v), "a finite number"),
+    "start": (_point_or_null, "a list of dim numbers or null"),
+    "direction": (_point_or_null, "a list of dim numbers or null"),
+    "c": (lambda v, dim: v is None or _number(v), "a number or null"),
+    "eps": (lambda v, dim: v is None or _number(v), "a number or null"),
+}
 
 
 def resolve_config(args) -> dict:
@@ -98,6 +122,9 @@ def resolve_config(args) -> dict:
         if isinstance(val, bool) or not isinstance(val, int) or val < low:
             raise ConfigurationError(f"config key {key!r} must be an integer >= {low}, "
                                      f"got {val!r}")
+    for key, (ok, what) in _VALUE_KEYS.items():
+        if not ok(cfg[key], cfg["dim"]):
+            raise ConfigurationError(f"config key {key!r} must be {what}, got {cfg[key]!r}")
     return cfg
 
 
@@ -198,9 +225,9 @@ class SuiteReport:
         }
 
 
-def _samples_for(metric, count, seed, y_scale=1.0):
+def _samples_for(metric, count):
     pts = chart_points(metric, count)
-    dirs = halton_directions(metric.n, count) * y_scale
+    dirs = halton_directions(metric.n, count)
     return [TangentSample(x, d) for x, d in zip(pts, dirs)]
 
 
@@ -215,14 +242,14 @@ _EXPECTED_KAPPA = {
 
 
 def _check_okada(metric, cfg):
-    samples = _samples_for(metric, 50, cfg["seed"])
+    samples = _samples_for(metric, 50)
     worst = max(float(np.max(np.abs(okada_residual(metric, s.x, s.y))))
                 for s in samples)
     return worst, 1e-8
 
 
 def _check_homogeneity(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"], cfg["seed"])
+    samples = _samples_for(metric, cfg["samples"])
     worst = 0.0
     for s in samples:
         F = metric.F(s.x, s.y)
@@ -232,7 +259,7 @@ def _check_homogeneity(metric, cfg):
 
 
 def _check_definiteness(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"], cfg["seed"])
+    samples = _samples_for(metric, cfg["samples"])
     min_eig = np.inf
     for s in samples:
         ft = fundamental_tensor(metric, s)
@@ -243,7 +270,7 @@ def _check_definiteness(metric, cfg):
 
 
 def _check_jb(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"], cfg["seed"])
+    samples = _samples_for(metric, cfg["samples"])
     worst = 0.0
     for s in samples:
         bt = curvature.berwald_curvature(metric, s)
@@ -256,13 +283,13 @@ def _check_jb(metric, cfg):
 
 
 def _check_es(metric, cfg):
-    samples = _samples_for(metric, min(cfg["samples"], 10), cfg["seed"])
+    samples = _samples_for(metric, min(cfg["samples"], 10))
     worst = max(curvature.es_residual(metric, s) for s in samples)
     return worst, 1e-5
 
 
 def _check_ll(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"], cfg["seed"])
+    samples = _samples_for(metric, cfg["samples"])
     worst = 0.0
     for s in samples:
         L = curvature.landsberg_from_berwald(metric, s)
@@ -273,7 +300,7 @@ def _check_ll(metric, cfg):
 
 
 def _check_kk(metric, cfg):
-    samples = _samples_for(metric, min(cfg["samples"], 6), cfg["seed"])
+    samples = _samples_for(metric, min(cfg["samples"], 6))
     worst = 0.0
     for s in samples:
         Ld = curvature.landsberg_dot(metric, s)
@@ -285,7 +312,7 @@ def _check_kk(metric, cfg):
 
 def _check_flag_curvature(metric, cfg):
     kappa, tol = _EXPECTED_KAPPA[metric.name]
-    samples = _samples_for(metric, cfg["samples"], cfg["seed"])
+    samples = _samples_for(metric, cfg["samples"])
     worst = 0.0
     for s in samples:
         rep = curvature.riemann_curvature(metric, s)
@@ -294,7 +321,7 @@ def _check_flag_curvature(metric, cfg):
 
 
 def _check_funk_s(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"], cfg["seed"])
+    samples = _samples_for(metric, cfg["samples"])
     worst = 0.0
     for s in samples:
         sd = curvature.s_curvature(metric, s, method="analytic")
@@ -304,7 +331,7 @@ def _check_funk_s(metric, cfg):
 
 
 def _check_funk_e(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"], cfg["seed"])
+    samples = _samples_for(metric, cfg["samples"])
     n = metric.n
     worst = 0.0
     for s in samples:
@@ -353,7 +380,7 @@ def _check_santalo(metric, cfg):
 
 def _check_cc_fit(metric, cfg):
     kappa, _ = _EXPECTED_KAPPA[metric.name]
-    samples = _samples_for(metric, 3, cfg["seed"])
+    samples = _samples_for(metric, 3)
     ts = np.linspace(0.0, 1.5, 16)
     worst = 0.0
     for s in samples:
@@ -364,7 +391,7 @@ def _check_cc_fit(metric, cfg):
 
 def _check_dot_lc(metric, cfg):
     kappa, _ = _EXPECTED_KAPPA[metric.name]
-    samples = _samples_for(metric, min(cfg["samples"], 6), cfg["seed"])
+    samples = _samples_for(metric, min(cfg["samples"], 6))
     worst = 0.0
     for s in samples:
         y = s.y / metric.F(s.x, s.y)
@@ -388,7 +415,7 @@ def _check_projective_pair(metric, cfg):
 
 
 def _check_berwald_flat(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"], cfg["seed"])
+    samples = _samples_for(metric, cfg["samples"])
     worst = 0.0
     for s in samples:
         bt = curvature.berwald_curvature(metric, s)
@@ -397,14 +424,14 @@ def _check_berwald_flat(metric, cfg):
 
 
 def _check_berwald_s(metric, cfg):
-    samples = _samples_for(metric, min(cfg["samples"], 6), cfg["seed"])
+    samples = _samples_for(metric, min(cfg["samples"], 6))
     worst = max(abs(curvature.s_curvature(metric, s, method="geodesic").S)
                 for s in samples)
     return worst, 1e-6
 
 
 def _check_transport_norms(metric, cfg):
-    samples = _samples_for(metric, 3, cfg["seed"])
+    samples = _samples_for(metric, 3)
     worst = 0.0
     for s in samples:
         y = s.y / metric.F(s.x, s.y)
@@ -498,7 +525,7 @@ def run_verify(cfg) -> SuiteReport:
 
 def run_curvature_report(cfg):
     metric = build_metric(cfg)
-    samples = _samples_for(metric, cfg["samples"], cfg["seed"])
+    samples = _samples_for(metric, cfg["samples"])
     rows = []
     for idx, s in enumerate(samples):
         rep = curvature.riemann_curvature(metric, s)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GeometryError, PreconditionError
 from .geodesics import integrate_geodesic, parallel_transport, spray_jets
+from .jets import derivative_tensor
 from .metrics import MetricSpec
 from .minkowski import (
     TangentSample,
@@ -30,14 +32,6 @@ from .minkowski import (
 
 _STENCIL5 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # offsets -2h,-h,h,2h
 _STENCIL5_2ND = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # -2h..2h
-
-
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
-def _zero(n):
-    return tuple(0 for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -58,21 +52,7 @@ class BerwaldTensor:
 
 def berwald_curvature(metric: MetricSpec, sample: TangentSample) -> BerwaldTensor:
     sample.validate(metric)
-    n = metric.n
-    ws = spray_jets(metric, sample.x, sample.y, 1, 5)
-    z = _zero(n)
-    B = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                for l in range(k, n):
-                    b = tuple(
-                        p + q + r
-                        for p, q, r in zip(_unit(n, j), _unit(n, k), _unit(n, l))
-                    )
-                    val = ws.G[i].partial(z, b)
-                    B[i, j, k, l] = B[i, j, l, k] = B[i, k, j, l] = val
-                    B[i, k, l, j] = B[i, l, j, k] = B[i, l, k, j] = val
+    B = derivative_tensor(spray_jets(metric, sample.x, sample.y, 1, 5).G, 0, 3)
     E = 0.5 * np.einsum("kijk->ij", B)
     return BerwaldTensor(B=B, E=E)
 
@@ -103,27 +83,17 @@ def landsberg_from_berwald(metric: MetricSpec, sample: TangentSample,
     return -0.5 * np.einsum("mijk,m->ijk", bt.B, gy)
 
 
-def _transport_stencil(metric, sample, h, n_steps=2, unit_speed=False):
-    """Transported coordinate frames at t = -n_steps*h .. +n_steps*h."""
+def _transport_stencil(metric, sample, h):
+    """States and transported coordinate frames at t = -2h, -h, 0, h, 2h."""
     n = metric.n
-    offs = [k * h for k in range(-n_steps, n_steps + 1)]
-    fwd = [t for t in offs if t > 0]
-    bwd = [t for t in offs if t < 0]
     states = {0.0: (sample.x.copy(), sample.y.copy(), np.eye(n))}
-    y0 = sample.y / metric.F(sample.x, sample.y) if unit_speed else sample.y
-    if unit_speed:
-        states = {0.0: (sample.x.copy(), y0.copy(), np.eye(n))}
-    for side in (fwd, bwd):
-        if not side:
-            continue
-        t_end = side[-1] if side[-1] > 0 else side[0]
-        tr = parallel_transport(metric, sample.x, y0, t_end, np.eye(n),
-                                t_eval=np.concatenate([[0.0], side]) if side[0] > 0
-                                else np.concatenate([[0.0], side[::-1]]))
+    for side in ([h, 2 * h], [-h, -2 * h]):
+        tr = parallel_transport(metric, sample.x, sample.y, side[-1], np.eye(n),
+                                t_eval=np.concatenate([[0.0], side]))
         for idx, t in enumerate(tr.ts):
             if t != 0.0:
                 states[float(t)] = (tr.path.x[idx], tr.path.v[idx], tr.frames[idx])
-    return [states[float(k * h)] for k in range(-n_steps, n_steps + 1)]
+    return [states[float(k * h)] for k in range(-2, 3)]
 
 
 def _frame_contract3(T, U):
@@ -136,52 +106,40 @@ def _five_point(vals, h):
     return np.tensordot(_STENCIL5, stack, axes=1) / h
 
 
-def landsberg_by_transport(metric: MetricSpec, sample: TangentSample,
-                           dt=1e-2) -> np.ndarray:
-    """Definition route: differentiate the Cartan torsion along the geodesic
-    with parallel-transported arguments; Richardson over step doubling."""
+def _transport_derivative(metric, sample, quantity, dt):
+    """Derivative along the geodesic of quantity(state, U) on the
+    parallel-transported coordinate frame U: five-point stencils at steps dt
+    and 2 dt, Richardson-extrapolated, with dt widened when they disagree."""
     sample.validate(metric)
 
     def estimate(h):
         states = _transport_stencil(metric, sample, h)
-        vals = []
-        for x, v, U in states:
-            C = cartan_tensor(metric, TangentSample(x, v))
-            vals.append(_frame_contract3(C, U))
-        return _five_point(vals, h)
+        return _five_point([quantity(TangentSample(x, v), U) for x, v, U in states], h)
 
     d1 = estimate(dt)
     d2 = estimate(2 * dt)
-    out = (16.0 * d1 - d2) / 15.0
     scale = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
     # honest steps disagree at the 1e-9 level; roundoff-bound ones at >= 1e-4
     if scale > 1e-9 and np.max(np.abs(d1 - d2)) > 1e-4 * scale and dt < 5e-3:
         warnings.warn("transport-route step looks roundoff dominated; widening dt")
-        return landsberg_by_transport(metric, sample, dt=max(4 * dt, 5e-3))
-    return out
+        return _transport_derivative(metric, sample, quantity, max(4 * dt, 5e-3))
+    return (16.0 * d1 - d2) / 15.0
+
+
+def landsberg_by_transport(metric: MetricSpec, sample: TangentSample,
+                           dt=1e-2) -> np.ndarray:
+    """Definition route: differentiate the Cartan torsion along the geodesic
+    with parallel-transported arguments; Richardson over step doubling."""
+    return _transport_derivative(
+        metric, sample, lambda sm, U: _frame_contract3(cartan_tensor(metric, sm), U), dt)
 
 
 def landsberg_dot(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> np.ndarray:
     """L-dot: derivative of the Landsberg curvature along the geodesic with
     parallel arguments, via the jet-exact identity route at stencil states."""
-    sample.validate(metric)
-
-    def estimate(h):
-        states = _transport_stencil(metric, sample, h)
-        vals = []
-        for x, v, U in states:
-            sm = TangentSample(x, v)
-            L = landsberg_from_berwald(metric, sm)
-            vals.append(_frame_contract3(L, U))
-        return _five_point(vals, h)
-
-    d1 = estimate(dt)
-    d2 = estimate(2 * dt)
-    scale = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
-    if scale > 1e-9 and np.max(np.abs(d1 - d2)) > 1e-4 * scale and dt < 5e-3:
-        warnings.warn("transport-route step looks roundoff dominated; widening dt")
-        return landsberg_dot(metric, sample, dt=max(4 * dt, 5e-3))
-    return (16.0 * d1 - d2) / 15.0
+    return _transport_derivative(
+        metric, sample,
+        lambda sm, U: _frame_contract3(landsberg_from_berwald(metric, sm), U), dt)
 
 
 def landsberg_tilde(metric: MetricSpec, sample: TangentSample, h_rel=1e-3) -> np.ndarray:
@@ -219,20 +177,8 @@ def mean_landsberg_by_transport(metric: MetricSpec, sample: TangentSample,
                                 dt=1e-2) -> np.ndarray:
     """Cross-route for J: derivative of the mean Cartan torsion along the
     geodesic on parallel arguments."""
-    sample.validate(metric)
-
-    def estimate(h):
-        states = _transport_stencil(metric, sample, h)
-        vals = []
-        for x, v, U in states:
-            sm = TangentSample(x, v)
-            I = mean_cartan(metric, sm)
-            vals.append(U @ I)
-        return _five_point(vals, h)
-
-    d1 = estimate(dt)
-    d2 = estimate(2 * dt)
-    return (16.0 * d1 - d2) / 15.0
+    return _transport_derivative(metric, sample,
+                                 lambda sm, U: U @ mean_cartan(metric, sm), dt)
 
 
 def landsberg_data(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> LandsbergTensor:
@@ -250,10 +196,18 @@ def landsberg_data(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> Landsb
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SData:
-    S: float
-    S_dot: float
+    """S and S-dot at one sample.  S_dot may be given as a zero-argument
+    callable; it then runs on first access, so readers of S alone skip the
+    geodesics it integrates."""
+
+    def __init__(self, S, S_dot):
+        self.S = S
+        self._S_dot = S_dot
+
+    @cached_property
+    def S_dot(self) -> float:
+        return self._S_dot() if callable(self._S_dot) else self._S_dot
 
 
 def _log_density_gradient(sigma, x, h=1e-4):
@@ -279,17 +233,12 @@ def s_jet_workspace(metric: MetricSpec, sample: TangentSample, sigma):
     """
     n = metric.n
     ws = spray_jets(metric, sample.x, sample.y, 1, 5)
-    z = _zero(n)
 
     trN = None
     for m in range(n):
         term = ws.G[m].dy(m)
         trN = term if trN is None else trN + term
-    E = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            b = tuple(p + q for p, q in zip(_unit(n, i), _unit(n, j)))
-            E[i, j] = E[j, i] = 0.5 * trN.partial(z, b)
+    E = 0.5 * derivative_tensor(trN, 0, 2)
 
     # mean Cartan as jets: I_i = g^{jk} C_jki with C = f2.dy3 / 4
     C_j = [[[None] * n for _ in range(n)] for _ in range(n)]
@@ -331,22 +280,21 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
 
     method "geodesic" differences the distortion along the integrated
     geodesic (the definition); method "analytic" reads S off the jet
-    workspace and differences only for S-dot.
+    workspace and differences only for S-dot, which it computes on first
+    access.
     """
     sample.validate(metric)
     sigma = density if density is not None else density_field(metric)
     if method == "analytic":
-        S_jet, _, _ = s_jet_workspace(metric, sample, sigma)
-        S = S_jet.value
-
         def s_at(x, v):
             return s_jet_workspace(metric, TangentSample(x, v), sigma)[0].value
 
-        vals1 = _along_geodesic(metric, sample, s_at, h)
-        vals2 = _along_geodesic(metric, sample, s_at, 2 * h)
-        sd1 = float(np.tensordot(_STENCIL5, [vals1[0], vals1[1], vals1[3], vals1[4]], 1) / h)
-        sd2 = float(np.tensordot(_STENCIL5, [vals2[0], vals2[1], vals2[3], vals2[4]], 1) / (2 * h))
-        return SData(S=float(S), S_dot=(16.0 * sd1 - sd2) / 15.0)
+        def s_dot():
+            sd1 = float(_five_point(_along_geodesic(metric, sample, s_at, h), h))
+            sd2 = float(_five_point(_along_geodesic(metric, sample, s_at, 2 * h), 2 * h))
+            return (16.0 * sd1 - sd2) / 15.0
+
+        return SData(S=float(s_at(sample.x, sample.y)), S_dot=s_dot)
     if method != "geodesic":
         raise PreconditionError(f"unknown S-curvature method {method!r}")
 
@@ -356,7 +304,7 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
 
     def estimates(hh):
         vals = _along_geodesic(metric, sample, tau_at, hh)
-        S = float(np.tensordot(_STENCIL5, [vals[0], vals[1], vals[3], vals[4]], 1) / hh)
+        S = float(_five_point(vals, hh))
         Sd = float(np.dot(_STENCIL5_2ND, vals) / hh ** 2)
         return S, Sd
 
@@ -381,14 +329,7 @@ def es_residual(metric: MetricSpec, sample: TangentSample, density=None) -> floa
     """max |fiber Hessian of S - 2 E|: the mean Berwald identity."""
     sigma = density if density is not None else density_field(metric)
     S_jet, E, _ = s_jet_workspace(metric, sample, sigma)
-    n = metric.n
-    z = _zero(n)
-    H = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            b = tuple(p + q for p, q in zip(_unit(n, i), _unit(n, j)))
-            H[i, j] = H[j, i] = S_jet.partial(z, b)
-    return float(np.max(np.abs(H - 2.0 * E)))
+    return float(np.max(np.abs(derivative_tensor(S_jet, 0, 2) - 2.0 * E)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,32 +353,25 @@ class CurvatureReport:
         return float(self.principal[-1] - self.principal[0])
 
 
-def riemann_curvature(metric: MetricSpec, sample: TangentSample) -> CurvatureReport:
+def _spray_riemann(ws, y):
     """R^i_k = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k + 2 G^j d2G^i/dy^j dy^k
-    - dG^i/dy^j dG^j/dy^k, then the eigenproblem of R restricted to the
-    g_y-orthogonal complement of y, normalized by F^2."""
-    sample.validate(metric)
-    n = metric.n
-    ws = spray_jets(metric, sample.x, sample.y, 2, 4)
-    z = _zero(n)
-    G = np.array([gi.value for gi in ws.G])
-    dGdx = np.empty((n, n))
-    dGdy = np.empty((n, n))
-    d2Gxy = np.empty((n, n, n))
-    d2Gyy = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            dGdx[i, j] = ws.G[i].partial(_unit(n, j), z)
-            dGdy[i, j] = ws.G[i].partial(z, _unit(n, j))
-            for k in range(n):
-                d2Gxy[i, j, k] = ws.G[i].partial(_unit(n, j), _unit(n, k))
-                b = tuple(p + q for p, q in zip(_unit(n, j), _unit(n, k)))
-                d2Gyy[i, j, k] = ws.G[i].partial(z, b)
-    y = sample.y
+    - N^i_j N^j_k from an order-(2, 4) spray workspace at y, with the values
+    G, N = dG/dy, d2G/dxdy and d2G/dydy it is made of."""
+    G, dGdx, N, d2Gxy, d2Gyy = (derivative_tensor(ws.G, ox, oy)
+                                for ox, oy in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2)))
     R = (2.0 * dGdx
          - np.einsum("j,ijk->ik", y, d2Gxy)
          + 2.0 * np.einsum("j,ijk->ik", G, d2Gyy)
-         - dGdy @ dGdy)
+         - N @ N)
+    return R, G, N, d2Gxy, d2Gyy
+
+
+def riemann_curvature(metric: MetricSpec, sample: TangentSample) -> CurvatureReport:
+    """R_y from the spray (see _spray_riemann), then the eigenproblem of R
+    restricted to the g_y-orthogonal complement of y, normalized by F^2."""
+    sample.validate(metric)
+    y = sample.y
+    R = _spray_riemann(spray_jets(metric, sample.x, y, 2, 4), y)[0]
 
     ft = fundamental_tensor(metric, sample)
     F2 = ft.F ** 2
@@ -504,7 +438,6 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
     J = (xp - xm) / (2 * scale)
     x0s, v0s = p0.state(ts)
 
-    z = _zero(n)
     worst = 0.0
     gs = []
     for k in range(len(ts)):
@@ -512,23 +445,7 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
         gs.append(np.array([[ws.g[i][j].value for j in range(n)] for i in range(n)]))
         if k < 2 or k > len(ts) - 3:
             continue
-        G = np.array([gi.value for gi in ws.G])
-        dGdx = np.empty((n, n))
-        N = np.empty((n, n))
-        d2Gxy = np.empty((n, n, n))
-        d2Gyy = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                dGdx[i, j] = ws.G[i].partial(_unit(n, j), z)
-                N[i, j] = ws.G[i].partial(z, _unit(n, j))
-                for m in range(n):
-                    d2Gxy[i, j, m] = ws.G[i].partial(_unit(n, j), _unit(n, m))
-                    b = tuple(p + q for p, q in zip(_unit(n, j), _unit(n, m)))
-                    d2Gyy[i, j, m] = ws.G[i].partial(z, b)
-        R = (2.0 * dGdx
-             - np.einsum("j,ijk->ik", v0s[k], d2Gxy)
-             + 2.0 * np.einsum("j,ijk->ik", G, d2Gyy)
-             - N @ N)
+        R, G, N, d2Gxy, d2Gyy = _spray_riemann(ws, v0s[k])
         Ndot = (np.einsum("ikj,k->ij", d2Gxy, v0s[k])
                 - 2.0 * np.einsum("ijk,k->ij", d2Gyy, G))
         Jd = (J[k - 2] - 8 * J[k - 1] + 8 * J[k + 1] - J[k + 2]) / (12 * h)

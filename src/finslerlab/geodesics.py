@@ -10,34 +10,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ChartExitError, GeometryError, PreconditionError
-from .jets import Jet, JetSpec, lift
+from .jets import Jet, JetSpec, derivative_tensor, lift
 from .metrics import MetricSpec
 from .minkowski import TangentSample, fundamental_tensor
-
-_Z = {}
-
-
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
-def _zero(n):
-    if n not in _Z:
-        _Z[n] = tuple(0 for _ in range(n))
-    return _Z[n]
-
 
 # ---------------------------------------------------------------------------
 # Spray coefficients
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SprayCoeffs:
-    """G^i(y) and its fiber Jacobian N^i_j = dG^i/dy^j at one tangent point."""
-
-    G: np.ndarray
-    N: np.ndarray
 
 
 def _jet_matrix_inverse(g, n):
@@ -111,53 +90,30 @@ def spray_jets(metric: MetricSpec, x, y, mx, my) -> SprayWorkspace:
 
 
 def spray_values(metric: MetricSpec, x, v) -> np.ndarray:
-    """G^i as plain numbers; the fast path used by the ODE right-hand sides."""
-    n = metric.n
+    """G^i as plain numbers; the fast path used by the ODE right-hand sides.
+
+    A linear solve on the fundamental tensor of one order-(1, 2) jet, cheaper
+    than the jet inverse of spray_jets; its bits define every geodesic.
+    """
     fj = metric.jet(x, v, 1, 2)
     f2 = fj * fj
-    z = _zero(n)
-    g = np.empty((n, n))
-    dg = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            b = tuple(u + w for u, w in zip(_unit(n, i), _unit(n, j)))
-            g[i, j] = g[j, i] = 0.5 * f2.partial(z, b)
-            for k in range(n):
-                dg[k, i, j] = dg[k, j, i] = 0.5 * f2.partial(_unit(n, k), b)
+    g = 0.5 * derivative_tensor(f2, 0, 2)
+    dg = 0.5 * derivative_tensor(f2, 1, 2)
     v = np.asarray(v, dtype=float)
     A = 2.0 * np.einsum("kjl,j,k->l", dg, v, v) - np.einsum("ljk,j,k->l", dg, v, v)
     return 0.25 * np.linalg.solve(g, A)
 
 
-def spray_coeffs(metric: MetricSpec, sample: TangentSample) -> SprayCoeffs:
-    sample.validate(metric)
-    n = metric.n
-    G = spray_jets(metric, sample.x, sample.y, 1, 3).G
-    z = _zero(n)
-    Gv = np.array([gi.value for gi in G])
-    N = np.array([[G[i].partial(z, _unit(n, j)) for j in range(n)] for i in range(n)])
-    return SprayCoeffs(G=Gv, N=N)
+def spray_gradients(metric: MetricSpec, x, v, mx):
+    """G, dG/dx and dG/dy values: the right-hand sides of the transport
+    (mx=1, where dG/dx comes back None) and variational (mx=2) flows.
 
-
-def spray_G_N(metric: MetricSpec, x, v):
-    """Values of G and N without the sample bookkeeping (ODE inner loop)."""
-    n = metric.n
-    G = spray_jets(metric, x, v, 1, 3).G
-    z = _zero(n)
-    Gv = np.array([gi.value for gi in G])
-    N = np.array([[G[i].partial(z, _unit(n, j)) for j in range(n)] for i in range(n)])
-    return Gv, N
-
-
-def spray_gradients(metric: MetricSpec, x, v):
-    """G, dG/dx and dG/dy values, for variational (Jacobi) systems."""
-    n = metric.n
-    G = spray_jets(metric, x, v, 2, 3).G
-    z = _zero(n)
-    Gv = np.array([gi.value for gi in G])
-    dGdx = np.array([[G[i].partial(_unit(n, k), z) for k in range(n)] for i in range(n)])
-    dGdy = np.array([[G[i].partial(z, _unit(n, j)) for j in range(n)] for i in range(n)])
-    return Gv, dGdx, dGdy
+    Only ODE right-hand sides call this; other readers take spray_jets and
+    derivative_tensor directly.
+    """
+    G = spray_jets(metric, x, v, mx, 3).G
+    dGdx = derivative_tensor(G, 1, 0) if mx > 1 else None
+    return derivative_tensor(G, 0, 0), dGdx, derivative_tensor(G, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +279,7 @@ def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10,
         v = z[n: 2 * n]
         M = z[2 * n: 2 * n + n * n].reshape(n, n)
         Md = z[2 * n + n * n:].reshape(n, n)
-        G, dGdx, dGdy = spray_gradients(metric, x, v)
+        G, dGdx, dGdy = spray_gradients(metric, x, v, 2)
         dz = np.empty_like(z)
         dz[:n] = v
         dz[n: 2 * n] = -2.0 * G
@@ -378,8 +334,8 @@ def covariant_derivative(metric: MetricSpec, U, sample: TangentSample, h=1e-5):
     d1 = ddir(scale)
     d2 = ddir(scale / 2)
     dU = (4 * d2 - d1) / 3.0
-    sc = spray_coeffs(metric, sample)
-    return dU + sc.N @ np.asarray(U(x), dtype=float)
+    N = derivative_tensor(spray_jets(metric, x, y, 1, 3).G, 0, 1)
+    return dU + N @ np.asarray(U(x), dtype=float)
 
 
 @dataclass
@@ -415,7 +371,7 @@ def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
     def rhs(t, z):
         x = z[:n]
         v = z[n: 2 * n]
-        G, N = spray_G_N(metric, x, v)
+        G, _, N = spray_gradients(metric, x, v, 1)
         dz = np.empty_like(z)
         dz[:n] = v
         dz[n: 2 * n] = -2.0 * G
@@ -437,23 +393,11 @@ def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
     xs = sol.y[:n].T
     vs = sol.y[n: 2 * n].T
     frames = sol.y[2 * n:].T.reshape(len(ts), k, n)
-
-    gram0 = None
-    drift = 0.0
-    for idx in range(len(ts)):
-        ft = fundamental_tensor(metric, TangentSample(xs[idx], vs[idx]))
-        gram = frames[idx] @ ft.g @ frames[idx].T
-        if gram0 is None:
-            gram0 = gram
-        else:
-            drift = max(drift, float(np.max(np.abs(gram - gram0))))
-        if np.linalg.cond(gram) > 1e12:
-            raise GeometryError("transported frame became numerically degenerate")
-
     path = GeodesicPath(metric=metric, t=ts, x=xs, v=vs, sol=sol.sol,
                         t_requested=float(t_end), exited=sol.status == 1,
                         nfev=int(sol.nfev), n_steps=len(ts) - 1)
-    return TransportResult(frame_in=frame, frame_out=frames[-1], gram_drift=drift,
+    return TransportResult(frame_in=frame, frame_out=frames[-1],
+                           gram_drift=_gram_drift(metric, xs, vs, frames),
                            ts=ts, frames=frames, path=path)
 
 
@@ -470,7 +414,7 @@ def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
 
     def rhs(t, z):
         x, v = curve(t)
-        _, N = spray_G_N(metric, x, v)
+        _, _, N = spray_gradients(metric, x, v, 1)
         return (-N @ z.reshape(k, n).T).T.ravel()
 
     if t_eval is None:
@@ -489,16 +433,24 @@ def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
         vs.append(np.asarray(v, dtype=float))
     xs = np.array(xs)
     vs = np.array(vs)
+    path = GeodesicPath(metric=metric, t=ts, x=xs, v=vs, sol=None,
+                        t_requested=float(t_span[1]))
+    return TransportResult(frame_in=frame, frame_out=frames[-1],
+                           gram_drift=_gram_drift(metric, xs, vs, frames),
+                           ts=ts, frames=frames, path=path)
+
+
+def _gram_drift(metric, xs, vs, frames):
+    """Largest change of the frames' g_cdot Gram matrix from its value at the
+    first state; raises GeometryError when a frame becomes degenerate."""
     gram0 = None
     drift = 0.0
-    for idx in range(len(ts)):
-        ft = fundamental_tensor(metric, TangentSample(xs[idx], vs[idx]))
-        gram = frames[idx] @ ft.g @ frames[idx].T
+    for x, v, frame in zip(xs, vs, frames):
+        gram = frame @ fundamental_tensor(metric, TangentSample(x, v)).g @ frame.T
         if gram0 is None:
             gram0 = gram
         else:
             drift = max(drift, float(np.max(np.abs(gram - gram0))))
-    path = GeodesicPath(metric=metric, t=ts, x=xs, v=vs, sol=None,
-                        t_requested=float(t_span[1]))
-    return TransportResult(frame_in=frame, frame_out=frames[-1], gram_drift=drift,
-                           ts=ts, frames=frames, path=path)
+        if np.linalg.cond(gram) > 1e12:
+            raise GeometryError("transported frame became numerically degenerate")
+    return drift

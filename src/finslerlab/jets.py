@@ -89,6 +89,7 @@ class _JetContext:
         self._build_mul_table(spec)
         self._build_shift_tables(spec)
         self._masks = {}
+        self._gathers = {}
 
     def _build_mul_table(self, spec):
         xpairs = []
@@ -147,6 +148,20 @@ class _JetContext:
 
     def slot(self, a, b):
         return self.xpos[tuple(a)] * self.ny + self.ypos[tuple(b)]
+
+    def gather(self, ox, oy):
+        """Slot of every entry of the order-(ox, oy) derivative tensor."""
+        key = (ox, oy)
+        slots = self._gathers.get(key)
+        if slots is None:
+            n = self.spec.n
+            slots = np.empty((n,) * (ox + oy), dtype=np.int64)
+            for idx in np.ndindex(slots.shape):
+                a = tuple(idx[:ox].count(v) for v in range(n))
+                b = tuple(idx[ox:].count(v) for v in range(n))
+                slots[idx] = self.slot(a, b)
+            self._gathers[key] = slots
+        return slots
 
 
 _CONTEXTS: dict[JetSpec, _JetContext] = {}
@@ -450,8 +465,28 @@ def lift(x, y, spec: JetSpec):
     return xs, ys
 
 
-def partial(j: Jet, a, b) -> float:
-    return j.partial(a, b)
+def derivative_tensor(jet, ox, oy) -> np.ndarray:
+    """All raw mixed partials of order (ox, oy) as one symmetric array.
+
+    Axes are ox base indices, then oy fiber indices: entry [i1..i_ox, j1..j_oy]
+    is the derivative by x^i1 ... x^i_ox y^j1 ... y^j_oy, the same number
+    Jet.partial returns.  A sequence of jets of one spec gives their tensors
+    stacked along a leading axis.
+    """
+    group = [jet] if isinstance(jet, Jet) else list(jet)
+    ctx = group[0].ctx
+    for j in group:
+        if j.ctx is not ctx:
+            raise ConfigurationError("jets from different specs cannot be mixed")
+        if ox > j.vx or oy > j.vy:
+            raise ConfigurationError(
+                f"partial order ({ox},{oy}) exceeds valid orders ({j.vx},{j.vy})"
+            )
+    slots = ctx.gather(ox, oy)
+    coeffs = jet.coeffs if isinstance(jet, Jet) else np.stack([j.coeffs for j in group])
+    # take() keeps the result C-ordered, so matrix products on it sum in the
+    # same order as on arrays filled entry by entry
+    return coeffs.take(slots, axis=-1) * ctx.factorial[slots]
 
 
 # -- scalar/array/jet polymorphic math ----------------------------------------

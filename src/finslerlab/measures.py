@@ -158,6 +158,15 @@ def ball_volume(metric: MetricSpec, ball: BallSpec, n_samples=1_000_000,
                      n_samples=n_samples, seed=seed)
 
 
+def _direction_grid(n, n_dirs, default=(96, 10)):
+    """Directions and weights of a polar sweep: n_dirs circle nodes for n = 2,
+    else an n_dirs x 2 n_dirs sphere grid.  Without n_dirs, default holds
+    the counts for n = 2 and for n = 3."""
+    if n_dirs is None:
+        n_dirs = default[0] if n == 2 else default[1]
+    return circle_nodes(n_dirs) if n == 2 else sphere_nodes(n_dirs, 2 * n_dirs)
+
+
 def polar_ball_volumes(metric: MetricSpec, x, radii, n_dirs=None, n_radial=32,
                        sigma=None, rtol=1e-10):
     """Ball volumes at several radii from one polar sweep.
@@ -170,12 +179,7 @@ def polar_ball_volumes(metric: MetricSpec, x, radii, n_dirs=None, n_radial=32,
     n = metric.n
     radii = np.asarray(radii, dtype=float)
     r_max = float(np.max(radii))
-    if n_dirs is None:
-        dirs, w = circle_nodes(96) if n == 2 else sphere_nodes(10, 20)
-    elif n == 2:
-        dirs, w = circle_nodes(n_dirs)
-    else:
-        dirs, w = sphere_nodes(n_dirs, 2 * n_dirs)
+    dirs, w = _direction_grid(n, n_dirs)
     sigma = sigma if sigma is not None else density_field(metric)
     F_dirs = metric.F_batch(np.broadcast_to(x, dirs.shape), dirs)
 
@@ -208,12 +212,7 @@ def sphere_area_integrand(metric: MetricSpec, x, r, n_dirs=None, sigma=None):
     """nu_F(S(x, r)): the induced sphere measure in the coarea identity."""
     x = np.asarray(x, dtype=float)
     n = metric.n
-    if n_dirs is None:
-        dirs, w = circle_nodes(96) if n == 2 else sphere_nodes(10, 20)
-    elif n == 2:
-        dirs, w = circle_nodes(n_dirs)
-    else:
-        dirs, w = sphere_nodes(n_dirs, 2 * n_dirs)
+    dirs, w = _direction_grid(n, n_dirs)
     sigma = sigma if sigma is not None else density_field(metric)
     total = 0.0
     for d, wd in zip(dirs, w):
@@ -279,12 +278,7 @@ def curvature_ball_coefficient(metric: MetricSpec, x, n_dirs=None) -> float:
     """
     x = np.asarray(x, dtype=float)
     n = metric.n
-    if n_dirs is None:
-        dirs, w = circle_nodes(64) if n == 2 else sphere_nodes(8, 16)
-    elif n == 2:
-        dirs, w = circle_nodes(n_dirs)
-    else:
-        dirs, w = sphere_nodes(n_dirs, 2 * n_dirs)
+    dirs, w = _direction_grid(n, n_dirs, default=(64, 8))
     sigma = density_field(metric)
     total = 0.0
     for d, wd in zip(dirs, w):
@@ -315,12 +309,7 @@ def small_ball_probe(metric: MetricSpec, x, eps_grid, n_dirs=None,
     mu, exited = polar_ball_volumes(metric, x, eps, n_dirs=n_dirs)
     if exited:
         raise GeometryError("small-ball probe hit the chart boundary")
-    if n_dirs is None:
-        dirs, w = circle_nodes(96) if n == 2 else sphere_nodes(10, 20)
-    elif n == 2:
-        dirs, w = circle_nodes(n_dirs)
-    else:
-        dirs, w = sphere_nodes(n_dirs, 2 * n_dirs)
+    dirs, w = _direction_grid(n, n_dirs)
     sigma0 = density_field(metric)(x)
     lead = sigma0 * _grid_unit_volume(metric, x, dirs, w)
     ratio = mu / (lead * eps ** n) - 1.0

@@ -380,15 +380,8 @@ def hilbert_distance_batch(domain: ConvexDomain, p, Q):
 
 def okada_residual(metric: MetricSpec, x, y):
     """Componentwise dF/dx^i - F * dF/dy^i; vanishes exactly for Funk metrics."""
-    n = metric.n
     fj = metric.jet(x, y, 1, 1)
-    f0 = fj.value
-    res = np.empty(n)
-    for i in range(n):
-        a = tuple(1 if k == i else 0 for k in range(n))
-        zero = tuple(0 for _ in range(n))
-        res[i] = fj.partial(a, zero) - f0 * fj.partial(zero, a)
-    return res
+    return jets.derivative_tensor(fj, 1, 0) - fj.value * jets.derivative_tensor(fj, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +547,6 @@ def validate_metric(metric: MetricSpec, n_samples=100,
     """
     pts = chart_points(metric, n_samples)
     dirs = halton_directions(metric.n, n_samples)
-    n = metric.n
-    idx = [(i, j) for i in range(n) for j in range(i, n)]
     for x, d in zip(pts, dirs):
         F = metric.F(x, d)
         if not np.isfinite(F) or F <= F_FLOOR:
@@ -565,12 +556,7 @@ def validate_metric(metric: MetricSpec, n_samples=100,
                 raise MetricValidityError("homogeneity F(x, lam y) = lam F(x, y) violated",
                                           sample=(x, d, lam))
         fj = metric.jet(x, d, 0, 2)
-        f2 = fj * fj
-        g = np.empty((n, n))
-        zero = tuple(0 for _ in range(n))
-        for i, j in idx:
-            b = tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(n))
-            g[i, j] = g[j, i] = 0.5 * f2.partial(zero, b)
+        g = 0.5 * jets.derivative_tensor(fj * fj, 0, 2)
         if np.min(np.linalg.eigvalsh(g)) <= 0:
             raise MetricValidityError("fundamental tensor not positive definite",
                                       sample=(x, d))

@@ -3,7 +3,6 @@ distortion, Busemann-Hausdorff density, and indicatrix geometry."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,25 +15,12 @@ from .errors import (
     NumericalIntegrityError,
     PreconditionError,
 )
+from .jets import derivative_tensor
 from .metrics import F_FLOOR, MetricSpec
 
 # Rays per F_batch call in the unit-body quadrature: 2^18 rays hold 32
 # points of the n=3 sphere grid (8192 nodes), 364 of the n=2 circle (720).
 _RAY_CHUNK = 2 ** 18
-
-_E = {}
-
-
-def _unit(n, i):
-    key = (n, i)
-    if key not in _E:
-        _E[key] = tuple(1 if k == i else 0 for k in range(n))
-    return _E[key]
-
-
-def _zero(n):
-    return tuple(0 for _ in range(n))
-
 
 @dataclass(frozen=True)
 class TangentSample:
@@ -88,12 +74,7 @@ def fundamental_tensor(metric: MetricSpec, sample: TangentSample) -> Fundamental
     sample.validate(metric)
     n = metric.n
     f2, F = _f2_jet(metric, sample, 0, 2)
-    g = np.empty((n, n))
-    z = _zero(n)
-    for i in range(n):
-        for j in range(i, n):
-            b = tuple(u + v for u, v in zip(_unit(n, i), _unit(n, j)))
-            g[i, j] = g[j, i] = 0.5 * f2.partial(z, b)
+    g = 0.5 * derivative_tensor(f2, 0, 2)
     try:
         c, low = cho_factor(g)
     except np.linalg.LinAlgError as exc:
@@ -108,35 +89,15 @@ def fundamental_tensor(metric: MetricSpec, sample: TangentSample) -> Fundamental
 def cartan_tensor(metric: MetricSpec, sample: TangentSample) -> np.ndarray:
     """C_ijk = quarter of the third fiber derivative of F^2."""
     sample.validate(metric)
-    n = metric.n
     f2, _ = _f2_jet(metric, sample, 0, 3)
-    C = np.empty((n, n, n))
-    z = _zero(n)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                b = tuple(u + v + w for u, v, w in zip(_unit(n, i), _unit(n, j), _unit(n, k)))
-                val = 0.25 * f2.partial(z, b)
-                for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                    C[perm] = val
-    return C
+    return 0.25 * derivative_tensor(f2, 0, 3)
 
 
 def cartan_tilde(metric: MetricSpec, sample: TangentSample) -> np.ndarray:
     """C-tilde: fourth fiber derivative of F^2 over four (the y-derivative of C)."""
     sample.validate(metric)
-    n = metric.n
     f2, _ = _f2_jet(metric, sample, 0, 4)
-    Ct = np.empty((n, n, n, n))
-    z = _zero(n)
-    for combo in itertools.combinations_with_replacement(range(n), 4):
-        b = [0] * n
-        for c in combo:
-            b[c] += 1
-        val = 0.25 * f2.partial(z, tuple(b))
-        for perm in set(itertools.permutations(combo)):
-            Ct[perm] = val
-    return Ct
+    return 0.25 * derivative_tensor(f2, 0, 4)
 
 
 def mean_cartan(metric: MetricSpec, sample: TangentSample,

@@ -47,13 +47,24 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [{"dim": "x"}, {"dim": 1}, {"dim": True},
                                      {"samples": 0}, {"samples": 2.5},
-                                     {"mc_samples": 0}])
+                                     {"mc_samples": 0},
+                                     {"t_points": "x"}, {"t_points": 1},
+                                     {"radii": "1,2"}, {"radii": []},
+                                     {"radii": [1.0, -0.5]}, {"radii": [1.0, True]},
+                                     {"t_end": "3"}, {"t_end": None},
+                                     {"start": [0.0]}, {"start": [0.0, "a"]},
+                                     {"direction": 1.0}, {"direction": [1.0, 0.0, 0.0]},
+                                     {"c": "big"}, {"eps": [0.1]}])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict({"metric": "euclidean"}, **bad)))
         code = cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
-        assert "must be an integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        key = next(iter(bad))
+        assert f"config key {key!r} must be" in err
+        if key in cli._INT_KEYS:
+            assert "must be an integer" in err
         assert not list(tmp_path.glob("verify_*.json"))
 
 
@@ -80,6 +91,11 @@ class TestVerify:
         by_id = {c["id"]: c for c in payload["checks"]}
         assert by_id["flag_curvature"]["value"] < 1e-6
         assert by_id["okada_pde"]["value"] < 1e-8
+
+    def test_funk3_s_formula_passes(self, tmp_path):
+        code = run(["verify", "--metric", "funk", "--dim", "3", "--checks", "funk_s_formula"],
+                   tmp_path)
+        assert code == 0
 
     def test_hilbert_quartic_rows(self, tmp_path):
         code = run(["verify", "--metric", "hilbert", "--dim", "2",

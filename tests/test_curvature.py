@@ -4,11 +4,15 @@ constant-curvature ODEs, Jacobi oracle and projective relation."""
 import numpy as np
 import pytest
 
+from finslerlab import cli
 from finslerlab import curvature as cu
+from finslerlab.errors import JetDomainError
+from finslerlab.metrics import make_metric
 from finslerlab.minkowski import (
     TangentSample,
     cartan_norm,
     cartan_tensor,
+    density_field,
     fundamental_tensor,
     mean_cartan,
     tangent_basis,
@@ -153,6 +157,15 @@ class TestLandsberg:
             scale = max(np.max(np.abs(J1)), 1e-6)
             assert np.max(np.abs(J1 - J2)) <= 1e-5 * max(1.0, scale)
 
+    def test_mean_landsberg_route_widens_roundoff_step(self, zoo):
+        m = zoo["randers_curl"]
+        x, y = tangent_samples(m, 1, seed=73)[0]
+        s = TangentSample(x, y)
+        with pytest.warns(UserWarning, match="widening"):
+            J = cu.mean_landsberg_by_transport(m, s, dt=1e-12)
+        J_ref = cu.mean_landsberg(m, s)
+        assert np.max(np.abs(J - J_ref)) <= 1e-4 * max(1.0, np.max(np.abs(J_ref)))
+
     def test_landsberg_data_bundle(self, zoo):
         m = zoo["funk"]
         x, y = tangent_samples(m, 1, seed=72)[0]
@@ -179,6 +192,52 @@ class TestSCurvature:
                     target, abs=1e-6)
                 assert cu.s_curvature(m, s, method="geodesic").S == pytest.approx(
                     target, abs=1e-6)
+
+    def test_lazy_s_dot_matches_eager(self, zoo):
+        # the eager formula S-dot had before it became lazy, as the reference
+        for name in ("funk", "randers_curl"):
+            m = zoo[name]
+            x, y = tangent_samples(m, 1, seed=78)[0]
+            s = TangentSample(x, y)
+            sigma = density_field(m)
+
+            def s_at(xx, vv):
+                return cu.s_jet_workspace(m, TangentSample(xx, vv), sigma)[0].value
+
+            h = 1e-2
+            v1 = cu._along_geodesic(m, s, s_at, h)
+            v2 = cu._along_geodesic(m, s, s_at, 2 * h)
+            sd1 = float(np.tensordot(cu._STENCIL5, [v1[0], v1[1], v1[3], v1[4]], 1) / h)
+            sd2 = float(np.tensordot(cu._STENCIL5, [v2[0], v2[1], v2[3], v2[4]], 1) / (2 * h))
+            sd = cu.s_curvature(m, s, method="analytic")
+            assert sd.S == s_at(x, y)
+            assert sd.S_dot == (16.0 * sd1 - sd2) / 15.0
+
+    def test_s_only_read_integrates_no_geodesic(self, zoo, monkeypatch):
+        calls = []
+        real = cu.integrate_geodesic
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(cu, "integrate_geodesic", counting)
+        m = zoo["funk"]
+        sd = cu.s_curvature(m, TangentSample([0.5, 0.0], [1.0, 0.0]), method="analytic")
+        assert sd.S == pytest.approx(3.0, abs=1e-9)
+        assert not calls
+        sd.S_dot
+        sd.S_dot
+        assert len(calls) == 4
+
+    @pytest.mark.xfail(raises=JetDomainError, strict=True,
+                       reason="a DOP853 stage of the S-dot geodesic leaves the Funk "
+                              "chart before the exit event fires")
+    def test_funk3_s_dot_near_boundary(self):
+        funk3 = make_metric("funk", n=3)
+        s = cli._samples_for(funk3, 20)[4]
+        np.testing.assert_allclose(s.x, [0.225, 0.5, -0.828], atol=1e-12)
+        assert np.isfinite(cu.s_curvature(funk3, s, method="analytic").S_dot)
 
     def test_funk_worked_point(self, zoo):
         # F = 2 at this sample, so S = 3 in dimension 2

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from finslerlab import metrics
-from finslerlab.errors import ChartExitError, PreconditionError
+from finslerlab.errors import ChartExitError, GeometryError, PreconditionError
 from finslerlab.geodesics import (
     covariant_derivative,
     exp_map,
     integrate_geodesic,
     parallel_transport,
-    spray_coeffs,
+    spray_gradients,
+    spray_jets,
     spray_values,
     transport_along_curve,
     variational_flow,
 )
+from finslerlab.jets import derivative_tensor
 from finslerlab.metrics import funk_distance, unit_ball_domain
 from finslerlab.minkowski import TangentSample
 
@@ -38,37 +40,43 @@ def _christoffel_spray(conf_sign, x, y, h=1e-6):
     return 0.25 * np.linalg.solve(a(x), A)
 
 
+def _spray_G_N(metric, x, y):
+    """G and its fiber Jacobian N = dG/dy, read off the order-(1, 3) spray jets."""
+    G = spray_jets(metric, x, y, 1, 3).G
+    return derivative_tensor(G, 0, 0), derivative_tensor(G, 0, 1)
+
+
 class TestSprayCoeffs:
     def test_minkowski_sprays_vanish(self, zoo):
         for name in ("euclidean", "quartic_norm"):
             m = zoo[name]
             for x, y in tangent_samples(m, 5, seed=50):
-                sc = spray_coeffs(m, TangentSample(x, y))
-                assert np.max(np.abs(sc.G)) < 1e-14
-                assert np.max(np.abs(sc.N)) < 1e-14
+                G, N = _spray_G_N(m, x, y)
+                assert np.max(np.abs(G)) < 1e-14
+                assert np.max(np.abs(N)) < 1e-14
 
     def test_sphere_matches_christoffel(self, zoo):
         m = zoo["riemannian_sphere"]
         for x, y in tangent_samples(m, 10, seed=51):
-            sc = spray_coeffs(m, TangentSample(x, y))
+            G, _ = _spray_G_N(m, x, y)
             oracle = _christoffel_spray(+1.0, x, y)
-            np.testing.assert_allclose(sc.G, oracle, atol=1e-8)
+            np.testing.assert_allclose(G, oracle, atol=1e-8)
 
     def test_spray_homogeneity(self, zoo):
         for name, m in zoo.items():
             for x, y in tangent_samples(m, 5, seed=52):
-                G1 = spray_coeffs(m, TangentSample(x, y)).G
+                G1, _ = _spray_G_N(m, x, y)
                 for lam in (0.5, 2.0):
-                    G2 = spray_coeffs(m, TangentSample(x, lam * y)).G
+                    G2, _ = _spray_G_N(m, x, lam * y)
                     assert np.max(np.abs(G2 - lam ** 2 * G1)) <= 1e-8 * max(
                         1.0, np.max(np.abs(G1)))
 
     def test_euler_identity_n_y(self, zoo):
         for name, m in zoo.items():
             for x, y in tangent_samples(m, 5, seed=53):
-                sc = spray_coeffs(m, TangentSample(x, y))
-                assert np.max(np.abs(sc.N @ y - 2.0 * sc.G)) <= 1e-8 * max(
-                    1.0, np.max(np.abs(sc.G)))
+                G, N = _spray_G_N(m, x, y)
+                assert np.max(np.abs(N @ y - 2.0 * G)) <= 1e-8 * max(
+                    1.0, np.max(np.abs(G)))
 
     def test_funk_straight_through_center(self, zoo):
         # at the center the spray is parallel to y (projective flatness)
@@ -77,6 +85,20 @@ class TestSprayCoeffs:
             G = spray_values(m, [0.0, 0.0], y)
             cross = G[0] * y[1] - G[1] * y[0]
             assert abs(cross) < 1e-12
+
+    def test_flow_right_hand_sides_agree(self, zoo):
+        # the values-only ODE path and both jet extractions give one spray
+        for name in ("funk", "randers_curl", "hilbert_quartic", "funk3"):
+            m = zoo[name]
+            for x, y in tangent_samples(m, 3, seed=54):
+                G0 = spray_values(m, x, y)
+                G1, dGdx1, N1 = spray_gradients(m, x, y, 1)
+                G2, dGdx2, N2 = spray_gradients(m, x, y, 2)
+                assert dGdx1 is None and dGdx2.shape == (m.n, m.n)
+                scale = max(1.0, np.max(np.abs(G0)))
+                assert np.max(np.abs(G1 - G0)) <= 1e-12 * scale
+                assert np.max(np.abs(G2 - G0)) <= 1e-12 * scale
+                assert np.max(np.abs(N2 - N1)) <= 1e-12 * max(1.0, np.max(np.abs(N1)))
 
 
 class TestIntegration:
@@ -110,14 +132,12 @@ class TestIntegration:
             p = integrate_geodesic(m, [0.1, 0.05], [0.4, -0.2], 1.0)
             ts = np.linspace(0.05, p.t_end - 0.05, 7)
             h = 1e-4
-            from finslerlab.geodesics import spray_G_N
-
             for t in ts:
                 _, vm = p.state(t - h)
                 x0, v0 = p.state(t)
                 _, vp = p.state(t + h)
                 acc = (vp - vm) / (2 * h)
-                _, N = spray_G_N(m, x0, v0)
+                _, N = _spray_G_N(m, x0, v0)
                 assert np.max(np.abs(acc + N @ v0)) < 1e-6
 
     def test_projective_flatness_funk_hilbert(self, zoo):
@@ -249,6 +269,18 @@ class TestTransport:
         tr = transport_along_curve(m, curve, (0.0, 1.0), np.eye(2))
         assert tr.frame_out.shape == (2, 2)
         assert np.isfinite(tr.gram_drift)
+
+    def test_degenerate_frame_rejected_on_both_routes(self, zoo):
+        m = zoo["riemannian_sphere"]
+        frame = np.array([[1.0, 0.0], [1.0, 0.0]])
+
+        def curve(t):
+            return np.array([0.2 * t, 0.1]), np.array([0.2, 0.0])
+
+        with pytest.raises(GeometryError, match="degenerate"):
+            transport_along_curve(m, curve, (0.0, 1.0), frame)
+        with pytest.raises(GeometryError, match="degenerate"):
+            parallel_transport(m, [0.1, 0.0], [0.3, 0.1], 0.5, frame)
 
     def test_covariant_derivative_formula(self, zoo):
         # D_y U for a linear field on flat space reduces to dU(y)

@@ -1,5 +1,6 @@
 """Jet algebra: exact polynomials, elementary ops, FD oracle cross-checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -67,6 +68,69 @@ class TestSpecValidation:
         g = ys[0].dy(0)  # fiber validity drops to 2
         with pytest.raises(ConfigurationError):
             g.partial((0, 0), (0, 3))
+
+
+def _dense_jet(spec, rng):
+    """A smooth jet in which every base and fiber variable appears."""
+    xs, ys = lift(rng.uniform(-0.4, 0.4, spec.n), rng.uniform(0.4, 1.3, spec.n), spec)
+    a = rng.uniform(-0.5, 0.5, spec.n)
+    b = rng.uniform(0.2, 0.8, spec.n)
+    lin = sum(float(ai) * xi for ai, xi in zip(a, xs)) + 1.2
+    quad = sum(float(bi) * yi * yi for bi, yi in zip(b, ys))
+    cross = sum(xi * yi for xi, yi in zip(xs, ys))
+    return jets.sqrt(quad) * jets.exp(lin * 0.3) + cross * lin
+
+
+class TestDerivativeTensor:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_partial_for_every_multi_index(self, n):
+        spec = JetSpec(n, 2, 5)
+        f = _dense_jet(spec, _rng())
+        for ox in range(3):
+            for oy in range(6):
+                T = jets.derivative_tensor(f, ox, oy)
+                assert T.shape == (n,) * (ox + oy)
+                for idx in np.ndindex(T.shape):
+                    a = [idx[:ox].count(v) for v in range(n)]
+                    b = [idx[ox:].count(v) for v in range(n)]
+                    assert T[idx] == f.partial(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_symmetric_under_index_permutation(self, n):
+        f = _dense_jet(JetSpec(n, 2, 5), _rng())
+        for ox, oy in ((2, 0), (0, 3), (1, 2), (2, 3), (0, 5)):
+            T = jets.derivative_tensor(f, ox, oy)
+            for px in itertools.permutations(range(ox)):
+                for py in itertools.permutations(range(ox, ox + oy)):
+                    assert np.array_equal(T, T.transpose(px + py))
+
+    def test_stack_of_jets(self):
+        spec = JetSpec(2, 1, 3)
+        rng = _rng()
+        fs = [_dense_jet(spec, rng) for _ in range(3)]
+        T = jets.derivative_tensor(fs, 1, 2)
+        assert T.shape == (3, 2, 2, 2)
+        for k, f in enumerate(fs):
+            assert np.array_equal(T[k], jets.derivative_tensor(f, 1, 2))
+        assert np.array_equal(jets.derivative_tensor(fs, 0, 0), [f.value for f in fs])
+
+    def test_order_beyond_validity(self):
+        spec = JetSpec(2, 1, 3)
+        xs, ys = lift([0.0, 0.0], [1.0, 2.0], spec)
+        g = ys[0].dy(0)  # fiber validity drops to 2
+        jets.derivative_tensor(g, 1, 2)
+        with pytest.raises(ConfigurationError):
+            jets.derivative_tensor(g, 0, 3)
+        with pytest.raises(ConfigurationError):
+            jets.derivative_tensor([ys[1], g], 0, 3)
+        with pytest.raises(ConfigurationError):
+            jets.derivative_tensor(xs[0].dx(0), 1, 0)
+
+    def test_mixed_specs_rejected(self):
+        _, ys2 = lift([0.0, 0.0], [1.0, 2.0], JetSpec(2, 1, 3))
+        _, ys3 = lift([0.0, 0.0], [1.0, 2.0], JetSpec(2, 1, 2))
+        with pytest.raises(ConfigurationError):
+            jets.derivative_tensor([ys2[0], ys3[0]], 0, 1)
 
 
 class TestElementaryOps:
