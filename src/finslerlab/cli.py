@@ -97,6 +97,11 @@ _VALUE_KEYS = {
     "direction": (_point_or_null, "a list of dim numbers or null"),
     "c": (lambda v, dim: v is None or _number(v), "a number or null"),
     "eps": (lambda v, dim: v is None or _number(v), "a number or null"),
+    "lam": (lambda v, dim: v is None or _number(v), "a finite number or null"),
+    "delta": (lambda v, dim: v is None or _number(v), "a finite number or null"),
+    "tolerances": (lambda v, dim: isinstance(v, dict) and all(
+        k in {cid for cid, *_ in _CHECKS} and _number(t) for k, t in v.items()),
+        "an object mapping known check ids to finite numbers"),
 }
 
 

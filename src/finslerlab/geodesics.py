@@ -20,10 +20,11 @@ from .minkowski import TangentSample, fundamental_tensor
 
 
 def _jet_matrix_inverse(g, n):
-    """Inverse of a jet-valued matrix by Newton iteration in the algebra."""
+    """Inverse of a jet-valued matrix by Newton iteration in the algebra,
+    seeded from the inverse of its values (one batched inverse for stacks)."""
     g0 = np.array([[g[i][j].value for j in range(n)] for i in range(n)])
-    inv0 = np.linalg.inv(g0)
-    X = [[g[0][0]._const_like(inv0[i][j]) for j in range(n)] for i in range(n)]
+    inv0 = np.linalg.inv(np.moveaxis(g0, (0, 1), (-2, -1)))
+    X = [[g[0][0]._const_like(inv0[..., i, j]) for j in range(n)] for i in range(n)]
     total = g[0][0].vx + g[0][0].vy
     iters = max(1, math.ceil(math.log2(total + 1))) if total > 0 else 1
 
@@ -42,7 +43,8 @@ def _jet_matrix_inverse(g, n):
 
 @dataclass
 class SprayWorkspace:
-    """Jets of the spray and fundamental tensor at one tangent point."""
+    """Jets of the spray and fundamental tensor at one tangent point, or
+    stacks of them at m tangent points."""
 
     G: list
     g: list
@@ -57,7 +59,8 @@ def spray_jets(metric: MetricSpec, x, y, mx, my) -> SprayWorkspace:
     """The geodesic coefficients as jets, valid to orders (mx-1, my-2).
 
     Evaluates g^{il} { 2 dg_jl/dx^k - dg_jk/dx^l } y^j y^k / 4 entirely in
-    the truncated algebra, so every stored derivative of G is exact.
+    the truncated algebra, so every stored derivative of G is exact.  x and
+    y are one tangent point (n,) or stacks (m, n), as for jets.lift.
     """
     n = metric.n
     fj = metric.jet(x, y, mx, my)
@@ -90,7 +93,16 @@ def spray_jets(metric: MetricSpec, x, y, mx, my) -> SprayWorkspace:
 
 
 def spray_values(metric: MetricSpec, x, v) -> np.ndarray:
-    """G^i as plain numbers; the fast path used by the ODE right-hand sides.
+    """G^i as plain numbers: the right-hand side of the geodesic ODE.
+
+    Only ODE right-hand sides call this, so that its calls count them; other
+    readers of G take _spray_values.
+    """
+    return _spray_values(metric, x, v)
+
+
+def _spray_values(metric, x, v):
+    """G^i at one tangent point (n,) or at a stack (m, n), giving (m, n).
 
     A linear solve on the fundamental tensor of one order-(1, 2) jet, cheaper
     than the jet inverse of spray_jets; its bits define every geodesic.
@@ -100,16 +112,19 @@ def spray_values(metric: MetricSpec, x, v) -> np.ndarray:
     g = 0.5 * derivative_tensor(f2, 0, 2)
     dg = 0.5 * derivative_tensor(f2, 1, 2)
     v = np.asarray(v, dtype=float)
-    A = 2.0 * np.einsum("kjl,j,k->l", dg, v, v) - np.einsum("ljk,j,k->l", dg, v, v)
-    return 0.25 * np.linalg.solve(g, A)
+    A = (2.0 * np.einsum("...kjl,...j,...k->...l", dg, v, v)
+         - np.einsum("...ljk,...j,...k->...l", dg, v, v))
+    return 0.25 * np.linalg.solve(g, A[..., None])[..., 0]
 
 
 def spray_gradients(metric: MetricSpec, x, v, mx):
     """G, dG/dx and dG/dy values: the right-hand sides of the transport
     (mx=1, where dG/dx comes back None) and variational (mx=2) flows.
 
-    Only ODE right-hand sides call this; other readers take spray_jets and
-    derivative_tensor directly.
+    x and v are one tangent point (n,), giving (n,), (n, n), (n, n), or
+    stacks (m, n), giving the same with a leading member axis; each member
+    has the bits of its own single-point call.  Only ODE right-hand sides
+    call this; other readers take spray_jets and derivative_tensor directly.
     """
     G = spray_jets(metric, x, v, mx, 3).G
     dGdx = derivative_tensor(G, 1, 0) if mx > 1 else None
@@ -167,15 +182,13 @@ class GeodesicPath:
         span = t1 - t0
         hs = h * abs(span)
         ts = np.linspace(t0 + 2 * hs, t1 - 2 * hs, n_checkpoints)
-        worst = 0.0
-        for t in ts:
-            _, vm = self.state(t - hs)
-            x0, v0 = self.state(t)
-            _, vp = self.state(t + hs)
-            acc = (vp - vm) / (2 * hs)
-            G = spray_values(self.metric, x0, v0)
-            worst = max(worst, float(np.max(np.abs(acc + 2.0 * G))))
-        return worst
+        _, vm = self.state(ts - hs)
+        xs, vs = self.state(ts)
+        _, vp = self.state(ts + hs)
+        acc = (vp - vm) / (2 * hs)
+        # all checkpoints in one stack, outside the ODE right-hand side
+        G = _spray_values(self.metric, xs, vs)
+        return float(np.max(np.abs(acc + 2.0 * G)))
 
     def to_rows(self):
         """CSV-ready rows (t, x..., xdot..., F)."""
@@ -188,13 +201,16 @@ class GeodesicPath:
         return rows
 
 
-def _exit_event(metric):
+def _exit_event(metric, width):
+    """Terminal event at the first chart exit of a state made of members of
+    `width` entries, each starting with its base point."""
     margin = metric.chart.margin
     if margin is None:
         return None
+    n = metric.n
 
     def event(t, z):
-        return float(margin(z[: metric.n])) - 1e-12
+        return float(np.min(margin(z.reshape(-1, width)[:, :n]))) - 1e-12
 
     event.terminal = True
     event.direction = -1
@@ -219,7 +235,7 @@ def integrate_geodesic(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10
     def rhs(t, z):
         return np.concatenate([z[n:], -2.0 * spray_values(metric, z[:n], z[n:])])
 
-    events = _exit_event(metric)
+    events = _exit_event(metric, 2 * n)
     sol = solve_ivp(
         rhs, (0.0, float(t_end)), np.concatenate([x0, y0]),
         method=method, rtol=rtol, atol=atol, dense_output=True,
@@ -244,61 +260,139 @@ class VariationalFlow:
     Columns of M are the Jacobi fields with J(0) = 0, J'(0) = e_k, so
     det M vanishes exactly at conjugate points, and M drives both the polar
     volume integrand and the conjugate-point search.
+
+    A stacked flow of m members holds t_end (its reach), exited and t_exit
+    (nan where the member stayed in the chart) as arrays (m,), and unpack and
+    det_M put the member axis first.
     """
 
     metric: MetricSpec
     sol: object
-    t_end: float
-    exited: bool
-    t_exit: float | None
+    t_end: float | np.ndarray
+    exited: bool | np.ndarray
+    t_exit: float | np.ndarray | None
 
     def unpack(self, t):
+        """x, v, M, Md at time t.  A stacked flow also takes times (k,)
+        shared by its members or (m, k) per member, giving x of shape
+        (m, k, n) and M of shape (m, k, n, n)."""
         n = self.metric.n
         z = self.sol(t)
-        x = z[:n]
-        v = z[n: 2 * n]
-        M = z[2 * n: 2 * n + n * n].reshape(n, n)
-        Md = z[2 * n + n * n:].reshape(n, n)
+        if np.ndim(self.t_end) == 0:
+            z = np.moveaxis(z, 0, -1)  # an OdeSolution puts the state first
+        lead = z.shape[:-1]
+        x = z[..., :n]
+        v = z[..., n: 2 * n]
+        M = z[..., 2 * n: 2 * n + n * n].reshape(lead + (n, n))
+        Md = z[..., 2 * n + n * n:].reshape(lead + (n, n))
         return x, v, M, Md
 
     def det_M(self, t):
-        return float(np.linalg.det(self.unpack(t)[2]))
+        d = np.linalg.det(self.unpack(t)[2])
+        return float(d) if np.ndim(d) == 0 else d
+
+
+class _StackedSolution:
+    """Dense output of a stacked flow, pieced from its solve segments.
+
+    A segment (t0, t1, sol, members) is one solve_ivp call over [t0, t1]
+    for the listed members, in that order in its state; member k is read
+    from the segments it was integrated in, and is nan past its reach.
+    """
+
+    def __init__(self, segments, m, width):
+        self.segments = segments
+        self.m = m
+        self.width = width
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        tt = t if t.ndim == 2 else np.broadcast_to(np.reshape(t, (1, -1)), (self.m, t.size))
+        out = np.full(tt.shape + (self.width,), np.nan)
+        for t0, t1, sol, members in self.segments:
+            local = tt[members]
+            li, kj = np.nonzero((local >= t0) & (local <= t1))
+            if not len(li):
+                continue
+            times, pos = np.unique(local[li, kj], return_inverse=True)
+            Z = sol(times).reshape(len(members), self.width, len(times))
+            out[members[li], kj] = Z[li, :, pos]
+        return out[:, 0] if t.ndim == 0 else out
 
 
 def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10,
                      unit_speed=False) -> VariationalFlow:
-    """Integrate the geodesic together with its velocity-sensitivity matrix."""
+    """Integrate the geodesic together with its velocity-sensitivity matrix.
+
+    y0 is one velocity (n,), or a stack (m, n) integrated as one state in one
+    solve_ivp call, with one spray_gradients call per right-hand side; x0 is
+    one base point (n,) or one per member (m, n).  Members share the step
+    sequence.  When a member leaves the chart the solve stops there, and the
+    others restart from that time, so each member has its own exit and reach.
+    """
     n = metric.n
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
+    stacked = y0.ndim == 2
     if unit_speed:
-        y0 = y0 / metric.F(x0, y0)
+        if stacked:
+            y0 = y0 / metric.F_batch(np.broadcast_to(x0, y0.shape), y0)[:, None]
+        else:
+            y0 = y0 / metric.F(x0, y0)
+    X, Y = np.broadcast_arrays(np.atleast_2d(x0), np.atleast_2d(y0))
+    m = len(Y)
+    width = 2 * n + 2 * n * n
 
     def rhs(t, z):
-        x = z[:n]
-        v = z[n: 2 * n]
-        M = z[2 * n: 2 * n + n * n].reshape(n, n)
-        Md = z[2 * n + n * n:].reshape(n, n)
+        Z = z.reshape(-1, width)
+        x = Z[:, :n]
+        v = Z[:, n: 2 * n]
+        M = Z[:, 2 * n: 2 * n + n * n].reshape(-1, n, n)
+        Md = Z[:, 2 * n + n * n:].reshape(-1, n, n)
         G, dGdx, dGdy = spray_gradients(metric, x, v, 2)
-        dz = np.empty_like(z)
-        dz[:n] = v
-        dz[n: 2 * n] = -2.0 * G
-        dz[2 * n: 2 * n + n * n] = Md.ravel()
-        dz[2 * n + n * n:] = (-2.0 * (dGdx @ M + dGdy @ Md)).ravel()
-        return dz
+        dZ = np.empty_like(Z)
+        dZ[:, :n] = v
+        dZ[:, n: 2 * n] = -2.0 * G
+        dZ[:, 2 * n: 2 * n + n * n] = Md.reshape(-1, n * n)
+        dZ[:, 2 * n + n * n:] = (-2.0 * (dGdx @ M + dGdy @ Md)).reshape(-1, n * n)
+        return dZ.ravel()
 
-    z0 = np.concatenate([x0, y0, np.zeros(n * n), np.eye(n).ravel()])
-    events = _exit_event(metric)
-    sol = solve_ivp(rhs, (0.0, float(t_end)), z0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True,
-                    events=[events] if events else None)
-    if not sol.success and sol.status != 1:
-        raise GeometryError(f"variational integration failed: {sol.message}")
-    exited = sol.status == 1
-    t_exit = float(sol.t_events[0][0]) if exited and len(sol.t_events[0]) else None
-    reached = float(sol.t[-1])
-    return VariationalFlow(metric=metric, sol=sol.sol, t_end=reached,
-                           exited=exited, t_exit=t_exit)
+    z = np.concatenate([X, Y, np.zeros((m, n * n)), np.tile(np.eye(n).ravel(), (m, 1))],
+                       axis=1)
+    events = _exit_event(metric, width)
+    segments = []
+    alive = np.arange(m)
+    reach = np.empty(m)
+    exited = np.zeros(m, dtype=bool)
+    t_exit = np.full(m, np.nan)
+    t0 = 0.0
+    while True:
+        sol = solve_ivp(rhs, (t0, float(t_end)), z.ravel(), method="DOP853",
+                        rtol=rtol, atol=atol, dense_output=True,
+                        events=[events] if events else None)
+        if not sol.success and sol.status != 1:
+            raise GeometryError(f"variational integration failed: {sol.message}")
+        t1 = float(sol.t[-1])
+        segments.append((t0, t1, sol.sol, alive))
+        reach[alive] = t1
+        if sol.status != 1:
+            break
+        # the member whose margin closed the event leaves; the rest go on
+        Z = sol.y[:, -1].reshape(-1, width)
+        out = int(np.argmin(metric.chart.margin(Z[:, :n])))
+        exited[alive[out]] = True
+        if len(sol.t_events[0]):
+            t_exit[alive[out]] = float(sol.t_events[0][0])
+        keep = np.arange(len(alive)) != out
+        alive, z, t0 = alive[keep], Z[keep], t1
+        if not len(alive) or t0 >= float(t_end):
+            break
+    if stacked:
+        return VariationalFlow(metric=metric, sol=_StackedSolution(segments, m, width),
+                               t_end=reach, exited=exited, t_exit=t_exit)
+    return VariationalFlow(metric=metric, sol=segments[0][2], t_end=float(reach[0]),
+                           exited=bool(exited[0]),
+                           t_exit=None if np.isnan(t_exit[0]) else float(t_exit[0]))
 
 
 def exp_map(metric: MetricSpec, x, y):
@@ -383,7 +477,7 @@ def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
     if t_eval is None:
         t_eval = np.linspace(0.0, float(t_end), 33)
     z0 = np.concatenate([x0, y0, frame.ravel()])
-    events = _exit_event(metric)
+    events = _exit_event(metric, len(z0))
     sol = solve_ivp(rhs, (0.0, float(t_end)), z0, method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True, t_eval=t_eval,
                     events=[events] if events else None)

@@ -90,6 +90,9 @@ class _JetContext:
         self._build_shift_tables(spec)
         self._masks = {}
         self._gathers = {}
+        self._mul_tables = {}
+        self._scatters = {}
+        self._shifts = {}
 
     def _build_mul_table(self, spec):
         xpairs = []
@@ -146,6 +149,46 @@ class _JetContext:
             self._masks[key] = m
         return m
 
+    def mul_table(self, vx, vy):
+        """The product table cut to the output slots valid to (vx, vy).
+
+        Cutting keeps the order of the remaining terms, so every valid slot
+        sums the same products in the same order as with the full table, and
+        the slots beyond (vx, vy) stay zero without a mask.
+        """
+        key = (vx, vy)
+        tab = self._mul_tables.get(key)
+        if tab is None:
+            keep = self.mask(vx, vy)[self.tab_out]
+            tab = (self.tab_a[keep], self.tab_b[keep], self.tab_out[keep])
+            self._mul_tables[key] = tab
+        return tab
+
+    def scatter(self, vx, vy, m):
+        """Bins of a product of m-member stacks: member * size + output slot.
+
+        Each bin gets its member's products in table order, the sum a single
+        jet's product makes.
+        """
+        key = (vx, vy, m)
+        idx = self._scatters.get(key)
+        if idx is None:
+            out = self.mul_table(vx, vy)[2]
+            idx = (np.arange(m)[:, None] * self.size + out).ravel()
+            self._scatters[key] = idx
+        return idx
+
+    def shift(self, kind, i, vx, vy):
+        """Source slots and factors of d/dx^i (kind 0) or d/dy^i (kind 1),
+        with the factors zeroed beyond the derivative's validity (vx, vy)."""
+        key = (kind, i, vx, vy)
+        sh = self._shifts.get(key)
+        if sh is None:
+            src, fac = (self.dx_src, self.dx_fac) if kind == 0 else (self.dy_src, self.dy_fac)
+            sh = (src[i], np.where(self.mask(vx, vy), fac[i], 0.0))
+            self._shifts[key] = sh
+        return sh
+
     def slot(self, a, b):
         return self.xpos[tuple(a)] * self.ny + self.ypos[tuple(b)]
 
@@ -176,18 +219,25 @@ def _context(spec: JetSpec) -> _JetContext:
 
 
 class Jet:
-    """One element of the truncated Taylor algebra.
+    """One element of the truncated Taylor algebra, or a stack of m of them.
 
-    ``coeffs[k]`` is the normalized coefficient (partial derivative divided
-    by a! b!) for basis slot k.  ``vx``/``vy`` are the orders up to which the
-    stored coefficients are trusted; differentiating a jet lowers them.
+    ``coeffs[..., k]`` is the normalized coefficient (partial derivative
+    divided by a! b!) for basis slot k: shape (size,) for one jet, (m, size)
+    for a stack of m jets sharing the spec and the validity orders, one
+    expansion point per member.  ``vx``/``vy`` are the orders up to which the
+    stored coefficients are trusted; differentiating a jet lowers them.  Every
+    operation acts on each member as on a single jet, with the same bits.
     Jets are immutable values; all operations return new jets.
     """
 
     __slots__ = ("ctx", "coeffs", "vx", "vy")
 
-    def __init__(self, ctx, coeffs, vx, vy):
-        coeffs = np.where(ctx.mask(vx, vy), coeffs, 0.0)
+    def __init__(self, ctx, coeffs, vx, vy, masked=False):
+        # masked=True: the slots beyond (vx, vy) are zero already, as after a
+        # product (which fills only its cut table's slots) or any operation
+        # that keeps its operands' validity
+        if not masked:
+            coeffs = np.where(ctx.mask(vx, vy), coeffs, 0.0)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "vx", vx)
@@ -202,11 +252,21 @@ class Jet:
     def spec(self) -> JetSpec:
         return self.ctx.spec
 
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    # coeffs.T[0] is the constant term of one jet, or the column of a
+    # stack's constant terms; plain indexing keeps it cheap for both
 
-    def partial(self, a, b) -> float:
+    @property
+    def value(self):
+        """The constant term: a float, or an array (m,) for a stack."""
+        c = self.coeffs.T[0]
+        return float(c) if self.coeffs.ndim == 1 else c.copy()
+
+    def _members(self):
+        """The constant terms as Python floats, one per member."""
+        c = self.coeffs
+        return [float(c[0])] if c.ndim == 1 else c[:, 0].tolist()
+
+    def partial(self, a, b):
         """Raw mixed partial derivative: a! b! times the stored coefficient."""
         a = tuple(int(k) for k in a)
         b = tuple(int(k) for k in b)
@@ -217,62 +277,77 @@ class Jet:
                 f"partial order ({sum(a)},{sum(b)}) exceeds valid orders ({self.vx},{self.vy})"
             )
         k = self.ctx.slot(a, b)
-        return float(self.coeffs[k] * self.ctx.factorial[k])
+        d = self.coeffs[..., k] * self.ctx.factorial[k]
+        return float(d) if d.ndim == 0 else d
 
     # -- constant / coercion helpers ---------------------------------------
 
     def _const_like(self, value, vx=None, vy=None):
-        c = np.zeros(self.ctx.size)
-        c[0] = value
-        return Jet(self.ctx, c, self.vx if vx is None else vx, self.vy if vy is None else vy)
+        """A constant jet shaped like this one; value is a number or one
+        number per member of a stack."""
+        c = np.zeros(self.coeffs.shape)
+        c.T[0] = value
+        return Jet(self.ctx, c, self.vx if vx is None else vx,
+                   self.vy if vy is None else vy, masked=True)
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.ctx is not self.ctx:
-                raise ConfigurationError("jets from different specs cannot be mixed")
-            return other
-        if isinstance(other, _SCALARS):
-            return self._const_like(float(other), self.spec.max_x_order, self.spec.max_y_order)
-        return None
+    def _check(self, other):
+        if other.ctx is not self.ctx:
+            raise ConfigurationError("jets from different specs cannot be mixed")
+
+    def _combine(self, coeffs, other):
+        """The sum or difference of self and other, valid to their common
+        orders; masked only when validity drops."""
+        vx, vy = min(self.vx, other.vx), min(self.vy, other.vy)
+        kept = vx == self.vx == other.vx and vy == self.vy == other.vy
+        return Jet(self.ctx, coeffs, vx, vy, masked=kept)
 
     # -- ring operations ----------------------------------------------------
+    #
+    # Sums also take, for a stack, an array of one number per member.
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, Jet):
+            self._check(other)
+            return self._combine(self.coeffs + other.coeffs, other)
+        if isinstance(other, _CONSTS):
             c = self.coeffs.copy()
-            c[0] += float(other)
-            return Jet(self.ctx, c, self.vx, self.vy)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.ctx, self.coeffs + o.coeffs, min(self.vx, o.vx), min(self.vy, o.vy))
+            c.T[0] += _as_const(other)
+            return Jet(self.ctx, c, self.vx, self.vy, masked=True)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.ctx, -self.coeffs, self.vx, self.vy)
+        return Jet(self.ctx, -self.coeffs, self.vx, self.vy, masked=True)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.__add__(-float(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.ctx, self.coeffs - o.coeffs, min(self.vx, o.vx), min(self.vy, o.vy))
+        if isinstance(other, Jet):
+            self._check(other)
+            return self._combine(self.coeffs - other.coeffs, other)
+        if isinstance(other, _CONSTS):
+            return self.__add__(-_as_const(other))
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return Jet(self.ctx, self.coeffs * float(other), self.vx, self.vy)
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, Jet):
+            if isinstance(other, _SCALARS):
+                return Jet(self.ctx, self.coeffs * float(other), self.vx, self.vy, masked=True)
             return NotImplemented
+        self._check(other)
         ctx = self.ctx
-        prod = self.coeffs[ctx.tab_a] * o.coeffs[ctx.tab_b]
-        c = np.bincount(ctx.tab_out, weights=prod, minlength=ctx.size)
-        return Jet(ctx, c, min(self.vx, o.vx), min(self.vy, o.vy))
+        vx, vy = min(self.vx, other.vx), min(self.vy, other.vy)
+        ta, tb, to = ctx.mul_table(vx, vy)
+        prod = self.coeffs.take(ta, axis=-1) * other.coeffs.take(tb, axis=-1)
+        if prod.ndim == 1:
+            c = np.bincount(to, weights=prod, minlength=ctx.size)
+        else:
+            m = len(prod)
+            c = np.bincount(ctx.scatter(vx, vy, m), weights=prod.ravel(),
+                            minlength=m * ctx.size).reshape(m, ctx.size)
+        return Jet(ctx, c, vx, vy, masked=True)
 
     __rmul__ = __mul__
 
@@ -280,11 +355,11 @@ class Jet:
         if isinstance(other, _SCALARS):
             if other == 0:
                 raise ZeroDivisionError("jet divided by zero scalar")
-            return Jet(self.ctx, self.coeffs / float(other), self.vx, self.vy)
-        o = self._coerce(other)
-        if o is None:
+            return Jet(self.ctx, self.coeffs / float(other), self.vx, self.vy, masked=True)
+        if not isinstance(other, Jet):
             return NotImplemented
-        return self * o._reciprocal()
+        self._check(other)
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other):
         if isinstance(other, _SCALARS):
@@ -314,20 +389,32 @@ class Jet:
         return self.vx + self.vy
 
     def _series(self, coeff_fn, opname, require=None):
-        u0 = self.value
-        if require is not None and not require(u0):
-            raise JetDomainError(f"{opname} of jet with constant term {u0}")
         K = self._nilpotency()
-        cs = coeff_fn(u0, K)
-        uhat = Jet(self.ctx, np.where(np.arange(self.ctx.size) == 0, 0.0, self.coeffs),
-                   self.vx, self.vy)
+        # the series coefficients of a stack come member by member from the
+        # same float arithmetic as for a single jet
+        members = self._members()
+        if require is not None:
+            for u in members:
+                if not require(u):
+                    raise JetDomainError(f"{opname} of jet with constant term {u}")
+        if self.coeffs.ndim == 1:
+            cs = coeff_fn(members[0], K)
+        else:
+            cs = np.array([coeff_fn(u, K) for u in members]).T
+        c = self.coeffs.copy()
+        c.T[0] = 0.0
+        uhat = Jet(self.ctx, c, self.vx, self.vy, masked=True)
         out = self._const_like(cs[K])
         for k in range(K - 1, -1, -1):
             out = out * uhat + cs[k]
         return out
 
+    def _require_positive(self, message):
+        if any(u <= 0.0 for u in self._members()):
+            raise JetDomainError(message)
+
     def _reciprocal(self):
-        if self.value == 0.0:
+        if any(u == 0.0 for u in self._members()):
             raise JetDomainError("division by jet with zero constant term")
         return self._pow_real(-1.0)
 
@@ -341,13 +428,11 @@ class Jet:
                 cs.append(c)
             return cs
 
-        if self.value <= 0.0:
-            raise JetDomainError(f"real power {p} of jet with nonpositive constant term")
+        self._require_positive(f"real power {p} of jet with nonpositive constant term")
         return self._series(coeffs, f"pow({p})")
 
     def sqrt(self):
-        if self.value <= 0.0:
-            raise JetDomainError("sqrt of jet with nonpositive constant term")
+        self._require_positive("sqrt of jet with nonpositive constant term")
         return self._pow_real(0.5)
 
     def log(self):
@@ -402,9 +487,9 @@ class Jet:
             raise ConfigurationError(f"base variable index {i} out of range")
         if self.vx < 1:
             raise ConfigurationError("jet has no base orders left to differentiate")
-        ctx = self.ctx
-        c = self.coeffs[ctx.dx_src[i]] * ctx.dx_fac[i]
-        return Jet(ctx, c, self.vx - 1, self.vy)
+        src, fac = self.ctx.shift(0, i, self.vx - 1, self.vy)
+        return Jet(self.ctx, self.coeffs.take(src, axis=-1) * fac, self.vx - 1, self.vy,
+                   masked=True)
 
     def dy(self, i):
         """Derivative with respect to fiber coordinate y^i (validity drops by one)."""
@@ -412,13 +497,26 @@ class Jet:
             raise ConfigurationError(f"fiber variable index {i} out of range")
         if self.vy < 1:
             raise ConfigurationError("jet has no fiber orders left to differentiate")
-        ctx = self.ctx
-        c = self.coeffs[ctx.dy_src[i]] * ctx.dy_fac[i]
-        return Jet(ctx, c, self.vx, self.vy - 1)
+        src, fac = self.ctx.shift(1, i, self.vx, self.vy - 1)
+        return Jet(self.ctx, self.coeffs.take(src, axis=-1) * fac, self.vx, self.vy - 1,
+                   masked=True)
 
     def __repr__(self):
+        value = self.value
+        shown = (f"value={value:.6g}" if self.coeffs.ndim == 1
+                 else f"members={len(value)}")
         return (f"Jet(n={self.spec.n}, orders=({self.spec.max_x_order},{self.spec.max_y_order}), "
-                f"valid=({self.vx},{self.vy}), value={self.value:.6g})")
+                f"valid=({self.vx},{self.vy}), {shown})")
+
+
+_CONSTS = _SCALARS + (np.ndarray,)
+
+
+def _as_const(v):
+    """A plain operand as a float, or as a float array of one value per member."""
+    if isinstance(v, np.ndarray) and v.ndim:
+        return v.astype(float, copy=False)
+    return float(v)
 
 
 # -- construction -------------------------------------------------------------
@@ -428,7 +526,7 @@ def constant(spec: JetSpec, value: float) -> Jet:
     ctx = _context(spec)
     c = np.zeros(ctx.size)
     c[0] = float(value)
-    return Jet(ctx, c, spec.max_x_order, spec.max_y_order)
+    return Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True)
 
 
 def lift(x, y, spec: JetSpec):
@@ -437,31 +535,38 @@ def lift(x, y, spec: JetSpec):
     Returns two lists of n jets each: the base coordinates and the fiber
     coordinates, carrying unit first-order coefficients in their own
     variable.  Any smooth expression of them evaluates to its exact Taylor
-    coefficients at (x, y).
+    coefficients at (x, y).  x and y are one point (n,) each, or stacks
+    (m, n) (one of them may be a single point shared by the stack); a stack
+    gives jets of m members.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != (spec.n,) or y.shape != (spec.n,):
+    n = spec.n
+    if x.shape[-1:] != (n,) or y.shape[-1:] != (n,) or max(x.ndim, y.ndim) > 2:
         raise ConfigurationError(
-            f"expansion point must have {spec.n} base and {spec.n} fiber coordinates"
+            f"expansion point must have {n} base and {n} fiber coordinates"
         )
+    try:
+        x, y = np.broadcast_arrays(x, y)
+    except ValueError:
+        raise ConfigurationError("base and fiber stacks differ in length") from None
     ctx = _context(spec)
-    e = [tuple(1 if j == i else 0 for j in range(spec.n)) for i in range(spec.n)]
-    zero = tuple(0 for _ in range(spec.n))
+    e = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    zero = tuple(0 for _ in range(n))
     xs = []
     ys = []
-    for i in range(spec.n):
-        c = np.zeros(ctx.size)
-        c[0] = x[i]
+    for i in range(n):
+        c = np.zeros(x.shape[:-1] + (ctx.size,))
+        c.T[0] = x[..., i]
         if spec.max_x_order >= 1:
-            c[ctx.slot(e[i], zero)] = 1.0
-        xs.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order))
-    for i in range(spec.n):
-        c = np.zeros(ctx.size)
-        c[0] = y[i]
+            c.T[ctx.slot(e[i], zero)] = 1.0
+        xs.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True))
+    for i in range(n):
+        c = np.zeros(y.shape[:-1] + (ctx.size,))
+        c.T[0] = y[..., i]
         if spec.max_y_order >= 1:
-            c[ctx.slot(zero, e[i])] = 1.0
-        ys.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order))
+            c.T[ctx.slot(zero, e[i])] = 1.0
+        ys.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True))
     return xs, ys
 
 
@@ -471,7 +576,8 @@ def derivative_tensor(jet, ox, oy) -> np.ndarray:
     Axes are ox base indices, then oy fiber indices: entry [i1..i_ox, j1..j_oy]
     is the derivative by x^i1 ... x^i_ox y^j1 ... y^j_oy, the same number
     Jet.partial returns.  A sequence of jets of one spec gives their tensors
-    stacked along a leading axis.
+    stacked along a leading axis.  A stack of m jets puts its member axis
+    first: shape (m, *tensor), or (m, len(sequence), *tensor).
     """
     group = [jet] if isinstance(jet, Jet) else list(jet)
     ctx = group[0].ctx
@@ -483,7 +589,10 @@ def derivative_tensor(jet, ox, oy) -> np.ndarray:
                 f"partial order ({ox},{oy}) exceeds valid orders ({j.vx},{j.vy})"
             )
     slots = ctx.gather(ox, oy)
-    coeffs = jet.coeffs if isinstance(jet, Jet) else np.stack([j.coeffs for j in group])
+    if isinstance(jet, Jet):
+        coeffs = jet.coeffs
+    else:
+        coeffs = np.stack(np.broadcast_arrays(*[j.coeffs for j in group]), axis=-2)
     # take() keeps the result C-ordered, so matrix products on it sum in the
     # same order as on arrays filled entry by entry
     return coeffs.take(slots, axis=-1) * ctx.factorial[slots]

@@ -173,32 +173,26 @@ def polar_ball_volumes(metric: MetricSpec, x, radii, n_dirs=None, n_radial=32,
 
     Integrates sigma(c(t)) det(M(t))/t * F(x, theta)^(-n) radially per
     direction, where M is the velocity sensitivity of the geodesic flow;
-    that is the Jacobian of the exponential map in polar form.
+    that is the Jacobian of the exponential map in polar form.  All
+    directions are one stacked variational flow, read at every Gauss node
+    at once; sigma, when given, maps a stack of points (k, n) to (k,).
     """
     x = np.asarray(x, dtype=float)
     n = metric.n
     radii = np.asarray(radii, dtype=float)
-    r_max = float(np.max(radii))
     dirs, w = _direction_grid(n, n_dirs)
     sigma = sigma if sigma is not None else density_field(metric)
     F_dirs = metric.F_batch(np.broadcast_to(x, dirs.shape), dirs)
-
-    mu = np.zeros(len(radii))
-    exited_any = False
-    for d, wd, Fd in zip(dirs, w, F_dirs):
-        Y = d / Fd
-        flow = variational_flow(metric, x, Y, r_max, rtol=rtol, atol=rtol)
-        reach = flow.t_end
-        exited_any |= flow.exited
-        for ir, r in enumerate(radii):
-            upper = min(r, reach)
-            ts, wts = gauss_legendre_on(0.0, upper, n_radial)
-            vals = np.empty(len(ts))
-            for k, t in enumerate(ts):
-                xc, _, M, _ = flow.unpack(t)
-                vals[k] = sigma(xc) * np.linalg.det(M) / t
-            mu[ir] += wd * Fd ** (-n) * float(np.dot(wts, vals))
-    return mu, exited_any
+    flow = variational_flow(metric, x, dirs / F_dirs[:, None], float(np.max(radii)),
+                            rtol=rtol, atol=rtol)
+    # nodes (direction, radius, node) on [0, min(r, reach)]
+    upper = np.minimum(radii, flow.t_end[:, None])[..., None]
+    ts, wts = gauss_legendre_on(0.0, upper, n_radial)
+    xc, _, M, _ = flow.unpack(ts.reshape(len(dirs), -1))
+    vals = (sigma(xc.reshape(-1, n)).reshape(ts.shape)
+            * np.linalg.det(M).reshape(ts.shape) / ts)
+    mu = (w * F_dirs ** (-n)) @ np.sum(wts * vals, axis=-1)
+    return mu, bool(np.any(flow.exited))
 
 
 def _grid_unit_volume(metric, x, dirs, w):
@@ -209,20 +203,18 @@ def _grid_unit_volume(metric, x, dirs, w):
 
 
 def sphere_area_integrand(metric: MetricSpec, x, r, n_dirs=None, sigma=None):
-    """nu_F(S(x, r)): the induced sphere measure in the coarea identity."""
+    """nu_F(S(x, r)): the induced sphere measure in the coarea identity, from
+    one stacked variational flow over all directions."""
     x = np.asarray(x, dtype=float)
     n = metric.n
     dirs, w = _direction_grid(n, n_dirs)
     sigma = sigma if sigma is not None else density_field(metric)
-    total = 0.0
-    for d, wd in zip(dirs, w):
-        Fd = metric.F(x, d)
-        flow = variational_flow(metric, x, d / Fd, r)
-        if flow.exited:
-            raise GeometryError("sphere integrand beyond the chart")
-        xc, _, M, _ = flow.unpack(r)
-        total += wd * Fd ** (-n) * sigma(xc) * np.linalg.det(M) / r
-    return float(total)
+    F_dirs = metric.F_batch(np.broadcast_to(x, dirs.shape), dirs)
+    flow = variational_flow(metric, x, dirs / F_dirs[:, None], r)
+    if np.any(flow.exited):
+        raise GeometryError("sphere integrand beyond the chart")
+    xc, _, M, _ = flow.unpack(r)
+    return float(np.sum(w * F_dirs ** (-n) * sigma(xc) * np.linalg.det(M) / r))
 
 
 def coarea_consistency(metric: MetricSpec, x, r, dr=1e-3, **kw):

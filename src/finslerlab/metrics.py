@@ -222,7 +222,8 @@ class MetricSpec:
         return np.asarray(self.evaluator(xs, ys), dtype=float)
 
     def jet(self, x, y, mx, my) -> Jet:
-        """F as a jet at the tangent point (x, y)."""
+        """F as a jet at the tangent point (x, y); stacked points (m, n) give a
+        stack of m jets (see jets.lift)."""
         spec = JetSpec(self.n, mx, my)
         xs, ys = lift(np.asarray(x, dtype=float), np.asarray(y, dtype=float), spec)
         return self.evaluator(xs, ys)
@@ -279,24 +280,27 @@ def funk_general(domain: ConvexDomain, x, y):
     """Funk metric on a convex domain: the unique F > 0 with phi(x + y/F) = 0.
 
     Jets are handled by Newton iteration in the truncated algebra, which is
-    the implicit-function rule carried to all stored orders.
+    the implicit-function rule carried to all stored orders; a stack of jets
+    starts each member from its own scalar root.
     """
     j = _find_jet(x) or _find_jet(y)
     if j is not None:
-        ctx = j.ctx
+        spec = j.spec
 
         def as_jet(v):
+            # a number, or one number per member of a stack
             if isinstance(v, Jet):
                 return v
-            c = np.zeros(ctx.size)
-            c[0] = float(v)
-            return Jet(ctx, c, ctx.spec.max_x_order, ctx.spec.max_y_order)
+            return j._const_like(v, spec.max_x_order, spec.max_y_order)
 
         xj = [as_jet(v) for v in x]
         yj = [as_jet(v) for v in y]
-        x0 = np.array([v.value for v in xj])
-        y0 = np.array([v.value for v in yj])
-        s_star = _funk_ray_scalar(domain, x0, y0)
+        x0 = np.stack([v.value for v in xj], axis=-1)
+        y0 = np.stack([v.value for v in yj], axis=-1)
+        if x0.ndim == 1:
+            s_star = _funk_ray_scalar(domain, x0, y0)
+        else:  # member by member, the same root as for a single jet
+            s_star = np.array([_funk_ray_scalar(domain, a, b) for a, b in zip(x0, y0)])
         u = as_jet(s_star)
         for _ in range(4):
             z = [xi + yi * u for xi, yi in zip(xj, yj)]

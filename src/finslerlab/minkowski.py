@@ -248,9 +248,14 @@ def _per_point(values, x):
 
 
 def density_field(metric: MetricSpec):
-    """Callable sigma(x) backed by the closed form or by quadrature."""
+    """Callable sigma(x) backed by the closed form or by quadrature; like
+    bh_density it takes one point (n,), giving a float, or a stack (m, n)."""
     if metric.sigma_bh is not None:
-        return lambda x: float(metric.sigma_bh(np.asarray(x, dtype=float)))
+        def sigma(x):
+            x = np.asarray(x, dtype=float)
+            return _per_point(metric.sigma_bh(x), x)
+
+        return sigma
     return lambda x: bh_density(metric, x)
 
 

@@ -54,7 +54,13 @@ class TestConfig:
                                      {"t_end": "3"}, {"t_end": None},
                                      {"start": [0.0]}, {"start": [0.0, "a"]},
                                      {"direction": 1.0}, {"direction": [1.0, 0.0, 0.0]},
-                                     {"c": "big"}, {"eps": [0.1]}])
+                                     {"c": "big"}, {"eps": [0.1]},
+                                     {"lam": "x"}, {"lam": [0.5]}, {"delta": "x"},
+                                     {"delta": float("inf")},
+                                     {"tolerances": {"homogeneity_f2a": "x"}},
+                                     {"tolerances": {"no_such_check": 1.0}},
+                                     {"tolerances": {"homogeneity_f2a": float("nan")}},
+                                     {"tolerances": [1.0]}])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict({"metric": "euclidean"}, **bad)))
@@ -66,6 +72,16 @@ class TestConfig:
         if key in cli._INT_KEYS:
             assert "must be an integer" in err
         assert not list(tmp_path.glob("verify_*.json"))
+
+
+    def test_bad_lam_exits_2_on_volume(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"metric": "funk", "lam": "x", "mc_samples": 10,
+                                   "radii": [0.5]}))
+        code = cli.main(["volume", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config key 'lam' must be" in capsys.readouterr().err
+        assert not list(tmp_path.glob("volume_*.csv"))
 
 
 class TestVerify:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finslerlab import metrics
+from finslerlab import geodesics, metrics
 from finslerlab.errors import ChartExitError, GeometryError, PreconditionError
 from finslerlab.geodesics import (
     covariant_derivative,
@@ -124,6 +124,21 @@ class TestIntegration:
         for name in ("riemannian_sphere", "funk", "hilbert_quartic"):
             p = integrate_geodesic(zoo[name], [0.1, 0.05], [0.4, -0.2], 1.5)
             assert p.el_residual() < 1e-6
+
+    def test_el_residual_makes_no_right_hand_side_calls(self, zoo, monkeypatch):
+        # spray_values is the ODE right-hand side: its calls must equal nfev
+        calls = []
+        rhs = geodesics.spray_values
+
+        def counted(*args):
+            calls.append(1)
+            return rhs(*args)
+
+        monkeypatch.setattr(geodesics, "spray_values", counted)
+        p = integrate_geodesic(zoo["funk"], [0.1, 0.05], [0.4, -0.2], 1.5)
+        assert len(calls) == p.nfev > 0
+        assert p.el_residual() < 1e-6
+        assert len(calls) == p.nfev
 
     def test_tangent_parallel_along_geodesic(self, zoo):
         # max |D_cdot cdot| stays small: the defining property of geodesics
@@ -309,3 +324,36 @@ class TestVariationalFlow:
 
         t0 = brentq(flow.det_M, 2.8, 3.3, xtol=1e-12)
         assert t0 == pytest.approx(np.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["funk", "funk3", "hilbert_quartic"])
+    def test_stacked_flow_matches_per_row_flows(self, zoo, name):
+        m = zoo[name]
+        x = np.linspace(0.1, -0.1, m.n)
+        Y = np.random.default_rng(3).normal(size=(3, m.n)) * 0.7
+        stack = variational_flow(m, x, Y, 0.5, rtol=1e-13, atol=1e-13)
+        assert stack.t_end.shape == (3,) and not np.any(stack.exited)
+        at_end = stack.unpack(0.5)
+        dets = stack.det_M([0.2, 0.4])
+        for k in range(3):
+            one = variational_flow(m, x, Y[k], 0.5, rtol=1e-13, atol=1e-13)
+            assert one.t_end == stack.t_end[k] == 0.5
+            for got, want in zip(at_end, one.unpack(0.5)):
+                np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dets[k], [one.det_M(0.2), one.det_M(0.4)],
+                                       rtol=1e-10)
+
+    def test_stacked_members_exit_on_their_own(self, zoo):
+        from finslerlab._grids import circle_nodes
+
+        m = zoo["randers_curl"]
+        dirs, _ = circle_nodes(16)
+        Y = dirs / m.F_batch(np.zeros_like(dirs), dirs)[:, None]
+        stack = variational_flow(m, [0.0, 0.0], Y, 3.0)
+        for k in range(16):
+            one = variational_flow(m, [0.0, 0.0], Y[k], 3.0)
+            assert one.exited == stack.exited[k]
+            assert stack.t_end[k] == pytest.approx(one.t_end, abs=1e-8)
+            if one.exited:
+                assert stack.t_exit[k] == pytest.approx(one.t_exit, abs=1e-8)
+            # the dense output ends at the member's reach
+            assert np.all(np.isfinite(stack.unpack([[stack.t_end[k]]] * 16)[0][k]))

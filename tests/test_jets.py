@@ -414,3 +414,108 @@ class TestRingAxioms:
         b = j.dy(1).dx(0)
         mask = a.ctx.mask(a.vx, a.vy)
         np.testing.assert_allclose(a.coeffs[mask], b.coeffs[mask], rtol=1e-13)
+
+
+def _stack_and_singles(spec, m, rng):
+    """Coordinate jets at m points, lifted as one stack and one by one."""
+    X = rng.uniform(-0.4, 0.4, (m, spec.n))
+    Y = rng.uniform(0.4, 1.3, (m, spec.n))
+    return lift(X, Y, spec), [lift(x, y, spec) for x, y in zip(X, Y)]
+
+
+def _u(xs, ys):
+    """A positive smooth jet in base and fiber variables."""
+    return ys[0] * ys[1] + 0.3 * xs[1] * ys[0] + 0.5
+
+
+# every op, as a function of the coordinate jets
+_STACK_OPS = {
+    "add": lambda xs, ys: xs[0] + ys[1] + 0.5 + (2.0 + ys[0]),
+    "sub": lambda xs, ys: xs[1] - ys[0] - 2.0 - (3.0 - ys[1]),
+    "mul": lambda xs, ys: xs[0] * ys[1] * 1.5 * (2.0 * ys[0]),
+    "div": lambda xs, ys: (xs[0] + 2.0) / _u(xs, ys) / 4.0 + 2.0 / ys[1],
+    "pow_int": lambda xs, ys: _u(xs, ys) ** 3 + ys[1] ** -2,
+    "pow_real": lambda xs, ys: jets.power(_u(xs, ys), 0.25) + _u(xs, ys) ** -1.5,
+    "sqrt": lambda xs, ys: jets.sqrt(_u(xs, ys)),
+    "log": lambda xs, ys: jets.log(_u(xs, ys)),
+    "exp": lambda xs, ys: jets.exp(_u(xs, ys)),
+    "sin": lambda xs, ys: jets.sin(_u(xs, ys)),
+    "cos": lambda xs, ys: jets.cos(_u(xs, ys)),
+    "sinh": lambda xs, ys: jets.sinh(_u(xs, ys)),
+    "cosh": lambda xs, ys: jets.cosh(_u(xs, ys)),
+    "dx": lambda xs, ys: jets.sqrt(_u(xs, ys)).dx(1) * xs[0],
+    "dy": lambda xs, ys: jets.exp(_u(xs, ys)).dy(0).dy(1) + ys[1],
+}
+
+
+class TestStacks:
+    """A stack of m jets acts on each member as on a single jet, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("orders", [(1, 3), (2, 5)])
+    @pytest.mark.parametrize("op", sorted(_STACK_OPS))
+    def test_members_match_single_jets(self, n, orders, op):
+        spec = JetSpec(n, *orders)
+        (xs, ys), singles = _stack_and_singles(spec, 4, _rng())
+        stack = _STACK_OPS[op](xs, ys)
+        assert stack.coeffs.shape == (4, stack.ctx.size)
+        for k, (sx, sy) in enumerate(singles):
+            one = _STACK_OPS[op](sx, sy)
+            assert (stack.vx, stack.vy) == (one.vx, one.vy)
+            assert np.array_equal(stack.coeffs[k], one.coeffs)
+            assert stack.value[k] == one.value
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_derivative_tensor_of_a_stack(self, n):
+        spec = JetSpec(n, 2, 5)
+        (xs, ys), singles = _stack_and_singles(spec, 3, _rng())
+        f = _STACK_OPS["sqrt"](xs, ys)
+        group = [f, f.dy(0)]
+        for ox in range(3):
+            for oy in range(5):
+                T = jets.derivative_tensor(f, ox, oy)
+                Tg = jets.derivative_tensor(group, ox, oy)
+                assert T.shape == (3,) + (n,) * (ox + oy)
+                assert Tg.shape == (3, 2) + (n,) * (ox + oy)
+                for k, (sx, sy) in enumerate(singles):
+                    one = _STACK_OPS["sqrt"](sx, sy)
+                    assert np.array_equal(T[k], jets.derivative_tensor(one, ox, oy))
+                    assert np.array_equal(Tg[k], jets.derivative_tensor([one, one.dy(0)], ox, oy))
+
+    def test_lift_shares_a_single_point(self):
+        spec = JetSpec(2, 1, 2)
+        Y = np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.1]])
+        xs, ys = lift([0.1, 0.2], Y, spec)
+        assert xs[0].coeffs.shape == (3, xs[0].ctx.size)
+        assert np.array_equal(xs[1].value, [0.2, 0.2, 0.2])
+        assert np.array_equal(ys[0].value, Y[:, 0])
+        with pytest.raises(ConfigurationError):
+            lift(np.zeros((2, 2)), np.ones((3, 2)), spec)
+
+    @pytest.mark.parametrize("spec", [JetSpec(2, 2, 5), JetSpec(3, 2, 3)])
+    def test_cut_tables_match_full_table_then_mask(self, spec):
+        (xs, ys), _ = _stack_and_singles(spec, 3, _rng())
+        f = _STACK_OPS["exp"](xs, ys)
+        family = [f, f.dy(1), f.dx(0), f.dx(0).dy(0).dy(1), f.dy(0).dy(1).dy(0)]
+        ctx = f.ctx
+        for a in family:
+            for b in family:
+                vx, vy = min(a.vx, b.vx), min(a.vy, b.vy)
+                for k in range(3):
+                    prod = a.coeffs[k][ctx.tab_a] * b.coeffs[k][ctx.tab_b]
+                    full = np.bincount(ctx.tab_out, weights=prod, minlength=ctx.size)
+                    want = np.where(ctx.mask(vx, vy), full, 0.0)
+                    assert np.array_equal((a * b).coeffs[k], want)
+                    single = Jet(ctx, a.coeffs[k], a.vx, a.vy) * Jet(ctx, b.coeffs[k], b.vx, b.vy)
+                    assert np.array_equal(single.coeffs, want)
+
+    def test_domain_error_when_any_member_is_out(self):
+        spec = JetSpec(2, 1, 2)
+        _, ys = lift([0.0, 0.0], [[1.0, 1.0], [-1.0, 1.0], [2.0, 1.0]], spec)
+        for op in (jets.sqrt, jets.log, lambda j: jets.power(j, 0.5)):
+            with pytest.raises(JetDomainError):
+                op(ys[0])
+        with pytest.raises(JetDomainError):
+            ys[1] / (ys[0] + 1.0)  # the second member's denominator is zero
+        assert np.all(np.isfinite(jets.sqrt(ys[1]).coeffs))
+

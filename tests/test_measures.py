@@ -115,6 +115,26 @@ class TestBallVolume:
         with pytest.raises(ConfigurationError):
             me.BallSpec([0, 0], 1.0, "teleport")
 
+    def test_stacked_sweep_matches_single_direction_flows(self, zoo):
+        from finslerlab._grids import circle_nodes, gauss_legendre_on
+        from finslerlab.geodesics import variational_flow
+
+        m = zoo["funk"]  # density 1 on the unit ball
+        x = np.array([0.1, -0.2])
+        radii = [0.5, 1.0]
+        mu, exited = me.polar_ball_volumes(m, x, radii, n_dirs=4)
+        assert not exited
+        dirs, w = circle_nodes(4)
+        want = np.zeros(2)
+        for d, wd in zip(dirs, w):
+            Fd = m.F(x, d)
+            flow = variational_flow(m, x, d / Fd, 1.0)
+            for i, r in enumerate(radii):
+                ts, wts = gauss_legendre_on(0.0, r, 32)
+                vals = [flow.det_M(t) / t for t in ts]
+                want[i] += wd * Fd ** (-2) * np.dot(wts, vals)
+        np.testing.assert_allclose(mu, want, rtol=1e-10)
+
     def test_polar_chart_exit_flagged(self, zoo):
         m = zoo["randers_curl"]  # ball chart, straight-ish geodesics exit
         est = me.ball_volume(m, me.BallSpec([0.0, 0.0], 3.0, "geodesic_polar"),

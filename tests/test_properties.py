@@ -1,12 +1,13 @@
 """Property tests of the tensors read off jets: fiber homogeneity degrees of
-g (0), C (-1), G (2) and N (1), and the symmetry of the Berwald tensor."""
+g (0), C (-1), G (2) and N (1), the symmetry of the Berwald tensor, and
+stacked spray gradients equal to per-point ones bit for bit."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab.curvature import berwald_curvature
-from finslerlab.geodesics import spray_jets
+from finslerlab.geodesics import spray_gradients, spray_jets
 from finslerlab.jets import derivative_tensor
 from finslerlab.metrics import chart_points
 from finslerlab.minkowski import TangentSample, cartan_tensor, fundamental_tensor
@@ -66,3 +67,34 @@ def test_berwald_symmetric_in_last_three_indices(zoo, point):
     B = berwald_curvature(m, s).B
     for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)):
         assert np.array_equal(B, B.transpose(perm))
+
+
+@st.composite
+def tangent_stacks(draw, names):
+    """(metric name, chart point indices, directions): a stack of 2-4 points."""
+    name = draw(st.sampled_from(names))
+    m = draw(st.integers(2, 4))
+    ks = draw(st.lists(st.integers(0, 7), min_size=m, max_size=m))
+    # a first component of at least 0.3 keeps every direction away from zero
+    dirs = draw(st.lists(st.tuples(st.floats(0.3, 1.5), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0)), min_size=m, max_size=m))
+    return name, ks, np.array(dirs)
+
+
+ALL_METRICS = ("euclidean", "euclidean3", "riemannian_sphere", "riemannian_hyperbolic",
+               "randers_const", "randers_closed", "randers_curl", "berwald_product",
+               "quartic_norm", "quartic_norm3", "funk", "funk3", "funk_quartic",
+               "hilbert", "hilbert_quartic")
+
+
+@PROPERTY
+@given(stack=tangent_stacks(ALL_METRICS), mx=st.sampled_from([1, 2]))
+def test_stacked_spray_gradients_match_single_points(zoo, stack, mx):
+    name, ks, dirs = stack
+    m = zoo[name]
+    x = chart_points(m, 8)[ks]
+    y = dirs[:, :m.n]
+    stacked = spray_gradients(m, x, y, mx)
+    for k in range(len(ks)):
+        for got, want in zip(stacked, spray_gradients(m, x[k], y[k], mx)):
+            assert (got is None and want is None) or np.array_equal(got[k], want)
