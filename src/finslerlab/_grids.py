@@ -1,4 +1,5 @@
-"""Deterministic sampling and quadrature grids used across the library."""
+"""Deterministic sampling and quadrature grids, and the difference stencils,
+used across the library."""
 
 from __future__ import annotations
 
@@ -82,3 +83,39 @@ def gauss_legendre_on(a, b, m=48):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+# ---------------------------------------------------------------------------
+# Difference stencils
+# ---------------------------------------------------------------------------
+
+_STENCIL5 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # offsets -2h,-h,h,2h
+_STENCIL5_2ND = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # -2h..2h
+
+
+def five_point(vals, h, order=1):
+    """First or second derivative at the interior points of a uniform grid of
+    step h by five-point central stencils, stacked (len(vals) - 4, ...): one
+    entry for five values at -2h..2h."""
+
+    def at(w):
+        if order == 2:
+            return np.dot(_STENCIL5_2ND, w) / h ** 2
+        return np.tensordot(_STENCIL5, np.stack([w[0], w[1], w[3], w[4]]), axes=1) / h
+
+    return np.array([at(vals[k - 2: k + 3]) for k in range(2, len(vals) - 2)])
+
+
+def richardson_central(f, h):
+    """Derivative at 0 of f(s), by central differences at steps h and h/2,
+    Richardson-extrapolated once: (4 d(h/2) - d(h)) / 3."""
+
+    def d(s):
+        return (f(s) - f(-s)) / (2 * s)
+
+    return (4.0 * d(h / 2) - d(h)) / 3.0
+
+
+def richardson_doubling(d_h, d_2h):
+    """Combine fourth-order estimates at steps h and 2h: (16 D(h) - D(2h)) / 15."""
+    return (16.0 * d_h - d_2h) / 15.0

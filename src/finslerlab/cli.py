@@ -566,6 +566,7 @@ def run_volume_report(cfg):
         (n + 1) / (2.0 * (n - 1)) if metric.name == "funk" else 0.0
     )
     rows = []
+    notes = []
     for k, r in enumerate(cfg["radii"]):
         if metric.name in ("funk", "hilbert"):
             source = "funk_closed_form" if metric.name == "funk" else "hilbert_closed_form"
@@ -579,8 +580,10 @@ def run_volume_report(cfg):
             )
         V = comparison.model_volume(lam, delta, n, float(r))
         rows.append([float(r), est.value, est.stderr, V,
-                     est.value / V if V > 0 else float("nan")])
-    return ["r", "mu", "stderr", "model_V", "ratio"], rows
+                     est.value / V if V > 0 else float("nan"), int(est.flagged)])
+        if est.flagged:
+            notes.append(f"r={float(r)!r}: {est.note}")
+    return ["r", "mu", "stderr", "model_V", "ratio", "flagged"], rows, notes
 
 
 def run_compare_report(cfg):
@@ -718,10 +721,12 @@ def main(argv=None) -> int:
             print(f"geodesic table at {path}{note}")
             return 0
         if args.command == "volume":
-            cols, rows = run_volume_report(cfg)
+            cols, rows, notes = run_volume_report(cfg)
             path = write_csv(os.path.join(out, f"volume_{tag}.csv"),
                              "volume", cols, rows, cfg)
             print(f"volume table at {path}")
+            for note in notes:
+                print(f"note: {note}")
             return 0
         if args.command == "compare":
             cols, rows, meta = run_compare_report(cfg)

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._grids import five_point, richardson_central, richardson_doubling
 from .errors import GeometryError, PreconditionError
 from .geodesics import integrate_geodesic, parallel_transport, spray_jets
 from .jets import derivative_tensor
@@ -29,10 +30,6 @@ from .minkowski import (
     mean_cartan,
     tangent_basis,
 )
-
-_STENCIL5 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # offsets -2h,-h,h,2h
-_STENCIL5_2ND = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # -2h..2h
-
 
 # ---------------------------------------------------------------------------
 # Berwald curvature
@@ -84,26 +81,21 @@ def landsberg_from_berwald(metric: MetricSpec, sample: TangentSample,
 
 
 def _transport_stencil(metric, sample, h):
-    """States and transported coordinate frames at t = -2h, -h, 0, h, 2h."""
+    """States and transported coordinate frames at t = -2h, -h, 0, h, 2h;
+    ChartExitError when the geodesic leaves the chart before one of them."""
     n = metric.n
-    states = {0.0: (sample.x.copy(), sample.y.copy(), np.eye(n))}
-    for side in ([h, 2 * h], [-h, -2 * h]):
-        tr = parallel_transport(metric, sample.x, sample.y, side[-1], np.eye(n),
-                                t_eval=np.concatenate([[0.0], side]))
-        for idx, t in enumerate(tr.ts):
-            if t != 0.0:
-                states[float(t)] = (tr.path.x[idx], tr.path.v[idx], tr.frames[idx])
-    return [states[float(k * h)] for k in range(-2, 3)]
+    states = [None, None, (sample.x.copy(), sample.y.copy(), np.eye(n)), None, None]
+    for sign, slots in ((1.0, (3, 4)), (-1.0, (1, 0))):
+        tr = parallel_transport(metric, sample.x, sample.y, sign * 2 * h, np.eye(n),
+                                t_eval=[0.0, sign * h, sign * 2 * h])
+        tr.path.require_reach()
+        for slot, k in zip(slots, (1, 2)):
+            states[slot] = (tr.path.x[k], tr.path.v[k], tr.frames[k])
+    return states
 
 
 def _frame_contract3(T, U):
     return np.einsum("ijk,ia,jb,kc->abc", T, U.T, U.T, U.T)
-
-
-def _five_point(vals, h):
-    """First derivative at the center from values at -2h,-h,0,h,2h."""
-    stack = np.stack([vals[0], vals[1], vals[3], vals[4]])
-    return np.tensordot(_STENCIL5, stack, axes=1) / h
 
 
 def _transport_derivative(metric, sample, quantity, dt):
@@ -114,7 +106,7 @@ def _transport_derivative(metric, sample, quantity, dt):
 
     def estimate(h):
         states = _transport_stencil(metric, sample, h)
-        return _five_point([quantity(TangentSample(x, v), U) for x, v, U in states], h)
+        return five_point([quantity(TangentSample(x, v), U) for x, v, U in states], h)[0]
 
     d1 = estimate(dt)
     d2 = estimate(2 * dt)
@@ -123,7 +115,7 @@ def _transport_derivative(metric, sample, quantity, dt):
     if scale > 1e-9 and np.max(np.abs(d1 - d2)) > 1e-4 * scale and dt < 5e-3:
         warnings.warn("transport-route step looks roundoff dominated; widening dt")
         return _transport_derivative(metric, sample, quantity, max(4 * dt, 5e-3))
-    return (16.0 * d1 - d2) / 15.0
+    return richardson_doubling(d1, d2)
 
 
 def landsberg_by_transport(metric: MetricSpec, sample: TangentSample,
@@ -149,18 +141,10 @@ def landsberg_tilde(metric: MetricSpec, sample: TangentSample, h_rel=1e-3) -> np
     n = metric.n
     scale = float(np.linalg.norm(sample.y))
     out = np.empty((n, n, n, n))
-    for z in range(n):
-        ez = np.eye(n)[z]
-
-        def dstep(h):
-            Lp = landsberg_from_berwald(metric, TangentSample(sample.x, sample.y + h * ez))
-            Lm = landsberg_from_berwald(metric, TangentSample(sample.x, sample.y - h * ez))
-            return (Lp - Lm) / (2 * h)
-
-        h = h_rel * scale
-        d1 = dstep(h)
-        d2 = dstep(h / 2)
-        out[..., z] = (4.0 * d2 - d1) / 3.0
+    for z, ez in enumerate(np.eye(n)):
+        out[..., z] = richardson_central(
+            lambda h: landsberg_from_berwald(metric, TangentSample(sample.x, sample.y + h * ez)),
+            h_rel * scale)
     return out
 
 
@@ -212,16 +196,8 @@ class SData:
 
 def _log_density_gradient(sigma, x, h=1e-4):
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    out = np.empty(n)
-    for i in range(n):
-        e = np.eye(n)[i]
-
-        def d(hh):
-            return (np.log(sigma(x + hh * e)) - np.log(sigma(x - hh * e))) / (2 * hh)
-
-        out[i] = (4.0 * d(h / 2) - d(h)) / 3.0
-    return out
+    return np.array([richardson_central(lambda hh: np.log(sigma(x + hh * e)), h)
+                     for e in np.eye(len(x))])
 
 
 def s_jet_workspace(metric: MetricSpec, sample: TangentSample, sigma):
@@ -290,9 +266,9 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
             return s_jet_workspace(metric, TangentSample(x, v), sigma)[0].value
 
         def s_dot():
-            sd1 = float(_five_point(_along_geodesic(metric, sample, s_at, h), h))
-            sd2 = float(_five_point(_along_geodesic(metric, sample, s_at, 2 * h), 2 * h))
-            return (16.0 * sd1 - sd2) / 15.0
+            sd1, sd2 = (float(five_point(_along_geodesic(metric, sample, s_at, hh), hh)[0])
+                        for hh in (h, 2 * h))
+            return richardson_doubling(sd1, sd2)
 
         return SData(S=float(s_at(sample.x, sample.y)), S_dot=s_dot)
     if method != "geodesic":
@@ -304,22 +280,20 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
 
     def estimates(hh):
         vals = _along_geodesic(metric, sample, tau_at, hh)
-        S = float(_five_point(vals, hh))
-        Sd = float(np.dot(_STENCIL5_2ND, vals) / hh ** 2)
-        return S, Sd
+        return np.array([five_point(vals, hh, order)[0] for order in (1, 2)])
 
-    S1, Sd1 = estimates(h)
-    S2, Sd2 = estimates(2 * h)
-    return SData(S=(16.0 * S1 - S2) / 15.0, S_dot=(16.0 * Sd1 - Sd2) / 15.0)
+    S, S_dot = richardson_doubling(estimates(h), estimates(2 * h))
+    return SData(S=float(S), S_dot=float(S_dot))
 
 
 def _along_geodesic(metric, sample, fn, h):
-    """fn evaluated on the geodesic states at t = -2h, -h, 0, h, 2h."""
+    """fn evaluated on the geodesic states at t = -2h, -h, 0, h, 2h;
+    ChartExitError when the geodesic leaves the chart before one of them."""
     out = [None] * 5
     out[2] = fn(sample.x, sample.y)
     for sign, idxs in ((1.0, (3, 4)), (-1.0, (1, 0))):
         path = integrate_geodesic(metric, sample.x, sample.y, sign * 2 * h,
-                                  t_eval=[0.0, sign * h, sign * 2 * h])
+                                  t_eval=[0.0, sign * h, sign * 2 * h]).require_reach()
         for slot, k in zip(idxs, (1, 2)):
             out[slot] = fn(path.x[k], path.v[k])
     return out
@@ -437,6 +411,7 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
     xm, _ = p_minus.state(ts)
     J = (xp - xm) / (2 * scale)
     x0s, v0s = p0.state(ts)
+    Jd, Jdd = (five_point(J, h, order) for order in (1, 2))
 
     worst = 0.0
     gs = []
@@ -448,9 +423,7 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
         R, G, N, d2Gxy, d2Gyy = _spray_riemann(ws, v0s[k])
         Ndot = (np.einsum("ikj,k->ij", d2Gxy, v0s[k])
                 - 2.0 * np.einsum("ijk,k->ij", d2Gyy, G))
-        Jd = (J[k - 2] - 8 * J[k - 1] + 8 * J[k + 1] - J[k + 2]) / (12 * h)
-        Jdd = (-J[k - 2] + 16 * J[k - 1] - 30 * J[k] + 16 * J[k + 1] - J[k + 2]) / (12 * h * h)
-        res = Jdd + Ndot @ J[k] + 2.0 * (N @ Jd) + N @ (N @ J[k]) + R @ J[k]
+        res = Jdd[k - 2] + Ndot @ J[k] + 2.0 * (N @ Jd[k - 2]) + N @ (N @ J[k]) + R @ J[k]
         worst = max(worst, float(np.sqrt(res @ gs[k] @ res)))
 
     # first refocusing point: the g-norm of J returns to zero
@@ -559,11 +532,8 @@ def constant_curvature_ode_check(metric: MetricSpec, x, y, kappa,
     # L(t) = C'(t), five-point interior stencil on the uniform grid
     lprime = 0.0
     if np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9) and len(ts) >= 5:
-        h = ts[1] - ts[0]
-        for k in range(2, len(ts) - 2):
-            dC = (C_vals[k - 2] - 8 * C_vals[k - 1]
-                  + 8 * C_vals[k + 1] - C_vals[k + 2]) / (12 * h)
-            lprime = max(lprime, abs(L_vals[k] - dC))
+        dC = five_point(C_vals, ts[1] - ts[0])
+        lprime = float(np.max(np.abs(L_vals[2:-2] - dC)))
 
     A4 = _cc_basis4(kappa, ts)
     c4, *_ = np.linalg.lstsq(A4[:max(4, m)], Ct_vals[:max(4, m)], rcond=None)
@@ -609,13 +579,10 @@ def projective_ode_check(metric_F: MetricSpec, metric_G: MetricSpec,
     if np.min(Gv) < 1e-8:
         raise GeometryError("second metric degenerates along the geodesic")
     phi = 1.0 / np.sqrt(Gv)
-    h = ts[1] - ts[0]
-    worst = 0.0
-    for k in range(2, len(ts) - 2):
-        phidd = float(np.dot(_STENCIL5_2ND, phi[k - 2: k + 3])) / h ** 2
-        res = phidd + kappa * phi[k] - kappa_tilde / phi[k] ** 3
-        worst = max(worst, abs(res))
-    return worst
+    phidd = five_point(phi, ts[1] - ts[0], 2)
+    # scalar powers: numpy's vectorised power can round differently
+    return float(max(abs(d + kappa * p - kappa_tilde / p ** 3)
+                     for d, p in zip(phidd, phi[2:-2])))
 
 
 def cartan_norm_along(metric: MetricSpec, x, y, ts):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from ._grids import richardson_central
 from .errors import ChartExitError, GeometryError, PreconditionError
 from .jets import Jet, JetSpec, derivative_tensor, lift
 from .metrics import MetricSpec
@@ -132,6 +133,61 @@ def spray_gradients(metric: MetricSpec, x, v, mx):
 
 
 # ---------------------------------------------------------------------------
+# The ODE driver
+# ---------------------------------------------------------------------------
+
+
+def _solve(flow, metric, rhs, z0, t_span, rtol, atol, t_eval=None, chart=True):
+    """Integrate a flow from the states z0 (m, width) of its m members: DOP853
+    with dense output, one solve_ivp call per segment.
+
+    With chart, each member's state starts with its base point and a terminal
+    event stops the solve at the first chart exit; that member drops out and
+    the rest restart from its exit time, so each member has its own reach and
+    exit.  t_eval serves one-member flows, which never restart.  Returns the
+    segments (t0, t1, OdeResult, members), the reach (m,) and t_exit (m,),
+    nan where the member stayed in the chart.  A failed solve raises
+    GeometryError naming the flow.
+    """
+    n = metric.n
+    z = np.asarray(z0, dtype=float)
+    m, width = z.shape
+    margin = metric.chart.margin if chart else None
+    events = None
+    if margin is not None:
+        def exit_event(t, y):
+            return float(np.min(margin(y.reshape(-1, width)[:, :n]))) - 1e-12
+
+        exit_event.terminal = True
+        exit_event.direction = -1
+        events = [exit_event]
+    t0, t_end = float(t_span[0]), float(t_span[1])
+    segments = []
+    alive = np.arange(m)
+    reach = np.empty(m)
+    t_exit = np.full(m, np.nan)
+    while True:
+        sol = solve_ivp(rhs, (t0, t_end), z.ravel(), method="DOP853", rtol=rtol, atol=atol,
+                        dense_output=True, t_eval=t_eval, events=events)
+        if not sol.success:
+            raise GeometryError(f"{flow} integration failed: {sol.message}")
+        t1 = float(sol.t_events[0][0]) if sol.status == 1 else t_end
+        segments.append((t0, t1, sol, alive))
+        reach[alive] = t1
+        if sol.status != 1:
+            break
+        # the member whose margin closed the event leaves; the rest go on
+        Z = sol.y_events[0][0].reshape(-1, width)
+        out = int(np.argmin(margin(Z[:, :n])))
+        t_exit[alive[out]] = t1
+        keep = np.arange(len(alive)) != out
+        alive, z, t0 = alive[keep], Z[keep], t1
+        if not len(alive) or t0 == t_end:
+            break
+    return segments, reach, t_exit
+
+
+# ---------------------------------------------------------------------------
 # Geodesic integration
 # ---------------------------------------------------------------------------
 
@@ -149,7 +205,6 @@ class GeodesicPath:
     exited: bool = False
     t_exit: float | None = None
     reverse_flagged: bool = False
-    unit_speed: bool = False
     nfev: int = 0
     n_steps: int = 0
 
@@ -157,12 +212,21 @@ class GeodesicPath:
     def t_end(self):
         return float(self.t[-1])
 
+    def require_reach(self):
+        """This path, or ChartExitError when it left the chart before
+        t_requested."""
+        if self.exited:
+            raise ChartExitError(
+                f"geodesic left the chart at t={self.t_exit:.6g} before reaching "
+                f"{self.t_requested:.6g}", t_exit=self.t_exit)
+        return self
+
     def state(self, t):
         z = self.sol(t)
         n = self.metric.n
         if np.ndim(t) == 0:
-            return z[:n], z[n:]
-        return z[:n].T, z[n:].T
+            return z[:n], z[n: 2 * n]
+        return z[:n].T, z[n: 2 * n].T
 
     def F_values(self, ts=None):
         ts = self.t if ts is None else np.asarray(ts)
@@ -201,24 +265,21 @@ class GeodesicPath:
         return rows
 
 
-def _exit_event(metric, width):
-    """Terminal event at the first chart exit of a state made of members of
-    `width` entries, each starting with its base point."""
-    margin = metric.chart.margin
-    if margin is None:
-        return None
+def _geodesic_path(metric, sol, t_exit, t_end):
+    """GeodesicPath of a one-member flow whose state starts with x and v; a
+    reverse run is only flagged for positively-complete-only metrics."""
     n = metric.n
-
-    def event(t, z):
-        return float(np.min(margin(z.reshape(-1, width)[:, :n]))) - 1e-12
-
-    event.terminal = True
-    event.direction = -1
-    return event
+    exited = not np.isnan(t_exit)
+    return GeodesicPath(
+        metric=metric, t=sol.t, x=sol.y[:n].T, v=sol.y[n: 2 * n].T, sol=sol.sol,
+        t_requested=float(t_end), exited=exited, t_exit=float(t_exit) if exited else None,
+        reverse_flagged=bool(t_end < 0 and metric.positively_complete_only),
+        nfev=int(sol.nfev), n_steps=len(sol.t) - 1,
+    )
 
 
 def integrate_geodesic(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10,
-                       t_eval=None, unit_speed=False, method="DOP853") -> GeodesicPath:
+                       t_eval=None, unit_speed=False) -> GeodesicPath:
     """Solve xddot = -2 G(xdot) from (x0, y0); stops with a flag at chart exit."""
     n = metric.n
     x0 = np.asarray(x0, dtype=float)
@@ -228,29 +289,13 @@ def integrate_geodesic(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10
         raise PreconditionError("geodesic needs a tangent vector with F > 0")
     if unit_speed:
         y0 = y0 / F0
-    reverse = t_end < 0
-    if reverse and not metric.positively_complete_only:
-        reverse = False  # only flagged for positively-complete-only metrics
 
     def rhs(t, z):
         return np.concatenate([z[n:], -2.0 * spray_values(metric, z[:n], z[n:])])
 
-    events = _exit_event(metric, 2 * n)
-    sol = solve_ivp(
-        rhs, (0.0, float(t_end)), np.concatenate([x0, y0]),
-        method=method, rtol=rtol, atol=atol, dense_output=True,
-        t_eval=t_eval, events=[events] if events else None,
-    )
-    if not sol.success and sol.status != 1:
-        raise GeometryError(f"geodesic integration failed: {sol.message}")
-    exited = sol.status == 1
-    t_exit = float(sol.t_events[0][0]) if exited and len(sol.t_events[0]) else None
-    return GeodesicPath(
-        metric=metric, t=sol.t, x=sol.y[:n].T, v=sol.y[n:].T, sol=sol.sol,
-        t_requested=float(t_end), exited=exited, t_exit=t_exit,
-        reverse_flagged=bool(reverse), unit_speed=unit_speed,
-        nfev=int(sol.nfev), n_steps=len(sol.t) - 1,
-    )
+    segments, _, t_exit = _solve("geodesic", metric, rhs, np.concatenate([x0, y0])[None],
+                                 (0.0, t_end), rtol, atol, t_eval)
+    return _geodesic_path(metric, segments[0][2], t_exit[0], t_end)
 
 
 @dataclass
@@ -295,9 +340,9 @@ class VariationalFlow:
 class _StackedSolution:
     """Dense output of a stacked flow, pieced from its solve segments.
 
-    A segment (t0, t1, sol, members) is one solve_ivp call over [t0, t1]
-    for the listed members, in that order in its state; member k is read
-    from the segments it was integrated in, and is nan past its reach.
+    A segment (t0, t1, OdeResult, members) is one solve_ivp call over
+    [t0, t1] for the listed members, in that order in its state; member k is
+    read from the segments it was integrated in, and is nan past its reach.
     """
 
     def __init__(self, segments, m, width):
@@ -309,19 +354,19 @@ class _StackedSolution:
         t = np.asarray(t, dtype=float)
         tt = t if t.ndim == 2 else np.broadcast_to(np.reshape(t, (1, -1)), (self.m, t.size))
         out = np.full(tt.shape + (self.width,), np.nan)
-        for t0, t1, sol, members in self.segments:
+        for t0, t1, res, members in self.segments:
             local = tt[members]
             li, kj = np.nonzero((local >= t0) & (local <= t1))
             if not len(li):
                 continue
             times, pos = np.unique(local[li, kj], return_inverse=True)
-            Z = sol(times).reshape(len(members), self.width, len(times))
+            Z = res.sol(times).reshape(len(members), self.width, len(times))
             out[members[li], kj] = Z[li, :, pos]
         return out[:, 0] if t.ndim == 0 else out
 
 
-def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10,
-                     unit_speed=False) -> VariationalFlow:
+def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10,
+                     atol=1e-10) -> VariationalFlow:
     """Integrate the geodesic together with its velocity-sensitivity matrix.
 
     y0 is one velocity (n,), or a stack (m, n) integrated as one state in one
@@ -333,12 +378,6 @@ def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10,
     n = metric.n
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    stacked = y0.ndim == 2
-    if unit_speed:
-        if stacked:
-            y0 = y0 / metric.F_batch(np.broadcast_to(x0, y0.shape), y0)[:, None]
-        else:
-            y0 = y0 / metric.F(x0, y0)
     X, Y = np.broadcast_arrays(np.atleast_2d(x0), np.atleast_2d(y0))
     m = len(Y)
     width = 2 * n + 2 * n * n
@@ -359,51 +398,19 @@ def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10,
 
     z = np.concatenate([X, Y, np.zeros((m, n * n)), np.tile(np.eye(n).ravel(), (m, 1))],
                        axis=1)
-    events = _exit_event(metric, width)
-    segments = []
-    alive = np.arange(m)
-    reach = np.empty(m)
-    exited = np.zeros(m, dtype=bool)
-    t_exit = np.full(m, np.nan)
-    t0 = 0.0
-    while True:
-        sol = solve_ivp(rhs, (t0, float(t_end)), z.ravel(), method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True,
-                        events=[events] if events else None)
-        if not sol.success and sol.status != 1:
-            raise GeometryError(f"variational integration failed: {sol.message}")
-        t1 = float(sol.t[-1])
-        segments.append((t0, t1, sol.sol, alive))
-        reach[alive] = t1
-        if sol.status != 1:
-            break
-        # the member whose margin closed the event leaves; the rest go on
-        Z = sol.y[:, -1].reshape(-1, width)
-        out = int(np.argmin(metric.chart.margin(Z[:, :n])))
-        exited[alive[out]] = True
-        if len(sol.t_events[0]):
-            t_exit[alive[out]] = float(sol.t_events[0][0])
-        keep = np.arange(len(alive)) != out
-        alive, z, t0 = alive[keep], Z[keep], t1
-        if not len(alive) or t0 >= float(t_end):
-            break
-    if stacked:
+    segments, reach, t_exit = _solve("variational", metric, rhs, z, (0.0, t_end), rtol, atol)
+    exited = ~np.isnan(t_exit)
+    if y0.ndim == 2:
         return VariationalFlow(metric=metric, sol=_StackedSolution(segments, m, width),
                                t_end=reach, exited=exited, t_exit=t_exit)
-    return VariationalFlow(metric=metric, sol=segments[0][2], t_end=float(reach[0]),
+    return VariationalFlow(metric=metric, sol=segments[0][2].sol, t_end=float(reach[0]),
                            exited=bool(exited[0]),
-                           t_exit=None if np.isnan(t_exit[0]) else float(t_exit[0]))
+                           t_exit=float(t_exit[0]) if exited[0] else None)
 
 
 def exp_map(metric: MetricSpec, x, y):
     """Endpoint at parameter 1 of the geodesic with initial velocity y."""
-    path = integrate_geodesic(metric, x, y, 1.0)
-    if path.exited:
-        raise ChartExitError(
-            f"geodesic left the chart at t={path.t_exit:.6g} before reaching 1",
-            t_exit=path.t_exit,
-        )
-    return path.x[-1]
+    return integrate_geodesic(metric, x, y, 1.0).require_reach().x[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +426,8 @@ def covariant_derivative(metric: MetricSpec, U, sample: TangentSample, h=1e-5):
     """
     sample.validate(metric)
     x, y = sample.x, sample.y
-    scale = h * max(1.0, float(np.linalg.norm(x)))
-
-    def ddir(step):
-        return (np.asarray(U(x + step * y), dtype=float)
-                - np.asarray(U(x - step * y), dtype=float)) / (2 * step)
-
-    d1 = ddir(scale)
-    d2 = ddir(scale / 2)
-    dU = (4 * d2 - d1) / 3.0
+    dU = richardson_central(lambda s: np.asarray(U(x + s * y), dtype=float),
+                            h * max(1.0, float(np.linalg.norm(x))))
     N = derivative_tensor(spray_jets(metric, x, y, 1, 3).G, 0, 1)
     return dU + N @ np.asarray(U(x), dtype=float)
 
@@ -445,8 +445,7 @@ class TransportResult:
 
 
 def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
-                       t_eval=None, rtol=1e-10, atol=1e-10,
-                       unit_speed=False) -> TransportResult:
+                       t_eval=None, rtol=1e-10, atol=1e-10) -> TransportResult:
     """Transport a frame along the geodesic from (x0, y0) by D_cdot U = 0.
 
     Integrates the geodesic and the frame jointly so both see the same
@@ -456,11 +455,6 @@ def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
     n = metric.n
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
     k = frame.shape[0]
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    F0 = metric.F(x0, y0)
-    if unit_speed:
-        y0 = y0 / F0
 
     def rhs(t, z):
         x = z[:n]
@@ -477,22 +471,14 @@ def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
     if t_eval is None:
         t_eval = np.linspace(0.0, float(t_end), 33)
     z0 = np.concatenate([x0, y0, frame.ravel()])
-    events = _exit_event(metric, len(z0))
-    sol = solve_ivp(rhs, (0.0, float(t_end)), z0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, t_eval=t_eval,
-                    events=[events] if events else None)
-    if not sol.success and sol.status != 1:
-        raise GeometryError(f"transport integration failed: {sol.message}")
-    ts = sol.t
-    xs = sol.y[:n].T
-    vs = sol.y[n: 2 * n].T
-    frames = sol.y[2 * n:].T.reshape(len(ts), k, n)
-    path = GeodesicPath(metric=metric, t=ts, x=xs, v=vs, sol=sol.sol,
-                        t_requested=float(t_end), exited=sol.status == 1,
-                        nfev=int(sol.nfev), n_steps=len(ts) - 1)
+    segments, _, t_exit = _solve("transport", metric, rhs, z0[None], (0.0, t_end),
+                                 rtol, atol, t_eval)
+    sol = segments[0][2]
+    path = _geodesic_path(metric, sol, t_exit[0], t_end)
+    frames = sol.y[2 * n:].T.reshape(len(sol.t), k, n)
     return TransportResult(frame_in=frame, frame_out=frames[-1],
-                           gram_drift=_gram_drift(metric, xs, vs, frames),
-                           ts=ts, frames=frames, path=path)
+                           gram_drift=_gram_drift(metric, path.x, path.v, frames),
+                           ts=sol.t, frames=frames, path=path)
 
 
 def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
@@ -500,7 +486,8 @@ def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
     """Transport along an arbitrary smooth curve given as t -> (x, xdot).
 
     The same equation D_cdot U = 0 is used as on geodesics; only geodesic
-    transport is exercised by the conservation identities.
+    transport is exercised by the conservation identities.  The state holds
+    no base point, so the flow watches no chart exit.
     """
     n = metric.n
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
@@ -513,20 +500,12 @@ def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
 
     if t_eval is None:
         t_eval = np.linspace(t_span[0], t_span[1], 17)
-    sol = solve_ivp(rhs, t_span, frame.ravel(), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, t_eval=t_eval)
-    if not sol.success:
-        raise GeometryError(f"transport integration failed: {sol.message}")
+    segments, _, _ = _solve("transport", metric, rhs, frame.ravel()[None], t_span,
+                            rtol, atol, t_eval, chart=False)
+    sol = segments[0][2]
     ts = sol.t
     frames = sol.y.T.reshape(len(ts), k, n)
-    xs = []
-    vs = []
-    for t in ts:
-        x, v = curve(t)
-        xs.append(np.asarray(x, dtype=float))
-        vs.append(np.asarray(v, dtype=float))
-    xs = np.array(xs)
-    vs = np.array(vs)
+    xs, vs = (np.array(a, dtype=float) for a in zip(*(curve(t) for t in ts)))
     path = GeodesicPath(metric=metric, t=ts, x=xs, v=vs, sol=None,
                         t_requested=float(t_span[1]))
     return TransportResult(frame_in=frame, frame_out=frames[-1],

@@ -424,10 +424,15 @@ class RandersData:
     beta: object   # callable x -> length-n list of scalars
 
     def norm_beta(self, x):
-        """alpha-length of beta at a plain point x."""
-        a = np.array([[float(v) for v in row] for row in self.alpha(list(x))])
-        b = np.array([float(v) for v in self.beta(list(x))])
-        return float(np.sqrt(b @ np.linalg.solve(a, b)))
+        """alpha-length of beta at a plain point x (n,), or at each point of a
+        stack (m, n) through one batched solve."""
+        x = np.asarray(x, dtype=float)
+        cols = list(np.atleast_2d(x).T)
+        field = lambda v: np.broadcast_to(np.asarray(v, dtype=float), cols[0].shape)
+        a = np.stack([np.stack([field(v) for v in row], -1) for row in self.alpha(cols)], -2)
+        b = np.stack([field(v) for v in self.beta(cols)], -1)
+        nb = np.sqrt(np.sum(b * np.linalg.solve(a, b[..., None])[..., 0], axis=-1))
+        return float(nb[0]) if x.ndim == 1 else nb
 
 
 def _randers_eval(data: RandersData):
@@ -485,10 +490,9 @@ def _klein_sigma(n):
 
 def _flat_randers_sigma(data: RandersData, n):
     def sigma(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return (1.0 - data.norm_beta(x) ** 2) ** ((n + 1) / 2.0)
-        return np.array([(1.0 - data.norm_beta(p) ** 2) ** ((n + 1) / 2.0) for p in x])
+        # float_power rounds like the scalar ** (numpy's power loop may not)
+        s = np.float_power(1.0 - np.float_power(data.norm_beta(x), 2), (n + 1) / 2.0)
+        return float(s) if np.ndim(s) == 0 else s
 
     return sigma
 
@@ -633,9 +637,10 @@ def make_randers(n=2, variant="curl", c=0.3, validate=True,
     # the curl variant needs |x2| < 1/c to keep the beta norm below 1
     chart = _ball_chart(n) if variant == "curl" and c > 0 else _full_chart(n)
     pts = halton(n, 64) * 1.8 - 0.9
-    for p in pts:
-        if chart.contains(p) and data.norm_beta(p) >= 1.0:
-            raise MetricValidityError("alpha-length of beta must stay below 1", sample=p)
+    pts = pts[chart.contains(pts)]
+    too_long = pts[data.norm_beta(pts) >= 1.0]
+    if len(too_long):
+        raise MetricValidityError("alpha-length of beta must stay below 1", sample=too_long[0])
     sigma = _flat_randers_sigma(data, n) if variant in ("const", "closed", "curl") else None
     return _build("randers", n, _randers_eval(data), chart,
                   reversible=(variant == "const" and c == 0), validate=validate,

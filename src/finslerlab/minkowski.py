@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._grids import sphere_surface_nodes, unit_ball_volume
+from ._grids import richardson_central, sphere_surface_nodes, unit_ball_volume
 from .errors import (
     ConfigurationError,
     MetricValidityError,
@@ -134,14 +134,9 @@ def distortion_derivative_check(metric: MetricSpec, sample: TangentSample,
     scale = float(np.linalg.norm(sample.y))
     worst = 0.0
     for v in np.eye(n):
-        vals = []
-        for step in (h * scale, 0.5 * h * scale):
-            taus = [
-                distortion(metric, TangentSample(sample.x, sample.y + s * v), density)
-                for s in (-step, step)
-            ]
-            vals.append((taus[1] - taus[0]) / (2 * step))
-        deriv = (4 * vals[1] - vals[0]) / 3.0
+        deriv = richardson_central(
+            lambda s: distortion(metric, TangentSample(sample.x, sample.y + s * v), density),
+            h * scale)
         worst = max(worst, abs(deriv - float(I @ v)))
     return worst
 

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from finslerlab import cli
+from finslerlab import cli, metrics
 
 
 def run(argv, tmp_path, extra=()):
@@ -203,6 +203,16 @@ class TestReports:
         # mu close to the model value at r = 1
         assert r1[4] == pytest.approx(1.0, abs=0.02)
 
+    def test_volume_csv_flags_lower_bounds(self, tmp_path, capsys):
+        # the polar sweep leaves the randers chart before r = 2
+        code = run(["volume", "--metric", "randers", "--radii", "0.5,2.0"], tmp_path)
+        assert code == 0
+        lines = (tmp_path / "volume_randers_n2.csv").read_text().splitlines()
+        assert lines[2].split(",")[-1] == "flagged"
+        assert [l.split(",")[-1] for l in lines[3:]] == ["0", "1"]
+        notes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("note:")]
+        assert notes == ["note: r=2.0: lower bound: chart exit before radius"]
+
     def test_compare_report(self, tmp_path):
         code = run(["compare", "--metric", "funk", "--dim", "2",
                     "--lambda", "-0.25", "--delta", "1.5",
@@ -236,6 +246,22 @@ class TestReports:
                         "--checks", "homogeneity_f2a,jb_identity,es_identity"],
                        tmp_path)
             assert code == 0, name
+
+
+# geodesic on riemannian_sphere: the default t = 3 from the origin reaches the
+# antipode, which the stereographic chart sends to infinity
+_N3_EXIT_CODES = {("riemannian_sphere", "geodesic"): 1}
+
+
+@pytest.mark.parametrize("name", sorted(metrics.zoo_constructors()))
+def test_n3_smoke_every_catalog_metric(tmp_path, capsys, name):
+    for argv in (["curvature", "--samples", "2"], ["geodesic", "--t-points", "5"]):
+        code = run(argv + ["--metric", name, "--dim", "3"], tmp_path)
+        assert code == _N3_EXIT_CODES.get((name, argv[0]), 0), argv
+        out = capsys.readouterr()
+        assert "Traceback" not in out.out + out.err
+        if code:
+            assert "geodesic integration failed" in out.err
 
 
 class TestReproducibility:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from finslerlab import cli
+from finslerlab._grids import _STENCIL5
 from finslerlab import curvature as cu
-from finslerlab.errors import JetDomainError
+from finslerlab.errors import ChartExitError, JetDomainError
 from finslerlab.metrics import make_metric
 from finslerlab.minkowski import (
     TangentSample,
@@ -25,6 +26,25 @@ def _unit_sample(metric, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return TangentSample(x, y / metric.F(x, y))
+
+
+class TestChartEdge:
+    """Stencils that need states past a chart exit raise ChartExitError."""
+
+    @pytest.mark.parametrize("read", [
+        lambda m, s: cu.s_curvature(m, s, method="geodesic"),
+        lambda m, s: cu.s_curvature(m, s, method="analytic").S_dot,
+        cu.landsberg_by_transport,
+        cu.landsberg_dot,
+        cu.mean_landsberg_by_transport,
+    ], ids=["s_geodesic", "s_dot_analytic", "landsberg_by_transport", "landsberg_dot",
+            "mean_landsberg_by_transport"])
+    def test_chart_exit_is_typed(self, zoo, read):
+        # the curl variant lives on the unit ball; the 2h = 0.02 stencil crosses it
+        s = TangentSample([0.985, 0.0], [1.0, 0.0])
+        with pytest.raises(ChartExitError) as err:
+            read(zoo["randers_curl"], s)
+        assert 0.0 < err.value.t_exit < 0.02
 
 
 class TestBerwald:
@@ -207,8 +227,8 @@ class TestSCurvature:
             h = 1e-2
             v1 = cu._along_geodesic(m, s, s_at, h)
             v2 = cu._along_geodesic(m, s, s_at, 2 * h)
-            sd1 = float(np.tensordot(cu._STENCIL5, [v1[0], v1[1], v1[3], v1[4]], 1) / h)
-            sd2 = float(np.tensordot(cu._STENCIL5, [v2[0], v2[1], v2[3], v2[4]], 1) / (2 * h))
+            sd1 = float(np.tensordot(_STENCIL5, [v1[0], v1[1], v1[3], v1[4]], 1) / h)
+            sd2 = float(np.tensordot(_STENCIL5, [v2[0], v2[1], v2[3], v2[4]], 1) / (2 * h))
             sd = cu.s_curvature(m, s, method="analytic")
             assert sd.S == s_at(x, y)
             assert sd.S_dot == (16.0 * sd1 - sd2) / 15.0
@@ -231,8 +251,10 @@ class TestSCurvature:
         assert len(calls) == 4
 
     @pytest.mark.xfail(raises=JetDomainError, strict=True,
-                       reason="a DOP853 stage of the S-dot geodesic leaves the Funk "
-                              "chart before the exit event fires")
+                       reason="the backward S-dot geodesic crosses the Funk ball "
+                              "(F = 143) and meets the far rim near t = -0.0395, inside "
+                              "the 2h = 0.04 stencil; the S-dot step choice, not the ODE "
+                              "driver, is at fault")
     def test_funk3_s_dot_near_boundary(self):
         funk3 = make_metric("funk", n=3)
         s = cli._samples_for(funk3, 20)[4]

@@ -183,6 +183,13 @@ class TestIntegration:
         assert p.exited
         assert p.t_exit is not None and p.t_exit < 5.0
 
+    def test_transport_reports_the_geodesic_exit(self, zoo):
+        m = zoo["randers_curl"]
+        p = integrate_geodesic(m, [0.5, 0.0], [1.0, 0.0], 5.0)
+        tr = parallel_transport(m, [0.5, 0.0], [1.0, 0.0], 5.0, np.eye(2))
+        assert tr.path.exited
+        assert abs(tr.path.t_exit - p.t_exit) < 1e-6
+
     def test_reverse_integration_flagged_for_funk(self, zoo):
         p = integrate_geodesic(zoo["funk"], [0.0, 0.0], [1.0, 0.0], -0.3)
         assert p.reverse_flagged

@@ -272,6 +272,20 @@ class TestOkada:
         assert worst > 1e-3
 
 
+class TestRandersDensity:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("variant", ["const", "closed", "curl"])
+    def test_stacked_density_equals_per_point(self, variant, n):
+        m = metrics.make_randers(n, variant=variant, c=0.3, validate=False)
+        pts = np.random.default_rng(40).uniform(-0.6, 0.6, (200, n))
+        stacked = m.sigma_bh(pts)
+        np.testing.assert_array_equal(stacked, [m.sigma_bh(p) for p in pts])
+        # flat alpha: sigma = (1 - |b|^2)^((n+1)/2) with b_1 the only entry
+        b1 = {"const": np.full(200, 0.3), "closed": 0.3 * np.cos(pts[:, 0]),
+              "curl": 0.3 * pts[:, 1]}[variant]
+        np.testing.assert_allclose(stacked, (1.0 - b1 ** 2) ** ((n + 1) / 2.0), rtol=1e-14)
+
+
 class TestZooCatalog:
     def test_catalog_contents(self):
         names = set(zoo_constructors())
