@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +73,7 @@ _DEFAULTS = {
 
 
 # integer config keys and their smallest allowed values
-_INT_KEYS = {"dim": 2, "samples": 1, "mc_samples": 1, "t_points": 2}
+_INT_KEYS = {"dim": 2, "seed": 0, "samples": 1, "mc_samples": 1, "t_points": 2}
 
 
 def _number(v):
@@ -89,6 +88,8 @@ def _point_or_null(v, dim):
 
 # the other value keys: a test of (value, dim) and what it asks for
 _VALUE_KEYS = {
+    "metric": (lambda v, dim: isinstance(v, str), "a catalog id"),
+    "out_dir": (lambda v, dim: v is None or isinstance(v, str), "a path or null"),
     "radii": (lambda v, dim: isinstance(v, list) and len(v) > 0
               and all(_number(r) and r > 0 for r in v),
               "a non-empty list of positive numbers"),
@@ -102,6 +103,9 @@ _VALUE_KEYS = {
     "tolerances": (lambda v, dim: isinstance(v, dict) and all(
         k in {cid for cid, *_ in _CHECKS} and _number(t) for k, t in v.items()),
         "an object mapping known check ids to finite numbers"),
+    "checks": (lambda v, dim: v is None or isinstance(v, str) or (
+        isinstance(v, list) and all(isinstance(c, str) for c in v)),
+        "a comma-separated string or a list of check ids"),
 }
 
 
@@ -199,7 +203,6 @@ class CheckResult:
     status: str  # pass | fail | skipped
     value: float | None
     tolerance: float | None
-    runtime: float = 0.0
 
 
 @dataclass
@@ -212,8 +215,6 @@ class SuiteReport:
         return sum(1 for c in self.checks if c.status == "fail")
 
     def to_payload(self):
-        # runtimes are intentionally left out so equal configs give
-        # byte-identical reports
         return {
             "config": {k: v for k, v in self.config.items() if v is not None},
             "checks": [
@@ -246,107 +247,87 @@ _EXPECTED_KAPPA = {
 }
 
 
-def _check_okada(metric, cfg):
-    samples = _samples_for(metric, 50)
-    worst = max(float(np.max(np.abs(okada_residual(metric, s.x, s.y))))
-                for s in samples)
-    return worst, 1e-8
+def _sampled(routes, tol, count=None, one_sided=False):
+    """A check over tangent samples.  `routes(metric, sample)` returns the
+    sample's values a and b of the check's two routes and the scale of their
+    difference; where the library already returns the residual, it is a and
+    b is 0.  The value is the worst |a - b| / scale over all samples and
+    components, or the worst a - b when `one_sided`; a NaN anywhere makes it
+    NaN, which fails.  `count` maps the configured `samples` to the number
+    drawn, and `tol` may be a function of the metric."""
+
+    def check(metric, cfg):
+        worst = -np.inf
+        n = cfg["samples"] if count is None else count(cfg["samples"])
+        for s in _samples_for(metric, n):
+            a, b, scale = routes(metric, s)
+            d = np.subtract(a, b)
+            r = float(np.max(d if one_sided else np.abs(d) / scale))
+            worst = r if math.isnan(r) else max(worst, r)
+        return worst, tol(metric) if callable(tol) else tol
+
+    return check
 
 
-def _check_homogeneity(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"])
-    worst = 0.0
-    for s in samples:
-        F = metric.F(s.x, s.y)
-        for lam in (0.5, 2.0):
-            worst = max(worst, abs(metric.F(s.x, lam * s.y) - lam * F) / max(F, 1e-12))
-    return worst, 1e-10
+def _homogeneity(metric, s):
+    F = metric.F(s.x, s.y)
+    lams = (0.5, 2.0)
+    return [metric.F(s.x, lam * s.y) for lam in lams], np.multiply(lams, F), max(F, 1e-12)
 
 
-def _check_definiteness(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"])
-    min_eig = np.inf
-    for s in samples:
-        ft = fundamental_tensor(metric, s)
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(ft.g))))
-    # passes only when the smallest eigenvalue is positive: a zero
-    # eigenvalue (singular g) stays above the tolerance
-    return -min_eig, -np.finfo(float).tiny
+def _definiteness(metric, s):
+    # one-sided against 0: a zero eigenvalue (singular g) reports -0.0,
+    # which stays above the tolerance -tiny
+    return -np.linalg.eigvalsh(fundamental_tensor(metric, s).g), 0.0, 1.0
 
 
-def _check_jb(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"])
-    worst = 0.0
-    for s in samples:
-        bt = curvature.berwald_curvature(metric, s)
-        L = curvature.landsberg_from_berwald(metric, s, bt)
-        ft = fundamental_tensor(metric, s)
-        gy = ft.g @ s.y
-        resid = L + 0.5 * np.einsum("mijk,m->ijk", bt.B, gy)
-        worst = max(worst, float(np.max(np.abs(resid)) / (1.0 + bt.norm())))
-    return worst, 1e-6
+def _jb(metric, s):
+    bt = curvature.berwald_curvature(metric, s)
+    gy = fundamental_tensor(metric, s).g @ s.y
+    return (curvature.landsberg_from_berwald(metric, s, bt),
+            -0.5 * np.einsum("mijk,m->ijk", bt.B, gy), 1.0 + bt.norm())
 
 
-def _check_es(metric, cfg):
-    samples = _samples_for(metric, min(cfg["samples"], 10))
-    worst = max(curvature.es_residual(metric, s) for s in samples)
-    return worst, 1e-5
+def _ll(metric, s):
+    F = metric.F(s.x, s.y)
+    return curvature.landsberg_from_berwald(metric, s), -0.5 * F * cartan_tensor(metric, s), 1.0
 
 
-def _check_ll(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"])
-    worst = 0.0
-    for s in samples:
-        L = curvature.landsberg_from_berwald(metric, s)
-        C = cartan_tensor(metric, s)
-        F = metric.F(s.x, s.y)
-        worst = max(worst, float(np.max(np.abs(L + 0.5 * F * C))))
-    return worst, 1e-4
+def _kk(metric, s):
+    F = metric.F(s.x, s.y)
+    return curvature.landsberg_dot(metric, s), F * F * cartan_tensor(metric, s), 1.0
 
 
-def _check_kk(metric, cfg):
-    samples = _samples_for(metric, min(cfg["samples"], 6))
-    worst = 0.0
-    for s in samples:
-        Ld = curvature.landsberg_dot(metric, s)
-        C = cartan_tensor(metric, s)
-        F = metric.F(s.x, s.y)
-        worst = max(worst, float(np.max(np.abs(Ld - F * F * C))))
-    return worst, 1e-4
+def _funk_s(metric, s):
+    S = curvature.s_curvature(metric, s, method="analytic").S
+    return S, (metric.n + 1) / 2.0 * metric.F(s.x, s.y), 1.0
 
 
-def _check_flag_curvature(metric, cfg):
-    kappa, tol = _EXPECTED_KAPPA[metric.name]
-    samples = _samples_for(metric, cfg["samples"])
-    worst = 0.0
-    for s in samples:
-        rep = curvature.riemann_curvature(metric, s)
-        worst = max(worst, float(np.max(np.abs(rep.principal - kappa))))
-    return worst, tol
+def _funk_e(metric, s):
+    bt = curvature.berwald_curvature(metric, s)
+    ft = fundamental_tensor(metric, s)
+    F, gy = ft.F, ft.g @ s.y
+    return bt.E, (metric.n + 1) / (4 * F ** 3) * (F * F * ft.g - np.outer(gy, gy)), 1.0
 
 
-def _check_funk_s(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"])
-    worst = 0.0
-    for s in samples:
-        sd = curvature.s_curvature(metric, s, method="analytic")
-        F = metric.F(s.x, s.y)
-        worst = max(worst, abs(sd.S - (metric.n + 1) / 2.0 * F))
-    return worst, 1e-6
+def _cc_fit(metric, s):
+    kappa = _EXPECTED_KAPPA[metric.name][0]
+    ts = np.linspace(0.0, 1.5, 16)
+    fit = curvature.constant_curvature_ode_check(metric, s.x, s.y, kappa, ts)
+    return fit.prediction_error, 0.0, 1.0
 
 
-def _check_funk_e(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"])
-    n = metric.n
-    worst = 0.0
-    for s in samples:
-        bt = curvature.berwald_curvature(metric, s)
-        ft = fundamental_tensor(metric, s)
-        F = ft.F
-        gy = ft.g @ s.y
-        formula = (n + 1) / (4 * F ** 3) * (F * F * ft.g - np.outer(gy, gy))
-        worst = max(worst, float(np.max(np.abs(bt.E - formula))))
-    return worst, 1e-6
+def _dot_lc(metric, s):
+    unit = TangentSample(s.x, s.y / metric.F(s.x, s.y))
+    return curvature.dot_lc_residual(metric, unit, _EXPECTED_KAPPA[metric.name][0]), 0.0, 1.0
+
+
+def _transport_norms(metric, s):
+    frame = np.eye(metric.n)
+    tr = parallel_transport(metric, s.x, s.y / metric.F(s.x, s.y), 2.0, frame)
+    F0 = np.array([metric.F(s.x, e) for e in frame])
+    Ft = [[metric.F(x, v) for v in vs] for x, vs in zip(tr.path.x, tr.frames)]
+    return Ft, F0, F0
 
 
 def _check_ball_formula(metric, cfg):
@@ -383,95 +364,43 @@ def _check_santalo(metric, cfg):
     return -margin, -1e-4
 
 
-def _check_cc_fit(metric, cfg):
-    kappa, _ = _EXPECTED_KAPPA[metric.name]
-    samples = _samples_for(metric, 3)
-    ts = np.linspace(0.0, 1.5, 16)
-    worst = 0.0
-    for s in samples:
-        fit = curvature.constant_curvature_ode_check(metric, s.x, s.y, kappa, ts)
-        worst = max(worst, fit.prediction_error)
-    return worst, 1e-4
-
-
-def _check_dot_lc(metric, cfg):
-    kappa, _ = _EXPECTED_KAPPA[metric.name]
-    samples = _samples_for(metric, min(cfg["samples"], 6))
-    worst = 0.0
-    for s in samples:
-        y = s.y / metric.F(s.x, s.y)
-        worst = max(worst,
-                    curvature.dot_lc_residual(metric, TangentSample(s.x, y), kappa))
-    return worst, 1e-5 if metric.name == "funk" else 1e-4
-
-
 def _check_projective_pair(metric, cfg):
-    if metric.name == "funk":
-        other = make_metric("hilbert", n=metric.n, domain=cfg["domain"])
-        pair = (metric, other, -0.25, -1.0)
-    else:
-        other = make_metric("funk", n=metric.n, domain=cfg["domain"])
-        pair = (metric, other, -1.0, -0.25)
-    F, G, kF, kG = pair
+    other = make_metric("hilbert" if metric.name == "funk" else "funk",
+                        n=metric.n, domain=cfg["domain"])
     x = chart_points(metric, 3)[1]
     d = halton_directions(metric.n, 3)[1]
     ts = np.linspace(0.0, 2.0, 41)
-    return curvature.projective_ode_check(F, G, kF, kG, x, d, ts), 1e-4
-
-
-def _check_berwald_flat(metric, cfg):
-    samples = _samples_for(metric, cfg["samples"])
-    worst = 0.0
-    for s in samples:
-        bt = curvature.berwald_curvature(metric, s)
-        worst = max(worst, bt.norm())
-    return worst, 1e-8
-
-
-def _check_berwald_s(metric, cfg):
-    samples = _samples_for(metric, min(cfg["samples"], 6))
-    worst = max(abs(curvature.s_curvature(metric, s, method="geodesic").S)
-                for s in samples)
-    return worst, 1e-6
-
-
-def _check_transport_norms(metric, cfg):
-    samples = _samples_for(metric, 3)
-    worst = 0.0
-    for s in samples:
-        y = s.y / metric.F(s.x, s.y)
-        frame = np.eye(metric.n)
-        tr = parallel_transport(metric, s.x, y, 2.0, frame)
-        for k in range(len(tr.ts)):
-            for m in range(metric.n):
-                F0 = metric.F(s.x, frame[m])
-                Ft = metric.F(tr.path.x[k], tr.frames[k][m])
-                worst = max(worst, abs(Ft - F0) / F0)
-    return worst, 1e-6
+    return curvature.projective_ode_check(
+        metric, other, _EXPECTED_KAPPA[metric.name][0], _EXPECTED_KAPPA[other.name][0],
+        x, d, ts), 1e-4
 
 
 _CHECKS = [
     # (id, anchor string, applies-to predicate, function)
-    ("homogeneity_f2a", "F(x, t y) = t F(x, y) for t > 0",
-     lambda m: True, _check_homogeneity),
+    ("homogeneity_f2a", "F(x, t y) = t F(x, y) for t > 0", lambda m: True,
+     _sampled(_homogeneity, 1e-10)),
     ("positive_definite_f2b", "g_y positive definite on the slit tangent bundle",
-     lambda m: True, _check_definiteness),
-    ("jb_identity", "L(u,v,w) = -g(B(u,v,w), y)/2",
-     lambda m: True, _check_jb),
-    ("es_identity", "E = (1/2) * fiber Hessian of S",
-     lambda m: True, _check_es),
-    ("okada_pde", "dF/dx^i = F dF/dy^i (Funk)",
-     lambda m: m.name == "funk", _check_okada),
-    ("ll_funk", "L + (F/2) C = 0 (Funk)",
-     lambda m: m.name == "funk", _check_ll),
-    ("kk_hilbert", "L-dot - F^2 C = 0 (Hilbert)",
-     lambda m: m.name == "hilbert", _check_kk),
+     lambda m: True, _sampled(_definiteness, -np.finfo(float).tiny, one_sided=True)),
+    ("jb_identity", "L(u,v,w) = -g(B(u,v,w), y)/2", lambda m: True,
+     _sampled(_jb, 1e-6)),
+    ("es_identity", "E = (1/2) * fiber Hessian of S", lambda m: True,
+     _sampled(lambda m, s: (curvature.es_residual(m, s), 0.0, 1.0), 1e-5,
+              count=lambda k: min(k, 10))),
+    ("okada_pde", "dF/dx^i = F dF/dy^i (Funk)", lambda m: m.name == "funk",
+     _sampled(lambda m, s: (okada_residual(m, s.x, s.y), 0.0, 1.0), 1e-8, count=lambda k: 50)),
+    ("ll_funk", "L + (F/2) C = 0 (Funk)", lambda m: m.name == "funk",
+     _sampled(_ll, 1e-4)),
+    ("kk_hilbert", "L-dot - F^2 C = 0 (Hilbert)", lambda m: m.name == "hilbert",
+     _sampled(_kk, 1e-4, count=lambda k: min(k, 6))),
     ("flag_curvature", "principal curvatures equal the metric's constant",
-     lambda m: m.name in _EXPECTED_KAPPA, _check_flag_curvature),
-    ("funk_s_formula", "S = (n+1) F / 2 (Funk)",
-     lambda m: m.name == "funk", _check_funk_s),
+     lambda m: m.name in _EXPECTED_KAPPA,
+     _sampled(lambda m, s: (curvature.riemann_curvature(m, s).principal,
+                            _EXPECTED_KAPPA[m.name][0], 1.0),
+              lambda m: _EXPECTED_KAPPA[m.name][1])),
+    ("funk_s_formula", "S = (n+1) F / 2 (Funk)", lambda m: m.name == "funk",
+     _sampled(_funk_s, 1e-6)),
     ("funk_e_formula", "E = (n+1)/(4F^3) {F^2 g - g(y,.) g(y,.)} (Funk)",
-     lambda m: m.name == "funk", _check_funk_e),
+     lambda m: m.name == "funk", _sampled(_funk_e, 1e-6)),
     ("ball_formula", "mu(B(x,r)) = n 2^n Vol(B^n) int e^{-(n+1)t} sinh^{n-1} t dt (Funk)",
      lambda m: m.name == "funk" and m.n == 2, _check_ball_formula),
     ("model_equality", "V_{-1/4, (n+1)/(2(n-1))} equals the Funk ball volume",
@@ -479,18 +408,22 @@ _CHECKS = [
     ("santalo", "indicatrix volume <= Vol(S^(n-1)), equality iff Euclidean",
      lambda m: m.is_minkowski and m.reversible and m.n in (2, 3), _check_santalo),
     ("cc_ode_fit", "C'' + kappa C = 0 along geodesics (closed-form fit)",
-     lambda m: m.name in ("funk", "hilbert", "riemannian_sphere",
-                          "riemannian_hyperbolic"), _check_cc_fit),
+     lambda m: m.name in ("funk", "hilbert", "riemannian_sphere", "riemannian_hyperbolic"),
+     _sampled(_cc_fit, 1e-4, count=lambda k: 3)),
     ("dot_lc", "L-dot + kappa F^2 C = 0 at constant curvature",
-     lambda m: m.name in ("funk", "hilbert"), _check_dot_lc),
+     lambda m: m.name in ("funk", "hilbert"),
+     _sampled(_dot_lc, lambda m: 1e-5 if m.name == "funk" else 1e-4,
+              count=lambda k: min(k, 6))),
     ("projective_pair", "phi'' + kappa phi = kappa~ / phi^3 for projectively related pairs",
      lambda m: m.name in ("funk", "hilbert"), _check_projective_pair),
-    ("berwald_flat", "B = 0 for Berwald metrics",
-     lambda m: m.name == "berwald_product", _check_berwald_flat),
+    ("berwald_flat", "B = 0 for Berwald metrics", lambda m: m.name == "berwald_product",
+     _sampled(lambda m, s: (curvature.berwald_curvature(m, s).norm(), 0.0, 1.0), 1e-8)),
     ("berwald_s_vanishes", "S = 0 for Berwald metrics with the BH measure",
-     lambda m: m.name == "berwald_product", _check_berwald_s),
+     lambda m: m.name == "berwald_product",
+     _sampled(lambda m, s: (curvature.s_curvature(m, s, method="geodesic").S, 0.0, 1.0),
+              1e-6, count=lambda k: min(k, 6))),
     ("transport_preserves_norms", "parallel transport preserves F on Berwald metrics",
-     lambda m: m.name == "berwald_product", _check_transport_norms),
+     lambda m: m.name == "berwald_product", _sampled(_transport_norms, 1e-6, count=lambda k: 3)),
 ]
 
 
@@ -512,14 +445,10 @@ def run_verify(cfg) -> SuiteReport:
         if not applies(metric):
             report.checks.append(CheckResult(cid, anchor, "skipped", None, None))
             continue
-        t0 = time.perf_counter()
         value, tol = fn(metric, cfg)
         tol = tol_over.get(cid, tol)
         status = "pass" if value <= tol else "fail"
-        report.checks.append(
-            CheckResult(cid, anchor, status, float(value), float(tol),
-                        runtime=time.perf_counter() - t0)
-        )
+        report.checks.append(CheckResult(cid, anchor, status, float(value), float(tol)))
     return report
 
 

@@ -323,9 +323,6 @@ class CurvatureReport:
     Ry_y_norm: float      # |R_y(y)| relative to F^2 |y|
     self_adjoint_defect: float
 
-    def kappa_spread(self):
-        return float(self.principal[-1] - self.principal[0])
-
 
 def _spray_riemann(ws, y):
     """R^i_k = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k + 2 G^j d2G^i/dy^j dy^k

@@ -206,7 +206,6 @@ class GeodesicPath:
     t_exit: float | None = None
     reverse_flagged: bool = False
     nfev: int = 0
-    n_steps: int = 0
 
     @property
     def t_end(self):
@@ -274,7 +273,7 @@ def _geodesic_path(metric, sol, t_exit, t_end):
         metric=metric, t=sol.t, x=sol.y[:n].T, v=sol.y[n: 2 * n].T, sol=sol.sol,
         t_requested=float(t_end), exited=exited, t_exit=float(t_exit) if exited else None,
         reverse_flagged=bool(t_end < 0 and metric.positively_complete_only),
-        nfev=int(sol.nfev), n_steps=len(sol.t) - 1,
+        nfev=int(sol.nfev),
     )
 
 

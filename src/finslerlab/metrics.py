@@ -672,10 +672,17 @@ def _domain_from_param(n, domain):
         return domain
     if domain in (None, "unit_ball"):
         return unit_ball_domain(n)
-    if isinstance(domain, str) and domain.startswith("quartic"):
-        eps = float(domain.split(":", 1)[1]) if ":" in domain else 0.1
-        return quartic_domain(n, eps)
-    raise ConfigurationError(f"unknown domain parameter {domain!r}")
+    if domain == "quartic":
+        return quartic_domain(n)
+    if isinstance(domain, str) and domain.startswith("quartic:"):
+        try:
+            eps = float(domain[len("quartic:"):])
+        except ValueError:
+            eps = np.nan
+        if np.isfinite(eps) and eps >= 0:
+            return quartic_domain(n, eps)
+    raise ConfigurationError(f"domain must be unit_ball, quartic or quartic:EPS with "
+                             f"EPS a finite number >= 0, got {domain!r}")
 
 
 def make_funk(n=2, domain=None, validate=True):

@@ -60,7 +60,10 @@ class TestConfig:
                                      {"tolerances": {"homogeneity_f2a": "x"}},
                                      {"tolerances": {"no_such_check": 1.0}},
                                      {"tolerances": {"homogeneity_f2a": float("nan")}},
-                                     {"tolerances": [1.0]}])
+                                     {"tolerances": [1.0]},
+                                     {"seed": "x"}, {"seed": -1},
+                                     {"checks": 5}, {"checks": ["homogeneity_f2a", 3]},
+                                     {"metric": ["funk"]}])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict({"metric": "euclidean"}, **bad)))
@@ -73,6 +76,22 @@ class TestConfig:
             assert "must be an integer" in err
         assert not list(tmp_path.glob("verify_*.json"))
 
+
+    def test_bad_out_dir_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"metric": "euclidean", "out_dir": 5}))
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        assert "config key 'out_dir' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", ["quartic:x", "quartic:nan", "quartic:inf",
+                                        "quartic0.2"])
+    def test_bad_domain_exits_2(self, tmp_path, capsys, domain):
+        code = run(["verify", "--metric", "hilbert", "--domain", domain,
+                    "--checks", "homogeneity_f2a"], tmp_path)
+        assert code == 2
+        assert "domain must be unit_ball, quartic or quartic:EPS" in capsys.readouterr().err
+        assert not list(tmp_path.glob("verify_*.json"))
 
     def test_bad_lam_exits_2_on_volume(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -167,6 +186,18 @@ class TestVerify:
         payload = json.loads((tmp_path / "verify_euclidean_n2.json").read_text())
         check = payload["checks"][0]
         assert check["status"] == "fail" and check["value"] == 0.0
+
+    def test_nan_route_value_fails(self):
+        # a NaN at any sample propagates to the check value, which then fails
+        seen = []
+
+        def routes(metric, sample):
+            seen.append(sample)
+            return (np.nan if len(seen) == 2 else 1.0), 0.0, 1.0
+
+        check = cli._sampled(routes, 10.0)
+        value, tol = check(metrics.make_metric("euclidean"), {"samples": 4})
+        assert np.isnan(value) and not value <= tol
 
 
 class TestReports:

@@ -348,6 +348,18 @@ class TestZooCatalog:
         with pytest.raises(ConfigurationError):
             ConvexDomain("octagon", 2)
 
+    def test_domain_parameter_grammar(self):
+        from finslerlab.metrics import _domain_from_param
+
+        assert _domain_from_param(2, None).kind == "unit_ball"
+        assert _domain_from_param(2, "quartic").eps == 0.1
+        assert _domain_from_param(2, "quartic:0.25").eps == 0.25
+        assert _domain_from_param(2, "quartic:0").eps == 0.0
+        for bad in ("quartic:x", "quartic:", "quartic:nan", "quartic:inf", "quartic0.2",
+                    "quartic:-0.1", "ball", 3):
+            with pytest.raises(ConfigurationError):
+                _domain_from_param(2, bad)
+
     def test_homogeneity_across_zoo(self, zoo):
         for name, m in zoo.items():
             for x, y in tangent_samples(m, 10, seed=21):
