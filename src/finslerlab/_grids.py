@@ -58,13 +58,22 @@ def sphere_nodes(n_polar=64, n_azimuth=128):
     return pts, w
 
 
-def sphere_surface_nodes(n):
-    """Quadrature on S^(n-1) for n in {2, 3}; larger n has no grid rule here."""
+def sphere_surface_nodes(n, half=False):
+    """Quadrature on S^(n-1) for n in {2, 3}; larger n has no grid rule here.
+
+    With half, one antipodal half of the same nodes with doubled weights:
+    the first 360 of the 720 circle nodes, or the z > 0 rows of the sphere
+    grid.  That is the same rule for an even integrand, f(-u) = f(u).
+    """
     if n == 2:
-        return circle_nodes()
-    if n == 3:
-        return sphere_nodes()
-    raise ConfigurationError(f"direction quadrature only available for n in {{2,3}}, got {n}")
+        dirs, w = circle_nodes()
+        keep = slice(len(w) // 2) if half else slice(None)
+    elif n == 3:
+        dirs, w = sphere_nodes()
+        keep = dirs[:, 2] > 0 if half else slice(None)
+    else:
+        raise ConfigurationError(f"direction quadrature only available for n in {{2,3}}, got {n}")
+    return dirs[keep], (2.0 * w[keep] if half else w)
 
 
 def unit_ball_volume(n):

@@ -72,6 +72,26 @@ def _batched_sigma(metric: MetricSpec):
     return lambda pts: bh_density(metric, pts)
 
 
+def _rows_where(pts, mask):
+    """The rows of pts (m, n) where mask holds, without a copy when it holds
+    on every row (compress gathers rows several times faster than pts[mask])."""
+    mask = np.asarray(mask, dtype=bool)
+    return pts if np.all(mask) else np.compress(mask, pts, axis=0)
+
+
+def _uniform_rows(rng, lo, hi, m, n):
+    """m points drawn uniformly from the box [lo, hi), the same bits as
+    rng.uniform(lo, hi, size=(m, n)) (lo + (hi - lo) * u), scaled column by
+    column rather than by broadcasting along a length-n axis."""
+    lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
+    pts = rng.random((m, n))
+    for i in range(n):
+        col = pts[:, i]
+        col *= hi[i] - lo[i]
+        col += lo[i]
+    return pts
+
+
 def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
               seed=20240817, chunk=4_000_000) -> MeasureEstimate:
     """Monte-Carlo integral of the BH density over the indicated region.
@@ -79,7 +99,9 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
     box is (lo, hi) arrays bounding the region; the estimate is exact in
     expectation and ships a standard error.  Sampling runs in fixed-size
     chunks from one seeded stream, so results are reproducible and memory
-    stays bounded.  Zero acceptance comes back flagged rather than raising.
+    stays bounded.  The indicator sees only the points inside the metric's
+    chart, as a stack (k, n).  Zero acceptance comes back flagged rather
+    than raising.
     """
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
@@ -92,14 +114,14 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        pts = rng.uniform(lo, hi, size=(m, metric.n))
-        inside = np.asarray(indicator(pts), dtype=bool)
-        inside &= np.asarray(metric.chart.contains(pts), dtype=bool)
-        if np.any(inside):
-            v = sigma(pts[inside])
+        pts = _uniform_rows(rng, lo, hi, m, metric.n)
+        pts = _rows_where(pts, metric.chart.contains(pts))
+        pts = _rows_where(pts, indicator(pts))
+        if len(pts):
+            v = sigma(pts)
             total += float(np.sum(v))
             total_sq += float(np.sum(v * v))
-            n_inside += int(np.sum(inside))
+            n_inside += len(pts)
         done += m
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
@@ -142,18 +164,11 @@ def ball_volume(metric: MetricSpec, ball: BallSpec, n_samples=1_000_000,
         raise PreconditionError(
             f"{ball.distance_source} needs a metric carrying a convex domain"
         )
-    if ball.distance_source == "funk_closed_form":
-        dist = lambda pts: funk_distance_batch(dom, x, pts)
-    else:
-        dist = lambda pts: hilbert_distance_batch(dom, x, pts)
-
-    def indicator(pts):
-        out = np.zeros(len(pts), dtype=bool)
-        ok = np.asarray(dom.contains(pts), dtype=bool)
-        if np.any(ok):
-            out[ok] = dist(pts[ok]) < ball.radius
-        return out
-
+    dist = (funk_distance_batch if ball.distance_source == "funk_closed_form"
+            else hilbert_distance_batch)
+    # the chart of a Funk or Hilbert metric is its domain, so bh_volume
+    # passes only domain points
+    indicator = lambda pts: dist(dom, x, pts) < ball.radius
     return bh_volume(metric, indicator, _domain_box(metric),
                      n_samples=n_samples, seed=seed)
 

@@ -9,7 +9,7 @@ Minkowski norm, and the Funk/Hilbert metrics on strongly convex domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -129,13 +129,18 @@ class ConvexDomain:
         """
         x0 = np.asarray(x0, dtype=float)
         y0 = np.asarray(y0, dtype=float)
-        xs = [x0[..., i] for i in range(self.n)]
+        return self.exit_columns([x0[..., i] for i in range(self.n)],
+                                 [y0[..., i] for i in range(self.n)])
+
+    def exit_columns(self, xs, ys):
+        """ray_exit on coordinate columns: xs and ys are n numbers or arrays
+        that broadcast together, so a shared base point is n numbers and its
+        terms are computed once."""
         if self.kind != "unit_ball" and np.any(self.phi(xs) >= 0):
             raise GeometryError("ray base point outside the convex domain")
-        s = _ball_exit_parameter(x0, y0)
+        s = _ball_exit_parameter(xs, ys)
         if self.kind == "unit_ball":
             return s
-        ys = [y0[..., i] for i in range(self.n)]
         for _ in range(_RAY_NEWTON_CAP):
             z = [xi + s * yi for xi, yi in zip(xs, ys)]
             step = s - self.phi(z) / _dot(self.grad_phi(z), ys)
@@ -246,11 +251,12 @@ def funk_unit_ball(x, y):
     return (jets.sqrt(xy * xy + yy * one_minus) + xy) / one_minus
 
 
-def _ball_exit_parameter(x0, y0):
-    """Closed-form s with |x0 + s y0| = 1, s > 0, for x0 inside the unit ball."""
-    xy = np.sum(x0 * y0, axis=-1)
-    yy = np.sum(y0 * y0, axis=-1)
-    xx = np.sum(x0 * x0, axis=-1)
+def _ball_exit_parameter(xs, ys):
+    """Closed-form s with |x0 + s y0| = 1, s > 0, for x0 inside the unit ball;
+    xs and ys are the coordinate columns of x0 and y0."""
+    xy = _dot(xs, ys)
+    yy = _dot(ys, ys)
+    xx = _dot(xs, xs)
     if np.any(yy < F_FLOOR * F_FLOOR):
         raise GeometryError("funk metric evaluated on a vanishing vector")
     if np.any(xx >= 1.0):
@@ -311,10 +317,7 @@ def funk_general(domain: ConvexDomain, x, y):
 
     arrs = [np.asarray(v, dtype=float) for v in x + y]
     if any(a.ndim > 0 for a in arrs):
-        shape = np.broadcast_shapes(*[a.shape for a in arrs])
-        x0 = np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in x], axis=-1)
-        y0 = np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in y], axis=-1)
-        return 1.0 / domain.ray_exit(x0, y0)
+        return 1.0 / domain.exit_columns(arrs[:len(x)], arrs[len(x):])
     return 1.0 / _funk_ray_scalar(domain, [float(v) for v in x], [float(v) for v in y])
 
 
@@ -353,33 +356,45 @@ def hilbert_distance(domain: ConvexDomain, p, q):
     return 0.5 * (funk_distance(domain, p, q) + funk_distance(domain, q, p))
 
 
+def _moving_rows(p, Q):
+    """The rows of the points Q (m, n) with q != p, as a slice when that is
+    every row or else as an index array, and the columns of u = q - p there."""
+    u = [Q[:, i] - pi for i, pi in enumerate(p)]
+    moving = _dot(u, u) > 0
+    if np.all(moving):
+        return slice(None), u
+    rows = np.flatnonzero(moving)
+    return rows, [ui[rows] for ui in u]
+
+
 def funk_distance_batch(domain: ConvexDomain, p, Q):
-    """d_f(p, q) for many interior points q at once."""
+    """d_f(p, q) from one point p to many interior points q (..., n) at once."""
     p = np.asarray(p, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    u = Q - p
-    du = np.linalg.norm(u, axis=-1)
-    out = np.zeros(Q.shape[:-1])
-    mask = du > 0
-    if np.any(mask):
-        P = np.broadcast_to(p, Q.shape)[mask]
-        s = domain.ray_exit(P, u[mask])
-        out[mask] = np.log(s / (s - 1.0))
-    return out
+    flat = Q.reshape(-1, domain.n)
+    rows, u = _moving_rows(p, flat)
+    out = np.zeros(len(flat))
+    if len(u[0]):
+        s = domain.exit_columns(list(p), u)
+        out[rows] = np.log(s / (s - 1.0))
+    return out.reshape(Q.shape[:-1])
 
 
 def hilbert_distance_batch(domain: ConvexDomain, p, Q):
+    """d_h(p, q) from one point p to many interior points q: the forward rays
+    from p and the backward rays from the q go through one stacked ray exit."""
     p = np.asarray(p, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    forward = funk_distance_batch(domain, p, Q)
-    u = p - Q
-    du = np.linalg.norm(u, axis=-1)
-    out = np.zeros(Q.shape[:-1])
-    mask = du > 0
-    if np.any(mask):
-        s = domain.ray_exit(Q[mask], u[mask])
-        out[mask] = np.log(s / (s - 1.0))
-    return 0.5 * (forward + out)
+    flat = Q.reshape(-1, domain.n)
+    rows, u = _moving_rows(p, flat)
+    out = np.zeros(len(flat))
+    k = len(u[0])
+    if k:
+        xs = [np.concatenate([np.full(k, pi), flat[rows, i]]) for i, pi in enumerate(p)]
+        s = domain.exit_columns(xs, [np.concatenate([ui, -ui]) for ui in u])
+        d = np.log(s / (s - 1.0))
+        out[rows] = 0.5 * (d[:k] + d[k:])
+    return out.reshape(Q.shape[:-1])
 
 
 def okada_residual(metric: MetricSpec, x, y):
@@ -591,8 +606,16 @@ def make_euclidean(n=2, validate=True):
 
 
 def make_sphere(n=2, validate=True):
-    """Round sphere of curvature +1 in a conformally flat chart."""
-    return _build("riemannian_sphere", n, _conformal_eval(+1.0), _full_chart(n), True,
+    """Round sphere of curvature +1 in a conformally flat chart.
+
+    The stereographic chart sends the antipode of the origin to infinity, so
+    it stops at Euclidean radius 14, geodesic distance 2 atan(14) ~ 3.00 from
+    the origin: a geodesic leaves it by a chart-exit event, not by a stalled
+    solver, and balls reaching past that distance are lower bounds.  Samples
+    stay in the box of half-width 1.5.
+    """
+    chart = replace(_ball_chart(n, radius=14.0), sample_box=_full_chart(n).sample_box)
+    return _build("riemannian_sphere", n, _conformal_eval(+1.0), chart, True,
                   validate=validate, sigma_bh=_conformal_sigma(+1.0, n), params={"n": n})
 
 

@@ -19,7 +19,8 @@ from .jets import derivative_tensor
 from .metrics import F_FLOOR, MetricSpec
 
 # Rays per F_batch call in the unit-body quadrature: 2^18 rays hold 32
-# points of the n=3 sphere grid (8192 nodes), 364 of the n=2 circle (720).
+# points of the n=3 sphere grid (8192 nodes), 364 of the n=2 circle (720),
+# and twice as many on the half grids of reversible metrics.
 _RAY_CHUNK = 2 ** 18
 
 @dataclass(frozen=True)
@@ -174,10 +175,11 @@ def unit_body_volume(metric: MetricSpec, x):
 
     x is one point (n,), giving a float, or a stack of points (m, n), giving
     an array (m,).  The rays of a stack go through F_batch together, at most
-    _RAY_CHUNK at a time.
+    _RAY_CHUNK at a time.  A reversible metric has an even F^-n, so it takes
+    the antipodal half of the direction grid.
     """
     x = np.asarray(x, dtype=float)
-    dirs, w = sphere_surface_nodes(metric.n)
+    dirs, w = sphere_surface_nodes(metric.n, half=metric.reversible)
     pts = x.reshape(-1, metric.n)
     per_chunk = max(1, _RAY_CHUNK // len(dirs))
     vol = np.empty(len(pts))

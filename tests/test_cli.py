@@ -279,20 +279,22 @@ class TestReports:
             assert code == 0, name
 
 
-# geodesic on riemannian_sphere: the default t = 3 from the origin reaches the
-# antipode, which the stereographic chart sends to infinity
-_N3_EXIT_CODES = {("riemannian_sphere", "geodesic"): 1}
-
-
 @pytest.mark.parametrize("name", sorted(metrics.zoo_constructors()))
 def test_n3_smoke_every_catalog_metric(tmp_path, capsys, name):
     for argv in (["curvature", "--samples", "2"], ["geodesic", "--t-points", "5"]):
         code = run(argv + ["--metric", name, "--dim", "3"], tmp_path)
-        assert code == _N3_EXIT_CODES.get((name, argv[0]), 0), argv
+        assert code == 0, argv
         out = capsys.readouterr()
         assert "Traceback" not in out.out + out.err
-        if code:
-            assert "geodesic integration failed" in out.err
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sphere_geodesic_stops_at_the_chart_edge(tmp_path, capsys, dim):
+    # the default t = 3 from the origin heads for the antipode, which the
+    # stereographic chart sends to infinity; the chart ends at radius 14
+    code = run(["geodesic", "--metric", "riemannian_sphere", "--dim", str(dim)], tmp_path)
+    assert code == 0
+    assert "(chart exit)" in capsys.readouterr().out
 
 
 class TestReproducibility:

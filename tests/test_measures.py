@@ -173,3 +173,188 @@ class TestSmallBall:
             me.small_ball_probe(zoo["euclidean"], [0, 0], [0.1, 0.9])
         with pytest.raises(PreconditionError):
             me.small_ball_probe(zoo["euclidean"], [0, 0], [0.05, 0.1])
+
+
+# ---------------------------------------------------------------------------
+# The column-wise Monte-Carlo kernel against the row-wise code it replaced
+# ---------------------------------------------------------------------------
+
+
+def _rowwise_exit(dom, X, Y):
+    """ConvexDomain.ray_exit as written row by row: sums over the coordinate
+    axis, then Newton on phi from the unit-ball exit."""
+    xy = np.sum(X * Y, axis=-1)
+    yy = np.sum(Y * Y, axis=-1)
+    xx = np.sum(X * X, axis=-1)
+    s = (np.sqrt(xy * xy + yy * (1.0 - xx)) - xy) / yy
+    if dom.kind == "unit_ball":
+        return s
+    xs = [X[..., i] for i in range(dom.n)]
+    ys = [Y[..., i] for i in range(dom.n)]
+    while True:
+        z = [xi + s * yi for xi, yi in zip(xs, ys)]
+        grad = dom.grad_phi(z)
+        slope = grad[0] * ys[0]
+        for gi, yi in zip(grad[1:], ys[1:]):
+            slope = slope + gi * yi
+        step = s - dom.phi(z) / slope
+        down = step < s
+        if not np.any(down):
+            return s
+        s = np.where(down, step, s)
+
+
+def _rowwise_funk(dom, p, Q):
+    u = Q - p
+    out = np.zeros(Q.shape[:-1])
+    mask = np.linalg.norm(u, axis=-1) > 0
+    if np.any(mask):
+        s = _rowwise_exit(dom, np.broadcast_to(p, Q.shape)[mask], u[mask])
+        out[mask] = np.log(s / (s - 1.0))
+    return out
+
+
+def _rowwise_hilbert(dom, p, Q):
+    forward = _rowwise_funk(dom, p, Q)
+    u = p - Q
+    out = np.zeros(Q.shape[:-1])
+    mask = np.linalg.norm(u, axis=-1) > 0
+    if np.any(mask):
+        s = _rowwise_exit(dom, Q[mask], u[mask])
+        out[mask] = np.log(s / (s - 1.0))
+    return 0.5 * (forward + out)
+
+
+def _rowwise_ball_volume(metric, ball, n_samples, seed, chunk):
+    """ball_volume with the row-wise indicator and sampling loop it replaced;
+    the density is the library's own."""
+    dom = metric.convex_domain
+    dist = _rowwise_funk if ball.distance_source == "funk_closed_form" else _rowwise_hilbert
+
+    def indicator(pts):
+        out = np.zeros(len(pts), dtype=bool)
+        ok = np.asarray(dom.contains(pts), dtype=bool)
+        if np.any(ok):
+            out[ok] = dist(dom, ball.center, pts[ok]) < ball.radius
+        return out
+
+    lo, hi = (np.asarray(b, dtype=float) for b in metric.chart.sample_box)
+    rng = np.random.default_rng(seed)
+    sigma = me._batched_sigma(metric)
+    total = total_sq = 0.0
+    n_inside = done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        pts = rng.uniform(lo, hi, size=(m, metric.n))
+        inside = indicator(pts) & np.asarray(metric.chart.contains(pts), dtype=bool)
+        if np.any(inside):
+            v = sigma(pts[inside])
+            total += float(np.sum(v))
+            total_sq += float(np.sum(v * v))
+            n_inside += int(np.sum(inside))
+        done += m
+    box_vol = float(np.prod(hi - lo))
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return me.MeasureEstimate(value=box_vol * mean, stderr=box_vol * np.sqrt(var / n_samples),
+                              n_samples=n_samples, seed=seed, method="monte_carlo",
+                              flagged=n_inside == 0,
+                              note="zero acceptance" if n_inside == 0 else "")
+
+
+_KERNEL_CASES = [(kind, n, domain)
+                 for kind in ("funk", "hilbert")
+                 for n, domain in ((2, "unit_ball"), (3, "unit_ball"), (2, "quartic:0.1"),
+                                   (3, "quartic:0.1"))]
+_KERNEL_IDS = [f"{kind}{n}-{domain}" for kind, n, domain in _KERNEL_CASES]
+
+
+@pytest.fixture(scope="module")
+def kernel_metrics():
+    from finslerlab.metrics import make_metric
+
+    return {case: make_metric(case[0], n=case[1], domain=case[2], validate=False)
+            for case in _KERNEL_CASES}
+
+
+class TestColumnKernel:
+    """Every field of a closed-form MC estimate, the distance batches and the
+    ray exits equal the row-wise code bit for bit."""
+
+    @pytest.mark.parametrize("case", _KERNEL_CASES, ids=_KERNEL_IDS)
+    def test_ball_volume_bit_identical(self, kernel_metrics, case, monkeypatch):
+        import functools
+
+        m = kernel_metrics[case]
+        source = f"{case[0]}_closed_form"
+        # each Hilbert-quartic sample inside the ball costs a density quadrature
+        n_samples = 3000 if source == "funk_closed_form" or case[2] == "unit_ball" else \
+            {2: 300, 3: 90}[case[1]]
+        chunk = n_samples // 4 + 1  # every estimate runs four chunks
+        monkeypatch.setattr(me, "bh_volume", functools.partial(me.bh_volume, chunk=chunk))
+        for center in (np.zeros(case[1]), np.array([0.3, -0.1, 0.2])[:case[1]]):
+            for r in (0.5, 1.0, 2.0):
+                ball = me.BallSpec(center, r, source)
+                got = me.ball_volume(m, ball, n_samples=n_samples, seed=11)
+                want = _rowwise_ball_volume(m, ball, n_samples, 11, chunk)
+                assert repr(got) == repr(want), (center, r)
+
+    def test_draws_match_numpy_uniform(self):
+        lo, hi = np.array([-0.3, -2.0, 0.5]), np.array([0.7, 1.1, 0.6])
+        want = np.random.default_rng(2).uniform(lo, hi, size=(1001, 3))
+        got = me._uniform_rows(np.random.default_rng(2), lo, hi, 1001, 3)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("case", _KERNEL_CASES, ids=_KERNEL_IDS)
+    def test_distance_batches_and_ray_exit_bit_identical(self, kernel_metrics, case):
+        from finslerlab.metrics import funk_distance_batch, hilbert_distance_batch
+
+        dom = kernel_metrics[case].convex_domain
+        rng = np.random.default_rng(5)
+        n = case[1]
+        Q = rng.uniform(-0.55, 0.55, size=(400, n))
+        for p in (np.zeros(n), Q[7].copy()):  # the second p is also a row of Q
+            np.testing.assert_array_equal(funk_distance_batch(dom, p, Q),
+                                          _rowwise_funk(dom, p, Q))
+            np.testing.assert_array_equal(hilbert_distance_batch(dom, p, Q),
+                                          _rowwise_hilbert(dom, p, Q))
+        Y = rng.standard_normal((400, n))
+        np.testing.assert_array_equal(dom.ray_exit(Q, Y), _rowwise_exit(dom, Q, Y))
+        np.testing.assert_array_equal(dom.ray_exit(Q.reshape(20, 20, n), Y.reshape(20, 20, n)),
+                                      _rowwise_exit(dom, Q, Y).reshape(20, 20))
+
+
+def _grid_density(metric, pts, dirs, w):
+    """The Busemann-Hausdorff density by the quadrature rule (dirs, w)."""
+    from finslerlab._grids import unit_ball_volume
+
+    shape = (len(pts), *dirs.shape)
+    F = metric.F_batch(np.broadcast_to(pts[:, None, :], shape), np.broadcast_to(dirs, shape))
+    return unit_ball_volume(metric.n) / (np.sum(w * F ** (-metric.n), axis=-1) / metric.n)
+
+
+@pytest.mark.parametrize("name", ["hilbert_quartic", "quartic_norm", "quartic_norm3"])
+def test_half_grid_density_matches_full_grid(zoo, name):
+    """A reversible metric's density runs on one antipodal half of the grid.
+    That is the full rule on exactly antipodal node pairs, to the last bit.
+    The stock full grid's second half is antipodal only up to rounding: it
+    agrees to 1e-14 relative, except within 0.01 of a Hilbert domain's rim,
+    where F turns so fast with the direction that the rounding of the stock
+    nodes alone moves the density by up to 1.1e-13 relative."""
+    from finslerlab._grids import sphere_surface_nodes
+    from finslerlab.minkowski import bh_density
+
+    m = zoo[name]
+    assert m.reversible
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, size=(400, m.n))
+    pts = pts[np.asarray(m.chart.contains(pts), dtype=bool)][:200]
+    assert len(pts) == 200
+    half = bh_density(m, pts)
+    dirs, w = sphere_surface_nodes(m.n, half=True)
+    pairs = _grid_density(m, pts, np.vstack([dirs, -dirs]), np.concatenate([w, w]) / 2)
+    np.testing.assert_array_equal(half, pairs)
+    full = _grid_density(m, pts, *sphere_surface_nodes(m.n))
+    far = m.chart.margin(pts) >= 0.01 if m.chart.margin else np.ones(len(pts), dtype=bool)
+    np.testing.assert_allclose(half[far], full[far], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(half, full, rtol=2e-13, atol=0)

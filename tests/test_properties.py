@@ -1,12 +1,13 @@
 """Property tests of the tensors read off jets: fiber homogeneity degrees of
-g (0), C (-1), G (2) and N (1), the symmetry of the Berwald tensor, and
-stacked spray gradients equal to per-point ones bit for bit."""
+g (0), C (-1), G (2) and N (1), the symmetry of the Berwald tensor, the
+fiber Euler identities of g, C and B, the g_y-symmetry of R_y, and stacked
+spray gradients equal to per-point ones bit for bit."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerlab.curvature import berwald_curvature
+from finslerlab.curvature import _spray_riemann, berwald_curvature
 from finslerlab.geodesics import spray_gradients, spray_jets
 from finslerlab.jets import derivative_tensor
 from finslerlab.metrics import chart_points
@@ -67,6 +68,33 @@ def test_berwald_symmetric_in_last_three_indices(zoo, point):
     B = berwald_curvature(m, s).B
     for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)):
         assert np.array_equal(B, B.transpose(perm))
+
+
+@PROPERTY
+@given(point=tangent_points())
+def test_euler_identities(zoo, point):
+    # Euler's relation for the fiber degrees: g_y(y, .) = F F_y from the first
+    # derivatives of F against g from the second of F^2, and C and B vanish
+    # when y fills one of their symmetric slots
+    m, s = _sample(zoo, *point)
+    fj = m.jet(s.x, s.y, 0, 1)
+    F, Fy = fj.value, derivative_tensor(fj, 0, 1)
+    g = fundamental_tensor(m, s).g
+    assert _close(g @ s.y, F * Fy, np.max(np.abs(g @ s.y)))
+    C = cartan_tensor(m, s)
+    assert _close(np.einsum("ijk,i->jk", C, s.y), 0.0, np.max(np.abs(C)) * np.max(np.abs(s.y)))
+    B = berwald_curvature(m, s).B
+    assert _close(np.einsum("ijkl,j->ikl", B, s.y), 0.0, np.max(np.abs(B)) * np.max(np.abs(s.y)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(point=tangent_points())
+def test_riemann_curvature_is_g_self_adjoint(zoo, point):
+    # R_y as riemann_curvature reads it off the spray, before that function
+    # builds its transverse basis
+    m, s = _sample(zoo, *point)
+    gR = fundamental_tensor(m, s).g @ _spray_riemann(spray_jets(m, s.x, s.y, 2, 4), s.y)[0]
+    assert _close(gR, gR.T, np.max(np.abs(gR)))
 
 
 @st.composite
