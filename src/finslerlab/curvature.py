@@ -17,7 +17,7 @@ import numpy as np
 
 from ._grids import five_point, richardson_central, richardson_doubling
 from .errors import GeometryError, PreconditionError
-from .geodesics import integrate_geodesic, parallel_transport, spray_jets
+from .geodesics import integrate_geodesic, parallel_transport, spray_jets, transport_both_ways
 from .jets import derivative_tensor
 from .metrics import MetricSpec
 from .minkowski import (
@@ -81,16 +81,15 @@ def landsberg_from_berwald(metric: MetricSpec, sample: TangentSample,
 
 
 def _transport_stencil(metric, sample, h):
-    """States and transported coordinate frames at t = -2h, -h, 0, h, 2h;
-    ChartExitError when the geodesic leaves the chart before one of them."""
-    n = metric.n
-    states = [None, None, (sample.x.copy(), sample.y.copy(), np.eye(n)), None, None]
-    for sign, slots in ((1.0, (3, 4)), (-1.0, (1, 0))):
-        tr = parallel_transport(metric, sample.x, sample.y, sign * 2 * h, np.eye(n),
-                                t_eval=[0.0, sign * h, sign * 2 * h])
-        tr.path.require_reach()
-        for slot, k in zip(slots, (1, 2)):
-            states[slot] = (tr.path.x[k], tr.path.v[k], tr.frames[k])
+    """States and transported coordinate frames at t = 0, +-h, +-2h and
+    +-4h, keyed by t/h, from one two-way transport; ChartExitError when the
+    geodesic leaves the chart before one of them."""
+    xs, vs, frames = transport_both_ways(metric, sample.x, sample.y, [h, 2 * h, 4 * h],
+                                         np.eye(metric.n))
+    states = {0: (sample.x, sample.y, np.eye(metric.n))}
+    for member, sign in enumerate((1, -1)):
+        for k, step in enumerate((1, 2, 4)):
+            states[sign * step] = (xs[member, k], vs[member, k], frames[member, k])
     return states
 
 
@@ -101,15 +100,13 @@ def _frame_contract3(T, U):
 def _transport_derivative(metric, sample, quantity, dt):
     """Derivative along the geodesic of quantity(state, U) on the
     parallel-transported coordinate frame U: five-point stencils at steps dt
-    and 2 dt, Richardson-extrapolated, with dt widened when they disagree."""
+    and 2 dt, which share the states at 0 and +-2 dt, Richardson-
+    extrapolated, with dt widened when they disagree."""
     sample.validate(metric)
-
-    def estimate(h):
-        states = _transport_stencil(metric, sample, h)
-        return five_point([quantity(TangentSample(x, v), U) for x, v, U in states], h)[0]
-
-    d1 = estimate(dt)
-    d2 = estimate(2 * dt)
+    q = {k: quantity(TangentSample(x, v), U)
+         for k, (x, v, U) in _transport_stencil(metric, sample, dt).items()}
+    d1 = five_point([q[k] for k in (-2, -1, 0, 1, 2)], dt)[0]
+    d2 = five_point([q[k] for k in (-4, -2, 0, 2, 4)], 2 * dt)[0]
     scale = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
     # honest steps disagree at the 1e-9 level; roundoff-bound ones at >= 1e-4
     if scale > 1e-9 and np.max(np.abs(d1 - d2)) > 1e-4 * scale and dt < 5e-3:

@@ -52,7 +52,6 @@ class SprayWorkspace:
     ginv: list
     dgdx: list  # [k][i][j] = d g_ij / d x^k
     ys: list
-    F_jet: Jet
     f2: Jet
 
 
@@ -90,32 +89,16 @@ def spray_jets(metric: MetricSpec, x, y, mx, my) -> SprayWorkspace:
             term = ginv[i][l] * A[l]
             acc = term if acc is None else acc + term
         G.append(0.25 * acc)
-    return SprayWorkspace(G=G, g=g, ginv=ginv, dgdx=dgdx, ys=ys, F_jet=fj, f2=f2)
+    return SprayWorkspace(G=G, g=g, ginv=ginv, dgdx=dgdx, ys=ys, f2=f2)
 
 
 def spray_values(metric: MetricSpec, x, v) -> np.ndarray:
     """G^i as plain numbers: the right-hand side of the geodesic ODE.
 
     Only ODE right-hand sides call this, so that its calls count them; other
-    readers of G take _spray_values.
+    readers of G take _spray.
     """
-    return _spray_values(metric, x, v)
-
-
-def _spray_values(metric, x, v):
-    """G^i at one tangent point (n,) or at a stack (m, n), giving (m, n).
-
-    A linear solve on the fundamental tensor of one order-(1, 2) jet, cheaper
-    than the jet inverse of spray_jets; its bits define every geodesic.
-    """
-    fj = metric.jet(x, v, 1, 2)
-    f2 = fj * fj
-    g = 0.5 * derivative_tensor(f2, 0, 2)
-    dg = 0.5 * derivative_tensor(f2, 1, 2)
-    v = np.asarray(v, dtype=float)
-    A = (2.0 * np.einsum("...kjl,...j,...k->...l", dg, v, v)
-         - np.einsum("...ljk,...j,...k->...l", dg, v, v))
-    return 0.25 * np.linalg.solve(g, A[..., None])[..., 0]
+    return _spray(metric, x, v, 0)[0]
 
 
 def spray_gradients(metric: MetricSpec, x, v, mx):
@@ -125,11 +108,51 @@ def spray_gradients(metric: MetricSpec, x, v, mx):
     x and v are one tangent point (n,), giving (n,), (n, n), (n, n), or
     stacks (m, n), giving the same with a leading member axis; each member
     has the bits of its own single-point call.  Only ODE right-hand sides
-    call this; other readers take spray_jets and derivative_tensor directly.
+    call this; other readers take _spray, or spray_jets and
+    derivative_tensor for higher orders.
     """
-    G = spray_jets(metric, x, v, mx, 3).G
-    dGdx = derivative_tensor(G, 1, 0) if mx > 1 else None
-    return derivative_tensor(G, 0, 0), dGdx, derivative_tensor(G, 0, 1)
+    return _spray(metric, x, v, mx)
+
+
+def _spray(metric, x, v, mx):
+    """G, and for mx >= 1 its gradients, by linear solves on values, at one
+    tangent point (n,) or at a stack (m, n).
+
+    g G = A/4 with A_l = (2 dg_jl/dx^k - dg_jk/dx^l) v^j v^k, solved on the
+    fundamental tensor of one jet of F, valid to orders (1, 2) for G alone
+    or (mx, 3) for gradients: cheaper than the jet inverse of spray_jets.
+    G's bits define every geodesic.  The gradients solve the derivatives of
+    that equation, g dG = dA/4 - (dg) G, in one more solve; mx = 2 adds
+    dG/dx.  Returns (G, dG/dx or None, dG/dy or None).
+    """
+    fj = metric.jet(x, v, mx or 1, 3 if mx else 2)
+    f2 = fj * fj
+    g = 0.5 * derivative_tensor(f2, 0, 2)
+    dg = 0.5 * derivative_tensor(f2, 1, 2)
+    v = np.asarray(v, dtype=float)
+    A = (2.0 * np.einsum("...kjl,...j,...k->...l", dg, v, v)
+         - np.einsum("...ljk,...j,...k->...l", dg, v, v))
+    G = 0.25 * np.linalg.solve(g, A[..., None])[..., 0]
+    if not mx:
+        return G, None, None
+    # columns m: the fiber derivatives, dA_l/dv^m also differentiating v^j v^k
+    dgy = 0.5 * derivative_tensor(f2, 1, 3)
+    dAy = (2.0 * np.einsum("...kjlm,...j,...k->...lm", dgy, v, v)
+           - np.einsum("...ljkm,...j,...k->...lm", dgy, v, v)
+           + 2.0 * (np.einsum("...kml,...k->...lm", dg, v)
+                    + np.einsum("...mkl,...k->...lm", dg, v)
+                    - np.einsum("...lmk,...k->...lm", dg, v)))
+    gy = 0.5 * derivative_tensor(f2, 0, 3)
+    cols = [0.25 * dAy - np.einsum("...lim,...i->...lm", gy, G)]
+    if mx > 1:
+        # columns p: the base derivatives, dA_l/dx^p
+        dgxx = 0.5 * derivative_tensor(f2, 2, 2)
+        dAx = (2.0 * np.einsum("...pkjl,...j,...k->...lp", dgxx, v, v)
+               - np.einsum("...pljk,...j,...k->...lp", dgxx, v, v))
+        cols.append(0.25 * dAx - np.einsum("...pli,...i->...lp", dg, G))
+    dG = np.linalg.solve(g, np.concatenate(cols, axis=-1))
+    n = metric.n
+    return G, (dG[..., n:] if mx > 1 else None), dG[..., :n]
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +165,10 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, t_eval=None, chart=True):
     with dense output, one solve_ivp call per segment.
 
     With chart, each member's state starts with its base point and a terminal
-    event stops the solve at the first chart exit; that member drops out and
-    the rest restart from its exit time, so each member has its own reach and
-    exit.  t_eval serves one-member flows, which never restart.  Returns the
+    event stops the solve at the first chart exit; that member drops out,
+    with every member then at or below the event's threshold, and the rest
+    restart from its exit time, so each member has its own reach and exit.
+    t_eval serves one-member flows, which never restart.  Returns the
     segments (t0, t1, OdeResult, members), the reach (m,) and t_exit (m,),
     nan where the member stayed in the chart.  A failed solve raises
     GeometryError naming the flow.
@@ -154,9 +178,10 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, t_eval=None, chart=True):
     m, width = z.shape
     margin = metric.chart.margin if chart else None
     events = None
+    threshold = 1e-12
     if margin is not None:
         def exit_event(t, y):
-            return float(np.min(margin(y.reshape(-1, width)[:, :n]))) - 1e-12
+            return float(np.min(margin(y.reshape(-1, width)[:, :n]))) - threshold
 
         exit_event.terminal = True
         exit_event.direction = -1
@@ -176,12 +201,13 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, t_eval=None, chart=True):
         reach[alive] = t1
         if sol.status != 1:
             break
-        # the member whose margin closed the event leaves; the rest go on
+        # a twin at or below the threshold could never fire the event again,
+        # so it leaves with the member whose margin closed the event
         Z = sol.y_events[0][0].reshape(-1, width)
-        out = int(np.argmin(margin(Z[:, :n])))
+        left = margin(Z[:, :n])
+        out = left <= max(float(np.min(left)), threshold)
         t_exit[alive[out]] = t1
-        keep = np.arange(len(alive)) != out
-        alive, z, t0 = alive[keep], Z[keep], t1
+        alive, z, t0 = alive[~out], Z[~out], t1
         if not len(alive) or t0 == t_end:
             break
     return segments, reach, t_exit
@@ -250,7 +276,7 @@ class GeodesicPath:
         _, vp = self.state(ts + hs)
         acc = (vp - vm) / (2 * hs)
         # all checkpoints in one stack, outside the ODE right-hand side
-        G = _spray_values(self.metric, xs, vs)
+        G = _spray(self.metric, xs, vs, 0)[0]
         return float(np.max(np.abs(acc + 2.0 * G)))
 
     def to_rows(self):
@@ -443,6 +469,20 @@ class TransportResult:
     path: GeodesicPath
 
 
+def _transport_field(metric, Z, k):
+    """d/dt of a state (x, v, k vectors transported by D_cdot U = 0) of
+    width 2n + k n, or of a stack of them (m, width); each vector takes one
+    matrix-vector product, so a stack member has the bits of its state."""
+    n = metric.n
+    G, _, N = spray_gradients(metric, Z[..., :n], Z[..., n: 2 * n], 1)
+    dZ = np.empty_like(Z)
+    dZ[..., :n] = Z[..., n: 2 * n]
+    dZ[..., n: 2 * n] = -2.0 * G
+    U = Z[..., 2 * n:].reshape(Z.shape[:-1] + (k, n, 1))
+    dZ[..., 2 * n:] = -(N[..., None, :, :] @ U).reshape(Z.shape[:-1] + (k * n,))
+    return dZ
+
+
 def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
                        t_eval=None, rtol=1e-10, atol=1e-10) -> TransportResult:
     """Transport a frame along the geodesic from (x0, y0) by D_cdot U = 0.
@@ -456,16 +496,7 @@ def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
     k = frame.shape[0]
 
     def rhs(t, z):
-        x = z[:n]
-        v = z[n: 2 * n]
-        G, _, N = spray_gradients(metric, x, v, 1)
-        dz = np.empty_like(z)
-        dz[:n] = v
-        dz[n: 2 * n] = -2.0 * G
-        for m in range(k):
-            U = z[2 * n + m * n: 2 * n + (m + 1) * n]
-            dz[2 * n + m * n: 2 * n + (m + 1) * n] = -N @ U
-        return dz
+        return _transport_field(metric, z, k)
 
     if t_eval is None:
         t_eval = np.linspace(0.0, float(t_end), 33)
@@ -478,6 +509,43 @@ def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
     return TransportResult(frame_in=frame, frame_out=frames[-1],
                            gram_drift=_gram_drift(metric, path.x, path.v, frames),
                            ts=sol.t, frames=frames, path=path)
+
+
+def transport_both_ways(metric: MetricSpec, x0, y0, ts, frame, rtol=1e-10, atol=1e-10):
+    """States and frames transported along the geodesic from (x0, y0) at
+    t = +ts and t = -ts, for increasing ts > 0.
+
+    The forward and the backward run are the two members of one stacked
+    solve over s in [0, ts[-1]]: the backward member runs t = -s, so its
+    right-hand side changes sign, and both share one spray_gradients call
+    per evaluation.  Each member's state ends with its time direction, +1 or
+    -1, which the flow keeps.  Returns xs, vs (2, len(ts), n) and frames
+    (2, len(ts), k, n), forward first; ChartExitError when either run
+    leaves the chart before ts[-1].
+    """
+    n = metric.n
+    frame = np.atleast_2d(np.asarray(frame, dtype=float))
+    k = frame.shape[0]
+    width = 2 * n + k * n + 1
+
+    def rhs(t, z):
+        Z = z.reshape(-1, width)
+        dZ = np.zeros_like(Z)
+        dZ[:, :-1] = Z[:, -1:] * _transport_field(metric, Z[:, :-1], k)
+        return dZ.ravel()
+
+    ts = np.asarray(ts, dtype=float)
+    start = np.concatenate([x0, y0, frame.ravel()])
+    z0 = np.array([np.append(start, 1.0), np.append(start, -1.0)])
+    segments, _, t_exit = _solve("transport", metric, rhs, z0, (0.0, float(ts[-1])),
+                                 rtol, atol)
+    for member, sign in enumerate((1.0, -1.0)):
+        if not np.isnan(t_exit[member]):
+            raise ChartExitError(
+                f"geodesic left the chart at t={sign * t_exit[member]:.6g} before "
+                f"reaching {sign * ts[-1]:.6g}", t_exit=float(sign * t_exit[member]))
+    Z = _StackedSolution(segments, 2, width)(ts)
+    return Z[..., :n], Z[..., n: 2 * n], Z[..., 2 * n: -1].reshape(2, len(ts), k, n)
 
 
 def transport_along_curve(metric: MetricSpec, curve, t_span, frame,

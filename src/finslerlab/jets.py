@@ -570,6 +570,24 @@ def lift(x, y, spec: JetSpec):
     return xs, ys
 
 
+def join_members(jets) -> Jet:
+    """One stack of the members of jets of one spec, in order; a single jet
+    is one member.  The stack is valid to the jets' common orders."""
+    for j in jets:
+        jets[0]._check(j)
+    vx, vy = min(j.vx for j in jets), min(j.vy for j in jets)
+    coeffs = np.concatenate([np.atleast_2d(j.coeffs) for j in jets])
+    return Jet(jets[0].ctx, coeffs, vx, vy,
+               masked=all(j.vx == vx and j.vy == vy for j in jets))
+
+
+def split_members(jet, like) -> list:
+    """Undo join_members: the members of a stack, in order, as jets shaped
+    like the jet like (a single jet, or a stack of as many members)."""
+    parts = jet.coeffs.reshape((-1,) + like.coeffs.shape)
+    return [Jet(jet.ctx, c, jet.vx, jet.vy, masked=True) for c in parts]
+
+
 def derivative_tensor(jet, ox, oy) -> np.ndarray:
     """All raw mixed partials of order (ox, oy) as one symmetric array.
 

@@ -83,6 +83,15 @@ class ConvexDomain:
             return [2.0 * zi + 4.0 * self.eps * zi * zi * zi for zi in z]
         return [2.0 * zi for zi in z]
 
+    def coordinate_terms(self, z):
+        """phi is a sum of terms in one coordinate each: for z standing for
+        coordinates (a number, an array or a jet stack), the terms t(z) and
+        t'(z), with phi = sum_i t(z_i) - 1 and d phi / d z_i = t'(z_i)."""
+        sq = z * z
+        if self.kind == "quartic_perturbed" and self.eps != 0.0:
+            return sq + self.eps * (sq * sq), 2.0 * z + (4.0 * self.eps) * (z * sq)
+        return sq, 2.0 * z
+
     def contains(self, x):
         x = np.asarray(x, dtype=float)
         z = [x[..., i] for i in range(self.n)]
@@ -282,39 +291,58 @@ def _funk_ray_scalar(domain, x0, y0):
     return brentq(g, 0.0, s_hi, xtol=1e-15, rtol=8.9e-16)
 
 
+def _coordinate_jets(j, x, y):
+    """The coordinates x and y as jets of j's spec and shape: a number, or
+    one number per member of a stack, becomes a constant jet."""
+    spec = j.spec
+
+    def as_jet(v):
+        if isinstance(v, Jet):
+            return v
+        return j._const_like(v, spec.max_x_order, spec.max_y_order)
+
+    return [as_jet(v) for v in x], [as_jet(v) for v in y]
+
+
+def _funk_jet_exit(domain: ConvexDomain, xj, yj):
+    """The exit parameter u = 1/F of the Funk metric as a jet, from jet
+    coordinates x and y.
+
+    Newton's method in the truncated algebra is the implicit-function rule
+    carried to all stored orders.  Every member starts from its root, found
+    by one batched ray exit, and each pass doubles the total degree that is
+    exact, so ceil(log2(D + 1)) passes reach the jet's total degree D.  The
+    n coordinates travel as one stack, so that a pass is a few products of
+    stacks rather than of single coordinates.
+    """
+    spec = xj[0].spec
+    n = len(xj)
+    s = domain.exit_columns([v.value for v in xj], [v.value for v in yj])
+    u = xj[0]._const_like(s, spec.max_x_order, spec.max_y_order)
+    X, Y = jets.join_members(xj), jets.join_members(yj)
+
+    def coordinate_sum(t):
+        parts = jets.split_members(t, u)
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        return total
+
+    for _ in range((spec.max_x_order + spec.max_y_order).bit_length()):
+        t, dt = domain.coordinate_terms(X + Y * jets.join_members([u] * n))
+        u = u - (coordinate_sum(t) - 1.0) / coordinate_sum(dt * Y)
+    return u
+
+
 def funk_general(domain: ConvexDomain, x, y):
     """Funk metric on a convex domain: the unique F > 0 with phi(x + y/F) = 0.
 
-    Jets are handled by Newton iteration in the truncated algebra, which is
-    the implicit-function rule carried to all stored orders; a stack of jets
-    starts each member from its own scalar root.
+    Jets take _funk_jet_exit, arrays one batched ray exit, and floats a
+    scalar root.
     """
     j = _find_jet(x) or _find_jet(y)
     if j is not None:
-        spec = j.spec
-
-        def as_jet(v):
-            # a number, or one number per member of a stack
-            if isinstance(v, Jet):
-                return v
-            return j._const_like(v, spec.max_x_order, spec.max_y_order)
-
-        xj = [as_jet(v) for v in x]
-        yj = [as_jet(v) for v in y]
-        x0 = np.stack([v.value for v in xj], axis=-1)
-        y0 = np.stack([v.value for v in yj], axis=-1)
-        if x0.ndim == 1:
-            s_star = _funk_ray_scalar(domain, x0, y0)
-        else:  # member by member, the same root as for a single jet
-            s_star = np.array([_funk_ray_scalar(domain, a, b) for a, b in zip(x0, y0)])
-        u = as_jet(s_star)
-        for _ in range(4):
-            z = [xi + yi * u for xi, yi in zip(xj, yj)]
-            num = domain.phi(z)
-            den = _dot(domain.grad_phi(z), yj)
-            u = u - num / den
-        return 1.0 / u
-
+        return 1.0 / _funk_jet_exit(domain, *_coordinate_jets(j, x, y))
     arrs = [np.asarray(v, dtype=float) for v in x + y]
     if any(a.ndim > 0 for a in arrs):
         return 1.0 / domain.exit_columns(arrs[:len(x)], arrs[len(x):])
@@ -322,10 +350,20 @@ def funk_general(domain: ConvexDomain, x, y):
 
 
 def hilbert_metric(domain: ConvexDomain, x, y):
-    """Symmetrized Funk metric; reversible by construction."""
+    """Symmetrized Funk metric; reversible by construction.
+
+    Jets on a convex domain solve the forward and backward Funk roots, at y
+    and -y, as one stack of twice the members in one Newton loop.
+    """
+    j = _find_jet(x) or _find_jet(y)
     if domain.kind == "unit_ball":
         forward = funk_unit_ball(x, y)
         backward = funk_unit_ball(x, [-yi for yi in y])
+    elif j is not None:
+        xj, yj = _coordinate_jets(j, x, y)
+        u = _funk_jet_exit(domain, [jets.join_members([a, a]) for a in xj],
+                           [jets.join_members([b, -b]) for b in yj])
+        forward, backward = jets.split_members(1.0 / u, xj[0])
     else:
         forward = funk_general(domain, x, y)
         backward = funk_general(domain, x, [-yi for yi in y])
@@ -566,27 +604,30 @@ def validate_metric(metric: MetricSpec, n_samples=100,
                     tol_homog=1e-10, tol_rev=1e-10):
     """Positivity, homogeneity (F2a), definiteness (F2b), reversibility claims.
 
-    Raises MetricValidityError naming the first offending sample.
+    All samples go through one batched evaluation and one stacked jet per
+    claim, checked in that order.  Raises MetricValidityError naming the
+    first sample that breaks the first failing claim.
     """
     pts = chart_points(metric, n_samples)
     dirs = halton_directions(metric.n, n_samples)
-    for x, d in zip(pts, dirs):
-        F = metric.F(x, d)
-        if not np.isfinite(F) or F <= F_FLOOR:
-            raise MetricValidityError(f"F not positive at sample", sample=(x, d))
-        for lam in (0.5, 2.0):
-            if abs(metric.F(x, lam * d) - lam * F) > tol_homog * max(1.0, F):
-                raise MetricValidityError("homogeneity F(x, lam y) = lam F(x, y) violated",
-                                          sample=(x, d, lam))
-        fj = metric.jet(x, d, 0, 2)
-        g = 0.5 * jets.derivative_tensor(fj * fj, 0, 2)
-        if np.min(np.linalg.eigvalsh(g)) <= 0:
-            raise MetricValidityError("fundamental tensor not positive definite",
-                                      sample=(x, d))
-        if metric.reversible:
-            if abs(F - metric.F(x, -d)) > tol_rev * F:
-                raise MetricValidityError("metric flagged reversible is not",
-                                          sample=(x, d))
+
+    def require(bad, message, extra=()):
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise MetricValidityError(message, sample=(pts[k], dirs[k], *extra))
+
+    F = metric.F_batch(pts, dirs)
+    require(~np.isfinite(F) | (F <= F_FLOOR), "F not positive at sample")
+    for lam in (0.5, 2.0):
+        require(np.abs(metric.F_batch(pts, lam * dirs) - lam * F) > tol_homog * np.maximum(1.0, F),
+                "homogeneity F(x, lam y) = lam F(x, y) violated", (lam,))
+    fj = metric.jet(pts, dirs, 0, 2)
+    g = 0.5 * jets.derivative_tensor(fj * fj, 0, 2)
+    require(np.min(np.linalg.eigvalsh(g), axis=-1) <= 0,
+            "fundamental tensor not positive definite")
+    if metric.reversible:
+        require(np.abs(F - metric.F_batch(pts, -dirs)) > tol_rev * F,
+                "metric flagged reversible is not")
     return True
 
 

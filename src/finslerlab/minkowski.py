@@ -273,8 +273,8 @@ def tangent_basis(ft: FundamentalTensor, y):
     n = len(y)
     y = np.asarray(y, dtype=float)
     gy = ft.g @ y
-    # coordinate vectors least aligned with y, projected off y
-    order = np.argsort(np.abs(gy))
+    # coordinate vectors of least g_y-cosine with y, projected off y
+    order = np.argsort(np.abs(gy) / np.sqrt(np.diag(ft.g)))
     basis = []
     for idx in order[: n - 1]:
         v = np.eye(n)[idx] - (gy[idx] / float(y @ gy)) * y

@@ -322,6 +322,12 @@ class TestRiemannCurvature:
                 rep = cu.riemann_curvature(m, TangentSample(x, y))
                 assert np.max(np.abs(rep.principal + 0.25)) < 1e-6
 
+    def test_axis_direction_gets_a_transverse_basis(self, zoo):
+        # g_y y = (17.2, -17.4, 4.5) here, so ranking by |g_y(e_i, y)| alone
+        # picked e1 = y; the g_y-cosine ranks it last
+        rep = cu.riemann_curvature(zoo["funk3"], TangentSample((0.45, -0.7, 0.18), (1, 0, 0)))
+        assert np.max(np.abs(rep.principal + 0.25)) < 1e-6
+
     def test_hilbert_constant_minus_one(self, zoo):
         for name in ("hilbert", "hilbert_quartic"):
             m = zoo[name]

@@ -14,6 +14,7 @@ from finslerlab.geodesics import (
     spray_jets,
     spray_values,
     transport_along_curve,
+    transport_both_ways,
     variational_flow,
 )
 from finslerlab.jets import derivative_tensor
@@ -251,6 +252,28 @@ class TestTransport:
             tr = parallel_transport(m, x, y, 1.5, np.eye(m.n))
             assert tr.gram_drift < 1e-7
 
+    @pytest.mark.parametrize("name", ["funk3", "randers_curl", "hilbert_quartic"])
+    def test_both_ways_matches_one_way_transports(self, zoo, name):
+        # one stacked solve for +t and -t against two separate transports; a
+        # non-reversible metric's backward run is not the forward run of -y
+        m = zoo[name]
+        x, y = tangent_samples(m, 1, seed=56)[0]
+        ts = [0.01, 0.02, 0.04]
+        xs, vs, frames = transport_both_ways(m, x, y, ts, np.eye(m.n))
+        assert xs.shape == (2, 3, m.n) and frames.shape == (2, 3, m.n, m.n)
+        for member, sign in enumerate((1.0, -1.0)):
+            one = parallel_transport(m, x, y, sign * ts[-1], np.eye(m.n),
+                                     t_eval=[0.0, *(sign * np.array(ts))])
+            np.testing.assert_allclose(xs[member], one.path.x[1:], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(vs[member], one.path.v[1:], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(frames[member], one.frames[1:], rtol=0, atol=1e-9)
+
+    def test_both_ways_names_the_exit_side(self, zoo):
+        m = zoo["randers_curl"]  # the unit-ball chart: x = -0.985 exits backwards
+        with pytest.raises(ChartExitError) as err:
+            transport_both_ways(m, [-0.985, 0.0], [1.0, 0.0], [0.01, 0.02, 0.04], np.eye(2))
+        assert -0.04 < err.value.t_exit < 0.0
+
     def test_berwald_preserves_norms(self, zoo):
         m = zoo["berwald_product"]
         x = np.array([0.1, 0.2, 0.0])
@@ -364,3 +387,13 @@ class TestVariationalFlow:
                 assert stack.t_exit[k] == pytest.approx(one.t_exit, abs=1e-8)
             # the dense output ends at the member's reach
             assert np.all(np.isfinite(stack.unpack([[stack.t_end[k]]] * 16)[0][k]))
+
+    def test_twin_members_exit_together(self, zoo):
+        # exact twins reach the chart edge at the same instant: both leave
+        # there, and the half-speed member behind them still exits on its own
+        m = zoo["randers_curl"]
+        y = np.array([1.0, 0.0]) / m.F([0.0, 0.0], [1.0, 0.0])
+        stack = variational_flow(m, [0.0, 0.0], np.array([y, y, 0.5 * y]), 3.0)
+        assert np.all(stack.exited)
+        assert stack.t_exit[0] == stack.t_exit[1] == stack.t_end[1]
+        assert stack.t_exit[2] == pytest.approx(2.0 * stack.t_exit[0], rel=1e-8)

@@ -519,3 +519,24 @@ class TestStacks:
             ys[1] / (ys[0] + 1.0)  # the second member's denominator is zero
         assert np.all(np.isfinite(jets.sqrt(ys[1]).coeffs))
 
+    def test_join_and_split_members(self):
+        spec = JetSpec(2, 1, 3)
+        (xs, ys), singles = _stack_and_singles(spec, 3, _rng())
+        one = singles[0][1][0]
+        joined = jets.join_members([ys[0], one, -ys[0]])
+        assert joined.coeffs.shape == (7, joined.ctx.size)
+        assert np.array_equal(joined.coeffs[3], one.coeffs)
+        a, b = jets.split_members(jets.join_members([ys[0], -ys[0]]).dy(0), ys[0])
+        assert np.array_equal(a.coeffs, ys[0].dy(0).coeffs)
+        assert np.array_equal(b.coeffs, (-ys[0]).dy(0).coeffs)
+        assert (a.vx, a.vy) == (1, 2)
+        parts = jets.split_members(jets.join_members([one, one * one]), one)
+        assert [p.coeffs.shape for p in parts] == [one.coeffs.shape] * 2
+        assert np.array_equal(parts[1].coeffs, (one * one).coeffs)
+        # mixed validity keeps the common orders; mixed specs are refused
+        mixed = jets.join_members([ys[0], ys[0].dy(1)])
+        assert (mixed.vx, mixed.vy) == (1, 2)
+        assert np.array_equal(mixed.coeffs[:3], np.where(ys[0].ctx.mask(1, 2), ys[0].coeffs, 0.0))
+        with pytest.raises(ConfigurationError):
+            jets.join_members([one, lift([0.0, 0.0], [1.0, 1.0], JetSpec(2, 1, 2))[1][0]])
+

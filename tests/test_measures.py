@@ -142,6 +142,14 @@ class TestBallVolume:
         assert est.flagged
         assert "lower bound" in est.note
 
+    def test_polar_twin_exits_end_the_sweep(self, zoo):
+        # on 12 directions, twin members reach the chart edge together; the
+        # sweep ends with a flagged lower bound instead of integrating on
+        mu, exited = me.polar_ball_volumes(zoo["randers_curl"], [0.0, 0.0], [3.0],
+                                           n_dirs=12)
+        assert exited
+        assert np.isfinite(mu[0]) and mu[0] > 0
+
 
 class TestCoarea:
     def test_euclidean(self, zoo):

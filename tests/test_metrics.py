@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finslerlab import metrics
+from finslerlab import jets, metrics
 from finslerlab.errors import ConfigurationError, GeometryError
 from finslerlab.metrics import (
     ConvexDomain,
@@ -95,6 +95,15 @@ class TestFunkGeneralDomain:
             scalar = funk_general(dom, list(X[k]), list(Y[k]))
             assert batch[k] == pytest.approx(scalar, rel=1e-12)
 
+    @pytest.mark.parametrize("dom", [unit_ball_domain(3), quartic_domain(3, 0.1)])
+    def test_coordinate_terms_sum_to_phi(self, dom):
+        z = np.random.default_rng(16).uniform(-1, 1, (50, 3))
+        t, dt = dom.coordinate_terms(z)
+        np.testing.assert_allclose(t.sum(axis=1) - 1.0, dom.phi(list(z.T)), rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(dt, np.stack(dom.grad_phi(list(z.T)), axis=-1),
+                                   rtol=0, atol=1e-15)
+
     def test_point_outside_domain_rejected(self):
         dom = unit_ball_domain(2)
         with pytest.raises(GeometryError):
@@ -121,6 +130,51 @@ class TestHilbert:
             a = hilbert_metric(dom, list(x), list(y))
             b = hilbert_metric(dom, list(x), list(-y))
             assert a == pytest.approx(b, rel=1e-15)
+
+
+def _two_solve_funk_jet(dom, xj, yj):
+    """The Funk jet as before the paired root: a brentq root per member, then
+    four Newton passes in the algebra (a frozen copy, kept as the oracle)."""
+    from scipy.optimize import brentq
+
+    def root(x0, y0):
+        s_hi = (dom.bounding_radius + np.linalg.norm(x0) + 1.0) / np.linalg.norm(y0)
+        return brentq(lambda s: dom.phi(list(x0 + s * y0)), 0.0, s_hi,
+                      xtol=1e-15, rtol=8.9e-16)
+
+    x0 = np.stack([v.value for v in xj], axis=-1)
+    y0 = np.stack([v.value for v in yj], axis=-1)
+    spec = xj[0].spec
+    s = np.array([root(a, b) for a, b in zip(x0, y0)])
+    u = xj[0]._const_like(s, spec.max_x_order, spec.max_y_order)
+    for _ in range(4):
+        z = [xi + yi * u for xi, yi in zip(xj, yj)]
+        u = u - dom.phi(z) / metrics._dot(dom.grad_phi(z), yj)
+    return 1.0 / u
+
+
+class TestPairedHilbertJets:
+    # the forward and backward Funk roots of a Hilbert jet are one stack, with
+    # batched seeds and ceil(log2(D + 1)) Newton passes; against the two
+    # separate solves this moves only round-off: at most 1.1e-13 of a jet's
+    # largest coefficient here (n=3, orders (2, 5)), where the old path with
+    # 3 passes instead of 4 already moves by 8.8e-14
+    @pytest.mark.parametrize("orders", [(0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (1, 5),
+                                        (2, 5)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_two_solve_path(self, n, orders):
+        dom = quartic_domain(n, 0.1)
+        m = metrics.make_hilbert(n, domain="quartic:0.1", validate=False)
+        X, Y = (np.array(a) for a in zip(*tangent_samples(m, 8, seed=91)))
+        xs, ys = jets.lift(X, Y, jets.JetSpec(n, *orders))
+        got = hilbert_metric(dom, xs, ys).coeffs
+        want = 0.5 * (_two_solve_funk_jet(dom, xs, ys)
+                      + _two_solve_funk_jet(dom, xs, [-y for y in ys])).coeffs
+        scale = np.max(np.abs(want), axis=-1)
+        assert np.all(np.max(np.abs(got - want), axis=-1) <= 1.4e-13 * scale)
+        # a single point has the bits of its member of the stack
+        x1, y1 = jets.lift(X[3], Y[3], jets.JetSpec(n, *orders))
+        assert np.array_equal(hilbert_metric(dom, x1, y1).coeffs, got[3])
 
 
 class TestDistances:
@@ -303,6 +357,25 @@ class TestZooCatalog:
                      "randers_curl", "berwald_product", "quartic_norm", "funk",
                      "hilbert", "funk_quartic", "hilbert_quartic"):
             assert validate_metric(zoo[name], n_samples=100)
+
+    def test_validation_names_the_failing_claim(self):
+        # the batched checks still reject a broken evaluator, claim by claim
+        from finslerlab.errors import MetricValidityError
+        from finslerlab.metrics import MetricSpec, _full_chart
+
+        def norm(y):
+            return (y[0] * y[0] + y[1] * y[1]) ** 0.5
+
+        cases = {
+            "homogeneity": (lambda x, y: y[0] * y[0] + y[1] * y[1] + 1.0, False),
+            "reversible": (lambda x, y: norm(y) + 0.3 * y[0], True),
+        }
+        for claim, (ev, rev) in cases.items():
+            m = MetricSpec(name="broken", n=2, evaluator=ev, chart=_full_chart(2),
+                           reversible=rev)
+            with pytest.raises(MetricValidityError, match=claim) as err:
+                validate_metric(m, n_samples=20)
+            assert len(err.value.sample) >= 2
 
     def test_reversibility_flags(self, zoo):
         rng = np.random.default_rng(18)

@@ -1,7 +1,8 @@
 """Property tests of the tensors read off jets: fiber homogeneity degrees of
 g (0), C (-1), G (2) and N (1), the symmetry of the Berwald tensor, the
-fiber Euler identities of g, C and B, the g_y-symmetry of R_y, and stacked
-spray gradients equal to per-point ones bit for bit."""
+fiber Euler identities of g, C and B, the g_y-symmetry of R_y, stacked
+spray gradients equal to per-point ones bit for bit, and the spray
+gradients' linear solves against the jet spray."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -126,3 +127,21 @@ def test_stacked_spray_gradients_match_single_points(zoo, stack, mx):
     for k in range(len(ks)):
         for got, want in zip(stacked, spray_gradients(m, x[k], y[k], mx)):
             assert (got is None and want is None) or np.array_equal(got[k], want)
+
+
+@PROPERTY
+@given(stack=tangent_stacks(ALL_METRICS), mx=st.sampled_from([1, 2]))
+def test_spray_gradients_match_the_jet_spray(zoo, stack, mx):
+    # the linear solves on values against G, dG/dx and dG/dy read off the jets
+    # of spray_jets, at a stack and at its first point alone
+    name, ks, dirs = stack
+    m = zoo[name]
+    x = chart_points(m, 8)[ks]
+    y = dirs[:, :m.n]
+    for xs, ys in ((x, y), (x[0], y[0])):
+        G = spray_jets(m, xs, ys, mx, 3).G
+        want = (derivative_tensor(G, 0, 0), derivative_tensor(G, 1, 0) if mx > 1 else None,
+                derivative_tensor(G, 0, 1))
+        for got, ref in zip(spray_gradients(m, xs, ys, mx), want):
+            assert (got is None and ref is None) or _close(got, ref, np.max(np.abs(ref)),
+                                                           rel=1e-12)
