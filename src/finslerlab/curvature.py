@@ -9,6 +9,7 @@ differences over parallel-transported frames, Richardson-extrapolated once.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +19,7 @@ import numpy as np
 from ._grids import five_point, richardson_central, richardson_doubling
 from .errors import GeometryError, PreconditionError
 from .geodesics import integrate_geodesic, parallel_transport, spray_jets, transport_both_ways
-from .jets import derivative_tensor
+from .jets import derivative_tensor, lift
 from .metrics import MetricSpec
 from .minkowski import (
     TangentSample,
@@ -201,8 +202,10 @@ def s_jet_workspace(metric: MetricSpec, sample: TangentSample, sigma):
     """S(y) as a fiber jet (valid to order 2) and the mean Berwald form E.
 
     Both come from one order-(1,5) spray workspace: E is half the fiber
-    Hessian of the spray divergence, and S is assembled from
-    y^i d tau/dx^i - 2 G^i I_i with the density gradient differenced.
+    Hessian of the spray divergence, and S is the rate of the distortion
+    tau = 1/2 log det g - log sigma along the geodesic flow,
+    y^i dtau/dx^i - 2 G^i dtau/dy^i, with det g as a jet by the Leibniz sum
+    and the density gradient differenced.
     """
     n = metric.n
     ws = spray_jets(metric, sample.x, sample.y, 1, 5)
@@ -213,38 +216,25 @@ def s_jet_workspace(metric: MetricSpec, sample: TangentSample, sigma):
         trN = term if trN is None else trN + term
     E = 0.5 * derivative_tensor(trN, 0, 2)
 
-    # mean Cartan as jets: I_i = g^{jk} C_jki with C = f2.dy3 / 4
-    C_j = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        di = ws.f2.dy(i)
-        for j in range(i, n):
-            dij = di.dy(j)
-            for k in range(j, n):
-                val = 0.25 * dij.dy(k)
-                for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                    C_j[perm[0]][perm[1]][perm[2]] = val
-    I_j = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            for k in range(n):
-                term = ws.ginv[j][k] * C_j[j][k][i]
-                acc = term if acc is None else acc + term
-        I_j.append(acc)
+    g = [[0.5 * ws.f2.dy(i).dy(j) for j in range(n)] for i in range(n)]
+    det = 0.0
+    for perm in itertools.permutations(range(n)):
+        term = g[0][perm[0]]
+        for i in range(1, n):
+            term = term * g[i][perm[i]]
+        odd = sum(p > q for a, p in enumerate(perm) for q in perm[a + 1:]) % 2
+        det = det - term if odd else det + term
+    half_log_det = 0.5 * det.log()
 
     dlog_sigma = _log_density_gradient(sigma, sample.x)
+    _, ys = lift(np.asarray(sample.x, dtype=float), np.asarray(sample.y, dtype=float),
+                 ws.f2.spec)
     S_jet = None
     for i in range(n):
-        tr = None
-        for a in range(n):
-            for b_ in range(n):
-                term = ws.ginv[a][b_] * ws.dgdx[i][b_][a]
-                tr = term if tr is None else tr + term
-        term = ws.ys[i] * (0.5 * tr - dlog_sigma[i])
+        term = (ys[i] * (half_log_det.dx(i) - dlog_sigma[i])
+                - 2.0 * ws.G[i] * half_log_det.dy(i))
         S_jet = term if S_jet is None else S_jet + term
-    for i in range(n):
-        S_jet = S_jet - 2.0 * ws.G[i] * I_j[i]
-    return S_jet, E, ws
+    return S_jet, E
 
 
 def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
@@ -254,9 +244,11 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
     method "geodesic" differences the distortion along the integrated
     geodesic (the definition); method "analytic" reads S off the jet
     workspace and differences only for S-dot, which it computes on first
-    access.
+    access.  Both step h in metric length, h / F(x, y) in the geodesic's
+    parameter, so that the stencil keeps its reach near a Funk rim.
     """
     sample.validate(metric)
+    h = h / metric.F(sample.x, sample.y)
     sigma = density if density is not None else density_field(metric)
     if method == "analytic":
         def s_at(x, v):
@@ -299,7 +291,7 @@ def _along_geodesic(metric, sample, fn, h):
 def es_residual(metric: MetricSpec, sample: TangentSample, density=None) -> float:
     """max |fiber Hessian of S - 2 E|: the mean Berwald identity."""
     sigma = density if density is not None else density_field(metric)
-    S_jet, E, _ = s_jet_workspace(metric, sample, sigma)
+    S_jet, E = s_jet_workspace(metric, sample, sigma)
     return float(np.max(np.abs(derivative_tensor(S_jet, 0, 2) - 2.0 * E)))
 
 
@@ -389,7 +381,6 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
 
     reported in the g_cdot norm so the measure is chart-independent.
     """
-    n = metric.n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -411,7 +402,7 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
     gs = []
     for k in range(len(ts)):
         ws = spray_jets(metric, x0s[k], v0s[k], 2, 4)
-        gs.append(np.array([[ws.g[i][j].value for j in range(n)] for i in range(n)]))
+        gs.append(0.5 * derivative_tensor(ws.f2, 0, 2))
         if k < 2 or k > len(ts) - 3:
             continue
         R, G, N, d2Gxy, d2Gyy = _spray_riemann(ws, v0s[k])

@@ -3,7 +3,6 @@ covariant derivative and parallel transport."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from ._grids import richardson_central
 from .errors import ChartExitError, GeometryError, PreconditionError
-from .jets import Jet, JetSpec, derivative_tensor, lift
+from .jets import Jet, JetSpec, derivative_tensor, join_members, lift
 from .metrics import MetricSpec
 from .minkowski import TangentSample, fundamental_tensor
 
@@ -20,76 +19,46 @@ from .minkowski import TangentSample, fundamental_tensor
 # ---------------------------------------------------------------------------
 
 
-def _jet_matrix_inverse(g, n):
-    """Inverse of a jet-valued matrix by Newton iteration in the algebra,
-    seeded from the inverse of its values (one batched inverse for stacks)."""
-    g0 = np.array([[g[i][j].value for j in range(n)] for i in range(n)])
-    inv0 = np.linalg.inv(np.moveaxis(g0, (0, 1), (-2, -1)))
-    X = [[g[0][0]._const_like(inv0[..., i, j]) for j in range(n)] for i in range(n)]
-    total = g[0][0].vx + g[0][0].vy
-    iters = max(1, math.ceil(math.log2(total + 1))) if total > 0 else 1
-
-    def matmul(A, B):
-        return [
-            [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    for _ in range(iters):
-        GX = matmul(g, X)
-        M = [[(2.0 if i == j else 0.0) - GX[i][j] for j in range(n)] for i in range(n)]
-        X = matmul(X, M)
-    return X
-
-
 @dataclass
 class SprayWorkspace:
-    """Jets of the spray and fundamental tensor at one tangent point, or
-    stacks of them at m tangent points."""
+    """Jets of the spray and of F^2 at one tangent point, or stacks of them
+    at m tangent points."""
 
     G: list
-    g: list
-    ginv: list
-    dgdx: list  # [k][i][j] = d g_ij / d x^k
-    ys: list
     f2: Jet
 
 
 def spray_jets(metric: MetricSpec, x, y, mx, my) -> SprayWorkspace:
     """The geodesic coefficients as jets, valid to orders (mx-1, my-2).
 
-    Evaluates g^{il} { 2 dg_jl/dx^k - dg_jk/dx^l } y^j y^k / 4 entirely in
-    the truncated algebra, so every stored derivative of G is exact.  x and
-    y are one tangent point (n,) or stacks (m, n), as for jets.lift.
+    Solves g G = A/4 with A_l = y^k d2F^2/dx^k dy^l - dF^2/dx^l in the
+    truncated algebra by the graded fixed point G <- g0^-1 (A/4 - (g - g0) G),
+    g0 the values of g: g - g0 has no constant term, so each pass makes one
+    more total degree exact, and mx + my - 3 passes after the first solve
+    make every stored derivative of G exact.  The n^2 entries of g - g0 are
+    one stack, so a pass is one stacked product.  x and y are one tangent
+    point (n,) or stacks (m, n), as for jets.lift.
     """
     n = metric.n
     fj = metric.jet(x, y, mx, my)
     f2 = fj * fj
-    spec = JetSpec(n, mx, my)
-    _, ys = lift(np.asarray(x, dtype=float), np.asarray(y, dtype=float), spec)
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        gi = f2.dy(i)
-        for j in range(i, n):
-            g[i][j] = g[j][i] = 0.5 * gi.dy(j)
-    dgdx = [[[g[i][j].dx(k) for j in range(n)] for i in range(n)] for k in range(n)]
-    ginv = _jet_matrix_inverse(g, n)
-    A = []
-    for l in range(n):
-        acc = None
-        for j in range(n):
-            for k in range(n):
-                term = (2.0 * dgdx[k][j][l] - dgdx[l][j][k]) * ys[j] * ys[k]
-                acc = term if acc is None else acc + term
-        A.append(acc)
-    G = []
-    for i in range(n):
-        acc = None
-        for l in range(n):
-            term = ginv[i][l] * A[l]
-            acc = term if acc is None else acc + term
-        G.append(0.25 * acc)
-    return SprayWorkspace(G=G, g=g, ginv=ginv, dgdx=dgdx, ys=ys, f2=f2)
+    ctx, vx, vy = f2.ctx, mx - 1, my - 2
+    _, ys = lift(np.asarray(x, dtype=float), np.asarray(y, dtype=float), JetSpec(n, mx, my))
+    rows = [f2.dy(l) for l in range(n)]
+    g = [0.5 * rows[l].dy(i) for l in range(n) for i in range(n)]
+    g0 = np.stack([gli.value for gli in g], axis=-1)
+    inv0 = np.linalg.inv(g0.reshape(g0.shape[:-1] + (n, n)))
+    dg = join_members([gli - gli.value for gli in g])
+    A = [sum((ys[k] * rows[l].dx(k) for k in range(n)), -f2.dx(l)) for l in range(n)]
+    # coefficient arrays (n, ..., size): one row per component, members inside
+    rhs = np.where(ctx.mask(vx, vy), 0.25 * np.stack([a.coeffs for a in A]), 0.0)
+    G = np.einsum("...il,l...k->i...k", inv0, rhs)
+    for _ in range(mx + my - 3):
+        tiled = Jet(ctx, np.broadcast_to(G, (n,) + G.shape).reshape(dg.coeffs.shape),
+                    vx, vy, masked=True)
+        dgG = (dg * tiled).coeffs.reshape((n, n) + G.shape[1:]).sum(axis=1)
+        G = np.einsum("...il,l...k->i...k", inv0, rhs - dgG)
+    return SprayWorkspace(G=[Jet(ctx, Gi, vx, vy, masked=True) for Gi in G], f2=f2)
 
 
 def spray_values(metric: MetricSpec, x, v) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import jets
 from ._grids import halton, halton_directions, unit_ball_volume
@@ -273,24 +272,6 @@ def _ball_exit_parameter(xs, ys):
     return (np.sqrt(xy * xy + yy * (1.0 - xx)) - xy) / yy
 
 
-def _funk_ray_scalar(domain, x0, y0):
-    """Exit parameter s* > 0 with phi(x0 + s* y0) = 0 for plain floats."""
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    ny = np.linalg.norm(y0)
-    if ny < F_FLOOR:
-        raise GeometryError("funk metric evaluated on a vanishing vector")
-    if domain.phi(list(x0)) >= 0:
-        raise GeometryError(f"point {x0} outside the convex domain")
-    if domain.kind == "unit_ball":
-        return float(_ball_exit_parameter(x0, y0))
-    s_hi = (domain.bounding_radius + np.linalg.norm(x0) + 1.0) / ny
-    g = lambda s: domain.phi(list(x0 + s * y0))
-    if g(s_hi) <= 0:
-        raise GeometryError("ray failed to exit the convex domain")
-    return brentq(g, 0.0, s_hi, xtol=1e-15, rtol=8.9e-16)
-
-
 def _coordinate_jets(j, x, y):
     """The coordinates x and y as jets of j's spec and shape: a number, or
     one number per member of a stack, becomes a constant jet."""
@@ -337,16 +318,12 @@ def _funk_jet_exit(domain: ConvexDomain, xj, yj):
 def funk_general(domain: ConvexDomain, x, y):
     """Funk metric on a convex domain: the unique F > 0 with phi(x + y/F) = 0.
 
-    Jets take _funk_jet_exit, arrays one batched ray exit, and floats a
-    scalar root.
+    Jets take _funk_jet_exit, and numbers or arrays one batched ray exit.
     """
     j = _find_jet(x) or _find_jet(y)
     if j is not None:
         return 1.0 / _funk_jet_exit(domain, *_coordinate_jets(j, x, y))
-    arrs = [np.asarray(v, dtype=float) for v in x + y]
-    if any(a.ndim > 0 for a in arrs):
-        return 1.0 / domain.exit_columns(arrs[:len(x)], arrs[len(x):])
-    return 1.0 / _funk_ray_scalar(domain, [float(v) for v in x], [float(v) for v in y])
+    return 1.0 / domain.exit_columns(x, y)
 
 
 def hilbert_metric(domain: ConvexDomain, x, y):
@@ -380,7 +357,7 @@ def funk_distance(domain: ConvexDomain, p, q):
     du = np.linalg.norm(u)
     if du == 0.0:
         return 0.0
-    s = _funk_ray_scalar(domain, p, u)  # z = p + s u with s >= 1
+    s = domain.exit_columns(list(p), list(u))  # z = p + s u with s >= 1
     if s <= 1.0:
         raise GeometryError("ray exit before reaching the second endpoint")
     return float(np.log(s / (s - 1.0)))

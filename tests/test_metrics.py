@@ -132,20 +132,23 @@ class TestHilbert:
             assert a == pytest.approx(b, rel=1e-15)
 
 
+def root(dom, x0, y0):
+    """The exit parameter of the ray x0 + s y0 from the domain by brentq: a
+    root finder independent of the batched Newton ray exit."""
+    from scipy.optimize import brentq
+
+    s_hi = (dom.bounding_radius + np.linalg.norm(x0) + 1.0) / np.linalg.norm(y0)
+    return brentq(lambda s: dom.phi(list(x0 + s * y0)), 0.0, s_hi,
+                  xtol=1e-15, rtol=8.9e-16)
+
+
 def _two_solve_funk_jet(dom, xj, yj):
     """The Funk jet as before the paired root: a brentq root per member, then
     four Newton passes in the algebra (a frozen copy, kept as the oracle)."""
-    from scipy.optimize import brentq
-
-    def root(x0, y0):
-        s_hi = (dom.bounding_radius + np.linalg.norm(x0) + 1.0) / np.linalg.norm(y0)
-        return brentq(lambda s: dom.phi(list(x0 + s * y0)), 0.0, s_hi,
-                      xtol=1e-15, rtol=8.9e-16)
-
     x0 = np.stack([v.value for v in xj], axis=-1)
     y0 = np.stack([v.value for v in yj], axis=-1)
     spec = xj[0].spec
-    s = np.array([root(a, b) for a, b in zip(x0, y0)])
+    s = np.array([root(dom, a, b) for a, b in zip(x0, y0)])
     u = xj[0]._const_like(s, spec.max_x_order, spec.max_y_order)
     for _ in range(4):
         z = [xi + yi * u for xi, yi in zip(xj, yj)]
@@ -235,14 +238,12 @@ class TestRayExit:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_newton_matches_scalar_brentq(self, n):
-        from finslerlab.metrics import _funk_ray_scalar
-
         dom = quartic_domain(n, 0.1)
         rng = np.random.default_rng(40 + n)
         X = rng.uniform(-0.55, 0.55, (200, n))
         Y = rng.uniform(-1, 1, (200, n)) * rng.uniform(0.01, 100.0, (200, 1))
         batch = dom.ray_exit(X, Y)
-        scalar = np.array([_funk_ray_scalar(dom, x, y) for x, y in zip(X, Y)])
+        scalar = np.array([root(dom, x, y) for x, y in zip(X, Y)])
         np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=0)
 
     def test_exit_lies_on_the_boundary(self):
