@@ -43,12 +43,6 @@ from .minkowski import (
 
 CSV_VERSION = "finslerlab csv v1"
 
-_CONFIG_KEYS = {
-    "metric", "dim", "domain", "variant", "c", "eps", "seed", "samples",
-    "mc_samples", "out_dir", "radii", "t_end", "t_points", "start", "direction",
-    "lam", "delta", "checks", "tolerances",
-}
-
 _DEFAULTS = {
     "metric": "funk",
     "dim": 2,
@@ -114,13 +108,13 @@ def resolve_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - _CONFIG_KEYS
+        unknown = set(loaded) - _DEFAULTS.keys()
         if unknown:
             raise ConfigurationError(
                 f"unknown config keys: {', '.join(sorted(unknown))}"
             )
         cfg.update(loaded)
-    for key in _CONFIG_KEYS:
+    for key in _DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val

@@ -81,17 +81,24 @@ def landsberg_from_berwald(metric: MetricSpec, sample: TangentSample,
     return -0.5 * np.einsum("mijk,m->ijk", bt.B, gy)
 
 
-def _transport_stencil(metric, sample, h):
-    """States and transported coordinate frames at t = 0, +-h, +-2h and
-    +-4h, keyed by t/h, from one two-way transport; ChartExitError when the
-    geodesic leaves the chart before one of them."""
-    xs, vs, frames = transport_both_ways(metric, sample.x, sample.y, [h, 2 * h, 4 * h],
-                                         np.eye(metric.n))
-    states = {0: (sample.x, sample.y, np.eye(metric.n))}
+def _geodesic_stencil(metric, sample, fn, h, frame):
+    """fn(x, v, U) on the geodesic states at t = 0, +-h, +-2h and +-4h, keyed
+    by t/h, with U the frame (k, n) transported there, from one two-way
+    transport; ChartExitError when the geodesic leaves the chart before one
+    of them."""
+    xs, vs, frames = transport_both_ways(metric, sample.x, sample.y, [h, 2 * h, 4 * h], frame)
+    q = {0: fn(sample.x, sample.y, frame)}
     for member, sign in enumerate((1, -1)):
         for k, step in enumerate((1, 2, 4)):
-            states[sign * step] = (xs[member, k], vs[member, k], frames[member, k])
-    return states
+            q[sign * step] = fn(xs[member, k], vs[member, k], frames[member, k])
+    return q
+
+
+def _stencil_pair(q, h, order=1):
+    """Five-point derivatives of the given order at t = 0 from a geodesic
+    stencil, at steps h and 2h; they share the values at 0 and +-2h."""
+    return tuple(five_point([q[k] for k in keys], step, order)[0]
+                 for keys, step in (((-2, -1, 0, 1, 2), h), ((-4, -2, 0, 2, 4), 2 * h)))
 
 
 def _frame_contract3(T, U):
@@ -100,14 +107,12 @@ def _frame_contract3(T, U):
 
 def _transport_derivative(metric, sample, quantity, dt):
     """Derivative along the geodesic of quantity(state, U) on the
-    parallel-transported coordinate frame U: five-point stencils at steps dt
-    and 2 dt, which share the states at 0 and +-2 dt, Richardson-
-    extrapolated, with dt widened when they disagree."""
+    parallel-transported coordinate frame U: the stencil pair at steps dt
+    and 2 dt, Richardson-extrapolated, with dt widened when they disagree."""
     sample.validate(metric)
-    q = {k: quantity(TangentSample(x, v), U)
-         for k, (x, v, U) in _transport_stencil(metric, sample, dt).items()}
-    d1 = five_point([q[k] for k in (-2, -1, 0, 1, 2)], dt)[0]
-    d2 = five_point([q[k] for k in (-4, -2, 0, 2, 4)], 2 * dt)[0]
+    d1, d2 = _stencil_pair(_geodesic_stencil(
+        metric, sample, lambda x, v, U: quantity(TangentSample(x, v), U), dt,
+        np.eye(metric.n)), dt)
     scale = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
     # honest steps disagree at the 1e-9 level; roundoff-bound ones at >= 1e-4
     if scale > 1e-9 and np.max(np.abs(d1 - d2)) > 1e-4 * scale and dt < 5e-3:
@@ -250,42 +255,26 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
     sample.validate(metric)
     h = h / metric.F(sample.x, sample.y)
     sigma = density if density is not None else density_field(metric)
+    no_frame = np.empty((0, metric.n))
     if method == "analytic":
-        def s_at(x, v):
+        def s_at(x, v, U=None):
             return s_jet_workspace(metric, TangentSample(x, v), sigma)[0].value
 
         def s_dot():
-            sd1, sd2 = (float(five_point(_along_geodesic(metric, sample, s_at, hh), hh)[0])
-                        for hh in (h, 2 * h))
-            return richardson_doubling(sd1, sd2)
+            q = _geodesic_stencil(metric, sample, s_at, h, no_frame)
+            return float(richardson_doubling(*_stencil_pair(q, h)))
 
         return SData(S=float(s_at(sample.x, sample.y)), S_dot=s_dot)
     if method != "geodesic":
         raise PreconditionError(f"unknown S-curvature method {method!r}")
 
-    def tau_at(x, v):
+    def tau_at(x, v, U):
         ft = fundamental_tensor(metric, TangentSample(x, v))
         return 0.5 * np.log(ft.det_g) - np.log(sigma(x))
 
-    def estimates(hh):
-        vals = _along_geodesic(metric, sample, tau_at, hh)
-        return np.array([five_point(vals, hh, order)[0] for order in (1, 2)])
-
-    S, S_dot = richardson_doubling(estimates(h), estimates(2 * h))
-    return SData(S=float(S), S_dot=float(S_dot))
-
-
-def _along_geodesic(metric, sample, fn, h):
-    """fn evaluated on the geodesic states at t = -2h, -h, 0, h, 2h;
-    ChartExitError when the geodesic leaves the chart before one of them."""
-    out = [None] * 5
-    out[2] = fn(sample.x, sample.y)
-    for sign, idxs in ((1.0, (3, 4)), (-1.0, (1, 0))):
-        path = integrate_geodesic(metric, sample.x, sample.y, sign * 2 * h,
-                                  t_eval=[0.0, sign * h, sign * 2 * h]).require_reach()
-        for slot, k in zip(idxs, (1, 2)):
-            out[slot] = fn(path.x[k], path.v[k])
-    return out
+    q = _geodesic_stencil(metric, sample, tau_at, h, no_frame)
+    S, S_dot = (float(richardson_doubling(*_stencil_pair(q, h, order))) for order in (1, 2))
+    return SData(S=S, S_dot=S_dot)
 
 
 def es_residual(metric: MetricSpec, sample: TangentSample, density=None) -> float:

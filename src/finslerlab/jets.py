@@ -522,13 +522,6 @@ def _as_const(v):
 # -- construction -------------------------------------------------------------
 
 
-def constant(spec: JetSpec, value: float) -> Jet:
-    ctx = _context(spec)
-    c = np.zeros(ctx.size)
-    c[0] = float(value)
-    return Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True)
-
-
 def lift(x, y, spec: JetSpec):
     """Seed coordinate jets at the expansion point (x, y).
 

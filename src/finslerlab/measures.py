@@ -176,7 +176,9 @@ def ball_volume(metric: MetricSpec, ball: BallSpec, n_samples=1_000_000,
 def _direction_grid(n, n_dirs, default=(96, 10)):
     """Directions and weights of a polar sweep: n_dirs circle nodes for n = 2,
     else an n_dirs x 2 n_dirs sphere grid.  Without n_dirs, default holds
-    the counts for n = 2 and for n = 3."""
+    the counts for n = 2 and for n = 3; larger n has no grid rule here."""
+    if n not in (2, 3):
+        raise ConfigurationError(f"the polar route needs n in {{2,3}}, got {n}")
     if n_dirs is None:
         n_dirs = default[0] if n == 2 else default[1]
     return circle_nodes(n_dirs) if n == 2 else sphere_nodes(n_dirs, 2 * n_dirs)
@@ -305,6 +307,10 @@ def small_ball_probe(metric: MetricSpec, x, eps_grid, n_dirs=None,
     least squares so the cubic term does not bias c2.  Non-reversible
     metrics are probed too but the report carries the reversibility flag,
     since the expansion is only backed for reversible metrics.
+
+    The second route is c2 = -n r(x) / (6 (n + 2)), the Riemannian
+    -scal / (6 (n + 2)) with scal = n r(x).  That constant is checked where
+    S vanishes; the constant of the Finsler S-term is not derived.
     """
     x = np.asarray(x, dtype=float)
     eps = np.asarray(eps_grid, dtype=float)
@@ -326,7 +332,7 @@ def small_ball_probe(metric: MetricSpec, x, eps_grid, n_dirs=None,
     r_x = curvature_ball_coefficient(metric, x, n_dirs=n_dirs) if compute_rx else np.nan
     return SmallBallReport(
         c2=c2,
-        c2_from_rx=float(-r_x / (6.0 * (n + 2))) if compute_rx else np.nan,
+        c2_from_rx=float(-n * r_x / (6.0 * (n + 2))) if compute_rx else np.nan,
         r_x=float(r_x) if compute_rx else np.nan,
         eps_grid=eps,
         volumes=mu,

@@ -251,12 +251,26 @@ class MetricSpec:
 # ---------------------------------------------------------------------------
 
 
+def _per_member(pick, a, b):
+    """a where pick holds, else b: the whole operand for one point, or entry
+    by entry for arrays and member by member for a jet stack."""
+    if np.ndim(pick) == 0:
+        return a if pick else b
+    if isinstance(a, Jet):
+        return a._combine(np.where(pick[:, None], a.coeffs, b.coeffs), b)
+    return np.where(pick, a, b)
+
+
 def funk_unit_ball(x, y):
-    """Closed form on the unit ball, from solving |x + y/F|^2 = 1."""
+    """Closed form on the unit ball, from solving |x + y/F|^2 = 1:
+    F = (r + xy) / (1 - |x|^2) with r = sqrt(xy^2 + yy (1 - |x|^2)).  Where
+    xy < 0 that sum cancels, so there the same F is taken as yy / (r - xy)."""
     xy = _dot(x, y)
     yy = _dot(y, y)
     one_minus = 1.0 - _dot(x, x)
-    return (jets.sqrt(xy * xy + yy * one_minus) + xy) / one_minus
+    r = jets.sqrt(xy * xy + yy * one_minus)
+    toward = (xy.value if isinstance(xy, Jet) else xy) < 0.0
+    return _per_member(toward, yy, r + xy) / _per_member(toward, r - xy, one_minus)
 
 
 def _ball_exit_parameter(xs, ys):

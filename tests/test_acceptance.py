@@ -296,14 +296,14 @@ class TestAcceptance:
         rep = me.small_ball_probe(zoo["riemannian_sphere"], [0.2, 0.1],
                                   [0.02, 0.04, 0.06, 0.08, 0.1])
         dev = abs(rep.c2 + 1.0 / 12.0) * 12.0
-        # the curvature-average route is reported (its displayed constant is
-        # ambiguous); the proportionality between both routes is recorded
+        # the curvature-average route, -n r(x) / (6 (n + 2)), must agree too
         ratio = rep.c2 / rep.c2_from_rx
         elapsed = time.perf_counter() - t0
         print(f"    c2 = {rep.c2:.6f}, r(x) route gives {rep.c2_from_rx:.6f} "
-              f"(proportionality {ratio:.3f})")
-        _report(14, "round-sphere small-ball coefficient -1/12",
-                dev, 5e-2, dev < 5e-2, elapsed)
+              f"(ratio {ratio:.4f})")
+        _report(14, "round-sphere small-ball coefficient -1/12, both routes",
+                max(dev, abs(ratio - 1.0)), 5e-2, dev < 5e-2 and abs(ratio - 1.0) < 5e-2,
+                elapsed)
 
     def test_criterion_15_property_suites(self, zoo):
         t0 = time.perf_counter()

@@ -288,6 +288,18 @@ def test_n3_smoke_every_catalog_metric(tmp_path, capsys, name):
         assert "Traceback" not in out.out + out.err
 
 
+@pytest.mark.parametrize("name", ["euclidean", "riemannian_sphere", "riemannian_hyperbolic",
+                                  "randers", "quartic_norm"])
+def test_polar_volume_beyond_n3_exits_2(tmp_path, capsys, name):
+    # the polar sweep has direction grids for n = 2 and 3 only
+    code = run(["volume", "--metric", name, "--dim", "4", "--radii", "0.5",
+                "--mc-samples", "1000"], tmp_path)
+    assert code == 2
+    out = capsys.readouterr()
+    assert "the polar route needs n in {2,3}, got 4" in out.err
+    assert "Traceback" not in out.out + out.err
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_sphere_geodesic_stops_at_the_chart_edge(tmp_path, capsys, dim):
     # the default t = 3 from the origin heads for the antipode, which the

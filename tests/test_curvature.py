@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from finslerlab import cli
-from finslerlab._grids import _STENCIL5
+from finslerlab._grids import five_point, richardson_doubling
 from finslerlab import curvature as cu
 from finslerlab.errors import ChartExitError
-from finslerlab.geodesics import spray_jets
+from finslerlab.geodesics import integrate_geodesic, spray_jets
 from finslerlab.jets import JetSpec, lift
 from finslerlab.metrics import make_metric
 from finslerlab.minkowski import (
@@ -216,41 +216,78 @@ class TestSCurvature:
                     target, abs=1e-6)
 
     def test_lazy_s_dot_matches_eager(self, zoo):
-        # the eager formula S-dot had before it became lazy, as the reference
+        # the eager S-dot, one geodesic stencil and its step pair, as the reference
         for name in ("funk", "randers_curl"):
             m = zoo[name]
             x, y = tangent_samples(m, 1, seed=78)[0]
             s = TangentSample(x, y)
             sigma = density_field(m)
 
-            def s_at(xx, vv):
+            def s_at(xx, vv, U=None):
                 return cu.s_jet_workspace(m, TangentSample(xx, vv), sigma)[0].value
 
             h = 1e-2 / m.F(x, y)
-            v1 = cu._along_geodesic(m, s, s_at, h)
-            v2 = cu._along_geodesic(m, s, s_at, 2 * h)
-            sd1 = float(np.tensordot(_STENCIL5, [v1[0], v1[1], v1[3], v1[4]], 1) / h)
-            sd2 = float(np.tensordot(_STENCIL5, [v2[0], v2[1], v2[3], v2[4]], 1) / (2 * h))
+            sd1, sd2 = cu._stencil_pair(cu._geodesic_stencil(m, s, s_at, h, np.empty((0, m.n))), h)
             sd = cu.s_curvature(m, s, method="analytic")
             assert sd.S == s_at(x, y)
             assert sd.S_dot == (16.0 * sd1 - sd2) / 15.0
 
     def test_s_only_read_integrates_no_geodesic(self, zoo, monkeypatch):
         calls = []
-        real = cu.integrate_geodesic
+        real = cu.transport_both_ways
 
         def counting(*args, **kw):
             calls.append(1)
             return real(*args, **kw)
 
-        monkeypatch.setattr(cu, "integrate_geodesic", counting)
+        monkeypatch.setattr(cu, "transport_both_ways", counting)
         m = zoo["funk"]
         sd = cu.s_curvature(m, TangentSample([0.5, 0.0], [1.0, 0.0]), method="analytic")
         assert sd.S == pytest.approx(3.0, abs=1e-9)
         assert not calls
         sd.S_dot
         sd.S_dot
-        assert len(calls) == 4
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["funk", "funk3", "hilbert_quartic", "randers_curl",
+                                      "berwald_product", "riemannian_sphere"])
+    def test_stencil_matches_the_four_solve_route(self, zoo, name):
+        # the stencil S and S-dot were read from before one two-way transport
+        # served them: two integrate_geodesic solves per step, frozen here
+        def along_geodesic(m, sample, fn, h):
+            out = [None] * 5
+            out[2] = fn(sample.x, sample.y)
+            for sign, idxs in ((1.0, (3, 4)), (-1.0, (1, 0))):
+                path = integrate_geodesic(m, sample.x, sample.y, sign * 2 * h,
+                                          t_eval=[0.0, sign * h, sign * 2 * h]).require_reach()
+                for slot, k in zip(idxs, (1, 2)):
+                    out[slot] = fn(path.x[k], path.v[k])
+            return out
+
+        m = zoo[name]
+        sigma = density_field(m)
+
+        def tau_at(x, v):
+            return 0.5 * np.log(fundamental_tensor(m, TangentSample(x, v)).det_g) - np.log(sigma(x))
+
+        def s_at(x, v):
+            return cu.s_jet_workspace(m, TangentSample(x, v), sigma)[0].value
+
+        for x, y in tangent_samples(m, 6, seed=79):
+            s = TangentSample(x, y)
+            F = m.F(x, y)
+            h = 1e-2 / F
+            geo = [np.array([five_point(along_geodesic(m, s, tau_at, hh), hh, order)[0]
+                             for order in (1, 2)]) for hh in (h, 2 * h)]
+            S, S_dot = richardson_doubling(*geo)
+            S_dot_an = richardson_doubling(*(five_point(along_geodesic(m, s, s_at, hh), hh)[0]
+                                             for hh in (h, 2 * h)))
+            got = cu.s_curvature(m, s, method="geodesic")
+            got_an = cu.s_curvature(m, s, method="analytic")
+            assert abs(got.S - S) <= 1e-11 * max(1.0, F)
+            assert abs(got.S_dot - S_dot) <= 1e-8 * max(1.0, F) ** 2
+            assert got_an.S == s_at(x, y)
+            assert abs(got_an.S_dot - S_dot_an) <= 1e-8 * max(1.0, F) ** 2
 
     def test_funk3_s_dot_near_boundary(self):
         funk3 = make_metric("funk", n=3)

@@ -2,7 +2,8 @@
 g (0), C (-1), G (2) and N (1), the symmetry of the Berwald tensor, the
 fiber Euler identities of g, C and B, the g_y-symmetry of R_y, stacked
 spray gradients equal to per-point ones bit for bit, and the spray
-gradients' linear solves against the jet spray."""
+gradients' linear solves against the jet spray, also where the Funk
+unit-ball formula would cancel."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -143,5 +144,23 @@ def test_spray_gradients_match_the_jet_spray(zoo, stack, mx):
         want = (derivative_tensor(G, 0, 0), derivative_tensor(G, 1, 0) if mx > 1 else None,
                 derivative_tensor(G, 0, 1))
         for got, ref in zip(spray_gradients(m, xs, ys, mx), want):
+            assert (got is None and ref is None) or _close(got, ref, np.max(np.abs(ref)),
+                                                           rel=1e-12)
+
+
+def test_funk_spray_routes_agree_towards_the_origin_near_the_rim(zoo):
+    # 0.014 inside the unit sphere, with directions x.y < 0: there the sum in
+    # F = (r + x.y) / (1 - |x|^2) cancels unless F is taken as yy / (r - x.y)
+    m = zoo["funk3"]
+    x = chart_points(m, 8)[4]
+    np.testing.assert_allclose(x, [0.225, 0.5, -0.828], atol=1e-12)
+    y = np.array([[-0.3, -0.6, 0.9], [-0.2, -0.9, 1.0], [0.1, -1.0, 0.2]])
+    assert np.all(y @ x < 0.0)
+    xs = np.tile(x, (3, 1))
+    for mx in (1, 2):
+        G = spray_jets(m, xs, y, mx, 3).G
+        want = (derivative_tensor(G, 0, 0), derivative_tensor(G, 1, 0) if mx > 1 else None,
+                derivative_tensor(G, 0, 1))
+        for got, ref in zip(spray_gradients(m, xs, y, mx), want):
             assert (got is None and ref is None) or _close(got, ref, np.max(np.abs(ref)),
                                                            rel=1e-12)
