@@ -4,16 +4,31 @@ used across the library."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigurationError
 
 
 def halton(dim, count):
-    """Low-discrepancy points in [0,1)^dim; unscrambled, hence reproducible."""
-    sampler = qmc.Halton(d=dim, scramble=False)
-    sampler.fast_forward(1)  # skip the all-zero first point
-    return sampler.random(count)
+    """Low-discrepancy points in [0,1)^dim; unscrambled, hence reproducible.
+
+    Radical inverses of the indices 1..count in the first dim prime bases,
+    with the bits of scipy's unscrambled Halton sampler past its all-zero
+    first point: digits are added lowest first, and the digit weight is
+    divided by the base (times its reciprocal can be one ulp off).
+    """
+    bases, k = [], 2  # the first dim primes
+    while len(bases) < dim:
+        if all(k % p for p in bases):
+            bases.append(k)
+        k += 1
+    out = np.zeros((count, dim))
+    for col, base in zip(out.T, bases):
+        q, b2r = np.arange(1, count + 1), 1.0 / base
+        while q.size and q[-1]:  # once the largest index runs out, digits add 0.0
+            q, r = np.divmod(q, base)
+            col += r * b2r
+            b2r /= base
+    return out
 
 
 def halton_directions(n, count):

@@ -82,12 +82,12 @@ def landsberg_from_berwald(metric: MetricSpec, sample: TangentSample,
 
 
 def _geodesic_stencil(metric, sample, fn, h, frame):
-    """fn(x, v, U) on the geodesic states at t = 0, +-h, +-2h and +-4h, keyed
+    """fn(x, v, U) on the geodesic states at t = +-h, +-2h and +-4h, keyed
     by t/h, with U the frame (k, n) transported there, from one two-way
     transport; ChartExitError when the geodesic leaves the chart before one
-    of them."""
+    of them.  The centre, of weight 0 in a first derivative, is not read."""
     xs, vs, frames = transport_both_ways(metric, sample.x, sample.y, [h, 2 * h, 4 * h], frame)
-    q = {0: fn(sample.x, sample.y, frame)}
+    q = {}
     for member, sign in enumerate((1, -1)):
         for k, step in enumerate((1, 2, 4)):
             q[sign * step] = fn(xs[member, k], vs[member, k], frames[member, k])
@@ -96,8 +96,8 @@ def _geodesic_stencil(metric, sample, fn, h, frame):
 
 def _stencil_pair(q, h, order=1):
     """Five-point derivatives of the given order at t = 0 from a geodesic
-    stencil, at steps h and 2h; they share the values at 0 and +-2h."""
-    return tuple(five_point([q[k] for k in keys], step, order)[0]
+    stencil, at steps h and 2h; only the second derivative reads q[0]."""
+    return tuple(five_point([q.get(k) for k in keys], step, order)[0]
                  for keys, step in (((-2, -1, 0, 1, 2), h), ((-4, -2, 0, 2, 4), 2 * h)))
 
 
@@ -273,6 +273,7 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
         return 0.5 * np.log(ft.det_g) - np.log(sigma(x))
 
     q = _geodesic_stencil(metric, sample, tau_at, h, no_frame)
+    q[0] = tau_at(sample.x, sample.y, no_frame)
     S, S_dot = (float(richardson_doubling(*_stencil_pair(q, h, order))) for order in (1, 2))
     return SData(S=S, S_dot=S_dot)
 

@@ -401,13 +401,21 @@ class Jet:
             cs = coeff_fn(members[0], K)
         else:
             cs = np.array([coeff_fn(u, K) for u in members]).T
-        c = self.coeffs.copy()
-        c.T[0] = 0.0
-        uhat = Jet(self.ctx, c, self.vx, self.vy, masked=True)
-        out = self._const_like(cs[K])
+        # Horner's rule, out = out * uhat + cs[k], each product summed as in
+        # __mul__ (the same terms in the same order), uhat's side taken once
+        ctx = self.ctx
+        ta, tb, to = ctx.mul_table(self.vx, self.vy)
+        uhat = self.coeffs.copy()
+        uhat.T[0] = 0.0
+        ub = uhat.take(tb, axis=-1)
+        m = 1 if uhat.ndim == 1 else len(uhat)
+        idx = to if uhat.ndim == 1 else ctx.scatter(self.vx, self.vy, m)
+        out = self._const_like(cs[K]).coeffs
         for k in range(K - 1, -1, -1):
-            out = out * uhat + cs[k]
-        return out
+            out = np.bincount(idx, weights=(out.take(ta, axis=-1) * ub).ravel(),
+                              minlength=m * ctx.size).reshape(uhat.shape)
+            out.T[0] += cs[k]
+        return Jet(ctx, out, self.vx, self.vy, masked=True)
 
     def _require_positive(self, message):
         if any(u <= 0.0 for u in self._members()):

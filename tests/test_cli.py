@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -332,3 +334,23 @@ class TestReproducibility:
         ta = (a / "volume_funk_n2.csv").read_text().replace(str(a), "OUT")
         tb = (b / "volume_funk_n2.csv").read_text().replace(str(b), "OUT")
         assert ta == tb
+
+
+def test_cli_import_and_verify_leave_scipy_stats_unloaded(tmp_path):
+    """scipy.stats costs about half a second of start-up; nothing needs it."""
+    import finslerlab
+
+    src = os.path.dirname(os.path.dirname(finslerlab.__file__))
+    code = (
+        "import sys\n"
+        "import finslerlab.cli\n"
+        "rc = finslerlab.cli.main(['verify', '--metric', 'funk', '--checks', 'homogeneity_f2a',"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "assert rc == 0, rc\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

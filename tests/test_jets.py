@@ -540,3 +540,52 @@ class TestStacks:
         with pytest.raises(ConfigurationError):
             jets.join_members([one, lift([0.0, 0.0], [1.0, 1.0], JetSpec(2, 1, 2))[1][0]])
 
+
+def _unfused_series(self, coeff_fn, opname, require=None):
+    """Jet._series with every Horner step a ring product and a sum,
+    out = out * uhat + cs[k]: the reference for the fused loop's bits."""
+    K = self._nilpotency()
+    members = self._members()
+    if require is not None:
+        for u in members:
+            if not require(u):
+                raise JetDomainError(f"{opname} of jet with constant term {u}")
+    if self.coeffs.ndim == 1:
+        cs = coeff_fn(members[0], K)
+    else:
+        cs = np.array([coeff_fn(u, K) for u in members]).T
+    c = self.coeffs.copy()
+    c.T[0] = 0.0
+    uhat = Jet(self.ctx, c, self.vx, self.vy, masked=True)
+    out = self._const_like(cs[K])
+    for k in range(K - 1, -1, -1):
+        out = out * uhat + cs[k]
+    return out
+
+
+_SERIES_OPS = {
+    "sqrt": jets.sqrt,
+    "reciprocal": lambda j: j._reciprocal(),
+    "log": jets.log,
+    "exp": jets.exp,
+    "sin": jets.sin,
+    "cosh": jets.cosh,
+}
+
+
+class TestFusedSeries:
+    @pytest.mark.parametrize("n, orders", [(2, (2, 3)), (2, (2, 4)), (3, (2, 4)), (3, (1, 5))])
+    @pytest.mark.parametrize("op", sorted(_SERIES_OPS))
+    def test_bits_match_the_unfused_horner_loop(self, n, orders, op, monkeypatch):
+        (xs, ys), singles = _stack_and_singles(JetSpec(n, *orders), 3, _rng())
+        args = []
+        for sx, sy in [(xs, ys)] + singles:
+            u = _u(sx, sy)
+            args += [u, u.dy(1), (u * u).dx(1)]  # full and lowered validity
+        fused = [_SERIES_OPS[op](a) for a in args]
+        monkeypatch.setattr(Jet, "_series", _unfused_series)
+        for a, got in zip(args, fused):
+            want = _SERIES_OPS[op](a)
+            assert (got.vx, got.vy) == (want.vx, want.vy)
+            assert got.coeffs.shape == want.coeffs.shape
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
