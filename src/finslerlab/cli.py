@@ -319,8 +319,8 @@ def _dot_lc(metric, s):
 def _transport_norms(metric, s):
     frame = np.eye(metric.n)
     tr = parallel_transport(metric, s.x, s.y / metric.F(s.x, s.y), 2.0, frame)
-    F0 = np.array([metric.F(s.x, e) for e in frame])
-    Ft = [[metric.F(x, v) for v in vs] for x, vs in zip(tr.path.x, tr.frames)]
+    F0 = metric.F_batch(np.broadcast_to(s.x, frame.shape), frame)
+    Ft = metric.F_batch(np.broadcast_to(tr.path.x[:, None], tr.frames.shape), tr.frames)
     return Ft, F0, F0
 
 

@@ -51,7 +51,7 @@ class BerwaldTensor:
 def berwald_curvature(metric: MetricSpec, sample: TangentSample) -> BerwaldTensor:
     sample.validate(metric)
     B = derivative_tensor(spray_jets(metric, sample.x, sample.y, 1, 5).G, 0, 3)
-    E = 0.5 * np.einsum("kijk->ij", B)
+    E = 0.5 * np.einsum("...kijk->...ij", B)
     return BerwaldTensor(B=B, E=E)
 
 
@@ -76,22 +76,19 @@ def landsberg_from_berwald(metric: MetricSpec, sample: TangentSample,
     """Identity route: L(u,v,w) = -1/2 g(B(u,v,w), y)."""
     if bt is None:
         bt = berwald_curvature(metric, sample)
-    ft = fundamental_tensor(metric, sample)
-    gy = ft.g @ sample.y
-    return -0.5 * np.einsum("mijk,m->ijk", bt.B, gy)
+    gy = (fundamental_tensor(metric, sample).g @ sample.y[..., None])[..., 0]
+    return -0.5 * np.einsum("...mijk,...m->...ijk", bt.B, gy)
 
 
 def _geodesic_stencil(metric, sample, fn, h, frame):
     """fn(x, v, U) on the geodesic states at t = +-h, +-2h and +-4h, keyed
-    by t/h, with U the frame (k, n) transported there, from one two-way
-    transport; ChartExitError when the geodesic leaves the chart before one
-    of them.  The centre, of weight 0 in a first derivative, is not read."""
+    by t/h: one call on the six states as a stack, x and v (6, n) and U the
+    frames (6, k, n) transported there, from one two-way transport;
+    ChartExitError when the geodesic leaves the chart before one of them.
+    The centre, of weight 0 in a first derivative, is not read."""
     xs, vs, frames = transport_both_ways(metric, sample.x, sample.y, [h, 2 * h, 4 * h], frame)
-    q = {}
-    for member, sign in enumerate((1, -1)):
-        for k, step in enumerate((1, 2, 4)):
-            q[sign * step] = fn(xs[member, k], vs[member, k], frames[member, k])
-    return q
+    vals = fn(xs.reshape(6, -1), vs.reshape(6, -1), frames.reshape(6, *frames.shape[2:]))
+    return dict(zip((1, 2, 4, -1, -2, -4), vals))
 
 
 def _stencil_pair(q, h, order=1):
@@ -102,7 +99,8 @@ def _stencil_pair(q, h, order=1):
 
 
 def _frame_contract3(T, U):
-    return np.einsum("ijk,ia,jb,kc->abc", T, U.T, U.T, U.T)
+    Ut = np.swapaxes(U, -1, -2)
+    return np.einsum("...ijk,...ia,...jb,...kc->...abc", T, Ut, Ut, Ut)
 
 
 def _transport_derivative(metric, sample, quantity, dt):
@@ -165,7 +163,8 @@ def mean_landsberg_by_transport(metric: MetricSpec, sample: TangentSample,
     """Cross-route for J: derivative of the mean Cartan torsion along the
     geodesic on parallel arguments."""
     return _transport_derivative(metric, sample,
-                                 lambda sm, U: U @ mean_cartan(metric, sm), dt)
+                                 lambda sm, U: (U @ mean_cartan(metric, sm)[..., None])[..., 0],
+                                 dt)
 
 
 def landsberg_data(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> LandsbergTensor:
@@ -198,9 +197,11 @@ class SData:
 
 
 def _log_density_gradient(sigma, x, h=1e-4):
+    """The gradient of log sigma at one point (n,), giving (n,), or at a
+    stack (m, n), giving (n, m): each difference takes the whole stack."""
     x = np.asarray(x, dtype=float)
     return np.array([richardson_central(lambda hh: np.log(sigma(x + hh * e)), h)
-                     for e in np.eye(len(x))])
+                     for e in np.eye(x.shape[-1])])
 
 
 def s_jet_workspace(metric: MetricSpec, sample: TangentSample, sigma):
@@ -210,15 +211,13 @@ def s_jet_workspace(metric: MetricSpec, sample: TangentSample, sigma):
     Hessian of the spray divergence, and S is the rate of the distortion
     tau = 1/2 log det g - log sigma along the geodesic flow,
     y^i dtau/dx^i - 2 G^i dtau/dy^i, with det g as a jet by the Leibniz sum
-    and the density gradient differenced.
+    and the density gradient differenced.  A stack of m samples gives jets
+    of m members, with one density difference for the whole stack.
     """
     n = metric.n
     ws = spray_jets(metric, sample.x, sample.y, 1, 5)
 
-    trN = None
-    for m in range(n):
-        term = ws.G[m].dy(m)
-        trN = term if trN is None else trN + term
+    trN = sum((ws.G[m].dy(m) for m in range(1, n)), ws.G[0].dy(0))
     E = 0.5 * derivative_tensor(trN, 0, 2)
 
     g = [[0.5 * ws.f2.dy(i).dy(j) for j in range(n)] for i in range(n)]
@@ -232,8 +231,7 @@ def s_jet_workspace(metric: MetricSpec, sample: TangentSample, sigma):
     half_log_det = 0.5 * det.log()
 
     dlog_sigma = _log_density_gradient(sigma, sample.x)
-    _, ys = lift(np.asarray(sample.x, dtype=float), np.asarray(sample.y, dtype=float),
-                 ws.f2.spec)
+    _, ys = lift(sample.x, sample.y, ws.f2.spec)
     S_jet = None
     for i in range(n):
         term = (ys[i] * (half_log_det.dx(i) - dlog_sigma[i])
@@ -306,12 +304,13 @@ class CurvatureReport:
 def _spray_riemann(ws, y):
     """R^i_k = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k + 2 G^j d2G^i/dy^j dy^k
     - N^i_j N^j_k from an order-(2, 4) spray workspace at y, with the values
-    G, N = dG/dy, d2G/dxdy and d2G/dydy it is made of."""
+    G, N = dG/dy, d2G/dxdy and d2G/dydy it is made of; a workspace at a
+    stack y (m, n) gives each with a leading member axis."""
     G, dGdx, N, d2Gxy, d2Gyy = (derivative_tensor(ws.G, ox, oy)
                                 for ox, oy in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2)))
     R = (2.0 * dGdx
-         - np.einsum("j,ijk->ik", y, d2Gxy)
-         + 2.0 * np.einsum("j,ijk->ik", G, d2Gyy)
+         - np.einsum("...j,...ijk->...ik", y, d2Gxy)
+         + 2.0 * np.einsum("...j,...ijk->...ik", G, d2Gyy)
          - N @ N)
     return R, G, N, d2Gxy, d2Gyy
 
@@ -388,21 +387,21 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
     x0s, v0s = p0.state(ts)
     Jd, Jdd = (five_point(J, h, order) for order in (1, 2))
 
-    worst = 0.0
-    gs = []
-    for k in range(len(ts)):
-        ws = spray_jets(metric, x0s[k], v0s[k], 2, 4)
-        gs.append(0.5 * derivative_tensor(ws.f2, 0, 2))
-        if k < 2 or k > len(ts) - 3:
-            continue
-        R, G, N, d2Gxy, d2Gyy = _spray_riemann(ws, v0s[k])
-        Ndot = (np.einsum("ikj,k->ij", d2Gxy, v0s[k])
-                - 2.0 * np.einsum("ijk,k->ij", d2Gyy, G))
-        res = Jdd[k - 2] + Ndot @ J[k] + 2.0 * (N @ Jd[k - 2]) + N @ (N @ J[k]) + R @ J[k]
-        worst = max(worst, float(np.sqrt(res @ gs[k] @ res)))
+    def apply(A, b):
+        return (A @ b[..., None])[..., 0]
+
+    # one workspace stack over the grid; the stencils cover its interior
+    ws = spray_jets(metric, x0s, v0s, 2, 4)
+    gs = 0.5 * derivative_tensor(ws.f2, 0, 2)
+    R, G, N, d2Gxy, d2Gyy = (a[2:-2] for a in _spray_riemann(ws, v0s))
+    Ndot = (np.einsum("...ikj,...k->...ij", d2Gxy, v0s[2:-2])
+            - 2.0 * np.einsum("...ijk,...k->...ij", d2Gyy, G))
+    Jk = J[2:-2]
+    res = Jdd + apply(Ndot, Jk) + 2.0 * apply(N, Jd) + apply(N, apply(N, Jk)) + apply(R, Jk)
+    worst = float(np.max(np.sqrt(np.einsum("...i,...ij,...j->...", res, gs[2:-2], res))))
 
     # first refocusing point: the g-norm of J returns to zero
-    norms = np.array([np.sqrt(max(J[k] @ gs[k] @ J[k], 0.0)) for k in range(len(ts))])
+    norms = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", J, gs, J), 0.0))
     first_zero = None
     peak = float(np.max(norms))
     ref = int(np.argmax(norms))
@@ -483,19 +482,13 @@ def constant_curvature_ode_check(metric: MetricSpec, x, y, kappa,
             raise GeometryError("geodesic left the chart too early for the fit")
         ts = np.asarray(tr.ts, dtype=float)
 
-    C_vals = np.empty(len(ts))
-    L_vals = np.empty(len(ts))
-    Ct_vals = np.empty(len(ts))
-    for k in range(len(ts)):
-        sm = TangentSample(tr.path.x[k], tr.path.v[k])
-        Vk = tr.frames[k][0]
-        Wk = tr.frames[k][1] if metric.n >= 3 else tr.frames[k][0]
-        C = cartan_tensor(metric, sm)
-        C_vals[k] = np.einsum("ijk,i,j,k->", C, Vk, Vk, Vk)
-        L = landsberg_from_berwald(metric, sm)
-        L_vals[k] = np.einsum("ijk,i,j,k->", L, Vk, Vk, Vk)
-        Ct = cartan_tilde(metric, sm)
-        Ct_vals[k] = np.einsum("ijkl,i,j,k,l->", Ct, Vk, Vk, Vk, Wk)
+    sm = TangentSample(tr.path.x, tr.path.v)
+    V, W = tr.frames[:, 0], tr.frames[:, -1]
+    C_vals = np.einsum("...ijk,...i,...j,...k->...", cartan_tensor(metric, sm), V, V, V)
+    L_vals = np.einsum("...ijk,...i,...j,...k->...",
+                       landsberg_from_berwald(metric, sm), V, V, V)
+    Ct_vals = np.einsum("...ijkl,...i,...j,...k,...l->...", cartan_tilde(metric, sm),
+                        V, V, V, W)
 
     m = max(3, len(ts) // 3)
     A = _cc_basis(kappa, ts)
@@ -567,7 +560,4 @@ def cartan_norm_along(metric: MetricSpec, x, y, ts):
     y = y / metric.F(x, y)
     ts = np.asarray(ts, dtype=float)
     path = integrate_geodesic(metric, x, y, float(ts[-1]), t_eval=ts)
-    out = np.empty(len(path.t))
-    for k in range(len(path.t)):
-        out[k] = cartan_norm(metric, TangentSample(path.x[k], path.v[k]))
-    return path.t, out
+    return path.t, cartan_norm(metric, TangentSample(path.x, path.v))

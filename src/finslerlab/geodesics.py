@@ -551,15 +551,10 @@ def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
 
 def _gram_drift(metric, xs, vs, frames):
     """Largest change of the frames' g_cdot Gram matrix from its value at the
-    first state; raises GeometryError when a frame becomes degenerate."""
-    gram0 = None
-    drift = 0.0
-    for x, v, frame in zip(xs, vs, frames):
-        gram = frame @ fundamental_tensor(metric, TangentSample(x, v)).g @ frame.T
-        if gram0 is None:
-            gram0 = gram
-        else:
-            drift = max(drift, float(np.max(np.abs(gram - gram0))))
-        if np.linalg.cond(gram) > 1e12:
-            raise GeometryError("transported frame became numerically degenerate")
-    return drift
+    first state, from one stacked fundamental tensor; raises GeometryError
+    when a frame becomes degenerate."""
+    g = fundamental_tensor(metric, TangentSample(xs, vs)).g
+    gram = frames @ g @ np.swapaxes(frames, -1, -2)
+    if np.any(np.linalg.cond(gram) > 1e12):
+        raise GeometryError("transported frame became numerically degenerate")
+    return float(np.max(np.abs(gram - gram[0])))

@@ -25,7 +25,9 @@ _RAY_CHUNK = 2 ** 18
 
 @dataclass(frozen=True)
 class TangentSample:
-    """A base point with a nonvanishing tangent vector."""
+    """A base point with a nonvanishing tangent vector: x and y of shape
+    (n,), or stacks (m, n) of m tangent points.  The tangent functions take
+    either, and give a stack member the bits of its own single-point call."""
 
     x: np.ndarray
     y: np.ndarray
@@ -35,21 +37,27 @@ class TangentSample:
         object.__setattr__(self, "y", np.asarray(y, dtype=float))
 
     def validate(self, metric: MetricSpec):
-        if not metric.chart.contains(self.x):
+        """This sample, or PreconditionError when a base point lies outside
+        the chart or an F is at the floor: one F_batch call for a stack, the
+        scalar F for one point."""
+        if not np.all(metric.chart.contains(self.x)):
             raise PreconditionError(f"base point {self.x} outside the metric chart")
-        if metric.F(self.x, self.y) <= F_FLOOR:
+        stack = self.x.ndim > 1 or self.y.ndim > 1
+        F = metric.F_batch(self.x, self.y) if stack else metric.F(self.x, self.y)
+        if np.any(F <= F_FLOOR):
             raise PreconditionError("tangent vector too close to zero")
         return self
 
 
 @dataclass(frozen=True)
 class FundamentalTensor:
-    """g_ij(y) with its Cholesky-backed inverse and determinant."""
+    """g_ij(y) with its Cholesky-backed inverse and determinant; a stack of
+    m samples gives g and g_inv of shape (m, n, n) and det_g and F of (m,)."""
 
     g: np.ndarray
     g_inv: np.ndarray
-    det_g: float
-    F: float
+    det_g: float | np.ndarray
+    F: float | np.ndarray
 
     def inner(self, u, v):
         return float(np.asarray(u) @ self.g @ np.asarray(v))
@@ -73,7 +81,6 @@ def _f2_jet(metric, sample, mx, my):
 def fundamental_tensor(metric: MetricSpec, sample: TangentSample) -> FundamentalTensor:
     """g_ij = half the second fiber derivative of F^2, from the jet engine."""
     sample.validate(metric)
-    n = metric.n
     f2, F = _f2_jet(metric, sample, 0, 2)
     g = 0.5 * derivative_tensor(f2, 0, 2)
     try:
@@ -82,9 +89,9 @@ def fundamental_tensor(metric: MetricSpec, sample: TangentSample) -> Fundamental
         raise MetricValidityError(
             f"fundamental tensor not positive definite at x={sample.x}, y={sample.y}"
         ) from exc
-    g_inv = cho_solve((c, low), np.eye(n))
-    det_g = float(np.prod(np.diag(c)) ** 2)
-    return FundamentalTensor(g=g, g_inv=g_inv, det_g=det_g, F=F)
+    g_inv = cho_solve((c, low), np.eye(metric.n))
+    det_g = np.prod(np.diagonal(c, axis1=-2, axis2=-1), axis=-1) ** 2
+    return FundamentalTensor(g=g, g_inv=g_inv, det_g=_per_point(det_g, sample.y), F=F)
 
 
 def cartan_tensor(metric: MetricSpec, sample: TangentSample) -> np.ndarray:
@@ -109,7 +116,7 @@ def mean_cartan(metric: MetricSpec, sample: TangentSample,
         ft = fundamental_tensor(metric, sample)
     if C is None:
         C = cartan_tensor(metric, sample)
-    return np.einsum("ij,ijk->k", ft.g_inv, C)
+    return np.einsum("...ij,...ijk->...k", ft.g_inv, C)
 
 
 def distortion(metric: MetricSpec, sample: TangentSample, density: float,
@@ -155,14 +162,14 @@ def cartan_data(metric: MetricSpec, sample: TangentSample, density: float) -> Ca
 
 def cartan_norm(metric: MetricSpec, sample: TangentSample,
                 ft: FundamentalTensor | None = None,
-                C: np.ndarray | None = None) -> float:
+                C: np.ndarray | None = None) -> float | np.ndarray:
     """Fully g-contracted Frobenius norm of the Cartan torsion."""
     if ft is None:
         ft = fundamental_tensor(metric, sample)
     if C is None:
         C = cartan_tensor(metric, sample)
-    Cup = np.einsum("ia,jb,kc,abc->ijk", ft.g_inv, ft.g_inv, ft.g_inv, C)
-    return float(np.sqrt(np.einsum("ijk,ijk->", Cup, C)))
+    Cup = np.einsum("...ia,...jb,...kc,...abc->...ijk", ft.g_inv, ft.g_inv, ft.g_inv, C)
+    return _per_point(np.sqrt(np.einsum("...ijk,...ijk->...", Cup, C)), sample.y)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +404,15 @@ def indicatrix_gauss_oracle(metric: MetricSpec, y, h=2e-3) -> float:
     return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det * det))
 
 
-def santalo_volume(metric: MetricSpec, n_nodes=None) -> float:
+def santalo_volume(metric: MetricSpec) -> float:
     """Riemannian volume of the indicatrix in the induced metric.
 
     Only defined here for reversible Minkowski norms in dimensions 2 and 3;
-    equals Vol(S^(n-1)) exactly when the norm is Euclidean.
+    equals Vol(S^(n-1)) exactly when the norm is Euclidean.  The central
+    projection u -> u/F(u) pulls the induced metric back to F_yy/F on the
+    tangent space of the unit sphere at u, and F_yy u = 0, so the volume is
+    the sphere quadrature of sqrt(det(F_yy/F + u u^T)), with F and F_yy from
+    one jet stack over the nodes.
     """
     _require_minkowski(metric)
     if not metric.reversible:
@@ -409,66 +420,29 @@ def santalo_volume(metric: MetricSpec, n_nodes=None) -> float:
     n = metric.n
     if n not in (2, 3):
         raise PreconditionError("indicatrix volume implemented for n in {2, 3}")
-    x0 = np.zeros(n)
-    if n == 2:
-        m = n_nodes or 2048
-        theta = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-        total = 0.0
-        h = 1e-5
-        for t in theta:
-            def pt(tt):
-                nu = np.array([np.cos(tt), np.sin(tt)])
-                return nu / metric.F(x0, nu)
-
-            p = pt(t)
-            dp = (pt(t + h) - pt(t - h)) / (2 * h)
-            g = fundamental_tensor(metric, TangentSample(x0, p)).g
-            total += np.sqrt(dp @ g @ dp)
-        return float(total * (2 * np.pi / m))
-
-    npol, nazi = (n_nodes, 2 * n_nodes) if n_nodes else (48, 96)
-    z, wz = np.polynomial.legendre.leggauss(npol)
-    theta = np.arccos(z)
-    phi = np.linspace(0.0, 2 * np.pi, nazi, endpoint=False)
-    h = 1e-5
-    total = 0.0
-    for th, wt in zip(theta, wz):
-        for ph in phi:
-            def pt(a, b):
-                nu = np.array([
-                    np.sin(a) * np.cos(b), np.sin(a) * np.sin(b), np.cos(a)
-                ])
-                return nu / metric.F(x0, nu)
-
-            p = pt(th, ph)
-            pu = (pt(th + h, ph) - pt(th - h, ph)) / (2 * h)
-            pv = (pt(th, ph + h) - pt(th, ph - h)) / (2 * h)
-            g = fundamental_tensor(metric, TangentSample(x0, p)).g
-            E = pu @ g @ pu
-            Fm = pu @ g @ pv
-            G = pv @ g @ pv
-            # weight wt already includes sin(theta) via the z substitution
-            total += np.sqrt(max(E * G - Fm * Fm, 0.0)) / np.sin(th) * wt
-    return float(total * (2 * np.pi / nazi))
+    u, w = sphere_surface_nodes(n)
+    fj = metric.jet(np.zeros(n), u, 0, 2)
+    pulled = derivative_tensor(fj, 0, 2) / fj.value[:, None, None] + u[:, :, None] * u[:, None, :]
+    return float(np.sum(w * np.sqrt(np.linalg.det(pulled))))
 
 
-def indicatrix_bh_length(metric: MetricSpec, n_nodes=2048) -> float:
+def indicatrix_bh_length(metric: MetricSpec) -> float:
     """Busemann-Hausdorff length of the indicatrix curve (n = 2), reported
-    for comparison of the dimension-dependent volume bounds."""
+    for comparison of the dimension-dependent volume bounds.
+
+    The curve is p(u) = u/F(u) over the circle nodes u, with velocity
+    dp = (t - (F_y . t / F) u) / F along the unit tangent t = u'(theta),
+    F and F_y from one jet stack; the BH length element of dp is the
+    harmonic mean of F(dp) and F(-dp).
+    """
     _require_minkowski(metric)
     if metric.n != 2:
         raise PreconditionError("BH indicatrix length implemented for n = 2")
-    x0 = np.zeros(2)
-    theta = np.linspace(0.0, 2 * np.pi, n_nodes, endpoint=False)
-    h = 1e-5
-    total = 0.0
-    for t in theta:
-        def pt(tt):
-            nu = np.array([np.cos(tt), np.sin(tt)])
-            return nu / metric.F(x0, nu)
-
-        dp = (pt(t + h) - pt(t - h)) / (2 * h)
-        fwd = metric.F(x0, dp)
-        bwd = metric.F(x0, -dp)
-        total += 2.0 / (1.0 / fwd + 1.0 / bwd)
-    return float(total * (2 * np.pi / n_nodes))
+    u, w = sphere_surface_nodes(2)
+    t = np.column_stack([-u[:, 1], u[:, 0]])
+    fj = metric.jet(np.zeros(2), u, 0, 1)
+    F = fj.value[:, None]
+    dp = (t - np.sum(derivative_tensor(fj, 0, 1) * t, axis=-1, keepdims=True) / F * u) / F
+    x0 = np.zeros_like(dp)
+    fwd, bwd = metric.F_batch(x0, dp), metric.F_batch(x0, -dp)
+    return float(np.sum(w * 2.0 / (1.0 / fwd + 1.0 / bwd)))

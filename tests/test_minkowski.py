@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from finslerlab import metrics
+from finslerlab._grids import unit_sphere_area
 from finslerlab.errors import (
     ConfigurationError,
     MetricValidityError,
@@ -368,6 +369,11 @@ class TestSantalo:
 
     def test_euclidean_sphere(self, zoo):
         assert santalo_volume(zoo["euclidean3"]) == pytest.approx(4 * np.pi, abs=1e-5)
+
+    @pytest.mark.parametrize("name", ["euclidean", "euclidean3"])
+    def test_euclidean_equals_the_sphere_area(self, zoo, name):
+        metric = zoo[name]
+        assert abs(santalo_volume(metric) - unit_sphere_area(metric.n)) < 1e-13
 
     def test_quartic_strictly_below(self, zoo):
         v2 = santalo_volume(zoo["quartic_norm"])
