@@ -26,17 +26,13 @@ from .errors import (
     NumericalIntegrityError,
 )
 from .geodesics import integrate_geodesic, parallel_transport
-from .metrics import (
-    MetricSpec,
-    chart_points,
-    make_metric,
-    okada_residual,
-    validate_metric,
-)
+from .jets import derivative_tensor
+from .metrics import MetricSpec, chart_points, make_metric, validate_metric
 from .minkowski import (
     TangentSample,
     bh_density,
     cartan_tensor,
+    density_field,
     fundamental_tensor,
     santalo_volume,
 )
@@ -226,9 +222,9 @@ class SuiteReport:
 
 
 def _samples_for(metric, count):
-    pts = chart_points(metric, count)
-    dirs = halton_directions(metric.n, count)
-    return [TangentSample(x, d) for x, d in zip(pts, dirs)]
+    """The first `count` chart points with the Halton directions, as one
+    TangentSample stack (count, n)."""
+    return TangentSample(chart_points(metric, count), halton_directions(metric.n, count))
 
 
 _EXPECTED_KAPPA = {
@@ -242,31 +238,43 @@ _EXPECTED_KAPPA = {
 
 
 def _sampled(routes, tol, count=None, one_sided=False):
-    """A check over tangent samples.  `routes(metric, sample)` returns the
-    sample's values a and b of the check's two routes and the scale of their
-    difference; where the library already returns the residual, it is a and
-    b is 0.  The value is the worst |a - b| / scale over all samples and
-    components, or the worst a - b when `one_sided`; a NaN anywhere makes it
-    NaN, which fails.  `count` maps the configured `samples` to the number
-    drawn, and `tol` may be a function of the metric."""
+    """A check over tangent samples.  `routes(metric, samples)` takes the
+    whole TangentSample stack (m, n) and returns the values a and b of the
+    check's two routes, with a leading member axis, and the scale of their
+    difference, which broadcasts against them.  The value is the worst
+    |a - b| / scale over all members and components, or the worst a - b
+    when `one_sided`; a NaN anywhere makes it NaN, which fails.  `count`
+    maps the configured `samples` to the number drawn, and `tol` may be a
+    function of the metric."""
 
     def check(metric, cfg):
-        worst = -np.inf
         n = cfg["samples"] if count is None else count(cfg["samples"])
-        for s in _samples_for(metric, n):
-            a, b, scale = routes(metric, s)
-            d = np.subtract(a, b)
-            r = float(np.max(d if one_sided else np.abs(d) / scale))
-            worst = r if math.isnan(r) else max(worst, r)
-        return worst, tol(metric) if callable(tol) else tol
+        a, b, scale = routes(metric, _samples_for(metric, n))
+        d = np.subtract(a, b)
+        return float(np.max(d if one_sided else np.abs(d) / scale)), \
+            tol(metric) if callable(tol) else tol
 
     return check
 
 
+def _per_member(route):
+    """A route on one tangent point run member by member over a stack, for
+    the routes that integrate one ODE flow per point: each member's a, b
+    and scale are broadcast together and laid end to end."""
+
+    def routes(metric, s):
+        parts = [np.broadcast_arrays(*route(metric, TangentSample(x, y)))
+                 for x, y in zip(s.x, s.y)]
+        return tuple(np.concatenate([np.ravel(p[i]) for p in parts]) for i in range(3))
+
+    return routes
+
+
 def _homogeneity(metric, s):
-    F = metric.F(s.x, s.y)
+    F = metric.F_batch(s.x, s.y)
     lams = (0.5, 2.0)
-    return [metric.F(s.x, lam * s.y) for lam in lams], np.multiply(lams, F), max(F, 1e-12)
+    return (np.stack([metric.F_batch(s.x, lam * s.y) for lam in lams], axis=-1),
+            F[:, None] * lams, np.maximum(F, 1e-12)[:, None])
 
 
 def _definiteness(metric, s):
@@ -277,13 +285,24 @@ def _definiteness(metric, s):
 
 def _jb(metric, s):
     bt = curvature.berwald_curvature(metric, s)
-    gy = fundamental_tensor(metric, s).g @ s.y
+    gy = (fundamental_tensor(metric, s).g @ s.y[..., None])[..., 0]
     return (curvature.landsberg_from_berwald(metric, s, bt),
-            -0.5 * np.einsum("mijk,m->ijk", bt.B, gy), 1.0 + bt.norm())
+            -0.5 * np.einsum("...mijk,...m->...ijk", bt.B, gy),
+            (1.0 + bt.norm())[:, None, None, None])
+
+
+def _es(metric, s):
+    S_jet, E = curvature.s_jet_workspace(metric, s, density_field(metric))
+    return derivative_tensor(S_jet, 0, 2), 2.0 * E, 1.0
+
+
+def _okada(metric, s):
+    fj = metric.jet(s.x, s.y, 1, 1)
+    return derivative_tensor(fj, 1, 0), fj.value[:, None] * derivative_tensor(fj, 0, 1), 1.0
 
 
 def _ll(metric, s):
-    F = metric.F(s.x, s.y)
+    F = metric.F_batch(s.x, s.y)[:, None, None, None]
     return curvature.landsberg_from_berwald(metric, s), -0.5 * F * cartan_tensor(metric, s), 1.0
 
 
@@ -294,14 +313,17 @@ def _kk(metric, s):
 
 def _funk_s(metric, s):
     S = curvature.s_curvature(metric, s, method="analytic").S
-    return S, (metric.n + 1) / 2.0 * metric.F(s.x, s.y), 1.0
+    return S, (metric.n + 1) / 2.0 * metric.F_batch(s.x, s.y), 1.0
 
 
 def _funk_e(metric, s):
     bt = curvature.berwald_curvature(metric, s)
     ft = fundamental_tensor(metric, s)
-    F, gy = ft.F, ft.g @ s.y
-    return bt.E, (metric.n + 1) / (4 * F ** 3) * (F * F * ft.g - np.outer(gy, gy)), 1.0
+    F, gy = ft.F, (ft.g @ s.y[..., None])[..., 0]
+    # the coefficient by scalar powers: numpy's vectorised power can round differently
+    coef = np.array([(metric.n + 1) / (4 * f ** 3) for f in F])[:, None, None]
+    F = F[:, None, None]
+    return bt.E, coef * (F * F * ft.g - gy[:, :, None] * gy[:, None, :]), 1.0
 
 
 def _cc_fit(metric, s):
@@ -378,14 +400,13 @@ _CHECKS = [
     ("jb_identity", "L(u,v,w) = -g(B(u,v,w), y)/2", lambda m: True,
      _sampled(_jb, 1e-6)),
     ("es_identity", "E = (1/2) * fiber Hessian of S", lambda m: True,
-     _sampled(lambda m, s: (curvature.es_residual(m, s), 0.0, 1.0), 1e-5,
-              count=lambda k: min(k, 10))),
+     _sampled(_es, 1e-5, count=lambda k: min(k, 10))),
     ("okada_pde", "dF/dx^i = F dF/dy^i (Funk)", lambda m: m.name == "funk",
-     _sampled(lambda m, s: (okada_residual(m, s.x, s.y), 0.0, 1.0), 1e-8, count=lambda k: 50)),
+     _sampled(_okada, 1e-8, count=lambda k: 50)),
     ("ll_funk", "L + (F/2) C = 0 (Funk)", lambda m: m.name == "funk",
      _sampled(_ll, 1e-4)),
     ("kk_hilbert", "L-dot - F^2 C = 0 (Hilbert)", lambda m: m.name == "hilbert",
-     _sampled(_kk, 1e-4, count=lambda k: min(k, 6))),
+     _sampled(_per_member(_kk), 1e-4, count=lambda k: min(k, 6))),
     ("flag_curvature", "principal curvatures equal the metric's constant",
      lambda m: m.name in _EXPECTED_KAPPA,
      _sampled(lambda m, s: (curvature.riemann_curvature(m, s).principal,
@@ -403,10 +424,10 @@ _CHECKS = [
      lambda m: m.is_minkowski and m.reversible and m.n in (2, 3), _check_santalo),
     ("cc_ode_fit", "C'' + kappa C = 0 along geodesics (closed-form fit)",
      lambda m: m.name in ("funk", "hilbert", "riemannian_sphere", "riemannian_hyperbolic"),
-     _sampled(_cc_fit, 1e-4, count=lambda k: 3)),
+     _sampled(_per_member(_cc_fit), 1e-4, count=lambda k: 3)),
     ("dot_lc", "L-dot + kappa F^2 C = 0 at constant curvature",
      lambda m: m.name in ("funk", "hilbert"),
-     _sampled(_dot_lc, lambda m: 1e-5 if m.name == "funk" else 1e-4,
+     _sampled(_per_member(_dot_lc), lambda m: 1e-5 if m.name == "funk" else 1e-4,
               count=lambda k: min(k, 6))),
     ("projective_pair", "phi'' + kappa phi = kappa~ / phi^3 for projectively related pairs",
      lambda m: m.name in ("funk", "hilbert"), _check_projective_pair),
@@ -414,10 +435,11 @@ _CHECKS = [
      _sampled(lambda m, s: (curvature.berwald_curvature(m, s).norm(), 0.0, 1.0), 1e-8)),
     ("berwald_s_vanishes", "S = 0 for Berwald metrics with the BH measure",
      lambda m: m.name == "berwald_product",
-     _sampled(lambda m, s: (curvature.s_curvature(m, s, method="geodesic").S, 0.0, 1.0),
-              1e-6, count=lambda k: min(k, 6))),
+     _sampled(_per_member(lambda m, s: (curvature.s_curvature(m, s, method="geodesic").S,
+                                        0.0, 1.0)), 1e-6, count=lambda k: min(k, 6))),
     ("transport_preserves_norms", "parallel transport preserves F on Berwald metrics",
-     lambda m: m.name == "berwald_product", _sampled(_transport_norms, 1e-6, count=lambda k: 3)),
+     lambda m: m.name == "berwald_product", _sampled(_per_member(_transport_norms), 1e-6,
+                                                       count=lambda k: 3)),
 ]
 
 
@@ -453,15 +475,11 @@ def run_verify(cfg) -> SuiteReport:
 
 def run_curvature_report(cfg):
     metric = build_metric(cfg)
-    samples = _samples_for(metric, cfg["samples"])
-    rows = []
-    for idx, s in enumerate(samples):
-        rep = curvature.riemann_curvature(metric, s)
-        rows.append([
-            idx, *s.x, *s.y, rep.F, rep.ricci, *rep.principal,
-            rep.flag_constant if rep.flag_constant is not None else float("nan"),
-            rep.Ry_y_norm, rep.self_adjoint_defect,
-        ])
+    s = _samples_for(metric, cfg["samples"])
+    rep = curvature.riemann_curvature(metric, s)
+    rows = [[idx, *s.x[idx], *s.y[idx], rep.F[idx], rep.ricci[idx], *rep.principal[idx],
+             rep.flag_constant[idx], rep.Ry_y_norm[idx], rep.self_adjoint_defect[idx]]
+            for idx in range(len(s.x))]
     n = metric.n
     cols = (["i"] + [f"x{k}" for k in range(n)] + [f"y{k}" for k in range(n)]
             + ["F", "ricci"] + [f"kappa{k}" for k in range(n - 1)]

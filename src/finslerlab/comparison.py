@@ -92,18 +92,12 @@ def curvature_bound_sweep(metric: MetricSpec, lam, delta, n_samples=50,
                           tol=1e-6) -> BoundSweep:
     """Numerically verify Ric/F^2 >= (n-1) lambda and S/F >= (n-1) delta."""
     n = metric.n
-    pts = chart_points(metric, n_samples)
-    dirs = halton_directions(n, n_samples)
-    min_r = np.inf
-    min_s = np.inf
-    for x, d in zip(pts, dirs):
-        sm = TangentSample(x, d)
-        rep = riemann_curvature(metric, sm)
-        F = rep.F
-        min_r = min(min_r, rep.ricci / ((n - 1) * F * F))
-        sd = s_curvature(metric, sm, method="analytic")
-        min_s = min(min_s, sd.S / ((n - 1) * F))
-    ok = (min_r >= lam - tol) and (min_s >= delta - tol)
+    sm = TangentSample(chart_points(metric, n_samples), halton_directions(n, n_samples))
+    rep = riemann_curvature(metric, sm)
+    F = rep.F
+    min_r = np.min(rep.ricci / ((n - 1) * F * F))
+    min_s = np.min(s_curvature(metric, sm, method="analytic").S / ((n - 1) * F))
+    ok = bool(min_r >= lam - tol) and bool(min_s >= delta - tol)
     return BoundSweep(ok=ok, min_ricci_ratio=float(min_r),
                       min_s_ratio=float(min_s), n_samples=n_samples)
 

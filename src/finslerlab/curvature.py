@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +22,7 @@ from .geodesics import integrate_geodesic, parallel_transport, spray_jets, trans
 from .jets import derivative_tensor, lift
 from .metrics import MetricSpec
 from .minkowski import (
+    FundamentalTensor,
     TangentSample,
     cartan_norm,
     cartan_tensor,
@@ -45,7 +46,10 @@ class BerwaldTensor:
     E: np.ndarray
 
     def norm(self):
-        return float(np.sqrt(np.sum(self.B ** 2)))
+        """The Frobenius norm of B: a float for one point, (m,) for a stack."""
+        B = self.B.reshape(self.B.shape[:-4] + (-1,))
+        norm = np.sqrt(np.sum(B ** 2, axis=-1))
+        return float(norm) if norm.ndim == 0 else norm
 
 
 def berwald_curvature(metric: MetricSpec, sample: TangentSample) -> BerwaldTensor:
@@ -183,16 +187,16 @@ def landsberg_data(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> Landsb
 
 
 class SData:
-    """S and S-dot at one sample.  S_dot may be given as a zero-argument
-    callable; it then runs on first access, so readers of S alone skip the
-    geodesics it integrates."""
+    """S and S-dot at one sample, or arrays (m,) of them at a stack of m.
+    S_dot may be given as a zero-argument callable; it then runs on first
+    access, so readers of S alone skip the geodesics it integrates."""
 
     def __init__(self, S, S_dot):
         self.S = S
         self._S_dot = S_dot
 
     @cached_property
-    def S_dot(self) -> float:
+    def S_dot(self) -> float | np.ndarray:
         return self._S_dot() if callable(self._S_dot) else self._S_dot
 
 
@@ -249,22 +253,33 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
     workspace and differences only for S-dot, which it computes on first
     access.  Both step h in metric length, h / F(x, y) in the geodesic's
     parameter, so that the stencil keeps its reach near a Funk rim.
+
+    The analytic method also takes a stack of samples: S comes from one
+    stacked workspace, and S-dot from one stencil per member, each with the
+    bits of its own single-point call.
     """
     sample.validate(metric)
-    h = h / metric.F(sample.x, sample.y)
     sigma = density if density is not None else density_field(metric)
     no_frame = np.empty((0, metric.n))
     if method == "analytic":
         def s_at(x, v, U=None):
             return s_jet_workspace(metric, TangentSample(x, v), sigma)[0].value
 
-        def s_dot():
-            q = _geodesic_stencil(metric, sample, s_at, h, no_frame)
-            return float(richardson_doubling(*_stencil_pair(q, h)))
+        def s_dot(point):
+            hp = h / metric.F(point.x, point.y)
+            q = _geodesic_stencil(metric, point, s_at, hp, no_frame)
+            return float(richardson_doubling(*_stencil_pair(q, hp)))
 
-        return SData(S=float(s_at(sample.x, sample.y)), S_dot=s_dot)
+        S = s_at(sample.x, sample.y)
+        if sample.y.ndim == 1:
+            return SData(S=float(S), S_dot=lambda: s_dot(sample))
+        return SData(S=S, S_dot=lambda: np.array(
+            [s_dot(TangentSample(x, y)) for x, y in zip(sample.x, sample.y)]))
     if method != "geodesic":
         raise PreconditionError(f"unknown S-curvature method {method!r}")
+    if sample.y.ndim != 1:
+        raise PreconditionError("the geodesic S-curvature method takes one tangent point")
+    h = h / metric.F(sample.x, sample.y)
 
     def tau_at(x, v, U):
         ft = fundamental_tensor(metric, TangentSample(x, v))
@@ -290,15 +305,17 @@ def es_residual(metric: MetricSpec, sample: TangentSample, density=None) -> floa
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """R_y in coordinates with its spectral data on the transverse subspace."""
+    """R_y in coordinates with its spectral data on the transverse subspace.
+    A stack of m samples gives every field with a leading member axis, and
+    flag_constant NaN where a member has none."""
 
     R: np.ndarray
     principal: np.ndarray  # eigenvalues of R_y|_W divided by F^2, ascending
-    ricci: float
-    flag_constant: float | None
-    F: float
-    Ry_y_norm: float      # |R_y(y)| relative to F^2 |y|
-    self_adjoint_defect: float
+    ricci: float | np.ndarray
+    flag_constant: float | np.ndarray | None
+    F: float | np.ndarray
+    Ry_y_norm: float | np.ndarray  # |R_y(y)| relative to F^2 |y|
+    self_adjoint_defect: float | np.ndarray
 
 
 def _spray_riemann(ws, y):
@@ -315,14 +332,8 @@ def _spray_riemann(ws, y):
     return R, G, N, d2Gxy, d2Gyy
 
 
-def riemann_curvature(metric: MetricSpec, sample: TangentSample) -> CurvatureReport:
-    """R_y from the spray (see _spray_riemann), then the eigenproblem of R
-    restricted to the g_y-orthogonal complement of y, normalized by F^2."""
-    sample.validate(metric)
-    y = sample.y
-    R = _spray_riemann(spray_jets(metric, sample.x, y, 2, 4), y)[0]
-
-    ft = fundamental_tensor(metric, sample)
+def _transverse_report(R, ft, y):
+    """The CurvatureReport of one tangent point from its R_y and g_y."""
     F2 = ft.F ** 2
     ynorm = float(np.linalg.norm(y))
     Ry_y = R @ y
@@ -343,6 +354,29 @@ def riemann_curvature(metric: MetricSpec, sample: TangentSample) -> CurvatureRep
     return CurvatureReport(R=R, principal=principal, ricci=ricci,
                            flag_constant=flag, F=ft.F,
                            Ry_y_norm=Ry_y_norm, self_adjoint_defect=self_adj)
+
+
+def riemann_curvature(metric: MetricSpec, sample: TangentSample) -> CurvatureReport:
+    """R_y from the spray (see _spray_riemann), then the eigenproblem of R
+    restricted to the g_y-orthogonal complement of y, normalized by F^2.
+
+    A stack of samples takes one spray workspace and one fundamental tensor;
+    only the transverse basis and eigenproblem run member by member, and
+    each member has the bits of its own single-point call.
+    """
+    sample.validate(metric)
+    y = sample.y
+    R = _spray_riemann(spray_jets(metric, sample.x, y, 2, 4), y)[0]
+    ft = fundamental_tensor(metric, sample)
+    if y.ndim == 1:
+        return _transverse_report(R, ft, y)
+    reports = [_transverse_report(
+        R[k], FundamentalTensor(ft.g[k], ft.g_inv[k], ft.det_g[k], ft.F[k]), y[k])
+        for k in range(len(y))]
+    return CurvatureReport(**{
+        f.name: np.array([np.nan if v is None else v
+                          for v in (getattr(r, f.name) for r in reports)])
+        for f in fields(CurvatureReport)})
 
 
 # ---------------------------------------------------------------------------

@@ -289,12 +289,12 @@ def curvature_ball_coefficient(metric: MetricSpec, x, n_dirs=None) -> float:
     n = metric.n
     dirs, w = _direction_grid(n, n_dirs, default=(64, 8))
     sigma = density_field(metric)
+    sm = TangentSample(np.repeat(x[None], len(dirs), axis=0), dirs)
+    ricci = riemann_curvature(metric, sm).ricci
+    sd = s_curvature(metric, sm, method="analytic")
     total = 0.0
-    for d, wd in zip(dirs, w):
-        sm = TangentSample(x, d)
-        rep = riemann_curvature(metric, sm)
-        sd = s_curvature(metric, sm, method="analytic")
-        h = rep.ricci + 3.0 * n * (sd.S_dot - sd.S ** 2)
+    for ric, S, S_dot, d, wd in zip(ricci, sd.S, sd.S_dot, dirs, w):
+        h = ric + 3.0 * n * (S_dot - S ** 2)
         total += wd * h * metric.F(x, d) ** (-(n + 2))
     return float(sigma(x) * total / (n * unit_ball_volume(n)))
 

@@ -427,9 +427,11 @@ def hilbert_distance_batch(domain: ConvexDomain, p, Q):
 
 
 def okada_residual(metric: MetricSpec, x, y):
-    """Componentwise dF/dx^i - F * dF/dy^i; vanishes exactly for Funk metrics."""
+    """Componentwise dF/dx^i - F * dF/dy^i; vanishes exactly for Funk metrics.
+    x and y are one tangent point (n,) or stacks (m, n)."""
     fj = metric.jet(x, y, 1, 1)
-    return jets.derivative_tensor(fj, 1, 0) - fj.value * jets.derivative_tensor(fj, 0, 1)
+    return (jets.derivative_tensor(fj, 1, 0)
+            - np.expand_dims(fj.value, -1) * jets.derivative_tensor(fj, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -575,20 +577,16 @@ def _funk_sigma(domain: ConvexDomain):
 
 
 def chart_points(metric: MetricSpec, count, shrink=0.9):
-    """Deterministic Halton points inside the metric's chart."""
+    """Deterministic Halton points inside the metric's chart: the first
+    `count` points of the scaled Halton stream that the chart contains,
+    tested in one call."""
     lo = np.asarray(metric.chart.sample_box[0], dtype=float)
     hi = np.asarray(metric.chart.sample_box[1], dtype=float)
-    pts = []
-    stream = halton(metric.n, 8 * count + 64)
-    for u in stream:
-        x = shrink * (lo + u * (hi - lo))
-        if metric.chart.contains(x):
-            pts.append(x)
-            if len(pts) == count:
-                break
+    stream = shrink * (lo + halton(metric.n, 8 * count + 64) * (hi - lo))
+    pts = stream[metric.chart.contains(stream)][:count]
     if len(pts) < count:
         raise ConfigurationError("could not draw enough chart points for validation")
-    return np.array(pts)
+    return pts
 
 
 def validate_metric(metric: MetricSpec, n_samples=100,

@@ -38,10 +38,13 @@ class TangentSample:
 
     def validate(self, metric: MetricSpec):
         """This sample, or PreconditionError when a base point lies outside
-        the chart or an F is at the floor: one F_batch call for a stack, the
-        scalar F for one point."""
+        the chart, or a y is below the floor in length or in F: one F_batch
+        call for a stack, the scalar F for one point.  The length test comes
+        first, since a metric may refuse to evaluate a vanishing y."""
         if not np.all(metric.chart.contains(self.x)):
             raise PreconditionError(f"base point {self.x} outside the metric chart")
+        if np.any(np.sum(self.y * self.y, axis=-1) < F_FLOOR * F_FLOOR):
+            raise PreconditionError("tangent vector too close to zero")
         stack = self.x.ndim > 1 or self.y.ndim > 1
         F = metric.F_batch(self.x, self.y) if stack else metric.F(self.x, self.y)
         if np.any(F <= F_FLOOR):

@@ -190,15 +190,19 @@ class TestVerify:
         assert check["status"] == "fail" and check["value"] == 0.0
 
     def test_nan_route_value_fails(self):
-        # a NaN at any sample propagates to the check value, which then fails
+        # a NaN at any member of the stack propagates to the check value,
+        # which then fails
         seen = []
 
-        def routes(metric, sample):
-            seen.append(sample)
-            return (np.nan if len(seen) == 2 else 1.0), 0.0, 1.0
+        def routes(metric, samples):
+            seen.append(samples)
+            a = np.ones(len(samples.x))
+            a[1] = np.nan
+            return a, 0.0, 1.0
 
         check = cli._sampled(routes, 10.0)
         value, tol = check(metrics.make_metric("euclidean"), {"samples": 4})
+        assert [s.x.shape for s in seen] == [(4, 2)]
         assert np.isnan(value) and not value <= tol
 
 

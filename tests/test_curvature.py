@@ -291,7 +291,8 @@ class TestSCurvature:
 
     def test_funk3_s_dot_near_boundary(self):
         funk3 = make_metric("funk", n=3)
-        s = cli._samples_for(funk3, 20)[4]
+        stack = cli._samples_for(funk3, 20)
+        s = TangentSample(stack.x[4], stack.y[4])
         np.testing.assert_allclose(s.x, [0.225, 0.5, -0.828], atol=1e-12)
         assert np.isfinite(cu.s_curvature(funk3, s, method="analytic").S_dot)
 

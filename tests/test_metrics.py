@@ -341,6 +341,31 @@ class TestRandersDensity:
         np.testing.assert_allclose(stacked, (1.0 - b1 ** 2) ** ((n + 1) / 2.0), rtol=1e-14)
 
 
+def _chart_points_loop(metric, count, shrink=0.9):
+    """chart_points as a loop over the Halton stream, one contains call per
+    point, as it was before the stream was tested in one call."""
+    from finslerlab._grids import halton
+
+    lo = np.asarray(metric.chart.sample_box[0], dtype=float)
+    hi = np.asarray(metric.chart.sample_box[1], dtype=float)
+    pts = []
+    for u in halton(metric.n, 8 * count + 64):
+        x = shrink * (lo + u * (hi - lo))
+        if metric.chart.contains(x):
+            pts.append(x)
+            if len(pts) == count:
+                break
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("count", [1, 20, 100])
+def test_chart_points_equal_the_per_point_loop(zoo, count):
+    for name, metric in zoo.items():
+        got = metrics.chart_points(metric, count)
+        assert got.shape == (count, metric.n), name
+        assert np.array_equal(got, _chart_points_loop(metric, count)), name
+
+
 class TestZooCatalog:
     def test_catalog_contents(self):
         names = set(zoo_constructors())

@@ -1,10 +1,14 @@
 """Stacked tangent samples: a stack (m, n) of tangent points gives, member
 by member, the bits of the single-point calls, and is validated as a whole."""
 
+import math
+
 import numpy as np
 import pytest
 
+from finslerlab import cli, comparison, measures, metrics
 from finslerlab import curvature as cu
+from finslerlab._grids import halton_directions
 from finslerlab.errors import PreconditionError
 from finslerlab.geodesics import transport_both_ways
 from finslerlab.minkowski import (
@@ -112,3 +116,206 @@ class TestStackValidation:
         ys[1] = 0.0
         with pytest.raises(PreconditionError, match="too close to zero"):
             cartan_tensor(metric, TangentSample(xs, ys))
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["point", "stack"])
+    @pytest.mark.parametrize("domain", ["unit_ball", "quartic:0.1"])
+    @pytest.mark.parametrize("name", ["funk", "hilbert"])
+    def test_vanishing_y_is_a_precondition_error(self, name, domain, stack):
+        metric = metrics.make_metric(name, n=2, domain=domain, validate=False)
+        x, y = [0.1, 0.2], [0.0, 0.0]
+        sample = TangentSample([x, x, x], [[1.0, 0.5], y, [0.3, -0.2]]) if stack \
+            else TangentSample(x, y)
+        with pytest.raises(PreconditionError, match="too close to zero"):
+            sample.validate(metric)
+
+
+# ---------------------------------------------------------------------------
+# riemann_curvature and the analytic S on a stack
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", METRICS + ["riemannian_sphere"])
+def test_riemann_stack_equals_pointwise_calls(zoo, name):
+    metric = zoo[name]
+    pairs = tangent_samples(metric, 4)
+    xs, ys = (np.array(a) for a in zip(*pairs))
+    stacked = cu.riemann_curvature(metric, TangentSample(xs, ys))
+    for k, (x, y) in enumerate(pairs):
+        single = cu.riemann_curvature(metric, TangentSample(x, y))
+        for f in ("R", "principal", "ricci", "F", "Ry_y_norm", "self_adjoint_defect"):
+            assert np.array_equal(getattr(stacked, f)[k], getattr(single, f)), f
+        flag = np.nan if single.flag_constant is None else single.flag_constant
+        assert np.array_equal(stacked.flag_constant[k], flag, equal_nan=True)
+
+
+def test_riemann_one_point_keeps_floats(zoo):
+    rep = cu.riemann_curvature(zoo["funk"], TangentSample(*tangent_samples(zoo["funk"], 1)[0]))
+    for f in ("ricci", "flag_constant", "Ry_y_norm", "self_adjoint_defect"):
+        assert type(getattr(rep, f)) is float, f
+
+
+@pytest.mark.parametrize("name", ["funk", "hilbert_quartic", "berwald_product"])
+def test_analytic_s_stack_equals_pointwise_calls(zoo, name):
+    metric = zoo[name]
+    pairs = tangent_samples(metric, 2)
+    xs, ys = (np.array(a) for a in zip(*pairs))
+    stacked = cu.s_curvature(metric, TangentSample(xs, ys), method="analytic")
+    for k, (x, y) in enumerate(pairs):
+        single = cu.s_curvature(metric, TangentSample(x, y), method="analytic")
+        assert stacked.S[k] == single.S
+        assert stacked.S_dot[k] == single.S_dot
+
+
+def test_geodesic_s_refuses_a_stack(zoo):
+    xs, ys = (np.array(a) for a in zip(*tangent_samples(zoo["funk"], 2)))
+    with pytest.raises(PreconditionError, match="one tangent point"):
+        cu.s_curvature(zoo["funk"], TangentSample(xs, ys), method="geodesic")
+
+
+# ---------------------------------------------------------------------------
+# Frozen per-point oracles: the callers of riemann_curvature and s_curvature
+# as they were before these took stacks
+# ---------------------------------------------------------------------------
+
+
+def _sweep_loop(metric, lam, delta, n_samples, tol=1e-6):
+    n = metric.n
+    min_r = min_s = np.inf
+    for x, d in zip(metrics.chart_points(metric, n_samples), halton_directions(n, n_samples)):
+        sm = TangentSample(x, d)
+        rep = cu.riemann_curvature(metric, sm)
+        F = rep.F
+        min_r = min(min_r, rep.ricci / ((n - 1) * F * F))
+        min_s = min(min_s, cu.s_curvature(metric, sm, method="analytic").S / ((n - 1) * F))
+    return (min_r >= lam - tol) and (min_s >= delta - tol), float(min_r), float(min_s)
+
+
+@pytest.mark.parametrize("name", ["funk", "hilbert_quartic"])
+def test_bound_sweep_equals_the_loop(zoo, name):
+    sweep = comparison.curvature_bound_sweep(zoo[name], -1.0, 0.0, n_samples=8)
+    assert (sweep.ok, sweep.min_ricci_ratio, sweep.min_s_ratio) == \
+        _sweep_loop(zoo[name], -1.0, 0.0, 8)
+
+
+def _ball_coefficient_loop(metric, x, n_dirs):
+    n = metric.n
+    dirs, w = measures._direction_grid(n, n_dirs)
+    total = 0.0
+    for d, wd in zip(dirs, w):
+        sm = TangentSample(x, d)
+        rep = cu.riemann_curvature(metric, sm)
+        sd = cu.s_curvature(metric, sm, method="analytic")
+        h = rep.ricci + 3.0 * n * (sd.S_dot - sd.S ** 2)
+        total += wd * h * metric.F(x, d) ** (-(n + 2))
+    return float(density_field(metric)(x) * total / (n * measures.unit_ball_volume(n)))
+
+
+@pytest.mark.parametrize("name", ["funk", "riemannian_sphere"])
+def test_ball_coefficient_equals_the_loop(zoo, name):
+    x = np.array([0.2, 0.1])
+    assert measures.curvature_ball_coefficient(zoo[name], x, n_dirs=6) == \
+        _ball_coefficient_loop(zoo[name], x, 6)
+
+
+# The verify checks as they were before routes took a stack: one route call
+# per tangent sample, the worst value kept in a Python loop.
+
+
+def _loop_sampled(routes, tol, count=None, one_sided=False):
+    def check(metric, cfg):
+        worst = -np.inf
+        n = cfg["samples"] if count is None else count(cfg["samples"])
+        stack = cli._samples_for(metric, n)
+        for x, y in zip(stack.x, stack.y):
+            a, b, scale = routes(metric, TangentSample(x, y))
+            d = np.subtract(a, b)
+            r = float(np.max(d if one_sided else np.abs(d) / scale))
+            worst = r if math.isnan(r) else max(worst, r)
+        return worst, tol(metric) if callable(tol) else tol
+
+    return check
+
+
+def _homogeneity(metric, s):
+    F = metric.F(s.x, s.y)
+    lams = (0.5, 2.0)
+    return [metric.F(s.x, lam * s.y) for lam in lams], np.multiply(lams, F), max(F, 1e-12)
+
+
+def _jb(metric, s):
+    bt = cu.berwald_curvature(metric, s)
+    gy = fundamental_tensor(metric, s).g @ s.y
+    return (cu.landsberg_from_berwald(metric, s, bt),
+            -0.5 * np.einsum("mijk,m->ijk", bt.B, gy), 1.0 + bt.norm())
+
+
+def _funk_e(metric, s):
+    bt = cu.berwald_curvature(metric, s)
+    ft = fundamental_tensor(metric, s)
+    F, gy = ft.F, ft.g @ s.y
+    return bt.E, (metric.n + 1) / (4 * F ** 3) * (F * F * ft.g - np.outer(gy, gy)), 1.0
+
+
+LOOP_CHECKS = {
+    "homogeneity_f2a": _loop_sampled(_homogeneity, 1e-10),
+    "positive_definite_f2b": _loop_sampled(
+        lambda m, s: (-np.linalg.eigvalsh(fundamental_tensor(m, s).g), 0.0, 1.0),
+        -np.finfo(float).tiny, one_sided=True),
+    "jb_identity": _loop_sampled(_jb, 1e-6),
+    "es_identity": _loop_sampled(
+        lambda m, s: (cu.es_residual(m, s), 0.0, 1.0), 1e-5, count=lambda k: min(k, 10)),
+    "okada_pde": _loop_sampled(
+        lambda m, s: (metrics.okada_residual(m, s.x, s.y), 0.0, 1.0), 1e-8,
+        count=lambda k: 50),
+    "ll_funk": _loop_sampled(
+        lambda m, s: (cu.landsberg_from_berwald(m, s),
+                      -0.5 * m.F(s.x, s.y) * cartan_tensor(m, s), 1.0), 1e-4),
+    "flag_curvature": _loop_sampled(
+        lambda m, s: (cu.riemann_curvature(m, s).principal, cli._EXPECTED_KAPPA[m.name][0], 1.0),
+        lambda m: cli._EXPECTED_KAPPA[m.name][1]),
+    "funk_s_formula": _loop_sampled(
+        lambda m, s: (cu.s_curvature(m, s, method="analytic").S,
+                      (m.n + 1) / 2.0 * m.F(s.x, s.y), 1.0), 1e-6),
+    "funk_e_formula": _loop_sampled(_funk_e, 1e-6),
+    "berwald_flat": _loop_sampled(
+        lambda m, s: (cu.berwald_curvature(m, s).norm(), 0.0, 1.0), 1e-8),
+}
+
+VERIFY_CONFIGS = {
+    "funk2": dict(metric="funk", dim=2),
+    "funk3": dict(metric="funk", dim=3),
+    "hilbert": dict(metric="hilbert", dim=2),
+    "hilbert_quartic": dict(metric="hilbert", dim=2, domain="quartic:0.1"),
+    "berwald_product": dict(metric="berwald_product"),
+    "randers": dict(metric="randers", dim=2),
+    "riemannian_sphere": dict(metric="riemannian_sphere", dim=2),
+    "quartic_norm": dict(metric="quartic_norm", dim=2),
+    "euclidean": dict(metric="euclidean", dim=2),
+}
+
+
+@pytest.mark.parametrize("label", VERIFY_CONFIGS)
+def test_verify_payload_equals_the_per_sample_loop(monkeypatch, label):
+    cfg = dict(cli._DEFAULTS, **VERIFY_CONFIGS[label], checks=list(LOOP_CHECKS))
+    stacked = cli.run_verify(cfg).to_payload()
+    monkeypatch.setattr(cli, "_CHECKS", [(cid, anchor, applies, LOOP_CHECKS.get(cid, fn))
+                                         for cid, anchor, applies, fn in cli._CHECKS])
+    assert cli.run_verify(cfg).to_payload() == stacked
+    assert any(c["status"] == "pass" for c in stacked["checks"])
+
+
+def test_split_routes_give_the_library_residuals(zoo):
+    # es and okada return both routes; their difference is the residual
+    # the library returns
+    metric = zoo["funk3"]
+    xs, ys = (np.array(a) for a in zip(*tangent_samples(metric, 3)))
+    s = TangentSample(xs, ys)
+    a, b, _ = cli._okada(metric, s)
+    residual = metrics.okada_residual(metric, xs, ys)
+    assert np.array_equal(a - b, residual)
+    for k in range(3):  # three members of dimension three: F broadcasts per member
+        assert np.array_equal(residual[k], metrics.okada_residual(metric, xs[k], ys[k]))
+    a, b, _ = cli._es(metric, s)
+    for k in range(3):
+        assert np.max(np.abs(a[k] - b[k])) == cu.es_residual(metric, TangentSample(xs[k], ys[k]))
+    assert np.max(np.abs(a)) > 1.0  # the routes themselves, not a residual against 0
