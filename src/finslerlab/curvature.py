@@ -22,7 +22,6 @@ from .geodesics import integrate_geodesic, parallel_transport, spray_jets, trans
 from .jets import derivative_tensor, lift
 from .metrics import MetricSpec
 from .minkowski import (
-    FundamentalTensor,
     TangentSample,
     cartan_norm,
     cartan_tensor,
@@ -86,13 +85,20 @@ def landsberg_from_berwald(metric: MetricSpec, sample: TangentSample,
 
 def _geodesic_stencil(metric, sample, fn, h, frame):
     """fn(x, v, U) on the geodesic states at t = +-h, +-2h and +-4h, keyed
-    by t/h: one call on the six states as a stack, x and v (6, n) and U the
-    frames (6, k, n) transported there, from one two-way transport;
-    ChartExitError when the geodesic leaves the chart before one of them.
+    by t/h, at one point or, with a member axis, at a stack of m with steps
+    h (m,) or shared: one call on the 6m states, x and v (6m, n) and U the
+    frames (6m, k, n) transported there, from one two-way transport;
+    ChartExitError when a geodesic leaves the chart before one of them.
     The centre, of weight 0 in a first derivative, is not read."""
-    xs, vs, frames = transport_both_ways(metric, sample.x, sample.y, [h, 2 * h, 4 * h], frame)
-    vals = fn(xs.reshape(6, -1), vs.reshape(6, -1), frames.reshape(6, *frames.shape[2:]))
-    return dict(zip((1, 2, 4, -1, -2, -4), vals))
+    span = np.max(h)
+    xs, vs, frames = transport_both_ways(metric, sample.x, sample.y,
+                                         [span, 2 * span, 4 * span], frame, scale=h / span)
+    lead = xs.shape[:-1]  # (2, 3) or (2, m, 3)
+    vals = fn(xs.reshape(-1, metric.n), vs.reshape(-1, metric.n),
+              frames.reshape((int(np.prod(lead)),) + frames.shape[-2:]))
+    vals = np.moveaxis(vals.reshape(lead + vals.shape[1:]), len(lead) - 1, 1)
+    return {sign * step: vals[d, j] for d, sign in enumerate((1, -1))
+            for j, step in enumerate((1, 2, 4))}
 
 
 def _stencil_pair(q, h, order=1):
@@ -110,17 +116,26 @@ def _frame_contract3(T, U):
 def _transport_derivative(metric, sample, quantity, dt):
     """Derivative along the geodesic of quantity(state, U) on the
     parallel-transported coordinate frame U: the stencil pair at steps dt
-    and 2 dt, Richardson-extrapolated, with dt widened when they disagree."""
+    and 2 dt, Richardson-extrapolated, with dt widened where they disagree.
+    A point is a one-member stack; a widening re-runs only the members that
+    need it, as one sub-stack."""
+    if sample.y.ndim == 1:
+        return _transport_derivative(metric, TangentSample(sample.x[None], sample.y[None]),
+                                     quantity, dt)[0]
     sample.validate(metric)
     d1, d2 = _stencil_pair(_geodesic_stencil(
         metric, sample, lambda x, v, U: quantity(TangentSample(x, v), U), dt,
         np.eye(metric.n)), dt)
-    scale = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
+    w1, w2, gap = (np.max(np.abs(a).reshape(len(a), -1), axis=1) for a in (d1, d2, d1 - d2))
+    scale = np.maximum(w1, w2)  # per member
     # honest steps disagree at the 1e-9 level; roundoff-bound ones at >= 1e-4
-    if scale > 1e-9 and np.max(np.abs(d1 - d2)) > 1e-4 * scale and dt < 5e-3:
+    wide = (scale > 1e-9) & (gap > 1e-4 * scale) & (dt < 5e-3)
+    out = richardson_doubling(d1, d2)
+    if np.any(wide):
         warnings.warn("transport-route step looks roundoff dominated; widening dt")
-        return _transport_derivative(metric, sample, quantity, max(4 * dt, 5e-3))
-    return richardson_doubling(d1, d2)
+        out[wide] = _transport_derivative(metric, TangentSample(sample.x[wide], sample.y[wide]),
+                                          quantity, max(4 * dt, 5e-3))
+    return out
 
 
 def landsberg_by_transport(metric: MetricSpec, sample: TangentSample,
@@ -141,25 +156,26 @@ def landsberg_dot(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> np.ndar
 
 def landsberg_tilde(metric: MetricSpec, sample: TangentSample, h_rel=1e-3) -> np.ndarray:
     """L-tilde: fiber derivative of L, by Richardson central differences of the
-    jet-exact L in each coordinate direction."""
+    jet-exact L in each coordinate direction, at one sample or a stack."""
     sample.validate(metric)
     n = metric.n
-    scale = float(np.linalg.norm(sample.y))
-    out = np.empty((n, n, n, n))
+    # steps (..., 1, 1, 1) divide L; their (..., 1) view moves y
+    step = h_rel * np.linalg.norm(sample.y, axis=-1)[..., None, None, None]
+    out = np.empty(sample.y.shape[:-1] + (n, n, n, n))
     for z, ez in enumerate(np.eye(n)):
         out[..., z] = richardson_central(
-            lambda h: landsberg_from_berwald(metric, TangentSample(sample.x, sample.y + h * ez)),
-            h_rel * scale)
+            lambda h: landsberg_from_berwald(
+                metric, TangentSample(sample.x, sample.y + h[..., 0, 0] * ez)), step)
     return out
 
 
 def mean_landsberg(metric: MetricSpec, sample: TangentSample,
                    L: np.ndarray | None = None) -> np.ndarray:
-    """J_u = g^{ij} L(u, e_i, e_j)."""
+    """J_u = g^{ij} L(u, e_i, e_j), at one sample or a stack."""
     if L is None:
         L = landsberg_from_berwald(metric, sample)
     ft = fundamental_tensor(metric, sample)
-    return np.einsum("ij,kij->k", ft.g_inv, L)
+    return np.sum(ft.g_inv[..., None, :, :] * L, axis=(-2, -1))
 
 
 def mean_landsberg_by_transport(metric: MetricSpec, sample: TangentSample,
@@ -187,17 +203,19 @@ def landsberg_data(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> Landsb
 
 
 class SData:
-    """S and S-dot at one sample, or arrays (m,) of them at a stack of m.
-    S_dot may be given as a zero-argument callable; it then runs on first
-    access, so readers of S alone skip the geodesics it integrates."""
+    """S and S-dot at one sample, as floats, or arrays (m,) of them at a
+    stack of m.  S_dot may be given as a zero-argument callable; it then
+    runs on first access, so readers of S alone skip the geodesics it
+    integrates."""
 
     def __init__(self, S, S_dot):
-        self.S = S
+        self.S = float(S) if np.ndim(S) == 0 else S
         self._S_dot = S_dot
 
     @cached_property
     def S_dot(self) -> float | np.ndarray:
-        return self._S_dot() if callable(self._S_dot) else self._S_dot
+        S_dot = self._S_dot() if callable(self._S_dot) else self._S_dot
+        return float(S_dot) if np.ndim(S_dot) == 0 else S_dot
 
 
 def _log_density_gradient(sigma, x, h=1e-4):
@@ -254,9 +272,8 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
     access.  Both step h in metric length, h / F(x, y) in the geodesic's
     parameter, so that the stencil keeps its reach near a Funk rim.
 
-    The analytic method also takes a stack of samples: S comes from one
-    stacked workspace, and S-dot from one stencil per member, each with the
-    bits of its own single-point call.
+    Both methods take a stack of samples too, with one two-way transport
+    for the stencils of all members, each at its own step.
     """
     sample.validate(metric)
     sigma = density if density is not None else density_field(metric)
@@ -265,21 +282,15 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
         def s_at(x, v, U=None):
             return s_jet_workspace(metric, TangentSample(x, v), sigma)[0].value
 
-        def s_dot(point):
-            hp = h / metric.F(point.x, point.y)
-            q = _geodesic_stencil(metric, point, s_at, hp, no_frame)
-            return float(richardson_doubling(*_stencil_pair(q, hp)))
+        def s_dot():
+            hp = h / sample.F(metric)
+            q = _geodesic_stencil(metric, sample, s_at, hp, no_frame)
+            return richardson_doubling(*_stencil_pair(q, hp))
 
-        S = s_at(sample.x, sample.y)
-        if sample.y.ndim == 1:
-            return SData(S=float(S), S_dot=lambda: s_dot(sample))
-        return SData(S=S, S_dot=lambda: np.array(
-            [s_dot(TangentSample(x, y)) for x, y in zip(sample.x, sample.y)]))
+        return SData(S=s_at(sample.x, sample.y), S_dot=s_dot)
     if method != "geodesic":
         raise PreconditionError(f"unknown S-curvature method {method!r}")
-    if sample.y.ndim != 1:
-        raise PreconditionError("the geodesic S-curvature method takes one tangent point")
-    h = h / metric.F(sample.x, sample.y)
+    h = h / sample.F(metric)
 
     def tau_at(x, v, U):
         ft = fundamental_tensor(metric, TangentSample(x, v))
@@ -287,8 +298,7 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
 
     q = _geodesic_stencil(metric, sample, tau_at, h, no_frame)
     q[0] = tau_at(sample.x, sample.y, no_frame)
-    S, S_dot = (float(richardson_doubling(*_stencil_pair(q, h, order))) for order in (1, 2))
-    return SData(S=S, S_dot=S_dot)
+    return SData(*(richardson_doubling(*_stencil_pair(q, h, order)) for order in (1, 2)))
 
 
 def es_residual(metric: MetricSpec, sample: TangentSample, density=None) -> float:
@@ -370,9 +380,7 @@ def riemann_curvature(metric: MetricSpec, sample: TangentSample) -> CurvatureRep
     ft = fundamental_tensor(metric, sample)
     if y.ndim == 1:
         return _transverse_report(R, ft, y)
-    reports = [_transverse_report(
-        R[k], FundamentalTensor(ft.g[k], ft.g_inv[k], ft.det_g[k], ft.F[k]), y[k])
-        for k in range(len(y))]
+    reports = [_transverse_report(R[k], ft[k], y[k]) for k in range(len(y))]
     return CurvatureReport(**{
         f.name: np.array([np.nan if v is None else v
                           for v in (getattr(r, f.name) for r in reports)])
@@ -404,21 +412,18 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
 
     reported in the g_cdot norm so the measure is chart-independent.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
+    x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
     scale = s * float(np.linalg.norm(y)) / max(np.linalg.norm(v), 1e-300)
-    p_plus = integrate_geodesic(metric, x, y + scale * v, t_end, rtol=1e-12, atol=1e-12)
-    p_minus = integrate_geodesic(metric, x, y - scale * v, t_end, rtol=1e-12, atol=1e-12)
-    p0 = integrate_geodesic(metric, x, y, t_end, rtol=1e-12, atol=1e-12)
-    t1 = min(p_plus.t_end, p_minus.t_end, p0.t_end, t_end)
+    # the varied geodesics and the central one: one 3-member stack
+    paths = integrate_geodesic(metric, x, [y + scale * v, y - scale * v, y], t_end,
+                               rtol=1e-12, atol=1e-12)
+    t1 = min(float(np.min(paths.t_end)), t_end)
     ts = np.linspace(0.0, t1, n_grid)
     h = ts[1] - ts[0]
 
-    xp, _ = p_plus.state(ts)
-    xm, _ = p_minus.state(ts)
-    J = (xp - xm) / (2 * scale)
-    x0s, v0s = p0.state(ts)
+    xs, vs = paths.state(ts)
+    J = (xs[0] - xs[1]) / (2 * scale)
+    x0s, v0s = xs[2], vs[2]
     Jd, Jdd = (five_point(J, h, order) for order in (1, 2))
 
     def apply(A, b):
@@ -444,9 +449,8 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
             from scipy.optimize import minimize_scalar
 
             def q(t):
-                a, _ = p_plus.state(t)
-                b, _ = p_minus.state(t)
-                Jt = (a - b) / (2 * scale)
+                a = paths.state(t)[0]
+                Jt = (a[0] - a[1]) / (2 * scale)
                 return float(Jt @ Jt)
 
             res = minimize_scalar(q, bracket=(ts[k - 1], ts[k], ts[k + 1]),
@@ -472,12 +476,9 @@ def _cc_basis(kappa, ts):
 
 
 def _cc_basis4(kappa, ts):
-    s = np.sqrt(abs(kappa))
-    if kappa < 0:
-        return np.column_stack([np.sinh(2 * s * ts), np.cosh(2 * s * ts), np.ones_like(ts)])
-    if kappa > 0:
-        return np.column_stack([np.sin(2 * s * ts), np.cos(2 * s * ts), np.ones_like(ts)])
-    return np.column_stack([ts ** 2, ts, np.ones_like(ts)])
+    if kappa:
+        return np.column_stack([_cc_basis(4 * kappa, ts), np.ones_like(ts)])
+    return np.column_stack([ts ** 2, _cc_basis(0.0, ts)])
 
 
 @dataclass(frozen=True)
@@ -494,36 +495,40 @@ class CurvatureOdeFit:
 
 
 def constant_curvature_ode_check(metric: MetricSpec, x, y, kappa,
-                                 t_grid) -> CurvatureOdeFit:
+                                 t_grid) -> CurvatureOdeFit | list:
     """Sample C(t) = C(V,V,V) on parallel V along a unit-speed geodesic, fit
     the kappa-appropriate closed form on the first third of the grid, and
     report the held-out prediction error (plus the L = C' identity and the
-    four-argument analog)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    four-argument analog).  Stacks x and y (m, n) are one transport, each
+    member fit on the grid before its own chart exit: a list of m fits."""
     ts = np.asarray(t_grid, dtype=float)
     if ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
         raise PreconditionError("t grid must start at 0 and increase")
-    F0 = metric.F(x, y)
-    y = y / F0
-    ft = fundamental_tensor(metric, TangentSample(x, y))
-    basis = tangent_basis(ft, y)
+    sample = TangentSample(x, y)
+    unit = TangentSample(np.atleast_2d(sample.x), sample.y / np.reshape(sample.F(metric), (-1, 1)))
+    ft = fundamental_tensor(metric, unit)
     # in dimension two the only transverse direction serves as both arguments
-    frame = np.vstack(basis[:2]) if metric.n >= 3 else np.vstack(basis[:1])
-    tr = parallel_transport(metric, x, y, float(ts[-1]), frame, t_eval=ts)
-    if len(tr.ts) < len(ts):
-        if len(tr.ts) < 6:
-            raise GeometryError("geodesic left the chart too early for the fit")
-        ts = np.asarray(tr.ts, dtype=float)
+    k = 2 if metric.n >= 3 else 1
+    frame = np.array([tangent_basis(ft[j], y)[:k] for j, y in enumerate(unit.y)])
+    tr = parallel_transport(metric, unit.x, unit.y, float(ts[-1]), frame, t_eval=ts)
+    reached = ~np.isnan(tr.path.x[..., 0])
+    if np.min(np.sum(reached, axis=1)) < min(6, len(ts)):
+        raise GeometryError("geodesic left the chart too early for the fit")
 
-    sm = TangentSample(tr.path.x, tr.path.v)
-    V, W = tr.frames[:, 0], tr.frames[:, -1]
-    C_vals = np.einsum("...ijk,...i,...j,...k->...", cartan_tensor(metric, sm), V, V, V)
-    L_vals = np.einsum("...ijk,...i,...j,...k->...",
-                       landsberg_from_berwald(metric, sm), V, V, V)
-    Ct_vals = np.einsum("...ijkl,...i,...j,...k,...l->...", cartan_tilde(metric, sm),
-                        V, V, V, W)
+    sm = TangentSample(tr.path.x[reached], tr.path.v[reached])
+    V, W = tr.frames[reached][:, 0], tr.frames[reached][:, -1]
+    vals = np.full((3,) + reached.shape, np.nan)
+    vals[:, reached] = (
+        np.einsum("...ijk,...i,...j,...k->...", cartan_tensor(metric, sm), V, V, V),
+        np.einsum("...ijk,...i,...j,...k->...", landsberg_from_berwald(metric, sm), V, V, V),
+        np.einsum("...ijkl,...i,...j,...k,...l->...", cartan_tilde(metric, sm), V, V, V, W))
+    fits = [_closed_form_fit(kappa, ts[:K], *vals[:, j, :K])
+            for j, K in enumerate(np.sum(reached, axis=1))]
+    return fits[0] if sample.y.ndim == 1 else fits
 
+
+def _closed_form_fit(kappa, ts, C_vals, L_vals, Ct_vals):
+    """The CurvatureOdeFit of one geodesic from C, L and C-tilde on its grid."""
     m = max(3, len(ts) // 3)
     A = _cc_basis(kappa, ts)
     coeffs, *_ = np.linalg.lstsq(A[:m], C_vals[:m], rcond=None)
@@ -550,12 +555,14 @@ def constant_curvature_ode_check(metric: MetricSpec, x, y, kappa,
 
 
 def dot_lc_residual(metric: MetricSpec, sample: TangentSample, kappa,
-                    dt=1e-2) -> float:
-    """max |L-dot + kappa F^2 C| over tensor components at the sample."""
+                    dt=1e-2) -> float | np.ndarray:
+    """max |L-dot + kappa F^2 C| over tensor components, per member of a stack."""
     Ld = landsberg_dot(metric, sample, dt=dt)
     C = cartan_tensor(metric, sample)
-    F = metric.F(sample.x, sample.y)
-    return float(np.max(np.abs(Ld + kappa * F * F * C)))
+    F = sample.F(metric)
+    res = np.max(np.abs(Ld + np.reshape(kappa * F * F, np.shape(F) + (1, 1, 1)) * C),
+                 axis=(-3, -2, -1))
+    return float(res) if res.ndim == 0 else res
 
 
 def projective_ode_check(metric_F: MetricSpec, metric_G: MetricSpec,
@@ -571,10 +578,7 @@ def projective_ode_check(metric_F: MetricSpec, metric_G: MetricSpec,
         raise PreconditionError("need an increasing grid with at least 9 points")
     if not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9):
         raise PreconditionError("projective check needs a uniform grid")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y = y / metric_F.F(x, y)
-    path = integrate_geodesic(metric_F, x, y, float(ts[-1]), t_eval=ts)
+    path = integrate_geodesic(metric_F, x, y, float(ts[-1]), t_eval=ts, unit_speed=True)
     if path.exited:
         raise GeometryError("geodesic left the chart inside the requested grid")
     Gv = metric_G.F_batch(path.x, path.v)
@@ -589,9 +593,6 @@ def projective_ode_check(metric_F: MetricSpec, metric_G: MetricSpec,
 
 def cartan_norm_along(metric: MetricSpec, x, y, ts):
     """Frobenius-type g-norm of the Cartan torsion along a unit-speed geodesic."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y = y / metric.F(x, y)
     ts = np.asarray(ts, dtype=float)
-    path = integrate_geodesic(metric, x, y, float(ts[-1]), t_eval=ts)
+    path = integrate_geodesic(metric, x, y, float(ts[-1]), t_eval=ts, unit_speed=True)
     return path.t, cartan_norm(metric, TangentSample(path.x, path.v))

@@ -92,8 +92,11 @@ def _spray(metric, x, v, mx):
     or (mx, 3) for gradients: cheaper than the jet inverse of spray_jets.
     G's bits define every geodesic.  The gradients solve the derivatives of
     that equation, g dG = dA/4 - (dg) G, in one more solve; mx = 2 adds
-    dG/dx.  Returns (G, dG/dx or None, dG/dy or None).
+    dG/dx.  Returns (G, dG/dx or None, dG/dy or None).  A one-member stack
+    takes the single-point path, which is cheaper and gives the same bits.
     """
+    if np.ndim(x) == np.ndim(v) == 2 and len(v) == 1:  # one member: the single-point path
+        return tuple(None if a is None else a[None] for a in _spray(metric, x[0], v[0], mx))
     fj = metric.jet(x, v, mx or 1, 3 if mx else 2)
     f2 = fj * fj
     g = 0.5 * derivative_tensor(f2, 0, 2)
@@ -189,7 +192,12 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, t_eval=None, chart=True):
 
 @dataclass
 class GeodesicPath:
-    """A numerically integrated geodesic with dense output and diagnostics."""
+    """A numerically integrated geodesic with dense output and diagnostics:
+    t, x and v at the solver's steps or at t_eval, and its reach t_end.  A
+    stack of m holds x and v (m, len(t), n) on its t_eval grid (empty
+    without one), nan past a member's reach, and t_end, exited and t_exit
+    (nan where the member stayed in the chart) as arrays (m,); state puts
+    the member axis first.  The other readers take one geodesic."""
 
     metric: MetricSpec
     t: np.ndarray
@@ -197,14 +205,11 @@ class GeodesicPath:
     v: np.ndarray
     sol: object
     t_requested: float
-    exited: bool = False
-    t_exit: float | None = None
+    t_end: float | np.ndarray
+    exited: bool | np.ndarray = False
+    t_exit: float | np.ndarray | None = None
     reverse_flagged: bool = False
     nfev: int = 0
-
-    @property
-    def t_end(self):
-        return float(self.t[-1])
 
     def require_reach(self):
         """This path, or ChartExitError when it left the chart before
@@ -215,12 +220,14 @@ class GeodesicPath:
                 f"{self.t_requested:.6g}", t_exit=self.t_exit)
         return self
 
-    def state(self, t):
+    def _states(self, t):
         z = self.sol(t)
-        n = self.metric.n
-        if np.ndim(t) == 0:
-            return z[:n], z[n: 2 * n]
-        return z[:n].T, z[n: 2 * n].T
+        # an OdeSolution puts the state first
+        return np.moveaxis(z, 0, -1) if np.ndim(self.t_end) == 0 else z
+
+    def state(self, t):
+        z = self._states(t)
+        return z[..., :self.metric.n], z[..., self.metric.n: 2 * self.metric.n]
 
     def F_values(self, ts=None):
         ts = self.t if ts is None else np.asarray(ts)
@@ -228,17 +235,14 @@ class GeodesicPath:
         return self.metric.F_batch(xs, vs)
 
     def F_drift(self, n_checkpoints=101):
-        ts = np.linspace(self.t[0], self.t[-1], n_checkpoints)
-        F = self.F_values(ts)
-        F0 = F[0]
-        return float(np.max(np.abs(F - F0)) / abs(F0))
+        F = self.F_values(np.linspace(self.t[0], self.t[-1], n_checkpoints))
+        return float(np.max(np.abs(F - F[0])) / abs(F[0]))
 
     def el_residual(self, n_checkpoints=33, h=1e-3):
         """max |xddot + 2G(xdot)| on dense checkpoints, with xddot recovered
         by central differences of the dense velocity output."""
         t0, t1 = float(self.t[0]), float(self.t[-1])
-        span = t1 - t0
-        hs = h * abs(span)
+        hs = h * abs(t1 - t0)
         ts = np.linspace(t0 + 2 * hs, t1 - 2 * hs, n_checkpoints)
         _, vm = self.state(ts - hs)
         xs, vs = self.state(ts)
@@ -250,87 +254,87 @@ class GeodesicPath:
 
     def to_rows(self):
         """CSV-ready rows (t, x..., xdot..., F)."""
-        F = self.F_values()
-        rows = []
-        for k in range(len(self.t)):
-            rows.append(
-                [float(self.t[k]), *map(float, self.x[k]), *map(float, self.v[k]), float(F[k])]
-            )
-        return rows
-
-
-def _geodesic_path(metric, sol, t_exit, t_end):
-    """GeodesicPath of a one-member flow whose state starts with x and v; a
-    reverse run is only flagged for positively-complete-only metrics."""
-    n = metric.n
-    exited = not np.isnan(t_exit)
-    return GeodesicPath(
-        metric=metric, t=sol.t, x=sol.y[:n].T, v=sol.y[n: 2 * n].T, sol=sol.sol,
-        t_requested=float(t_end), exited=exited, t_exit=float(t_exit) if exited else None,
-        reverse_flagged=bool(t_end < 0 and metric.positively_complete_only),
-        nfev=int(sol.nfev),
-    )
-
-
-def integrate_geodesic(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10,
-                       t_eval=None, unit_speed=False) -> GeodesicPath:
-    """Solve xddot = -2 G(xdot) from (x0, y0); stops with a flag at chart exit."""
-    n = metric.n
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    F0 = metric.F(x0, y0)
-    if F0 <= 0 or not np.isfinite(F0):
-        raise PreconditionError("geodesic needs a tangent vector with F > 0")
-    if unit_speed:
-        y0 = y0 / F0
-
-    def rhs(t, z):
-        return np.concatenate([z[n:], -2.0 * spray_values(metric, z[:n], z[n:])])
-
-    segments, _, t_exit = _solve("geodesic", metric, rhs, np.concatenate([x0, y0])[None],
-                                 (0.0, t_end), rtol, atol, t_eval)
-    return _geodesic_path(metric, segments[0][2], t_exit[0], t_end)
+        return np.column_stack([self.t, self.x, self.v, self.F_values()]).tolist()
 
 
 @dataclass
-class VariationalFlow:
+class VariationalFlow(GeodesicPath):
     """Geodesic plus the n x n sensitivity M(t) of c(t) to the initial velocity.
 
     Columns of M are the Jacobi fields with J(0) = 0, J'(0) = e_k, so
     det M vanishes exactly at conjugate points, and M drives both the polar
     volume integrand and the conjugate-point search.
-
-    A stacked flow of m members holds t_end (its reach), exited and t_exit
-    (nan where the member stayed in the chart) as arrays (m,), and unpack and
-    det_M put the member axis first.
     """
-
-    metric: MetricSpec
-    sol: object
-    t_end: float | np.ndarray
-    exited: bool | np.ndarray
-    t_exit: float | np.ndarray | None
 
     def unpack(self, t):
         """x, v, M, Md at time t.  A stacked flow also takes times (k,)
         shared by its members or (m, k) per member, giving x of shape
         (m, k, n) and M of shape (m, k, n, n)."""
         n = self.metric.n
-        z = self.sol(t)
-        if np.ndim(self.t_end) == 0:
-            z = np.moveaxis(z, 0, -1)  # an OdeSolution puts the state first
-        lead = z.shape[:-1]
-        x = z[..., :n]
-        v = z[..., n: 2 * n]
-        M = z[..., 2 * n: 2 * n + n * n].reshape(lead + (n, n))
-        Md = z[..., 2 * n + n * n:].reshape(lead + (n, n))
-        return x, v, M, Md
+        z = self._states(t)
+        M, Md = (z[..., a: a + n * n].reshape(z.shape[:-1] + (n, n))
+                 for a in (2 * n, 2 * n + n * n))
+        return z[..., :n], z[..., n: 2 * n], M, Md
 
     def det_M(self, t):
         d = np.linalg.det(self.unpack(t)[2])
         return float(d) if np.ndim(d) == 0 else d
 
 
+def _members(x0, y0):
+    """Start points and velocities as stacks (m, n), broadcast together, and
+    whether they are one tangent point."""
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    X, Y = np.broadcast_arrays(np.atleast_2d(x0), np.atleast_2d(y0))
+    return X, Y, x0.ndim == y0.ndim == 1
+
+
+def _read_flow(cls, metric, flow, t_end, t_eval, width, point):
+    """A GeodesicPath or subclass of a flow (segments, reach, t_exit) from
+    _solve, and its states (len(t), width), or (m, len(t), width) for a
+    stack.  Only positively-complete-only metrics flag a reverse run."""
+    segments, reach, t_exit = flow
+    exited = ~np.isnan(t_exit)
+    if point:
+        sol = segments[0][2]
+        t, Z, dense = sol.t, sol.y.T, sol.sol
+        reach, exited, t_exit = float(reach[0]), bool(exited[0]), t_exit[0]
+        t_exit = float(t_exit) if exited else None
+    else:
+        dense = _StackedSolution(segments, len(reach), width)
+        t = np.asarray([] if t_eval is None else t_eval, dtype=float)
+        Z = dense(t)
+    return cls(metric=metric, t=t, x=Z[..., :metric.n], v=Z[..., metric.n: 2 * metric.n],
+               sol=dense, t_requested=float(t_end), t_end=reach, exited=exited, t_exit=t_exit,
+               reverse_flagged=bool(t_end < 0 and metric.positively_complete_only),
+               nfev=sum(int(seg[2].nfev) for seg in segments)), Z
+
+
+def integrate_geodesic(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10,
+                       t_eval=None, unit_speed=False) -> GeodesicPath:
+    """Solve xddot = -2 G(xdot) from (x0, y0); stops with a flag at chart exit.
+    x0 and y0 are one tangent point (n,) or stacks (m, n), a stack one state
+    in one solve with one spray_values call per right-hand side."""
+    n = metric.n
+    X, Y, point = _members(x0, y0)
+    F0 = metric.F(X[0], Y[0]) if point else metric.F_batch(X, Y)
+    if not np.all((F0 > 0) & np.isfinite(F0)):
+        raise PreconditionError("geodesic needs a tangent vector with F > 0")
+    if unit_speed:
+        Y = Y / np.reshape(F0, (-1, 1))
+
+    def rhs(t, z):
+        Z = z.reshape(-1, 2 * n)
+        return np.concatenate([Z[:, n:], -2.0 * spray_values(metric, Z[:, :n], Z[:, n:])],
+                              axis=1).ravel()
+
+    flow = _solve("geodesic", metric, rhs, np.concatenate([X, Y], axis=1), (0.0, t_end),
+                  rtol, atol, t_eval if point else None)
+    return _read_flow(GeodesicPath, metric, flow, t_end, t_eval, 2 * n, point)[0]
+
+
+@dataclass
 class _StackedSolution:
     """Dense output of a stacked flow, pieced from its solve segments.
 
@@ -339,10 +343,9 @@ class _StackedSolution:
     read from the segments it was integrated in, and is nan past its reach.
     """
 
-    def __init__(self, segments, m, width):
-        self.segments = segments
-        self.m = m
-        self.width = width
+    segments: list
+    m: int
+    width: int
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -363,16 +366,12 @@ def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10,
                      atol=1e-10) -> VariationalFlow:
     """Integrate the geodesic together with its velocity-sensitivity matrix.
 
-    y0 is one velocity (n,), or a stack (m, n) integrated as one state in one
-    solve_ivp call, with one spray_gradients call per right-hand side; x0 is
-    one base point (n,) or one per member (m, n).  Members share the step
-    sequence.  When a member leaves the chart the solve stops there, and the
-    others restart from that time, so each member has its own exit and reach.
+    x0 and y0 are one tangent point or stacks (m, n), a shared x0
+    broadcasting: a stack is one state in one solve, with one
+    spray_gradients call per right-hand side (see _solve for exits).
     """
     n = metric.n
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    X, Y = np.broadcast_arrays(np.atleast_2d(x0), np.atleast_2d(y0))
+    X, Y, point = _members(x0, y0)
     m = len(Y)
     width = 2 * n + 2 * n * n
 
@@ -392,14 +391,8 @@ def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10,
 
     z = np.concatenate([X, Y, np.zeros((m, n * n)), np.tile(np.eye(n).ravel(), (m, 1))],
                        axis=1)
-    segments, reach, t_exit = _solve("variational", metric, rhs, z, (0.0, t_end), rtol, atol)
-    exited = ~np.isnan(t_exit)
-    if y0.ndim == 2:
-        return VariationalFlow(metric=metric, sol=_StackedSolution(segments, m, width),
-                               t_end=reach, exited=exited, t_exit=t_exit)
-    return VariationalFlow(metric=metric, sol=segments[0][2].sol, t_end=float(reach[0]),
-                           exited=bool(exited[0]),
-                           t_exit=float(t_exit[0]) if exited[0] else None)
+    flow = _solve("variational", metric, rhs, z, (0.0, t_end), rtol, atol)
+    return _read_flow(VariationalFlow, metric, flow, t_end, None, width, point)[0]
 
 
 def exp_map(metric: MetricSpec, x, y):
@@ -434,7 +427,7 @@ class TransportResult:
     frame_out: np.ndarray
     gram_drift: float
     ts: np.ndarray
-    frames: np.ndarray  # (len(ts), k, n)
+    frames: np.ndarray  # (len(ts), k, n), or (m, len(ts), k, n) for a stack
     path: GeodesicPath
 
 
@@ -458,43 +451,49 @@ def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
 
     Integrates the geodesic and the frame jointly so both see the same
     adaptive steps; the g_cdot Gram matrix of the frame is reported as a
-    drift diagnostic (it is conserved along geodesics).
+    drift diagnostic (it is conserved along geodesics).  Stacks x0 and y0
+    (m, n), with a frame (k, n) or one per member, are one solve read on
+    t_eval, nan past a member's reach.
     """
     n = metric.n
+    X, Y, point = _members(x0, y0)
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
-    k = frame.shape[0]
+    k = frame.shape[-2]
+    width = 2 * n + k * n
 
     def rhs(t, z):
-        return _transport_field(metric, z, k)
+        return _transport_field(metric, z.reshape(-1, width), k).ravel()
 
     if t_eval is None:
         t_eval = np.linspace(0.0, float(t_end), 33)
-    z0 = np.concatenate([x0, y0, frame.ravel()])
-    segments, _, t_exit = _solve("transport", metric, rhs, z0[None], (0.0, t_end),
-                                 rtol, atol, t_eval)
-    sol = segments[0][2]
-    path = _geodesic_path(metric, sol, t_exit[0], t_end)
-    frames = sol.y[2 * n:].T.reshape(len(sol.t), k, n)
-    return TransportResult(frame_in=frame, frame_out=frames[-1],
+    U0 = np.broadcast_to(frame, (len(X), k, n)).reshape(len(X), k * n)
+    flow = _solve("transport", metric, rhs, np.concatenate([X, Y, U0], axis=1), (0.0, t_end),
+                  rtol, atol, t_eval if point else None)
+    path, Z = _read_flow(GeodesicPath, metric, flow, t_end, t_eval, width, point)
+    frames = Z[..., 2 * n:].reshape(Z.shape[:-1] + (k, n))
+    return TransportResult(frame_in=frame, frame_out=frames[..., -1, :, :],
                            gram_drift=_gram_drift(metric, path.x, path.v, frames),
-                           ts=sol.t, frames=frames, path=path)
+                           ts=path.t, frames=frames, path=path)
 
 
-def transport_both_ways(metric: MetricSpec, x0, y0, ts, frame, rtol=1e-10, atol=1e-10):
+def transport_both_ways(metric: MetricSpec, x0, y0, ts, frame, scale=1.0, rtol=1e-10,
+                        atol=1e-10):
     """States and frames transported along the geodesic from (x0, y0) at
-    t = +ts and t = -ts, for increasing ts > 0.
+    t = +ts and t = -ts, for increasing ts > 0; member j of stacks x0, y0
+    (m, n) at t = +-scale[j] ts, 0 < scale <= 1.
 
-    The forward and the backward run are the two members of one stacked
-    solve over s in [0, ts[-1]]: the backward member runs t = -s, so its
-    right-hand side changes sign, and both share one spray_gradients call
-    per evaluation.  Each member's state ends with its time direction, +1 or
-    -1, which the flow keeps.  Returns xs, vs (2, len(ts), n) and frames
-    (2, len(ts), k, n), forward first; ChartExitError when either run
-    leaves the chart before ts[-1].
+    Every run is a member of one solve over s in [0, ts[-1]]: a run at
+    t = c s, c = +-scale, has its right-hand side times c, which its state
+    keeps as its last component.  Returns xs, vs (2, len(ts), n) and frames
+    (2, len(ts), k, n), forward first, with a member axis second for a
+    stack; ChartExitError for the first run (forward first) to leave the
+    chart.
     """
     n = metric.n
+    X, Y, point = _members(x0, y0)
+    m = len(X)
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
-    k = frame.shape[0]
+    k = frame.shape[-2]
     width = 2 * n + k * n + 1
 
     def rhs(t, z):
@@ -504,17 +503,19 @@ def transport_both_ways(metric: MetricSpec, x0, y0, ts, frame, rtol=1e-10, atol=
         return dZ.ravel()
 
     ts = np.asarray(ts, dtype=float)
-    start = np.concatenate([x0, y0, frame.ravel()])
-    z0 = np.array([np.append(start, 1.0), np.append(start, -1.0)])
+    c = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
+    start = np.concatenate([X, Y, np.broadcast_to(frame, (m, k, n)).reshape(m, k * n)], axis=1)
+    z0 = np.column_stack([np.vstack([start, start]), np.concatenate([c, -c])])
     segments, _, t_exit = _solve("transport", metric, rhs, z0, (0.0, float(ts[-1])),
                                  rtol, atol)
-    for member, sign in enumerate((1.0, -1.0)):
-        if not np.isnan(t_exit[member]):
-            raise ChartExitError(
-                f"geodesic left the chart at t={sign * t_exit[member]:.6g} before "
-                f"reaching {sign * ts[-1]:.6g}", t_exit=float(sign * t_exit[member]))
-    Z = _StackedSolution(segments, 2, width)(ts)
-    return Z[..., :n], Z[..., n: 2 * n], Z[..., 2 * n: -1].reshape(2, len(ts), k, n)
+    for c, t in zip(z0[:, -1], t_exit):  # the first run to leave the chart
+        if not np.isnan(t):
+            raise ChartExitError(f"geodesic left the chart at t={c * t:.6g} before reaching "
+                                 f"{c * ts[-1]:.6g}", t_exit=float(c * t))
+    Z = _StackedSolution(segments, 2 * m, width)(ts).reshape(2, m, len(ts), width)
+    if point:
+        Z = Z[:, 0]
+    return Z[..., :n], Z[..., n: 2 * n], Z[..., 2 * n: -1].reshape(Z.shape[:-1] + (k, n))
 
 
 def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
@@ -543,7 +544,7 @@ def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
     frames = sol.y.T.reshape(len(ts), k, n)
     xs, vs = (np.array(a, dtype=float) for a in zip(*(curve(t) for t in ts)))
     path = GeodesicPath(metric=metric, t=ts, x=xs, v=vs, sol=None,
-                        t_requested=float(t_span[1]))
+                        t_requested=float(t_span[1]), t_end=float(ts[-1]))
     return TransportResult(frame_in=frame, frame_out=frames[-1],
                            gram_drift=_gram_drift(metric, xs, vs, frames),
                            ts=ts, frames=frames, path=path)
@@ -551,10 +552,14 @@ def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
 
 def _gram_drift(metric, xs, vs, frames):
     """Largest change of the frames' g_cdot Gram matrix from its value at the
-    first state, from one stacked fundamental tensor; raises GeometryError
-    when a frame becomes degenerate."""
-    g = fundamental_tensor(metric, TangentSample(xs, vs)).g
-    gram = frames @ g @ np.swapaxes(frames, -1, -2)
-    if np.any(np.linalg.cond(gram) > 1e12):
+    first state, from one stacked fundamental tensor, for one path or per
+    member of a stack, skipping nan states; GeometryError when a frame
+    becomes degenerate."""
+    ok = ~np.isnan(xs[..., 0])
+    g = fundamental_tensor(metric, TangentSample(xs[ok], vs[ok])).g
+    gram = np.full(frames.shape[:-1] + frames.shape[-2:-1], np.nan)
+    gram[ok] = frames[ok] @ g @ np.swapaxes(frames[ok], -1, -2)
+    if np.any(np.linalg.cond(gram[ok]) > 1e12):
         raise GeometryError("transported frame became numerically degenerate")
-    return float(np.max(np.abs(gram - gram[0])))
+    drift = np.nanmax(np.abs(gram - gram[..., :1, :, :]), axis=(-3, -2, -1))
+    return float(drift) if drift.ndim == 0 else drift

@@ -283,20 +283,17 @@ def curvature_ball_coefficient(metric: MetricSpec, x, n_dirs=None) -> float:
     """r(x): the curvature average entering the small-ball volume expansion.
 
     Integrates Ric + 3n (S-dot - S^2) over the unit tangent body, reduced to
-    the direction sphere by 2-homogeneity of the integrand.
+    the direction sphere by 2-homogeneity of the integrand; all directions
+    are one stack.
     """
     x = np.asarray(x, dtype=float)
     n = metric.n
     dirs, w = _direction_grid(n, n_dirs, default=(64, 8))
-    sigma = density_field(metric)
     sm = TangentSample(np.repeat(x[None], len(dirs), axis=0), dirs)
-    ricci = riemann_curvature(metric, sm).ricci
     sd = s_curvature(metric, sm, method="analytic")
-    total = 0.0
-    for ric, S, S_dot, d, wd in zip(ricci, sd.S, sd.S_dot, dirs, w):
-        h = ric + 3.0 * n * (S_dot - S ** 2)
-        total += wd * h * metric.F(x, d) ** (-(n + 2))
-    return float(sigma(x) * total / (n * unit_ball_volume(n)))
+    h = riemann_curvature(metric, sm).ricci + 3.0 * n * (sd.S_dot - sd.S ** 2)
+    total = np.sum(w * h * metric.F_batch(sm.x, dirs) ** (-(n + 2)))
+    return float(density_field(metric)(x) * total / (n * unit_ball_volume(n)))
 
 
 def small_ball_probe(metric: MetricSpec, x, eps_grid, n_dirs=None,

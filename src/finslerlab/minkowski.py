@@ -38,18 +38,22 @@ class TangentSample:
 
     def validate(self, metric: MetricSpec):
         """This sample, or PreconditionError when a base point lies outside
-        the chart, or a y is below the floor in length or in F: one F_batch
-        call for a stack, the scalar F for one point.  The length test comes
-        first, since a metric may refuse to evaluate a vanishing y."""
+        the chart, or a y is below the floor in length or in F (see F).  The
+        length test comes first, since a metric may refuse to evaluate a
+        vanishing y."""
         if not np.all(metric.chart.contains(self.x)):
             raise PreconditionError(f"base point {self.x} outside the metric chart")
         if np.any(np.sum(self.y * self.y, axis=-1) < F_FLOOR * F_FLOOR):
             raise PreconditionError("tangent vector too close to zero")
-        stack = self.x.ndim > 1 or self.y.ndim > 1
-        F = metric.F_batch(self.x, self.y) if stack else metric.F(self.x, self.y)
-        if np.any(F <= F_FLOOR):
+        if np.any(self.F(metric) <= F_FLOOR):
             raise PreconditionError("tangent vector too close to zero")
         return self
+
+    def F(self, metric: MetricSpec):
+        """F here: the scalar F for one point, one F_batch call for a stack."""
+        if self.x.ndim > 1 or self.y.ndim > 1:
+            return metric.F_batch(self.x, self.y)
+        return metric.F(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,10 @@ class FundamentalTensor:
 
     def inner(self, u, v):
         return float(np.asarray(u) @ self.g @ np.asarray(v))
+
+    def __getitem__(self, k):
+        """Member k of a stack."""
+        return FundamentalTensor(self.g[k], self.g_inv[k], self.det_g[k], self.F[k])
 
 
 @dataclass(frozen=True)
