@@ -315,7 +315,8 @@ def _funk_e(metric, s):
 
 def _cc_fit(metric, s):
     kappa = _EXPECTED_KAPPA[metric.name][0]
-    fits = curvature.constant_curvature_ode_check(metric, s.x, s.y, kappa, np.linspace(0, 1.5, 16))
+    ts = np.linspace(0.0, 1.5, 16)
+    fits = curvature.constant_curvature_ode_check(metric, s.x, s.y, kappa, ts)
     return np.array([fit.prediction_error for fit in fits]), 0.0, 1.0
 
 
@@ -331,7 +332,7 @@ def _transport_norms(metric, s):
                             np.eye(metric.n))
     Ft = metric.F_batch(np.broadcast_to(tr.path.x[..., None, :], tr.frames.shape), tr.frames)
     F0 = Ft[:, :1]
-    return np.where(np.isnan(Ft), F0, Ft), F0, F0
+    return np.where(np.isnan(tr.path.x[..., :1]), F0, Ft), F0, F0
 
 
 def _check_ball_formula(metric, cfg):

@@ -29,6 +29,7 @@ from .minkowski import (
     density_field,
     fundamental_tensor,
     mean_cartan,
+    per_point,
     tangent_basis,
 )
 
@@ -203,19 +204,17 @@ def landsberg_data(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> Landsb
 
 
 class SData:
-    """S and S-dot at one sample, as floats, or arrays (m,) of them at a
-    stack of m.  S_dot may be given as a zero-argument callable; it then
-    runs on first access, so readers of S alone skip the geodesics it
-    integrates."""
+    """S and S-dot at one sample, or arrays (m,) of them at a stack of m.
+    S_dot may be given as a zero-argument callable; it then runs on first
+    access, so readers of S alone skip the geodesics it integrates."""
 
     def __init__(self, S, S_dot):
-        self.S = float(S) if np.ndim(S) == 0 else S
+        self.S = S
         self._S_dot = S_dot
 
     @cached_property
     def S_dot(self) -> float | np.ndarray:
-        S_dot = self._S_dot() if callable(self._S_dot) else self._S_dot
-        return float(S_dot) if np.ndim(S_dot) == 0 else S_dot
+        return self._S_dot() if callable(self._S_dot) else self._S_dot
 
 
 def _log_density_gradient(sigma, x, h=1e-4):
@@ -285,7 +284,7 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
         def s_dot():
             hp = h / sample.F(metric)
             q = _geodesic_stencil(metric, sample, s_at, hp, no_frame)
-            return richardson_doubling(*_stencil_pair(q, hp))
+            return per_point(richardson_doubling(*_stencil_pair(q, hp)), sample.y)
 
         return SData(S=s_at(sample.x, sample.y), S_dot=s_dot)
     if method != "geodesic":
@@ -298,7 +297,8 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
 
     q = _geodesic_stencil(metric, sample, tau_at, h, no_frame)
     q[0] = tau_at(sample.x, sample.y, no_frame)
-    return SData(*(richardson_doubling(*_stencil_pair(q, h, order)) for order in (1, 2)))
+    return SData(*(per_point(richardson_doubling(*_stencil_pair(q, h, order)), sample.y)
+                   for order in (1, 2)))
 
 
 def es_residual(metric: MetricSpec, sample: TangentSample, density=None) -> float:
@@ -412,7 +412,9 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
 
     reported in the g_cdot norm so the measure is chart-independent.
     """
-    x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    v = np.asarray(v, dtype=float)
     scale = s * float(np.linalg.norm(y)) / max(np.linalg.norm(v), 1e-300)
     # the varied geodesics and the central one: one 3-member stack
     paths = integrate_geodesic(metric, x, [y + scale * v, y - scale * v, y], t_end,
@@ -476,9 +478,12 @@ def _cc_basis(kappa, ts):
 
 
 def _cc_basis4(kappa, ts):
-    if kappa:
-        return np.column_stack([_cc_basis(4 * kappa, ts), np.ones_like(ts)])
-    return np.column_stack([ts ** 2, _cc_basis(0.0, ts)])
+    s = np.sqrt(abs(kappa))
+    if kappa < 0:
+        return np.column_stack([np.sinh(2 * s * ts), np.cosh(2 * s * ts), np.ones_like(ts)])
+    if kappa > 0:
+        return np.column_stack([np.sin(2 * s * ts), np.cos(2 * s * ts), np.ones_like(ts)])
+    return np.column_stack([ts ** 2, ts, np.ones_like(ts)])
 
 
 @dataclass(frozen=True)
@@ -559,10 +564,8 @@ def dot_lc_residual(metric: MetricSpec, sample: TangentSample, kappa,
     """max |L-dot + kappa F^2 C| over tensor components, per member of a stack."""
     Ld = landsberg_dot(metric, sample, dt=dt)
     C = cartan_tensor(metric, sample)
-    F = sample.F(metric)
-    res = np.max(np.abs(Ld + np.reshape(kappa * F * F, np.shape(F) + (1, 1, 1)) * C),
-                 axis=(-3, -2, -1))
-    return float(res) if res.ndim == 0 else res
+    F = np.asarray(sample.F(metric))[..., None, None, None]
+    return per_point(np.max(np.abs(Ld + kappa * F * F * C), axis=(-3, -2, -1)), sample.y)
 
 
 def projective_ode_check(metric_F: MetricSpec, metric_G: MetricSpec,

@@ -12,7 +12,7 @@ from ._grids import richardson_central
 from .errors import ChartExitError, GeometryError, PreconditionError
 from .jets import Jet, JetSpec, derivative_tensor, join_members, lift
 from .metrics import MetricSpec
-from .minkowski import TangentSample, fundamental_tensor
+from .minkowski import TangentSample, fundamental_tensor, per_point
 
 # ---------------------------------------------------------------------------
 # Spray coefficients
@@ -235,14 +235,17 @@ class GeodesicPath:
         return self.metric.F_batch(xs, vs)
 
     def F_drift(self, n_checkpoints=101):
-        F = self.F_values(np.linspace(self.t[0], self.t[-1], n_checkpoints))
-        return float(np.max(np.abs(F - F[0])) / abs(F[0]))
+        ts = np.linspace(self.t[0], self.t[-1], n_checkpoints)
+        F = self.F_values(ts)
+        F0 = F[0]
+        return float(np.max(np.abs(F - F0)) / abs(F0))
 
     def el_residual(self, n_checkpoints=33, h=1e-3):
         """max |xddot + 2G(xdot)| on dense checkpoints, with xddot recovered
         by central differences of the dense velocity output."""
         t0, t1 = float(self.t[0]), float(self.t[-1])
-        hs = h * abs(t1 - t0)
+        span = t1 - t0
+        hs = h * abs(span)
         ts = np.linspace(t0 + 2 * hs, t1 - 2 * hs, n_checkpoints)
         _, vm = self.state(ts - hs)
         xs, vs = self.state(ts)
@@ -254,7 +257,13 @@ class GeodesicPath:
 
     def to_rows(self):
         """CSV-ready rows (t, x..., xdot..., F)."""
-        return np.column_stack([self.t, self.x, self.v, self.F_values()]).tolist()
+        F = self.F_values()
+        rows = []
+        for k in range(len(self.t)):
+            rows.append(
+                [float(self.t[k]), *map(float, self.x[k]), *map(float, self.v[k]), float(F[k])]
+            )
+        return rows
 
 
 @dataclass
@@ -318,7 +327,7 @@ def integrate_geodesic(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10
     in one solve with one spray_values call per right-hand side."""
     n = metric.n
     X, Y, point = _members(x0, y0)
-    F0 = metric.F(X[0], Y[0]) if point else metric.F_batch(X, Y)
+    F0 = TangentSample(x0, y0).F(metric)
     if not np.all((F0 > 0) & np.isfinite(F0)):
         raise PreconditionError("geodesic needs a tangent vector with F > 0")
     if unit_speed:
@@ -334,7 +343,6 @@ def integrate_geodesic(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10
     return _read_flow(GeodesicPath, metric, flow, t_end, t_eval, 2 * n, point)[0]
 
 
-@dataclass
 class _StackedSolution:
     """Dense output of a stacked flow, pieced from its solve segments.
 
@@ -343,9 +351,10 @@ class _StackedSolution:
     read from the segments it was integrated in, and is nan past its reach.
     """
 
-    segments: list
-    m: int
-    width: int
+    def __init__(self, segments, m, width):
+        self.segments = segments
+        self.m = m
+        self.width = width
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -561,5 +570,6 @@ def _gram_drift(metric, xs, vs, frames):
     gram[ok] = frames[ok] @ g @ np.swapaxes(frames[ok], -1, -2)
     if np.any(np.linalg.cond(gram[ok]) > 1e12):
         raise GeometryError("transported frame became numerically degenerate")
-    drift = np.nanmax(np.abs(gram - gram[..., :1, :, :]), axis=(-3, -2, -1))
-    return float(drift) if drift.ndim == 0 else drift
+    # one path or per member, as a float for a path of one point
+    return per_point(np.nanmax(np.abs(gram - gram[..., :1, :, :]), axis=(-3, -2, -1)),
+                     xs[..., 0, :])

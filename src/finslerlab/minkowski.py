@@ -102,7 +102,7 @@ def fundamental_tensor(metric: MetricSpec, sample: TangentSample) -> Fundamental
         ) from exc
     g_inv = cho_solve((c, low), np.eye(metric.n))
     det_g = np.prod(np.diagonal(c, axis1=-2, axis2=-1), axis=-1) ** 2
-    return FundamentalTensor(g=g, g_inv=g_inv, det_g=_per_point(det_g, sample.y), F=F)
+    return FundamentalTensor(g=g, g_inv=g_inv, det_g=per_point(det_g, sample.y), F=F)
 
 
 def cartan_tensor(metric: MetricSpec, sample: TangentSample) -> np.ndarray:
@@ -180,7 +180,7 @@ def cartan_norm(metric: MetricSpec, sample: TangentSample,
     if C is None:
         C = cartan_tensor(metric, sample)
     Cup = np.einsum("...ia,...jb,...kc,...abc->...ijk", ft.g_inv, ft.g_inv, ft.g_inv, C)
-    return _per_point(np.sqrt(np.einsum("...ijk,...ijk->...", Cup, C)), sample.y)
+    return per_point(np.sqrt(np.einsum("...ijk,...ijk->...", Cup, C)), sample.y)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def bh_density(metric: MetricSpec, x, mc_check=False, seed=0):
     """
     x = np.asarray(x, dtype=float)
     if metric.sigma_bh is not None and not mc_check:
-        return _per_point(metric.sigma_bh(x), x)
+        return per_point(metric.sigma_bh(x), x)
     vol = unit_body_volume(metric, x)
     sigma = unit_ball_volume(metric.n) / vol
     if mc_check:
@@ -248,17 +248,18 @@ def bh_density(metric: MetricSpec, x, mc_check=False, seed=0):
                     f"unit-body volume at {p}: quadrature {v} vs MC {mc} +- {err}"
                 )
     if metric.sigma_bh is not None:
-        closed = _per_point(metric.sigma_bh(x), x)
+        closed = per_point(metric.sigma_bh(x), x)
         if np.any(np.abs(closed - sigma) > 1e-6 * np.maximum(1.0, np.abs(sigma))):
             raise NumericalIntegrityError(
                 f"closed-form density {closed} disagrees with quadrature {sigma}"
             )
         return closed
-    return _per_point(sigma, x)
+    return per_point(sigma, x)
 
 
-def _per_point(values, x):
-    """A float for one point x (n,), an array for a stack (m, n)."""
+def per_point(values, x):
+    """A float for one point x (n,), an array for a stack (m, n): how every
+    tangent quantity returns a value per sample."""
     return float(values) if x.ndim == 1 else np.asarray(values, dtype=float)
 
 
@@ -268,7 +269,7 @@ def density_field(metric: MetricSpec):
     if metric.sigma_bh is not None:
         def sigma(x):
             x = np.asarray(x, dtype=float)
-            return _per_point(metric.sigma_bh(x), x)
+            return per_point(metric.sigma_bh(x), x)
 
         return sigma
     return lambda x: bh_density(metric, x)

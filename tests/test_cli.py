@@ -205,6 +205,25 @@ class TestVerify:
         assert [s.x.shape for s in seen] == [(4, 2)]
         assert np.isnan(value) and not value <= tol
 
+    def test_nan_transported_norm_fails(self, monkeypatch):
+        # a NaN frame vector at a state the geodesic reached is a failure;
+        # only the states past a member's reach carry no difference
+        transport = cli.parallel_transport
+
+        def corrupted(*args, **kw):
+            tr = transport(*args, **kw)
+            assert not np.isnan(tr.path.x[1, 5, 0])
+            tr.frames[1, 5, 0, :] = np.nan
+            return tr
+
+        check = cli._sampled(cli._transport_norms, 1e-6, count=lambda k: 3)
+        metric = metrics.make_metric("berwald_product")
+        value, tol = check(metric, {"samples": 20})
+        assert value <= tol
+        monkeypatch.setattr(cli, "parallel_transport", corrupted)
+        value, tol = check(metric, {"samples": 20})
+        assert np.isnan(value) and not value <= tol
+
 
 class TestReports:
     def test_geodesic_csv(self, tmp_path):
