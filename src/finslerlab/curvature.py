@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -342,49 +342,40 @@ def _spray_riemann(ws, y):
     return R, G, N, d2Gxy, d2Gyy
 
 
-def _transverse_report(R, ft, y):
-    """The CurvatureReport of one tangent point from its R_y and g_y."""
-    F2 = ft.F ** 2
-    ynorm = float(np.linalg.norm(y))
-    Ry_y = R @ y
-    Ry_y_norm = float(np.linalg.norm(Ry_y) / (F2 * ynorm))
-    gR = ft.g @ R
-    self_adj = float(np.max(np.abs(gR - gR.T)) / max(np.max(np.abs(gR)), F2))
-
-    basis = tangent_basis(ft, y)
-    Q = np.column_stack(basis)
-    M = Q.T @ ft.g @ R @ Q
-    M = 0.5 * (M + M.T)
-    eigs = np.linalg.eigvalsh(M)
-    principal = np.sort(eigs) / F2
-    ricci = float(np.trace(R))
-    mean = float(np.mean(principal))
-    spread = float(principal[-1] - principal[0])
-    flag = mean if spread <= 1e-3 * max(1.0, abs(mean)) else None
-    return CurvatureReport(R=R, principal=principal, ricci=ricci,
-                           flag_constant=flag, F=ft.F,
-                           Ry_y_norm=Ry_y_norm, self_adjoint_defect=self_adj)
-
-
 def riemann_curvature(metric: MetricSpec, sample: TangentSample) -> CurvatureReport:
     """R_y from the spray (see _spray_riemann), then the eigenproblem of R
     restricted to the g_y-orthogonal complement of y, normalized by F^2.
 
-    A stack of samples takes one spray workspace and one fundamental tensor;
-    only the transverse basis and eigenproblem run member by member, and
-    each member has the bits of its own single-point call.
+    A stack of samples takes one spray workspace, one fundamental tensor,
+    one tangent basis and one stacked eigenproblem; each member has the
+    bits of its own single-point call.
     """
     sample.validate(metric)
     y = sample.y
     R = _spray_riemann(spray_jets(metric, sample.x, y, 2, 4), y)[0]
     ft = fundamental_tensor(metric, sample)
-    if y.ndim == 1:
-        return _transverse_report(R, ft, y)
-    reports = [_transverse_report(R[k], ft[k], y[k]) for k in range(len(y))]
-    return CurvatureReport(**{
-        f.name: np.array([np.nan if v is None else v
-                          for v in (getattr(r, f.name) for r in reports)])
-        for f in fields(CurvatureReport)})
+    F2 = ft.F ** 2
+
+    def norm(v):
+        return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+    Ry_y_norm = norm((R @ y[..., :, None])[..., 0]) / (F2 * norm(y))
+    gR = ft.g @ R
+    self_adj = (np.max(np.abs(gR - np.swapaxes(gR, -1, -2)), axis=(-2, -1))
+                / np.maximum(np.max(np.abs(gR), axis=(-2, -1)), F2))
+
+    basis = tangent_basis(ft, y)
+    M = basis @ ft.g @ R @ np.swapaxes(basis, -1, -2)
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+    principal = np.sort(np.linalg.eigvalsh(M), axis=-1) / np.expand_dims(F2, -1)
+    mean = np.mean(principal, axis=-1)
+    spread = principal[..., -1] - principal[..., 0]
+    flag = per_point(np.where(spread <= 1e-3 * np.maximum(1.0, np.abs(mean)), mean, np.nan), y)
+    return CurvatureReport(R=R, principal=principal,
+                           ricci=per_point(np.trace(R, axis1=-2, axis2=-1), y),
+                           flag_constant=None if y.ndim == 1 and np.isnan(flag) else flag,
+                           F=ft.F, Ry_y_norm=per_point(Ry_y_norm, y),
+                           self_adjoint_defect=per_point(self_adj, y))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +505,7 @@ def constant_curvature_ode_check(metric: MetricSpec, x, y, kappa,
     ft = fundamental_tensor(metric, unit)
     # in dimension two the only transverse direction serves as both arguments
     k = 2 if metric.n >= 3 else 1
-    frame = np.array([tangent_basis(ft[j], y)[:k] for j, y in enumerate(unit.y)])
+    frame = tangent_basis(ft, unit.y)[:, :k]
     tr = parallel_transport(metric, unit.x, unit.y, float(ts[-1]), frame, t_eval=ts)
     reached = ~np.isnan(tr.path.x[..., 0])
     if np.min(np.sum(reached, axis=1)) < min(6, len(ts)):

@@ -132,18 +132,17 @@ def _spray(metric, x, v, mx):
 # ---------------------------------------------------------------------------
 
 
-def _solve(flow, metric, rhs, z0, t_span, rtol, atol, t_eval=None, chart=True):
+def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True):
     """Integrate a flow from the states z0 (m, width) of its m members: DOP853
-    with dense output, one solve_ivp call per segment.
+    with dense output, one solve_ivp call per segment, forward or backward.
 
     With chart, each member's state starts with its base point and a terminal
     event stops the solve at the first chart exit; that member drops out,
     with every member then at or below the event's threshold, and the rest
     restart from its exit time, so each member has its own reach and exit.
-    t_eval serves one-member flows, which never restart.  Returns the
-    segments (t0, t1, OdeResult, members), the reach (m,) and t_exit (m,),
-    nan where the member stayed in the chart.  A failed solve raises
-    GeometryError naming the flow.
+    Returns the segments (t0, t1, OdeResult, members), read by
+    _StackedSolution, the reach (m,) and t_exit (m,), nan where the member
+    stayed in the chart.  A failed solve raises GeometryError naming the flow.
     """
     n = metric.n
     z = np.asarray(z0, dtype=float)
@@ -165,7 +164,7 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, t_eval=None, chart=True):
     t_exit = np.full(m, np.nan)
     while True:
         sol = solve_ivp(rhs, (t0, t_end), z.ravel(), method="DOP853", rtol=rtol, atol=atol,
-                        dense_output=True, t_eval=t_eval, events=events)
+                        dense_output=True, events=events)
         if not sol.success:
             raise GeometryError(f"{flow} integration failed: {sol.message}")
         t1 = float(sol.t_events[0][0]) if sol.status == 1 else t_end
@@ -192,12 +191,13 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, t_eval=None, chart=True):
 
 @dataclass
 class GeodesicPath:
-    """A numerically integrated geodesic with dense output and diagnostics:
-    t, x and v at the solver's steps or at t_eval, and its reach t_end.  A
-    stack of m holds x and v (m, len(t), n) on its t_eval grid (empty
-    without one), nan past a member's reach, and t_end, exited and t_exit
-    (nan where the member stayed in the chart) as arrays (m,); state puts
-    the member axis first.  The other readers take one geodesic."""
+    """A numerically integrated geodesic with dense output sol, its
+    _StackedSolution, and diagnostics: t, x and v at t_eval, or at the
+    solver's steps without it, up to its reach t_end.  A stack of m holds x
+    and v (m, len(t), n) on its t_eval grid (empty without one), nan past a
+    member's reach, and t_end, exited and t_exit (nan where the member stayed
+    in the chart) as arrays (m,); state puts the member axis first.  The
+    other readers take one geodesic."""
 
     metric: MetricSpec
     t: np.ndarray
@@ -212,18 +212,18 @@ class GeodesicPath:
     nfev: int = 0
 
     def require_reach(self):
-        """This path, or ChartExitError when it left the chart before
-        t_requested."""
-        if self.exited:
+        """This path, or ChartExitError at the exit time of the first member
+        that left the chart before t_requested."""
+        if np.any(self.exited):
+            t_exit = float(np.atleast_1d(self.t_exit)[np.argmax(self.exited)])
             raise ChartExitError(
-                f"geodesic left the chart at t={self.t_exit:.6g} before reaching "
-                f"{self.t_requested:.6g}", t_exit=self.t_exit)
+                f"geodesic left the chart at t={t_exit:.6g} before reaching "
+                f"{self.t_requested:.6g}", t_exit=t_exit)
         return self
 
     def _states(self, t):
         z = self.sol(t)
-        # an OdeSolution puts the state first
-        return np.moveaxis(z, 0, -1) if np.ndim(self.t_end) == 0 else z
+        return z if np.ndim(self.t_end) else z[0]
 
     def state(self, t):
         z = self._states(t)
@@ -301,19 +301,21 @@ def _members(x0, y0):
 
 def _read_flow(cls, metric, flow, t_end, t_eval, width, point):
     """A GeodesicPath or subclass of a flow (segments, reach, t_exit) from
-    _solve, and its states (len(t), width), or (m, len(t), width) for a
-    stack.  Only positively-complete-only metrics flag a reverse run."""
+    _solve, and its states (m, len(t), width) on t_eval; one point is member
+    0 cut at its reach, on t_eval or the solver's steps, (len(t), width).
+    Only positively-complete-only metrics flag a reverse run."""
     segments, reach, t_exit = flow
     exited = ~np.isnan(t_exit)
+    dense = _StackedSolution(segments, len(reach), width)
+    if t_eval is None:  # one point never restarts, so it has one segment
+        t_eval = segments[0][2].t if point else []
+    t = np.asarray(t_eval, dtype=float)
+    Z = dense(t)
     if point:
-        sol = segments[0][2]
-        t, Z, dense = sol.t, sol.y.T, sol.sol
+        reached = ~np.isnan(Z[0, :, 0])
+        t, Z = t[reached], Z[0, reached]
         reach, exited, t_exit = float(reach[0]), bool(exited[0]), t_exit[0]
         t_exit = float(t_exit) if exited else None
-    else:
-        dense = _StackedSolution(segments, len(reach), width)
-        t = np.asarray([] if t_eval is None else t_eval, dtype=float)
-        Z = dense(t)
     return cls(metric=metric, t=t, x=Z[..., :metric.n], v=Z[..., metric.n: 2 * metric.n],
                sol=dense, t_requested=float(t_end), t_end=reach, exited=exited, t_exit=t_exit,
                reverse_flagged=bool(t_end < 0 and metric.positively_complete_only),
@@ -339,16 +341,16 @@ def integrate_geodesic(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10
                               axis=1).ravel()
 
     flow = _solve("geodesic", metric, rhs, np.concatenate([X, Y], axis=1), (0.0, t_end),
-                  rtol, atol, t_eval if point else None)
+                  rtol, atol)
     return _read_flow(GeodesicPath, metric, flow, t_end, t_eval, 2 * n, point)[0]
 
 
 class _StackedSolution:
-    """Dense output of a stacked flow, pieced from its solve segments.
+    """Dense output of a flow of m members, pieced from its solve segments.
 
-    A segment (t0, t1, OdeResult, members) is one solve_ivp call over
-    [t0, t1] for the listed members, in that order in its state; member k is
-    read from the segments it was integrated in, and is nan past its reach.
+    A segment (t0, t1, OdeResult, members) is one solve_ivp call from t0 to t1,
+    either way, for the listed members, in that order in its state; member k
+    is read from the segments it was integrated in, and is nan past its reach.
     """
 
     def __init__(self, segments, m, width):
@@ -362,7 +364,7 @@ class _StackedSolution:
         out = np.full(tt.shape + (self.width,), np.nan)
         for t0, t1, res, members in self.segments:
             local = tt[members]
-            li, kj = np.nonzero((local >= t0) & (local <= t1))
+            li, kj = np.nonzero((local >= min(t0, t1)) & (local <= max(t0, t1)))
             if not len(li):
                 continue
             times, pos = np.unique(local[li, kj], return_inverse=True)
@@ -405,8 +407,9 @@ def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10,
 
 
 def exp_map(metric: MetricSpec, x, y):
-    """Endpoint at parameter 1 of the geodesic with initial velocity y."""
-    return integrate_geodesic(metric, x, y, 1.0).require_reach().x[-1]
+    """Endpoint at parameter 1 of the geodesic with initial velocity y, (n,),
+    or of each member of stacks x, y (m, n), giving (m, n)."""
+    return integrate_geodesic(metric, x, y, 1.0).require_reach().state(1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +480,7 @@ def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
         t_eval = np.linspace(0.0, float(t_end), 33)
     U0 = np.broadcast_to(frame, (len(X), k, n)).reshape(len(X), k * n)
     flow = _solve("transport", metric, rhs, np.concatenate([X, Y, U0], axis=1), (0.0, t_end),
-                  rtol, atol, t_eval if point else None)
+                  rtol, atol)
     path, Z = _read_flow(GeodesicPath, metric, flow, t_end, t_eval, width, point)
     frames = Z[..., 2 * n:].reshape(Z.shape[:-1] + (k, n))
     return TransportResult(frame_in=frame, frame_out=frames[..., -1, :, :],
@@ -547,10 +550,9 @@ def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
     if t_eval is None:
         t_eval = np.linspace(t_span[0], t_span[1], 17)
     segments, _, _ = _solve("transport", metric, rhs, frame.ravel()[None], t_span,
-                            rtol, atol, t_eval, chart=False)
-    sol = segments[0][2]
-    ts = sol.t
-    frames = sol.y.T.reshape(len(ts), k, n)
+                            rtol, atol, chart=False)
+    ts = np.asarray(t_eval, dtype=float)
+    frames = _StackedSolution(segments, 1, k * n)(ts)[0].reshape(len(ts), k, n)
     xs, vs = (np.array(a, dtype=float) for a in zip(*(curve(t) for t in ts)))
     path = GeodesicPath(metric=metric, t=ts, x=xs, v=vs, sol=None,
                         t_requested=float(t_span[1]), t_end=float(ts[-1]))

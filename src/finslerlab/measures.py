@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._grids import (
     circle_nodes,
@@ -250,18 +249,17 @@ def coarea_consistency(metric: MetricSpec, x, r, dr=1e-3, **kw):
 
 
 def funk_ball_formula(n, r):
-    """n 2^n Vol(B^n) * integral_0^{r/2} e^{-(n+1)t} sinh^{n-1}(t) dt.
+    """n 2^n Vol(B^n) * integral_0^{r/2} e^{-(n+1)t} sinh^{n-1}(t) dt, in
+    closed form Vol(B^n) (1 - e^{-r})^n (substitute u = 1 - e^{-2t}).
 
     The BH volume of any forward metric r-ball of the Funk metric; tends to
-    Vol(B^n) as r grows.
+    Vol(B^n) as r grows.  expm1 keeps small radii to full precision.
     """
     if n < 2:
         raise ConfigurationError("dimension must be >= 2")
     if r <= 0:
         return 0.0
-    val, _ = quad(lambda t: np.exp(-(n + 1) * t) * np.sinh(t) ** (n - 1),
-                  0.0, r / 2.0, epsabs=1e-14, epsrel=1e-13)
-    return float(n * 2 ** n * unit_ball_volume(n) * val)
+    return float(unit_ball_volume(n) * (-np.expm1(-r)) ** n)
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,6 @@ class FundamentalTensor:
     def inner(self, u, v):
         return float(np.asarray(u) @ self.g @ np.asarray(v))
 
-    def __getitem__(self, k):
-        """Member k of a stack."""
-        return FundamentalTensor(self.g[k], self.g_inv[k], self.det_g[k], self.F[k])
-
 
 @dataclass(frozen=True)
 class CartanData:
@@ -288,22 +284,29 @@ def _require_minkowski(metric):
 
 
 def tangent_basis(ft: FundamentalTensor, y):
-    """g_y-orthonormal basis of the g_y-orthogonal complement of y."""
-    n = len(y)
+    """g_y-orthonormal basis of the g_y-orthogonal complement of y, as rows
+    (n-1, n), or (m, n-1, n) for a stack y (m, n) and its tensor."""
     y = np.asarray(y, dtype=float)
-    gy = ft.g @ y
+    n = y.shape[-1]
+
+    def inner(u, v):
+        return (u[..., None, :] @ ft.g @ v[..., :, None])[..., 0]
+
+    gy = (ft.g @ y[..., :, None])[..., 0]
     # coordinate vectors of least g_y-cosine with y, projected off y
-    order = np.argsort(np.abs(gy) / np.sqrt(np.diag(ft.g)))
+    order = np.argsort(np.abs(gy) / np.sqrt(np.diagonal(ft.g, axis1=-2, axis2=-1)), axis=-1)
     basis = []
-    for idx in order[: n - 1]:
-        v = np.eye(n)[idx] - (gy[idx] / float(y @ gy)) * y
+    for j in range(n - 1):
+        idx = order[..., j: j + 1]
+        v = np.eye(n)[idx[..., 0]] - (np.take_along_axis(gy, idx, axis=-1)
+                                      / (y[..., None, :] @ gy[..., :, None])[..., 0]) * y
         for b in basis:
-            v = v - ft.inner(v, b) * b
-        nv = np.sqrt(ft.inner(v, v))
-        if nv < 1e-12:
+            v = v - inner(v, b) * b
+        nv = np.sqrt(inner(v, v))
+        if np.any(nv < 1e-12):
             raise PreconditionError("degenerate tangent basis")
         basis.append(v / nv)
-    return basis
+    return np.stack(basis, axis=-2)
 
 
 def _check_tangent(ft, y, vecs, tol=1e-8):

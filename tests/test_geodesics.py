@@ -360,17 +360,18 @@ class TestVariationalFlow:
         m = zoo[name]
         x = np.linspace(0.1, -0.1, m.n)
         Y = np.random.default_rng(3).normal(size=(3, m.n)) * 0.7
-        stack = variational_flow(m, x, Y, 0.5, rtol=1e-13, atol=1e-13)
-        assert stack.t_end.shape == (3,) and not np.any(stack.exited)
-        at_end = stack.unpack(0.5)
-        dets = stack.det_M([0.2, 0.4])
-        for k in range(3):
-            one = variational_flow(m, x, Y[k], 0.5, rtol=1e-13, atol=1e-13)
-            assert one.t_end == stack.t_end[k] == 0.5
-            for got, want in zip(at_end, one.unpack(0.5)):
-                np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dets[k], [one.det_M(0.2), one.det_M(0.4)],
-                                       rtol=1e-10)
+        for T in (0.5, -0.25):  # forward, and backward short of the funk chart edge
+            stack = variational_flow(m, x, Y, T, rtol=1e-13, atol=1e-13)
+            assert stack.t_end.shape == (3,) and not np.any(stack.exited)
+            at_end = stack.unpack(T)
+            dets = stack.det_M([0.4 * T, 0.8 * T])
+            for k in range(3):
+                one = variational_flow(m, x, Y[k], T, rtol=1e-13, atol=1e-13)
+                assert one.t_end == stack.t_end[k] == T
+                for got, want in zip(at_end, one.unpack(T)):
+                    np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(dets[k], [one.det_M(0.4 * T), one.det_M(0.8 * T)],
+                                           rtol=1e-10)
 
     def test_stacked_members_exit_on_their_own(self, zoo):
         from finslerlab._grids import circle_nodes

@@ -35,6 +35,18 @@ class TestFunkBallFormula:
             assert ratio == pytest.approx(1.0, abs=n * r)
             assert ratio == pytest.approx(1.0 - n * r / 2.0, abs=5e-4)
 
+    def test_closed_form_equals_the_integral(self):
+        from scipy.integrate import quad
+
+        from finslerlab._grids import unit_ball_volume
+
+        for n in (2, 3, 4):
+            for r in (1e-3, 0.1, 1.0, 5.0, 40.0):
+                val, _ = quad(lambda t: np.exp(-(n + 1) * t) * np.sinh(t) ** (n - 1),
+                              0.0, r / 2.0, epsabs=1e-14, epsrel=1e-13)
+                ref = n * 2 ** n * unit_ball_volume(n) * val
+                assert me.funk_ball_formula(n, r) == pytest.approx(ref, rel=1e-14)
+
     def test_bad_dimension(self):
         with pytest.raises(ConfigurationError):
             me.funk_ball_formula(1, 1.0)

@@ -20,6 +20,7 @@ from finslerlab.minkowski import (
     density_field,
     fundamental_tensor,
     mean_cartan,
+    tangent_basis,
 )
 
 from conftest import tangent_samples
@@ -155,6 +156,24 @@ def test_riemann_one_point_keeps_floats(zoo):
     rep = cu.riemann_curvature(zoo["funk"], TangentSample(*tangent_samples(zoo["funk"], 1)[0]))
     for f in ("ricci", "flag_constant", "Ry_y_norm", "self_adjoint_defect"):
         assert type(getattr(rep, f)) is float, f
+
+
+CATALOG = ["euclidean", "euclidean3", "riemannian_sphere", "riemannian_hyperbolic",
+           "randers_const", "randers_closed", "randers_curl", "berwald_product",
+           "quartic_norm", "quartic_norm3", "funk", "funk3", "funk_quartic", "hilbert",
+           "hilbert_quartic"]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_tangent_basis_stack_equals_pointwise_calls(zoo, name):
+    metric = zoo[name]
+    pairs = tangent_samples(metric, 5)
+    xs, ys = (np.array(a) for a in zip(*pairs))
+    stacked = tangent_basis(fundamental_tensor(metric, TangentSample(xs, ys)), ys)
+    assert stacked.shape == (5, metric.n - 1, metric.n)
+    for k, (x, y) in enumerate(pairs):
+        assert np.array_equal(stacked[k], tangent_basis(fundamental_tensor(
+            metric, TangentSample(x, y)), y))
 
 
 # S-dot and the geodesic S of a stack of several members come from one
@@ -383,19 +402,21 @@ def _stack(metric, count):
 def test_stacked_geodesics_match_one_member_calls(zoo, name):
     metric = zoo[name]
     pairs, xs, ys = _stack(metric, 3)
-    ts = np.linspace(0.0, 0.6, 7)
-    stack = geodesics.integrate_geodesic(metric, xs, ys, 0.6, t_eval=ts, **TIGHT)
-    assert stack.x.shape == (3, 7, metric.n) and stack.t_end.shape == (3,)
-    for k, (x, y) in enumerate(pairs):
-        one = geodesics.integrate_geodesic(metric, x, y, 0.6, t_eval=ts, **TIGHT)
-        assert stack.exited[k] == one.exited
-        assert stack.t_end[k] == pytest.approx(one.t_end, abs=1e-10)
-        reached = ~np.isnan(stack.x[k, :, 0])
-        assert np.sum(reached) == len(one.t)
-        np.testing.assert_allclose(stack.x[k, reached], one.x, rtol=0, atol=1e-11)
-        np.testing.assert_allclose(stack.v[k, reached], one.v, rtol=0, atol=1e-10)
-        t = 0.5 * one.t_end  # the dense output, inside the member's reach
-        np.testing.assert_allclose(stack.state(t)[0][k], one.state(t)[0], rtol=0, atol=1e-11)
+    for t_end in (0.6, -0.6):  # forward and backward spans
+        ts = np.linspace(0.0, t_end, 7)
+        stack = geodesics.integrate_geodesic(metric, xs, ys, t_end, t_eval=ts, **TIGHT)
+        assert stack.x.shape == (3, 7, metric.n) and stack.t_end.shape == (3,)
+        for k, (x, y) in enumerate(pairs):
+            one = geodesics.integrate_geodesic(metric, x, y, t_end, t_eval=ts, **TIGHT)
+            assert stack.exited[k] == one.exited
+            assert stack.t_end[k] == pytest.approx(one.t_end, abs=1e-10)
+            reached = ~np.isnan(stack.x[k, :, 0])
+            assert np.sum(reached) == len(one.t)
+            np.testing.assert_allclose(stack.x[k, reached], one.x, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(stack.v[k, reached], one.v, rtol=0, atol=1e-10)
+            t = 0.5 * one.t_end  # the dense output, inside the member's reach
+            np.testing.assert_allclose(stack.state(t)[0][k], one.state(t)[0],
+                                       rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("name", FLOW_METRICS)
@@ -403,15 +424,69 @@ def test_stacked_transport_matches_one_member_calls(zoo, name):
     metric = zoo[name]
     pairs, xs, ys = _stack(metric, 3)
     frames = np.random.default_rng(5).normal(size=(3, 2, metric.n))  # one per member
-    tr = geodesics.parallel_transport(metric, xs, ys, 0.5, frames, **TIGHT)
-    assert tr.frames.shape == (3, 33, 2, metric.n) and tr.gram_drift.shape == (3,)
-    for k, (x, y) in enumerate(pairs):
-        one = geodesics.parallel_transport(metric, x, y, 0.5, frames[k], **TIGHT)
-        reached = ~np.isnan(tr.path.x[k, :, 0])
-        assert np.sum(reached) == len(one.ts)
-        np.testing.assert_allclose(tr.path.x[k, reached], one.path.x, rtol=0, atol=1e-11)
-        np.testing.assert_allclose(tr.frames[k, reached], one.frames, rtol=0, atol=1e-10)
-        assert tr.gram_drift[k] == pytest.approx(one.gram_drift, abs=1e-9)
+    for t_end in (0.5, -0.5):  # forward and backward spans
+        tr = geodesics.parallel_transport(metric, xs, ys, t_end, frames, **TIGHT)
+        assert tr.frames.shape == (3, 33, 2, metric.n) and tr.gram_drift.shape == (3,)
+        for k, (x, y) in enumerate(pairs):
+            one = geodesics.parallel_transport(metric, x, y, t_end, frames[k], **TIGHT)
+            reached = ~np.isnan(tr.path.x[k, :, 0])
+            assert np.sum(reached) == len(one.ts)
+            np.testing.assert_allclose(tr.path.x[k, reached], one.path.x, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(tr.frames[k, reached], one.frames, rtol=0, atol=1e-10)
+            assert tr.gram_drift[k] == pytest.approx(one.gram_drift, abs=1e-9)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", FLOW_METRICS)
+def test_one_member_stack_reads_the_point_bits(zoo, name, sign):
+    # a point is member 0 of the stacked reader, in either direction, at
+    # t_eval and at the solver's steps, where dense output gives back the
+    # solver's stored states
+    metric = zoo[name]
+    (x, y), = tangent_samples(metric, 1, seed=56)
+    n, t_end = metric.n, sign * 0.5
+    ts = np.linspace(0.0, t_end, 6)
+    one, stack = (geodesics.integrate_geodesic(metric, a, b, t_end, t_eval=ts)
+                  for a, b in ((x, y), (x[None], y[None])))
+    reached = ~np.isnan(stack.x[0, :, 0])
+    assert np.array_equal(stack.x[0, reached], one.x)
+    assert np.array_equal(stack.v[0, reached], one.v)
+    steps = geodesics.integrate_geodesic(metric, x, y, t_end)
+    stored = steps.sol.segments[0][2]
+    assert np.array_equal(steps.t, stored.t) and np.array_equal(steps.x, stored.y[:n].T)
+    assert np.array_equal(stack.state(steps.t)[0][0], steps.x)
+    one, stack = (geodesics.variational_flow(metric, a, b, t_end)
+                  for a, b in ((x, y), (x[None], y[None])))
+    t = 0.5 * one.t_end
+    for got, want in zip(stack.unpack([t, one.t_end]), one.unpack([t, one.t_end])):
+        assert np.array_equal(got[0], want)
+    one, stack = (geodesics.parallel_transport(metric, a, b, t_end, np.eye(n))
+                  for a, b in ((x, y), (x[None], y[None])))
+    assert np.array_equal(stack.frames[0, :len(one.ts)], one.frames)
+    stored = one.path.sol.segments[0][2]
+    assert np.array_equal(one.path.sol(stored.t)[0], stored.y.T)
+
+
+def test_exp_map_and_require_reach_take_a_stack(zoo):
+    metric = zoo["funk"]
+    xs, ys = np.array([[0.1, 0.2], [0.0, -0.3]]), np.array([[0.5, 0.1], [0.2, 0.4]])
+    ends = geodesics.exp_map(metric, xs, ys)
+    assert ends.shape == (2, 2)
+    for k in range(2):
+        np.testing.assert_allclose(ends[k], geodesics.exp_map(metric, xs[k], ys[k]),
+                                   rtol=0, atol=1e-9)
+    # the unit-ball chart of randers curl: the second member leaves it
+    metric = zoo["randers_curl"]
+    xs[1], ys[1] = [0.5, 0.0], [3.0, 0.0]
+    with pytest.raises(ChartExitError) as one:
+        geodesics.exp_map(metric, xs[1], ys[1])
+    path = geodesics.integrate_geodesic(metric, xs, ys, 1.0)
+    assert list(path.exited) == [False, True]
+    for read in (path.require_reach, lambda: geodesics.exp_map(metric, xs, ys)):
+        with pytest.raises(ChartExitError) as err:
+            read()
+        assert err.value.t_exit == path.t_exit[1]
+        assert err.value.t_exit == pytest.approx(one.value.t_exit, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", FLOW_METRICS)
