@@ -9,7 +9,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ._grids import richardson_central
-from .errors import ChartExitError, GeometryError, PreconditionError
+from .errors import ChartExitError, GeometryError, JetDomainError, PreconditionError
 from .jets import Jet, JetSpec, derivative_tensor, join_members, lift
 from .metrics import MetricSpec
 from .minkowski import TangentSample, fundamental_tensor, per_point
@@ -157,6 +157,19 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True):
         exit_event.terminal = True
         exit_event.direction = -1
         events = [exit_event]
+        field = rhs
+
+        def rhs(t, y):
+            # an RK stage may probe past the rim before the exit event fires;
+            # nan there makes DOP853's error norm nan, which rejects and
+            # shrinks the step (one member's nan rejects it for all, so all
+            # get nan); a domain error with every member inside is real
+            try:
+                return field(t, y)
+            except (JetDomainError, GeometryError):
+                if np.all(margin(y.reshape(-1, width)[:, :n]) > threshold):
+                    raise
+                return np.full_like(y, np.nan)
     t0, t_end = float(t_span[0]), float(t_span[1])
     segments = []
     alive = np.arange(m)

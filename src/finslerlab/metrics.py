@@ -304,16 +304,26 @@ def _funk_jet_exit(domain: ConvexDomain, xj, yj):
     coordinates x and y.
 
     Newton's method in the truncated algebra is the implicit-function rule
-    carried to all stored orders.  Every member starts from its root, found
-    by one batched ray exit, and each pass doubles the total degree that is
-    exact, so ceil(log2(D + 1)) passes reach the jet's total degree D.  The
-    n coordinates travel as one stack, so that a pass is a few products of
-    stacks rather than of single coordinates.
+    carried to all stored orders, graded as in Brent & Kung, "Fast
+    algorithms for manipulating formal power series" (J. ACM 1978).  Every
+    member starts from its root, found by one batched ray exit, so u is
+    exact through total degree a - 1 with a = 1.  A pass targets degree
+    tgt = min(2a - 1, D), D the jet's total degree mx + my: it runs at the
+    orders (min(mx, tgt), min(my, tgt)), a cut of the algebra that holds
+    every coefficient of degree tgt or less, and makes them exact.  The
+    residual r has no terms below degree a, so r / slope through degree tgt
+    needs the inverse slope only through degree h = tgt - a: one division
+    per member by the slope's value when h = 0, as in the first pass and
+    mostly the last, else a reciprocal at orders (min(mx, h), min(my, h)).
+    ceil(log2(D + 1)) passes reach degree D.  The n coordinates travel as
+    one stack, so that a pass is a few products of stacks rather than of
+    single coordinates.
     """
     spec = xj[0].spec
     n = len(xj)
+    mx, my = spec.max_x_order, spec.max_y_order
     s = domain.exit_columns([v.value for v in xj], [v.value for v in yj])
-    u = xj[0]._const_like(s, spec.max_x_order, spec.max_y_order)
+    u = xj[0]._const_like(s, 0, 0)
     X, Y = jets.join_members(xj), jets.join_members(yj)
 
     def coordinate_sum(t):
@@ -323,9 +333,23 @@ def _funk_jet_exit(domain: ConvexDomain, xj, yj):
             total = total + part
         return total
 
-    for _ in range((spec.max_x_order + spec.max_y_order).bit_length()):
+    a = 1
+    while a <= mx + my:
+        tgt = min(2 * a - 1, mx + my)
+        h = tgt - a
+        # a jet at lower orders is its coefficients masked to them
+        u = Jet(u.ctx, u.coeffs, min(mx, tgt), min(my, tgt))
         t, dt = domain.coordinate_terms(X + Y * jets.join_members([u] * n))
-        u = u - (coordinate_sum(t) - 1.0) / coordinate_sum(dt * Y)
+        r = coordinate_sum(t) - 1.0
+        if h == 0:  # the slope's value, summed over coordinates as coordinate_sum does
+            rows = (dt.coeffs.T[0] * Y.coeffs.T[0]).reshape(n, -1)
+            slope = sum(rows[1:], rows[0]).reshape(r.coeffs.shape[:-1] + (1,))
+            u = u - Jet(u.ctx, r.coeffs / slope, u.vx, u.vy, masked=True)
+        else:
+            dt = Jet(dt.ctx, dt.coeffs, min(mx, h), min(my, h))
+            w = coordinate_sum(dt * Y)._reciprocal()
+            u = u - r * Jet(w.ctx, w.coeffs, u.vx, u.vy)
+        a = tgt + 1
     return u
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslerlab import geodesics, metrics
-from finslerlab.errors import ChartExitError, GeometryError, PreconditionError
+from finslerlab.errors import ChartExitError, GeometryError, JetDomainError, PreconditionError
 from finslerlab.geodesics import (
     covariant_derivative,
     exp_map,
@@ -183,6 +183,29 @@ class TestIntegration:
         p = integrate_geodesic(m, [0.5, 0.0], [1.0, 0.0], 5.0)
         assert p.exited
         assert p.t_exit is not None and p.t_exit < 5.0
+
+    @pytest.mark.parametrize("t_end", [0.4, 1.0])
+    def test_rim_geodesic_stops_at_the_chart_exit(self, zoo, t_end):
+        # an RK stage of this Funk rim sample lands outside the ball, where the
+        # spray has no jet, before the exit event fires
+        x, y = tangent_samples(zoo["funk3"], 6, seed=3)[4]
+        p = integrate_geodesic(zoo["funk3"], x, y, t_end)
+        assert p.exited and 0.3 < p.t_exit < 0.4
+        with pytest.raises(ChartExitError):
+            p.require_reach()
+        # in a stack, the inner member goes on to t_end
+        x2, y2 = tangent_samples(zoo["funk3"], 6, seed=3)[0]
+        s = integrate_geodesic(zoo["funk3"], np.stack([x, x2]), np.stack([y, y2]), t_end)
+        assert s.exited[0] and 0.3 < s.t_exit[0] < 0.4
+        assert not s.exited[1] and s.t_end[1] == t_end
+
+    def test_a_domain_error_inside_the_chart_is_raised(self, zoo, monkeypatch):
+        def broken(metric, x, v):
+            raise JetDomainError("sqrt of jet with nonpositive constant term")
+
+        monkeypatch.setattr(geodesics, "spray_values", broken)
+        with pytest.raises(JetDomainError):
+            integrate_geodesic(zoo["funk"], [0.1, 0.0], [1.0, 0.0], 0.5)
 
     def test_transport_reports_the_geodesic_exit(self, zoo):
         m = zoo["randers_curl"]

@@ -180,6 +180,98 @@ class TestPairedHilbertJets:
         assert np.array_equal(hilbert_metric(dom, x1, y1).coeffs, got[3])
 
 
+def _full_order_funk_exit(domain, xj, yj):
+    """The Funk jet root before the graded passes (a frozen copy, kept as the
+    oracle): ceil(log2(D + 1)) Newton passes, each at the jet's full orders
+    with a full-order reciprocal of the slope."""
+    spec = xj[0].spec
+    n = len(xj)
+    s = domain.exit_columns([v.value for v in xj], [v.value for v in yj])
+    u = xj[0]._const_like(s, spec.max_x_order, spec.max_y_order)
+    X, Y = jets.join_members(xj), jets.join_members(yj)
+
+    def coordinate_sum(t):
+        parts = jets.split_members(t, u)
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        return total
+
+    for _ in range((spec.max_x_order + spec.max_y_order).bit_length()):
+        t, dt = domain.coordinate_terms(X + Y * jets.join_members([u] * n))
+        u = u - (coordinate_sum(t) - 1.0) / coordinate_sum(dt * Y)
+    return u
+
+
+_ROOT_SPECS = [(0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (1, 5)]
+
+
+class TestGradedFunkRoot:
+    @staticmethod
+    def _points(dom, n):
+        """Two points at 0.9 of the way to the rim and two inner ones, with
+        velocities that point outward, inward and across."""
+        rng = np.random.default_rng(29)
+        d = rng.normal(size=(4, n))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        rim = dom.ray_exit(np.zeros((4, n)), d)[:, None] * d
+        X = np.array([0.9, 0.9, 0.3, 0.05])[:, None] * rim
+        Y = np.stack([d[0], -d[1], rng.normal(size=n), rng.normal(size=n)])
+        return X, Y
+
+    @pytest.mark.parametrize("orders", _ROOT_SPECS)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    @pytest.mark.parametrize("kind", ["funk", "hilbert"])
+    def test_matches_the_full_order_loop(self, kind, eps, n, orders, monkeypatch):
+        m = metrics.make_metric(kind, n=n, domain=f"quartic:{eps}", validate=False)
+        X, Y = self._points(m.convex_domain, n)
+        got = m.jet(X, Y, *orders).coeffs
+        for k in range(len(X)):  # a single point has the bits of its member
+            assert np.array_equal(m.jet(X[k], Y[k], *orders).coeffs, got[k])
+        monkeypatch.setattr(metrics, "_funk_jet_exit", _full_order_funk_exit)
+        want = m.jet(X, Y, *orders).coeffs
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("orders", [(1, 3), (2, 4)])
+    def test_passes_run_at_their_target_orders(self, orders, monkeypatch):
+        """No timing: the orders of every product and reciprocal in one root."""
+        dom = quartic_domain(2, 0.1)
+        X, Y = self._points(dom, 2)
+        xs, ys = jets.lift(X, Y, jets.JetSpec(2, *orders))
+        log = []
+        mul, reciprocal = jets.Jet.__mul__, jets.Jet._reciprocal
+        terms = ConvexDomain.coordinate_terms
+
+        def logged_mul(a, b):
+            if isinstance(b, jets.Jet):
+                log.append(("mul", min(a.vx, b.vx), min(a.vy, b.vy)))
+            return mul(a, b)
+
+        def logged_reciprocal(a):
+            log.append(("reciprocal", a.vx, a.vy))
+            return reciprocal(a)
+
+        def logged_terms(self, z):  # a pass ends its products with its terms
+            out = terms(self, z)
+            log.append(("pass", z.vx, z.vy))
+            return out
+
+        monkeypatch.setattr(jets.Jet, "__mul__", logged_mul)
+        monkeypatch.setattr(jets.Jet, "_reciprocal", logged_reciprocal)
+        monkeypatch.setattr(ConvexDomain, "coordinate_terms", logged_terms)
+        metrics._funk_jet_exit(dom, xs, ys)
+        passes = [k for k, entry in enumerate(log) if entry[0] == "pass"]
+        assert len(passes) == sum(orders).bit_length()
+        # the first pass: Y u, then the terms' products, all at (1, 1)
+        first = [entry[1:] for entry in log[:passes[0]]]
+        assert first and set(first) == {(1, 1)}
+        inverses = [entry[1:] for entry in log if entry[0] == "reciprocal"]
+        assert inverses and orders not in inverses
+        assert all(vx + vy < sum(orders) for vx, vy in inverses)
+
+
 class TestDistances:
     def test_worked_funk_distance(self):
         dom = unit_ball_domain(2)
