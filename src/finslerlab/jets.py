@@ -10,10 +10,24 @@ mixed partial derivatives the curvature machinery needs.
 Base (x) orders are capped at 2 and fiber (y) orders at 5; larger requests
 are rejected at configuration time.  A finite-difference oracle with
 Richardson extrapolation is provided for cross-validation.
+
+Supports.  A jet also carries a support (sx, sy): no slot of base degree
+above sx or fiber degree above sy is nonzero (None: the whole validity box).
+A lifted x^i has (1, 0), y^i (0, 1), a constant (0, 0); a sum takes the
+larger support, a product the sum, capped at the validity orders.  Products
+sum only the table pairs whose factors lie in their supports, and series
+take their Horner length and step tables from the argument's support.
+Every dropped pair has a factor that is exactly zero, and np.bincount sums
+each slot's terms in table order from +0.0, a running sum that is never -0.0
+and that a zero term leaves as it is.  So every coefficient keeps the bits
+of the full table wherever the coefficients are finite: 0 * inf is NaN in
+the full table and absent from the cut one, so only a jet that already
+holds an inf or a NaN can differ.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -91,7 +105,6 @@ class _JetContext:
         self._masks = {}
         self._gathers = {}
         self._mul_tables = {}
-        self._scatters = {}
         self._shifts = {}
 
     def _build_mul_table(self, spec):
@@ -149,34 +162,32 @@ class _JetContext:
             self._masks[key] = m
         return m
 
-    def mul_table(self, vx, vy):
-        """The product table cut to the output slots valid to (vx, vy).
+    def mul_table(self, vx, vy, sa=None, sb=None):
+        """The product table cut to the output slots valid to (vx, vy) and to
+        the pairs whose factors lie in the supports sa and sb (None: the
+        whole box).
 
         Cutting keeps the order of the remaining terms, so every valid slot
-        sums the same products in the same order as with the full table, and
-        the slots beyond (vx, vy) stay zero without a mask.
+        sums the same nonzero products in the same order as with the full
+        table, and the slots beyond (vx, vy) stay zero without a mask.
         """
-        key = (vx, vy)
+        key = (vx, vy, sa, sb)
         tab = self._mul_tables.get(key)
         if tab is None:
-            keep = self.mask(vx, vy)[self.tab_out]
-            tab = (self.tab_a[keep], self.tab_b[keep], self.tab_out[keep])
+            ca, cb = _cap(sa, vx, vy), _cap(sb, vx, vy)
+            if (ca, cb) != (sa, sb):
+                tab = self.mul_table(vx, vy, ca, cb)
+            else:
+                keep = self.mask(vx, vy)[self.tab_out]
+                for s, t in ((sa, self.tab_a), (sb, self.tab_b)):
+                    if s is not None:
+                        keep &= self.mask(*s)[t]
+                sup = None if sa is None or sb is None else _cap(
+                    (sa[0] + sb[0], sa[1] + sb[1]), vx, vy)
+                tab = _Table(self.tab_a[keep], self.tab_b[keep], self.tab_out[keep], sup,
+                             self.size)
             self._mul_tables[key] = tab
         return tab
-
-    def scatter(self, vx, vy, m):
-        """Bins of a product of m-member stacks: member * size + output slot.
-
-        Each bin gets its member's products in table order, the sum a single
-        jet's product makes.
-        """
-        key = (vx, vy, m)
-        idx = self._scatters.get(key)
-        if idx is None:
-            out = self.mul_table(vx, vy)[2]
-            idx = (np.arange(m)[:, None] * self.size + out).ravel()
-            self._scatters[key] = idx
-        return idx
 
     def shift(self, kind, i, vx, vy):
         """Source slots and factors of d/dx^i (kind 0) or d/dy^i (kind 1),
@@ -207,6 +218,41 @@ class _JetContext:
         return slots
 
 
+def _cap(sup, vx, vy):
+    """A support cut to the validity (vx, vy); None when it covers it."""
+    if sup is None or (sup[0] >= vx and sup[1] >= vy):
+        return None
+    return (min(sup[0], vx), min(sup[1], vy))
+
+
+def _larger(a, b):
+    """The support of a sum: the larger of two supports, None absorbing."""
+    if a is None or b is None:
+        return None
+    return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+class _Table:
+    """A cut product table: factor slots a and b, output slots out, and the
+    support sup of its products."""
+
+    __slots__ = ("a", "b", "out", "sup", "size", "_bins")
+
+    def __init__(self, a, b, out, sup, size):
+        self.a, self.b, self.out, self.sup, self.size = a, b, out, sup, size
+        self._bins = out[:0]
+
+    def bins(self, m):
+        """Bins of a product of m-member stacks, member * size + output slot,
+        so that each member's products sum in table order as a single jet's.
+        One array, grown to the largest stack seen, serves every stack: the
+        bins of the first m members are its prefix."""
+        k = m * len(self.out)
+        if len(self._bins) < k:
+            self._bins = (np.arange(m)[:, None] * self.size + self.out).ravel()
+        return self._bins[:k]
+
+
 _CONTEXTS: dict[JetSpec, _JetContext] = {}
 
 
@@ -225,23 +271,27 @@ class Jet:
     divided by a! b!) for basis slot k: shape (size,) for one jet, (m, size)
     for a stack of m jets sharing the spec and the validity orders, one
     expansion point per member.  ``vx``/``vy`` are the orders up to which the
-    stored coefficients are trusted; differentiating a jet lowers them.  Every
-    operation acts on each member as on a single jet, with the same bits.
-    Jets are immutable values; all operations return new jets.
+    stored coefficients are trusted; differentiating a jet lowers them.
+    ``sup`` is the members' support (see the module docstring), None for the
+    whole validity box.  Every operation acts on each member as on a single
+    jet, with the same bits.  Jets are immutable values; all operations
+    return new jets.
     """
 
-    __slots__ = ("ctx", "coeffs", "vx", "vy")
+    __slots__ = ("ctx", "coeffs", "vx", "vy", "sup")
 
-    def __init__(self, ctx, coeffs, vx, vy, masked=False):
+    def __init__(self, ctx, coeffs, vx, vy, masked=False, sup=None):
         # masked=True: the slots beyond (vx, vy) are zero already, as after a
         # product (which fills only its cut table's slots) or any operation
-        # that keeps its operands' validity
+        # that keeps its operands' validity.  The slot descriptors set the
+        # fields at less cost than object.__setattr__.
         if not masked:
             coeffs = np.where(ctx.mask(vx, vy), coeffs, 0.0)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "vx", vx)
-        object.__setattr__(self, "vy", vy)
+        _set_ctx(self, ctx)
+        _set_coeffs(self, coeffs)
+        _set_vx(self, vx)
+        _set_vy(self, vy)
+        _set_sup(self, sup if sup is None else _cap(sup, vx, vy))
 
     def __setattr__(self, name, value):
         raise AttributeError("jets are immutable")
@@ -288,7 +338,7 @@ class Jet:
         c = np.zeros(self.coeffs.shape)
         c.T[0] = value
         return Jet(self.ctx, c, self.vx if vx is None else vx,
-                   self.vy if vy is None else vy, masked=True)
+                   self.vy if vy is None else vy, masked=True, sup=(0, 0))
 
     def _check(self, other):
         if other.ctx is not self.ctx:
@@ -296,10 +346,11 @@ class Jet:
 
     def _combine(self, coeffs, other):
         """The sum or difference of self and other, valid to their common
-        orders; masked only when validity drops."""
+        orders and supported on the larger of their supports; masked only
+        when validity drops."""
         vx, vy = min(self.vx, other.vx), min(self.vy, other.vy)
         kept = vx == self.vx == other.vx and vy == self.vy == other.vy
-        return Jet(self.ctx, coeffs, vx, vy, masked=kept)
+        return Jet(self.ctx, coeffs, vx, vy, masked=kept, sup=_larger(self.sup, other.sup))
 
     # -- ring operations ----------------------------------------------------
     #
@@ -312,13 +363,13 @@ class Jet:
         if isinstance(other, _CONSTS):
             c = self.coeffs.copy()
             c.T[0] += _as_const(other)
-            return Jet(self.ctx, c, self.vx, self.vy, masked=True)
+            return Jet(self.ctx, c, self.vx, self.vy, masked=True, sup=self.sup)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.ctx, -self.coeffs, self.vx, self.vy, masked=True)
+        return Jet(self.ctx, -self.coeffs, self.vx, self.vy, masked=True, sup=self.sup)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
@@ -334,20 +385,21 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             if isinstance(other, _SCALARS):
-                return Jet(self.ctx, self.coeffs * float(other), self.vx, self.vy, masked=True)
+                return Jet(self.ctx, self.coeffs * float(other), self.vx, self.vy,
+                           masked=True, sup=self.sup)
             return NotImplemented
         self._check(other)
         ctx = self.ctx
         vx, vy = min(self.vx, other.vx), min(self.vy, other.vy)
-        ta, tb, to = ctx.mul_table(vx, vy)
-        prod = self.coeffs.take(ta, axis=-1) * other.coeffs.take(tb, axis=-1)
+        tab = ctx.mul_table(vx, vy, self.sup, other.sup)
+        prod = self.coeffs.take(tab.a, axis=-1) * other.coeffs.take(tab.b, axis=-1)
         if prod.ndim == 1:
-            c = np.bincount(to, weights=prod, minlength=ctx.size)
+            c = np.bincount(tab.out, weights=prod, minlength=ctx.size)
         else:
             m = len(prod)
-            c = np.bincount(ctx.scatter(vx, vy, m), weights=prod.ravel(),
+            c = np.bincount(tab.bins(m), weights=prod.ravel(),
                             minlength=m * ctx.size).reshape(m, ctx.size)
-        return Jet(ctx, c, vx, vy, masked=True)
+        return Jet(ctx, c, vx, vy, masked=True, sup=tab.sup)
 
     __rmul__ = __mul__
 
@@ -355,7 +407,8 @@ class Jet:
         if isinstance(other, _SCALARS):
             if other == 0:
                 raise ZeroDivisionError("jet divided by zero scalar")
-            return Jet(self.ctx, self.coeffs / float(other), self.vx, self.vy, masked=True)
+            return Jet(self.ctx, self.coeffs / float(other), self.vx, self.vy,
+                       masked=True, sup=self.sup)
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
@@ -386,10 +439,14 @@ class Jet:
     # -- analytic functions via truncated series ----------------------------
 
     def _nilpotency(self):
+        """uhat, the jet less its constant, vanishes past this power."""
         return self.vx + self.vy
 
     def _series(self, coeff_fn, opname, require=None):
-        K = self._nilpotency()
+        vx, vy, sup = self.vx, self.vy, self.sup
+        sx, sy = (vx, vy) if sup is None else sup
+        # uhat's own support bounds its powers' degrees: uhat^k = 0 for k > K
+        K = (vx if sx else 0) + (vy if sy else 0)
         # the series coefficients of a stack come member by member from the
         # same float arithmetic as for a single jet
         members = self._members()
@@ -401,21 +458,33 @@ class Jet:
             cs = coeff_fn(members[0], K)
         else:
             cs = np.array([coeff_fn(u, K) for u in members]).T
-        # Horner's rule, out = out * uhat + cs[k], each product summed as in
-        # __mul__ (the same terms in the same order), uhat's side taken once
         ctx = self.ctx
-        ta, tb, to = ctx.mul_table(self.vx, self.vy)
+        if not K:
+            # a constant: at any order past (0, 0) Horner's last product sums
+            # to +0.0 and cs[0] is added to it
+            out = np.zeros(self.coeffs.shape)
+            out.T[0] = cs[0] + 0.0 if vx + vy else cs[0]
+            return Jet(ctx, out, vx, vy, masked=True, sup=(0, 0))
+        # Horner's rule, out = out * uhat + cs[k], each product summed as in
+        # __mul__ (the same nonzero terms in the same order).  The first
+        # product has a constant factor, so it is a broadcast product; adding
+        # 0.0 turns its -0.0 into the +0.0 a sum of products would give.
         uhat = self.coeffs.copy()
         uhat.T[0] = 0.0
-        ub = uhat.take(tb, axis=-1)
         m = 1 if uhat.ndim == 1 else len(uhat)
-        idx = to if uhat.ndim == 1 else ctx.scatter(self.vx, self.vy, m)
-        out = self._const_like(cs[K]).coeffs
-        for k in range(K - 1, -1, -1):
-            out = np.bincount(idx, weights=(out.take(ta, axis=-1) * ub).ravel(),
+        out = uhat * (cs[K] if uhat.ndim == 1 else cs[K][:, None]) + 0.0
+        out.T[0] += cs[K - 1]
+        tab = None
+        for j in range(1, K):  # out has the support j * sup
+            step = ctx.mul_table(vx, vy, (j * sx, j * sy), sup)
+            if step is not tab:
+                tab = step
+                ub = uhat.take(tab.b, axis=-1)
+                idx = tab.out if uhat.ndim == 1 else tab.bins(m)
+            out = np.bincount(idx, weights=(out.take(tab.a, axis=-1) * ub).ravel(),
                               minlength=m * ctx.size).reshape(uhat.shape)
-            out.T[0] += cs[k]
-        return Jet(ctx, out, self.vx, self.vy, masked=True)
+            out.T[0] += cs[K - 1 - j]
+        return Jet(ctx, out, vx, vy, masked=True, sup=(vx if sx else 0, vy if sy else 0))
 
     def _require_positive(self, message):
         if any(u <= 0.0 for u in self._members()):
@@ -496,8 +565,9 @@ class Jet:
         if self.vx < 1:
             raise ConfigurationError("jet has no base orders left to differentiate")
         src, fac = self.ctx.shift(0, i, self.vx - 1, self.vy)
+        sup = self.sup and (max(self.sup[0] - 1, 0), self.sup[1])
         return Jet(self.ctx, self.coeffs.take(src, axis=-1) * fac, self.vx - 1, self.vy,
-                   masked=True)
+                   masked=True, sup=sup)
 
     def dy(self, i):
         """Derivative with respect to fiber coordinate y^i (validity drops by one)."""
@@ -506,8 +576,9 @@ class Jet:
         if self.vy < 1:
             raise ConfigurationError("jet has no fiber orders left to differentiate")
         src, fac = self.ctx.shift(1, i, self.vx, self.vy - 1)
+        sup = self.sup and (self.sup[0], max(self.sup[1] - 1, 0))
         return Jet(self.ctx, self.coeffs.take(src, axis=-1) * fac, self.vx, self.vy - 1,
-                   masked=True)
+                   masked=True, sup=sup)
 
     def __repr__(self):
         value = self.value
@@ -516,6 +587,9 @@ class Jet:
         return (f"Jet(n={self.spec.n}, orders=({self.spec.max_x_order},{self.spec.max_y_order}), "
                 f"valid=({self.vx},{self.vy}), {shown})")
 
+
+_set_ctx, _set_coeffs, _set_vx, _set_vy, _set_sup = (
+    Jet.__dict__[name].__set__ for name in Jet.__slots__)
 
 _CONSTS = _SCALARS + (np.ndarray,)
 
@@ -561,32 +635,34 @@ def lift(x, y, spec: JetSpec):
         c.T[0] = x[..., i]
         if spec.max_x_order >= 1:
             c.T[ctx.slot(e[i], zero)] = 1.0
-        xs.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True))
+        xs.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True, sup=(1, 0)))
     for i in range(n):
         c = np.zeros(y.shape[:-1] + (ctx.size,))
         c.T[0] = y[..., i]
         if spec.max_y_order >= 1:
             c.T[ctx.slot(zero, e[i])] = 1.0
-        ys.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True))
+        ys.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True, sup=(0, 1)))
     return xs, ys
 
 
 def join_members(jets) -> Jet:
     """One stack of the members of jets of one spec, in order; a single jet
-    is one member.  The stack is valid to the jets' common orders."""
+    is one member.  The stack is valid to the jets' common orders and
+    supported on the largest of their supports."""
     for j in jets:
         jets[0]._check(j)
     vx, vy = min(j.vx for j in jets), min(j.vy for j in jets)
+    sup = functools.reduce(_larger, {j.sup for j in jets})
     coeffs = np.concatenate([np.atleast_2d(j.coeffs) for j in jets])
     return Jet(jets[0].ctx, coeffs, vx, vy,
-               masked=all(j.vx == vx and j.vy == vy for j in jets))
+               masked=all(j.vx == vx and j.vy == vy for j in jets), sup=sup)
 
 
 def split_members(jet, like) -> list:
     """Undo join_members: the members of a stack, in order, as jets shaped
     like the jet like (a single jet, or a stack of as many members)."""
     parts = jet.coeffs.reshape((-1,) + like.coeffs.shape)
-    return [Jet(jet.ctx, c, jet.vx, jet.vy, masked=True) for c in parts]
+    return [Jet(jet.ctx, c, jet.vx, jet.vy, masked=True, sup=jet.sup) for c in parts]
 
 
 def derivative_tensor(jet, ox, oy) -> np.ndarray:

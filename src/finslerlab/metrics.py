@@ -82,14 +82,19 @@ class ConvexDomain:
             return [2.0 * zi + 4.0 * self.eps * zi * zi * zi for zi in z]
         return [2.0 * zi for zi in z]
 
-    def coordinate_terms(self, z):
+    def coordinate_terms(self, z, slope_value=False):
         """phi is a sum of terms in one coordinate each: for z standing for
         coordinates (a number, an array or a jet stack), the terms t(z) and
-        t'(z), with phi = sum_i t(z_i) - 1 and d phi / d z_i = t'(z_i)."""
+        t'(z), with phi = sum_i t(z_i) - 1 and d phi / d z_i = t'(z_i).
+        slope_value=True gives t' of a jet stack z as the array of its values,
+        from the values of z and z^2 (a product's constant term is the product
+        of the constant terms, so the bits are those of the jet t'(z))."""
         sq = z * z
-        if self.kind == "quartic_perturbed" and self.eps != 0.0:
-            return sq + self.eps * (sq * sq), 2.0 * z + (4.0 * self.eps) * (z * sq)
-        return sq, 2.0 * z
+        quartic = self.kind == "quartic_perturbed" and self.eps != 0.0
+        t = sq + self.eps * (sq * sq) if quartic else sq
+        if slope_value:
+            z, sq = z.coeffs.T[0], sq.coeffs.T[0]
+        return t, 2.0 * z + (4.0 * self.eps) * (z * sq) if quartic else 2.0 * z
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -326,29 +331,27 @@ def _funk_jet_exit(domain: ConvexDomain, xj, yj):
     u = xj[0]._const_like(s, 0, 0)
     X, Y = jets.join_members(xj), jets.join_members(yj)
 
-    def coordinate_sum(t):
-        parts = jets.split_members(t, u)
-        total = parts[0]
-        for part in parts[1:]:
-            total = total + part
-        return total
+    def coordinate_sum(t):  # the n parts of the stack t, added in order
+        parts = t.coeffs.reshape((n,) + u.coeffs.shape)
+        return Jet(t.ctx, sum(parts[1:], parts[0]), t.vx, t.vy, masked=True, sup=t.sup)
 
     a = 1
     while a <= mx + my:
         tgt = min(2 * a - 1, mx + my)
         h = tgt - a
-        # a jet at lower orders is its coefficients masked to them
-        u = Jet(u.ctx, u.coeffs, min(mx, tgt), min(my, tgt))
-        t, dt = domain.coordinate_terms(X + Y * jets.join_members([u] * n))
+        # a jet at other orders is its coefficients masked to them, and u
+        # is zero beyond its last orders
+        u = Jet(u.ctx, u.coeffs, min(mx, tgt), min(my, tgt), sup=(u.vx, u.vy))
+        t, dt = domain.coordinate_terms(X + Y * jets.join_members([u] * n), h == 0)
         r = coordinate_sum(t) - 1.0
         if h == 0:  # the slope's value, summed over coordinates as coordinate_sum does
-            rows = (dt.coeffs.T[0] * Y.coeffs.T[0]).reshape(n, -1)
+            rows = (dt * Y.coeffs.T[0]).reshape(n, -1)
             slope = sum(rows[1:], rows[0]).reshape(r.coeffs.shape[:-1] + (1,))
             u = u - Jet(u.ctx, r.coeffs / slope, u.vx, u.vy, masked=True)
         else:
             dt = Jet(dt.ctx, dt.coeffs, min(mx, h), min(my, h))
             w = coordinate_sum(dt * Y)._reciprocal()
-            u = u - r * Jet(w.ctx, w.coeffs, u.vx, u.vy)
+            u = u - r * Jet(w.ctx, w.coeffs, u.vx, u.vy, sup=(w.vx, w.vy))
         a = tgt + 1
     return u
 

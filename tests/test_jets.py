@@ -492,22 +492,26 @@ class TestStacks:
         with pytest.raises(ConfigurationError):
             lift(np.zeros((2, 2)), np.ones((3, 2)), spec)
 
-    @pytest.mark.parametrize("spec", [JetSpec(2, 2, 5), JetSpec(3, 2, 3)])
+    @pytest.mark.parametrize("spec", [JetSpec(2, 2, 5), JetSpec(3, 2, 3), JetSpec(2, 2, 4),
+                                      JetSpec(2, 1, 5), JetSpec(3, 2, 4), JetSpec(3, 1, 5)])
     def test_cut_tables_match_full_table_then_mask(self, spec):
-        (xs, ys), _ = _stack_and_singles(spec, 3, _rng())
-        f = _STACK_OPS["exp"](xs, ys)
-        family = [f, f.dy(1), f.dx(0), f.dx(0).dy(0).dy(1), f.dy(0).dy(1).dy(0)]
-        ctx = f.ctx
-        for a in family:
-            for b in family:
-                vx, vy = min(a.vx, b.vx), min(a.vy, b.vy)
-                for k in range(3):
-                    prod = a.coeffs[k][ctx.tab_a] * b.coeffs[k][ctx.tab_b]
-                    full = np.bincount(ctx.tab_out, weights=prod, minlength=ctx.size)
-                    want = np.where(ctx.mask(vx, vy), full, 0.0)
-                    assert np.array_equal((a * b).coeffs[k], want)
-                    single = Jet(ctx, a.coeffs[k], a.vx, a.vy) * Jet(ctx, b.coeffs[k], b.vx, b.vy)
-                    assert np.array_equal(single.coeffs, want)
+        # full jets, and operands of narrow supports (support-cut tables),
+        # against the full table's sums: stacks, their members and the same
+        # jets built at single points
+        (xs, ys), singles = _stack_and_singles(spec, 3, _rng())
+        stack = _narrow_family(xs, ys)
+        families = [_narrow_family(sx, sy) for sx, sy in singles]
+        ctx = stack[0].ctx
+        for i, j in itertools.product(range(len(stack)), repeat=2):
+            a, b = stack[i], stack[j]
+            vx, vy = min(a.vx, b.vx), min(a.vy, b.vy)
+            got = a * b
+            for k, family in enumerate(families):
+                prod = a.coeffs[k][ctx.tab_a] * b.coeffs[k][ctx.tab_b]
+                full = np.bincount(ctx.tab_out, weights=prod, minlength=ctx.size)
+                want = np.where(ctx.mask(vx, vy), full, 0.0).tobytes()
+                assert got.coeffs[k].tobytes() == want
+                assert (family[i] * family[j]).coeffs.tobytes() == want
 
     def test_domain_error_when_any_member_is_out(self):
         spec = JetSpec(2, 1, 2)
@@ -541,9 +545,130 @@ class TestStacks:
             jets.join_members([one, lift([0.0, 0.0], [1.0, 1.0], JetSpec(2, 1, 2))[1][0]])
 
 
+# one verify pass each: every catalog metric, with the Funk and Hilbert
+# metrics on both domains and at both dimensions
+_VERIFY_CONFIGS = {
+    "funk2": dict(metric="funk", dim=2),
+    "funk3": dict(metric="funk", dim=3),
+    "funk_quartic": dict(metric="funk", dim=2, domain="quartic:0.1"),
+    "hilbert": dict(metric="hilbert", dim=2),
+    "hilbert_quartic": dict(metric="hilbert", dim=2, domain="quartic:0.1"),
+    "hilbert_quartic3": dict(metric="hilbert", dim=3, domain="quartic:0.1"),
+    "berwald_product": dict(metric="berwald_product"),
+    "riemannian_sphere": dict(metric="riemannian_sphere", dim=2),
+    "riemannian_hyperbolic": dict(metric="riemannian_hyperbolic", dim=2),
+    "randers": dict(metric="randers", dim=2),
+    "quartic_norm": dict(metric="quartic_norm", dim=3),
+    "euclidean": dict(metric="euclidean", dim=2),
+}
+
+
+class TestSupports:
+    """Supports are sound, and products cut by them sum fewer terms."""
+
+    def test_support_rules(self):
+        spec = JetSpec(3, 2, 4)
+        (xs, ys), _ = _stack_and_singles(spec, 2, _rng())
+        c = xs[0]._const_like(0.5)
+        one_minus = 1.0 - jets.join_members(xs) * jets.join_members(xs)
+        f = jets.exp(xs[0] * ys[1])
+        assert [j.sup for j in (xs[0], ys[0], c, -c + 2.0, 3.0 * xs[1])] == [
+            (1, 0), (0, 1), (0, 0), (0, 0), (1, 0)]
+        assert (xs[0] * ys[1]).sup == (1, 1) and (xs[0] + ys[1]).sup == (1, 1)
+        assert (ys[0] * ys[1] * ys[2]).sup == (0, 3) and one_minus.sup == (2, 0)
+        assert f.sup is None and (xs[0] * f).sup is None and (f + c).sup is None
+        assert jets.sqrt(ys[0] * ys[0] + 1.0).sup == (0, 4)
+        assert jets.sqrt(one_minus).sup == (2, 0) and jets.exp(c).sup == (0, 0)
+        # differentiating lowers the support, and a lower validity caps it
+        assert (xs[0] * ys[1]).dy(1).sup == (1, 0) and one_minus.dx(0).sup == (1, 0)
+        y5 = ys[0] * ys[1] * ys[2] * ys[0] * ys[1]
+        assert y5.sup == (0, 4) and y5.dy(0).sup == (0, 3) and y5.dx(0).sup == (0, 4)
+        assert jets.join_members([xs[0], ys[0] * ys[1]]).sup == (1, 2)
+        assert jets.split_members(jets.join_members([xs[0], c]), xs[0])[1].sup == (1, 0)
+
+    @staticmethod
+    def _checked_construction(monkeypatch):
+        """Check every jet made from here on: no coefficient outside its
+        declared support (or its validity) is nonzero.  Returns the count of
+        jets checked."""
+        init, seen = Jet.__init__, [0]
+
+        def checked(self, *args, **kw):
+            init(self, *args, **kw)
+            if self.sup is not None:
+                assert self.sup[0] <= self.vx and self.sup[1] <= self.vy
+                assert self.sup != (self.vx, self.vy)
+            sx, sy = (self.vx, self.vy) if self.sup is None else self.sup
+            assert not np.any(self.coeffs[..., ~self.ctx.mask(sx, sy)])
+            seen[0] += 1
+
+        monkeypatch.setattr(Jet, "__init__", checked)
+        return seen
+
+    @pytest.mark.parametrize("label", sorted(_VERIFY_CONFIGS))
+    def test_supports_hold_in_a_verify_pass(self, monkeypatch, label):
+        from finslerlab import cli
+
+        seen = self._checked_construction(monkeypatch)
+        report = cli.run_verify(dict(cli._DEFAULTS, **_VERIFY_CONFIGS[label]))
+        assert seen[0] > 100 and not report.n_failures
+
+    @pytest.mark.parametrize("orders", [(0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (1, 5)])
+    def test_supports_hold_in_metric_and_spray_jets(self, zoo, monkeypatch, orders):
+        from finslerlab.geodesics import spray_jets
+
+        from conftest import tangent_samples
+
+        seen = self._checked_construction(monkeypatch)
+        for metric in zoo.values():
+            X, Y = (np.array(a) for a in zip(*tangent_samples(metric, 3)))
+            metric.jet(X, Y, *orders)
+            metric.jet(X[0], Y[0], *orders)
+            if orders[0] >= 1:
+                spray_jets(metric, X, Y, *orders)
+        assert seen[0] > 500
+
+    def test_narrow_supports_cut_the_product_terms(self, monkeypatch):
+        """No timing: the product terms (np.bincount weights) of one funk n=3
+        (1,5) jet of 20 members, against the full product table's."""
+        from finslerlab import metrics
+
+        funk = metrics.make_funk(3, validate=False)
+        rng = np.random.default_rng(3)
+        X, Y = rng.uniform(-0.3, 0.3, (20, 3)), rng.uniform(-1.0, 1.0, (20, 3))
+        calls, bincount = [], np.bincount
+
+        def counted(idx, weights=None, minlength=0):
+            calls.append((len(weights), minlength))
+            return bincount(idx, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        funk.jet(X, Y, 1, 5)
+        monkeypatch.undo()
+        ctx = jets._context(JetSpec(3, 1, 5))
+        full = sum(minlength // ctx.size * len(ctx.tab_out) for _, minlength in calls)
+        assert calls and sum(w for w, _ in calls) <= 0.4 * full
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u[1:], v[1:])), u[0] * v[0])
+
+
+def _narrow_family(xs, ys):
+    """Jets of narrow supports (lifted coordinates, their products and sums,
+    1 - |x|^2, |y|^2 and constants, some negated so that they hold -0.0),
+    and a full jet with its derivatives."""
+    f = _STACK_OPS["exp"](xs, ys)
+    c = xs[0]._const_like(0.7)
+    narrow = [xs[0], -xs[1], ys[1], xs[0] * ys[1], xs[0] + ys[0], 1.0 - _dot(xs, xs),
+              _dot(ys, ys), -_dot(xs, ys), c, 2.0 - c, _dot(ys, ys).dy(0)]
+    return narrow + [f, f.dy(1), f.dx(0), f.dx(0).dy(0).dy(1), f.dy(0).dy(1).dy(0)]
+
+
 def _unfused_series(self, coeff_fn, opname, require=None):
     """Jet._series with every Horner step a ring product and a sum,
-    out = out * uhat + cs[k]: the reference for the fused loop's bits."""
+    out = out * uhat + cs[k], over the nilpotency of a full jet and with
+    full product tables: the reference for the fused loop's bits."""
     K = self._nilpotency()
     members = self._members()
     if require is not None:
@@ -557,7 +682,7 @@ def _unfused_series(self, coeff_fn, opname, require=None):
     c = self.coeffs.copy()
     c.T[0] = 0.0
     uhat = Jet(self.ctx, c, self.vx, self.vy, masked=True)
-    out = self._const_like(cs[K])
+    out = Jet(self.ctx, self._const_like(cs[K]).coeffs, self.vx, self.vy, masked=True)
     for k in range(K - 1, -1, -1):
         out = out * uhat + cs[k]
     return out
@@ -582,6 +707,10 @@ class TestFusedSeries:
         for sx, sy in [(xs, ys)] + singles:
             u = _u(sx, sy)
             args += [u, u.dy(1), (u * u).dx(1)]  # full and lowered validity
+            # narrow supports: pure x, pure y (also lowered) and constants
+            yy = _dot(sy, sy)
+            args += [1.5 + sx[0] * sx[1] - 0.2 * sx[1], yy, yy.dy(1), (yy * yy).dy(0),
+                     sx[0]._const_like(0.7), 2.0 - sx[0]._const_like(0.7)]
         fused = [_SERIES_OPS[op](a) for a in args]
         monkeypatch.setattr(Jet, "_series", _unfused_series)
         for a, got in zip(args, fused):

@@ -253,8 +253,8 @@ class TestGradedFunkRoot:
             log.append(("reciprocal", a.vx, a.vy))
             return reciprocal(a)
 
-        def logged_terms(self, z):  # a pass ends its products with its terms
-            out = terms(self, z)
+        def logged_terms(self, z, *args):  # a pass ends its products with its terms
+            out = terms(self, z, *args)
             log.append(("pass", z.vx, z.vy))
             return out
 
