@@ -6,7 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.base import DenseOutput
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from ._grids import richardson_central
 from .errors import ChartExitError, GeometryError, JetDomainError, PreconditionError
@@ -132,17 +134,112 @@ def _spray(metric, x, v, mx):
 # ---------------------------------------------------------------------------
 
 
-def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True):
+class _DeferredDOP853(DOP853):
+    """DOP853 that leaves each step's interpolant to be built later: its 7th
+    order dense output (Hairer, Norsett & Wanner, Solving Ordinary
+    Differential Equations I, sec. II.6) needs three more right-hand-side
+    calls per step, and those depend only on that step.  Steps and their
+    control are DOP853's own."""
+
+    def _dense_output_impl(self):
+        return _Step(self)
+
+
+class _Step(DenseOutput):
+    """One DOP853 step whose three extra stages are still to be computed.
+
+    It keeps what they need: the ends of the step, its first 13 stages and h.
+    A step read during the solve (the chart-exit event locating its root)
+    computes them at once, through the solver's counted right-hand side, as
+    stock DOP853 does; _interpolate builds the others after the solve.
+    """
+
+    def __init__(self, solver):
+        super().__init__(solver.t_old, solver.t)
+        self.h, self.y_old, self.y, self.f = solver.h_previous, solver.y_old, solver.y, solver.f
+        self.K = solver.K_extended.copy()
+        self.fun = solver.fun
+        self.stage = DOP853.n_stages + 1  # the next stage to compute
+        self.dense = None
+
+    def stage_input(self):
+        """The time and state at which the next extra stage is evaluated."""
+        s = self.stage
+        a, c = DOP853.A_EXTRA[s - DOP853.n_stages - 1], DOP853.C_EXTRA[s - DOP853.n_stages - 1]
+        return self.t_old + c * self.h, self.y_old + np.dot(self.K[:s].T, a[:s]) * self.h
+
+    def put_stage(self, k):
+        self.K[self.stage] = k
+        self.stage += 1
+
+    def interpolant(self, fun):
+        """scipy's Dop853DenseOutput of this step, from DOP853's formula, its
+        remaining extra stages computed by fun."""
+        if self.dense is None:
+            while self.stage < len(self.K):
+                self.put_stage(fun(*self.stage_input()))
+            K, h = self.K, self.h
+            F = np.empty((3 + len(DOP853.D), len(self.y)))
+            f_old = K[0]
+            delta_y = self.y - self.y_old
+            F[0] = delta_y
+            F[1] = h * f_old - delta_y
+            F[2] = 2 * delta_y - h * (self.f + f_old)
+            F[3:] = h * np.dot(DOP853.D, K)
+            self.dense = Dop853DenseOutput(self.t_old, self.t, self.y_old, F)
+        return self.dense
+
+    def _call_impl(self, t):
+        return self.interpolant(self.fun)._call_impl(t)
+
+
+def _interpolate(sol, field, rhs, reads_t):
+    """Build the dense output of every step of the solve sol and return the
+    right-hand-side calls made.  Each extra stage of all steps not read
+    during the solve is one call of field on the stack of their stage states
+    (steps x members, width), so each step keeps the bits of its own stages.
+    A right-hand side that reads t, or a stack that raises a domain error,
+    takes one rhs call per step and stage, as stock DOP853 does."""
+    interpolants = sol.sol.interpolants
+    todo = [p for p in interpolants if isinstance(p, _Step) and p.dense is None]
+    calls = 0
+    while todo and not reads_t and todo[0].stage < len(todo[0].K):
+        inputs = [p.stage_input() for p in todo]
+        calls += 1
+        try:
+            out = field(inputs[0][0], np.concatenate([z for _, z in inputs]))
+        except (JetDomainError, GeometryError):
+            break  # the steps take their remaining stages one at a time
+        for p, k in zip(todo, np.split(np.asarray(out, dtype=float), len(todo))):
+            p.put_stage(k)
+
+    def counted(t, z):
+        nonlocal calls
+        calls += 1
+        return np.asarray(rhs(t, z), dtype=float)
+
+    for k, p in enumerate(interpolants):
+        if isinstance(p, _Step):
+            interpolants[k] = p.interpolant(counted)
+    return calls
+
+
+def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True, restart=True,
+           reads_t=False):
     """Integrate a flow from the states z0 (m, width) of its m members: DOP853
     with dense output, one solve_ivp call per segment, forward or backward.
 
     With chart, each member's state starts with its base point and a terminal
     event stops the solve at the first chart exit; that member drops out,
-    with every member then at or below the event's threshold, and the rest
-    restart from its exit time, so each member has its own reach and exit.
-    Returns the segments (t0, t1, OdeResult, members), read by
-    _StackedSolution, the reach (m,) and t_exit (m,), nan where the member
-    stayed in the chart.  A failed solve raises GeometryError naming the flow.
+    with every member then at or below the event's threshold, and with
+    restart the rest restart from its exit time, so each member has its own
+    reach and exit; a flow that fails at any exit stops at the first.  The
+    interpolants are built after each solve_ivp call (_interpolate), in
+    stacked right-hand-side calls unless the right-hand side reads_t, and
+    nfev counts those calls too.  Returns the segments (t0, t1, OdeResult,
+    members), read by _StackedSolution, the reach (m,) and t_exit (m,), nan
+    where the member stayed in the chart.  A failed solve raises
+    GeometryError naming the flow.
     """
     n = metric.n
     z = np.asarray(z0, dtype=float)
@@ -150,6 +247,7 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True):
     margin = metric.chart.margin if chart else None
     events = None
     threshold = 1e-12
+    field = rhs
     if margin is not None:
         def exit_event(t, y):
             return float(np.min(margin(y.reshape(-1, width)[:, :n]))) - threshold
@@ -157,7 +255,6 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True):
         exit_event.terminal = True
         exit_event.direction = -1
         events = [exit_event]
-        field = rhs
 
         def rhs(t, y):
             # an RK stage may probe past the rim before the exit event fires;
@@ -176,10 +273,11 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True):
     reach = np.empty(m)
     t_exit = np.full(m, np.nan)
     while True:
-        sol = solve_ivp(rhs, (t0, t_end), z.ravel(), method="DOP853", rtol=rtol, atol=atol,
-                        dense_output=True, events=events)
+        sol = solve_ivp(rhs, (t0, t_end), z.ravel(), method=_DeferredDOP853, rtol=rtol,
+                        atol=atol, dense_output=True, events=events)
         if not sol.success:
             raise GeometryError(f"{flow} integration failed: {sol.message}")
+        sol.nfev += _interpolate(sol, field, rhs, reads_t)
         t1 = float(sol.t_events[0][0]) if sol.status == 1 else t_end
         segments.append((t0, t1, sol, alive))
         reach[alive] = t1
@@ -192,7 +290,7 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True):
         out = left <= max(float(np.min(left)), threshold)
         t_exit[alive[out]] = t1
         alive, z, t0 = alive[~out], Z[~out], t1
-        if not len(alive) or t0 == t_end:
+        if not (restart and len(alive)) or t0 == t_end:
             break
     return segments, reach, t_exit
 
@@ -511,8 +609,8 @@ def transport_both_ways(metric: MetricSpec, x0, y0, ts, frame, scale=1.0, rtol=1
     t = c s, c = +-scale, has its right-hand side times c, which its state
     keeps as its last component.  Returns xs, vs (2, len(ts), n) and frames
     (2, len(ts), k, n), forward first, with a member axis second for a
-    stack; ChartExitError for the first run (forward first) to leave the
-    chart.
+    stack.  The solve stops at the first chart exit, with ChartExitError
+    for the run that left (forward first among twins).
     """
     n = metric.n
     X, Y, point = _members(x0, y0)
@@ -532,7 +630,7 @@ def transport_both_ways(metric: MetricSpec, x0, y0, ts, frame, scale=1.0, rtol=1
     start = np.concatenate([X, Y, np.broadcast_to(frame, (m, k, n)).reshape(m, k * n)], axis=1)
     z0 = np.column_stack([np.vstack([start, start]), np.concatenate([c, -c])])
     segments, _, t_exit = _solve("transport", metric, rhs, z0, (0.0, float(ts[-1])),
-                                 rtol, atol)
+                                 rtol, atol, restart=False)
     for c, t in zip(z0[:, -1], t_exit):  # the first run to leave the chart
         if not np.isnan(t):
             raise ChartExitError(f"geodesic left the chart at t={c * t:.6g} before reaching "
@@ -563,12 +661,13 @@ def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
     if t_eval is None:
         t_eval = np.linspace(t_span[0], t_span[1], 17)
     segments, _, _ = _solve("transport", metric, rhs, frame.ravel()[None], t_span,
-                            rtol, atol, chart=False)
+                            rtol, atol, chart=False, reads_t=True)
     ts = np.asarray(t_eval, dtype=float)
     frames = _StackedSolution(segments, 1, k * n)(ts)[0].reshape(len(ts), k, n)
     xs, vs = (np.array(a, dtype=float) for a in zip(*(curve(t) for t in ts)))
     path = GeodesicPath(metric=metric, t=ts, x=xs, v=vs, sol=None,
-                        t_requested=float(t_span[1]), t_end=float(ts[-1]))
+                        t_requested=float(t_span[1]), t_end=float(ts[-1]),
+                        nfev=int(segments[0][2].nfev))
     return TransportResult(frame_in=frame, frame_out=frames[-1],
                            gram_drift=_gram_drift(metric, xs, vs, frames),
                            ts=ts, frames=frames, path=path)

@@ -304,9 +304,11 @@ def _coordinate_jets(j, x, y):
     return [as_jet(v) for v in x], [as_jet(v) for v in y]
 
 
-def _funk_jet_exit(domain: ConvexDomain, xj, yj):
-    """The exit parameter u = 1/F of the Funk metric as a jet, from jet
-    coordinates x and y.
+def _funk_jet_exit(domain: ConvexDomain, X, Y, shape):
+    """The exit parameter u = 1/F of the Funk metric as a jet, from the jet
+    coordinates of x and y, each stacked coordinate after coordinate in one
+    jet X or Y whose n parts have the member shape shape: () for one jet,
+    (m,) for a stack of m.
 
     Newton's method in the truncated algebra is the implicit-function rule
     carried to all stored orders, graded as in Brent & Kung, "Fast
@@ -324,12 +326,17 @@ def _funk_jet_exit(domain: ConvexDomain, xj, yj):
     one stack, so that a pass is a few products of stacks rather than of
     single coordinates.
     """
-    spec = xj[0].spec
-    n = len(xj)
+    spec = X.spec
     mx, my = spec.max_x_order, spec.max_y_order
-    s = domain.exit_columns([v.value for v in xj], [v.value for v in yj])
-    u = xj[0]._const_like(s, 0, 0)
-    X, Y = jets.join_members(xj), jets.join_members(yj)
+    n = spec.n
+
+    def columns(S):  # each coordinate's values, as Jet.value gives them
+        c = S.coeffs.T[0].reshape((n,) + shape).copy()
+        return list(c) if shape else c.tolist()
+
+    c = np.zeros(shape + (X.ctx.size,))
+    c.T[0] = domain.exit_columns(columns(X), columns(Y))
+    u = Jet(X.ctx, c, 0, 0, masked=True, sup=(0, 0))
 
     def coordinate_sum(t):  # the n parts of the stack t, added in order
         parts = t.coeffs.reshape((n,) + u.coeffs.shape)
@@ -342,7 +349,8 @@ def _funk_jet_exit(domain: ConvexDomain, xj, yj):
         # a jet at other orders is its coefficients masked to them, and u
         # is zero beyond its last orders
         u = Jet(u.ctx, u.coeffs, min(mx, tgt), min(my, tgt), sup=(u.vx, u.vy))
-        t, dt = domain.coordinate_terms(X + Y * jets.join_members([u] * n), h == 0)
+        U = Jet(u.ctx, np.tile(u.coeffs, (n, 1)), u.vx, u.vy, masked=True, sup=u.sup)
+        t, dt = domain.coordinate_terms(X + Y * U, h == 0)
         r = coordinate_sum(t) - 1.0
         if h == 0:  # the slope's value, summed over coordinates as coordinate_sum does
             rows = (dt * Y.coeffs.T[0]).reshape(n, -1)
@@ -363,7 +371,9 @@ def funk_general(domain: ConvexDomain, x, y):
     """
     j = _find_jet(x) or _find_jet(y)
     if j is not None:
-        return 1.0 / _funk_jet_exit(domain, *_coordinate_jets(j, x, y))
+        xj, yj = _coordinate_jets(j, x, y)
+        return 1.0 / _funk_jet_exit(domain, jets.join_members(xj), jets.join_members(yj),
+                                    xj[0].coeffs.shape[:-1])
     return 1.0 / domain.exit_columns(x, y)
 
 
@@ -379,8 +389,9 @@ def hilbert_metric(domain: ConvexDomain, x, y):
         backward = funk_unit_ball(x, [-yi for yi in y])
     elif j is not None:
         xj, yj = _coordinate_jets(j, x, y)
-        u = _funk_jet_exit(domain, [jets.join_members([a, a]) for a in xj],
-                           [jets.join_members([b, -b]) for b in yj])
+        shape = (2 * len(np.atleast_2d(xj[0].coeffs)),)
+        u = _funk_jet_exit(domain, jets.join_members([c for a in xj for c in (a, a)]),
+                           jets.join_members([c for b in yj for c in (b, -b)]), shape)
         forward, backward = jets.split_members(1.0 / u, xj[0])
     else:
         forward = funk_general(domain, x, y)

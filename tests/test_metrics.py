@@ -203,6 +203,14 @@ def _full_order_funk_exit(domain, xj, yj):
     return u
 
 
+def _frozen_root(domain, X, Y, shape):
+    """_full_order_funk_exit called as _funk_jet_exit is, on the coordinates
+    stacked one after another."""
+    like = jets.Jet(X.ctx, np.zeros(shape + (X.ctx.size,)), X.vx, X.vy)
+    return _full_order_funk_exit(domain, jets.split_members(X, like),
+                                 jets.split_members(Y, like))
+
+
 _ROOT_SPECS = [(0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (1, 5)]
 
 
@@ -229,7 +237,7 @@ class TestGradedFunkRoot:
         got = m.jet(X, Y, *orders).coeffs
         for k in range(len(X)):  # a single point has the bits of its member
             assert np.array_equal(m.jet(X[k], Y[k], *orders).coeffs, got[k])
-        monkeypatch.setattr(metrics, "_funk_jet_exit", _full_order_funk_exit)
+        monkeypatch.setattr(metrics, "_funk_jet_exit", _frozen_root)
         want = m.jet(X, Y, *orders).coeffs
         scale = np.max(np.abs(want), axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -261,7 +269,7 @@ class TestGradedFunkRoot:
         monkeypatch.setattr(jets.Jet, "__mul__", logged_mul)
         monkeypatch.setattr(jets.Jet, "_reciprocal", logged_reciprocal)
         monkeypatch.setattr(ConvexDomain, "coordinate_terms", logged_terms)
-        metrics._funk_jet_exit(dom, xs, ys)
+        metrics._funk_jet_exit(dom, jets.join_members(xs), jets.join_members(ys), (len(X),))
         passes = [k for k, entry in enumerate(log) if entry[0] == "pass"]
         assert len(passes) == sum(orders).bit_length()
         # the first pass: Y u, then the terms' products, all at (1, 1)

@@ -502,7 +502,7 @@ def test_two_way_stack_reads_each_member_at_its_own_times(zoo, name):
             np.testing.assert_allclose(a[:, k], b, rtol=0, atol=1e-12)
 
 
-def test_a_member_leaving_the_chart_names_its_exit(zoo):
+def test_a_member_leaving_the_chart_names_its_exit(zoo, monkeypatch):
     # the unit-ball chart of randers curl: the second member, at x = -0.985,
     # leaves it backwards; the stack reports that member's exit time
     metric = zoo["randers_curl"]
@@ -511,6 +511,13 @@ def test_a_member_leaving_the_chart_names_its_exit(zoo):
     ts = [0.01, 0.02, 0.04]
     with pytest.raises(ChartExitError) as one:
         transport_both_ways(metric, xs[1], ys[1], ts, np.eye(2))
+    # the first exit ends the two-way solve: the other runs do not go on
+    solves, solve_ivp = [], geodesics.solve_ivp
+    monkeypatch.setattr(geodesics, "solve_ivp",
+                        lambda *a, **k: solves.append(1) or solve_ivp(*a, **k))
+    with pytest.raises(ChartExitError):
+        transport_both_ways(metric, xs, ys, ts, np.eye(2))
+    assert len(solves) == 1
     for read in (lambda s: transport_both_ways(metric, s.x, s.y, ts, np.eye(2)),
                  lambda s: cu.landsberg_by_transport(metric, s),
                  lambda s: cu.s_curvature(metric, s, method="geodesic")):
