@@ -12,6 +12,7 @@ from ._grids import (
     circle_nodes,
     gauss_legendre_on,
     sphere_nodes,
+    uniform_blocks,
     unit_ball_volume,
 )
 from .curvature import riemann_curvature, s_curvature
@@ -78,19 +79,6 @@ def _rows_where(pts, mask):
     return pts if np.all(mask) else np.compress(mask, pts, axis=0)
 
 
-def _uniform_rows(rng, lo, hi, m, n):
-    """m points drawn uniformly from the box [lo, hi), the same bits as
-    rng.uniform(lo, hi, size=(m, n)) (lo + (hi - lo) * u), scaled column by
-    column rather than by broadcasting along a length-n axis."""
-    lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
-    pts = rng.random((m, n))
-    for i in range(n):
-        col = pts[:, i]
-        col *= hi[i] - lo[i]
-        col += lo[i]
-    return pts
-
-
 def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
               seed=20240817, chunk=4_000_000) -> MeasureEstimate:
     """Monte-Carlo integral of the BH density over the indicated region.
@@ -98,9 +86,12 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
     box is (lo, hi) arrays bounding the region; the estimate is exact in
     expectation and ships a standard error.  Sampling runs in fixed-size
     chunks from one seeded stream, so results are reproducible and memory
-    stays bounded.  The indicator sees only the points inside the metric's
-    chart, as a stack (k, n).  Zero acceptance comes back flagged rather
-    than raising.
+    stays bounded.  Each chunk is drawn, chart-tested and indicated in
+    cache-sized blocks (_grids.uniform_blocks), and the density and the sums
+    run once over the chunk's accepted rows, so working memory is one block
+    plus the accepted rows of a chunk.  The indicator sees only the points
+    inside the metric's chart, as a stack (k, n), and must act row by row.
+    Zero acceptance comes back flagged rather than raising.
     """
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
@@ -113,9 +104,11 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        pts = _uniform_rows(rng, lo, hi, m, metric.n)
-        pts = _rows_where(pts, metric.chart.contains(pts))
-        pts = _rows_where(pts, indicator(pts))
+        kept = []
+        for pts in uniform_blocks(rng, lo, hi, m, metric.n):
+            pts = _rows_where(pts, metric.chart.contains(pts))
+            kept.append(_rows_where(pts, indicator(pts)))
+        pts = np.concatenate(kept)
         if len(pts):
             v = sigma(pts)
             total += float(np.sum(v))

@@ -86,6 +86,23 @@ class TestBhVolume:
         b = me.bh_volume(zoo["euclidean"], ind, box, **kw)
         assert a.value == b.value and a.stderr == b.stderr
 
+    def test_working_memory_is_one_block_plus_the_accepted_rows(self, zoo):
+        """numpy reports its buffers to tracemalloc.  A 1e6-point Funk ball at
+        r = 1 peaked at 54 MiB when the draw, chart test and distances ran over
+        the whole chunk; in blocks it is about 14 MiB, most of it the
+        accepted rows."""
+        import tracemalloc
+
+        ball = me.BallSpec(np.zeros(2), 1.0, "funk_closed_form")
+        tracemalloc.start()
+        try:
+            est = me.ball_volume(zoo["funk"], ball, n_samples=1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not est.flagged
+        assert peak < 24 * 2 ** 20
+
 
 class TestBallVolume:
     def test_euclid_polar_exact(self, zoo):
@@ -319,10 +336,67 @@ class TestColumnKernel:
                 want = _rowwise_ball_volume(m, ball, n_samples, 11, chunk)
                 assert repr(got) == repr(want), (center, r)
 
-    def test_draws_match_numpy_uniform(self):
+    @pytest.mark.parametrize("case", _KERNEL_CASES, ids=_KERNEL_IDS)
+    def test_ball_volume_bit_identical_across_blocks(self, kernel_metrics, case, monkeypatch):
+        """Estimates that span many blocks of an odd size, with chunks that
+        are no multiple of it (the last block of each chunk is partial), a
+        sample count below one block, a radius at which most blocks accept no
+        row, and one at which none does."""
+        import functools
+
+        from finslerlab import _grids
+
+        m = kernel_metrics[case]
+        n = case[1]
+        source = f"{case[0]}_closed_form"
+        cheap = source == "funk_closed_form" or case[2] == "unit_ball"
+        n_many = 3000 if cheap else {2: 300, 3: 90}[n]
+        block = 257 if cheap else 17
+        monkeypatch.setattr(_grids, "_MC_BLOCK", block)
+        accepted = []  # accepted rows per indicator call, one call per block
+        bh_volume = me.bh_volume
+
+        def counting_bh_volume(metric, indicator, box, *, chunk, **kw):
+            def counted(pts):
+                mask = indicator(pts)
+                accepted.append(int(np.count_nonzero(mask)))
+                return mask
+            return bh_volume(metric, counted, box, chunk=chunk, **kw)
+
+        r_few = (4.0 / n_many) ** (1.0 / n)  # about three rows inside the ball
+        center = np.array([0.3, -0.1, 0.2])[:n]
+        for n_samples, chunk in ((n_many, n_many // 4 + 1), (block - 4, 4_000_000)):
+            assert chunk % block
+            monkeypatch.setattr(me, "bh_volume", functools.partial(counting_bh_volume,
+                                                                   chunk=chunk))
+            for c, r in ((np.zeros(n), 1.0), (center, 0.5), (np.zeros(n), r_few),
+                         (np.zeros(n), 1e-6)):
+                accepted.clear()
+                ball = me.BallSpec(c, r, source)
+                got = me.ball_volume(m, ball, n_samples=n_samples, seed=11)
+                want = _rowwise_ball_volume(m, ball, n_samples, 11, chunk)
+                assert repr(got) == repr(want), (n_samples, c, r)
+                assert len(accepted) == sum(-(-min(chunk, n_samples - k) // block)
+                                            for k in range(0, n_samples, chunk))
+                if n_samples == n_many and r == r_few:
+                    assert sum(accepted) > 0 and accepted.count(0) > len(accepted) / 2
+                if r == 1e-6:
+                    assert got.flagged and not any(accepted)
+
+    def test_draws_match_numpy_uniform(self, monkeypatch):
+        from finslerlab import _grids
+
         lo, hi = np.array([-0.3, -2.0, 0.5]), np.array([0.7, 1.1, 0.6])
         want = np.random.default_rng(2).uniform(lo, hi, size=(1001, 3))
-        got = me._uniform_rows(np.random.default_rng(2), lo, hi, 1001, 3)
+        for block in (_grids._MC_BLOCK, 257):  # one block; three and a partial one
+            monkeypatch.setattr(_grids, "_MC_BLOCK", block)
+            blocks = list(_grids.uniform_blocks(np.random.default_rng(2), lo, hi, 1001, 3))
+            assert [len(b) for b in blocks] == ([1001] if block > 1001 else [257] * 3 + [230])
+            np.testing.assert_array_equal(np.concatenate(blocks), want)
+        # a scalar box, as the unit-body sampler draws it
+        want = np.random.default_rng(3).uniform(-0.8, 0.8, size=(600, 2))
+        got = np.concatenate(list(_grids.uniform_blocks(np.random.default_rng(3), -0.8, 0.8,
+                                                        600, 2)))
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("case", _KERNEL_CASES, ids=_KERNEL_IDS)

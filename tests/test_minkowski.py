@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from finslerlab import metrics
-from finslerlab._grids import unit_sphere_area
+from finslerlab._grids import sphere_surface_nodes, unit_sphere_area
 from finslerlab.errors import (
     ConfigurationError,
     MetricValidityError,
@@ -31,6 +31,7 @@ from finslerlab.minkowski import (
     santalo_volume,
     tangent_basis,
     unit_body_volume,
+    unit_body_volume_mc,
 )
 
 from conftest import tangent_samples
@@ -262,6 +263,36 @@ class TestBhDensity:
 
             quadr = unit_ball_volume(m.n) / unit_body_volume(m, x)
             assert closed == pytest.approx(quadr, rel=1e-8)
+
+
+def _one_shot_unit_body_volume_mc(metric, x, n_samples=200_000, seed=0):
+    """unit_body_volume_mc as it drew every point in one piece."""
+    x = np.asarray(x, dtype=float)
+    dirs, _ = sphere_surface_nodes(metric.n)
+    half = 1.05 / np.min(metric.F_batch(np.broadcast_to(x, dirs.shape), dirs))
+    pts = np.random.default_rng(seed).uniform(-half, half, size=(n_samples, metric.n))
+    p = np.mean(metric.F_batch(np.broadcast_to(x, pts.shape), pts) < 1.0)
+    box = (2 * half) ** metric.n
+    return box * p, box * np.sqrt(max(p * (1 - p), 1e-300) / n_samples)
+
+
+class TestBlockedUnitBodyMc:
+    """The mc_check sampler draws and counts in blocks; its value and stderr
+    keep the bits of the one-piece draw and mean."""
+
+    @pytest.mark.parametrize("name", ["hilbert_quartic", "funk3", "quartic_norm",
+                                      "randers_curl"])
+    def test_bits_of_the_one_shot_draw(self, zoo, name, monkeypatch):
+        from finslerlab import _grids
+
+        m = zoo[name]
+        x = np.zeros(m.n) + 0.1
+        # 2e5 points are six full blocks and a partial one
+        assert repr(unit_body_volume_mc(m, x, seed=4)) == \
+            repr(_one_shot_unit_body_volume_mc(m, x, seed=4))
+        monkeypatch.setattr(_grids, "_MC_BLOCK", 257)
+        assert repr(unit_body_volume_mc(m, x, n_samples=5000, seed=5)) == \
+            repr(_one_shot_unit_body_volume_mc(m, x, n_samples=5000, seed=5))
 
 
 class TestStackedBhDensity:
