@@ -10,6 +10,7 @@ integrity error (independent routes disagree).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .geodesics import integrate_geodesic, parallel_transport
 from .jets import derivative_tensor
-from .metrics import MetricSpec, chart_points, make_metric, validate_metric
+from .metrics import MetricSpec, chart_points, make_metric, validate_metric, zoo_constructors
 from .minkowski import (
     TangentSample,
     bh_density,
@@ -128,23 +129,15 @@ def resolve_config(args) -> dict:
 
 
 def build_metric(cfg) -> MetricSpec:
-    name = cfg["metric"]
+    """The catalog metric cfg names, given n from dim and every other
+    non-empty config value that its constructor takes by name."""
+    make = zoo_constructors().get(cfg["metric"])
     kw = {}
-    if name in ("euclidean", "riemannian_sphere", "riemannian_hyperbolic",
-                "quartic_norm", "randers", "funk", "hilbert"):
-        kw["n"] = int(cfg["dim"])
-    if name in ("funk", "hilbert") and cfg["domain"]:
-        kw["domain"] = cfg["domain"]
-    if name == "quartic_norm" and cfg["eps"] is not None:
-        kw["eps"] = float(cfg["eps"])
-    if name == "randers":
-        if cfg["variant"]:
-            kw["variant"] = cfg["variant"]
-        if cfg["c"] is not None:
-            kw["c"] = float(cfg["c"])
-    if name == "berwald_product" and cfg["c"] is not None:
-        kw["c"] = float(cfg["c"])
-    return make_metric(name, **kw)
+    for key in inspect.signature(make).parameters if make else ():
+        val = int(cfg["dim"]) if key == "n" else cfg.get(key)
+        if val is not None and val != "":
+            kw[key] = val
+    return make_metric(cfg["metric"], **kw)
 
 
 def _out_dir(cfg):
@@ -666,7 +659,7 @@ def main(argv=None) -> int:
                        {"config": {k: v for k, v in cfg.items() if v is not None},
                         **meta})
             print(f"comparison report at {path}")
-            if meta["skipped"]:
+            if meta["note"]:
                 print(f"note: {meta['note']}")
             return 0
         raise ConfigurationError(f"unknown command {args.command!r}")

@@ -60,21 +60,6 @@ def model_volume_prime(lam, delta, n, r):
     return float(unit_sphere_area(n) * model_volume_integrand(lam, delta, n, r))
 
 
-@dataclass(frozen=True)
-class ModelVolume:
-    """Callable bundle for one (lambda, delta, n) model family."""
-
-    lam: float
-    delta: float
-    n: int
-
-    def volume(self, r):
-        return model_volume(self.lam, self.delta, self.n, r)
-
-    def volume_prime(self, r):
-        return model_volume_prime(self.lam, self.delta, self.n, r)
-
-
 # ---------------------------------------------------------------------------
 # Curvature-bound sweeps
 # ---------------------------------------------------------------------------
@@ -124,7 +109,9 @@ def ratio_monotonicity_check(metric: MetricSpec, x, lam, delta, r_grid,
 
     The curvature bounds are swept numerically first; on failure the check
     reports itself skipped instead of asserting.  Monotonicity is asserted
-    only up to the combined Monte-Carlo and quadrature error budget.
+    only up to the combined Monte-Carlo and quadrature error budget.  A
+    polar sweep that leaves the chart before a radius makes that row a lower
+    bound, which the note says.
     """
     sweep = curvature_bound_sweep(metric, lam, delta, n_samples=sweep_samples)
     if not sweep.ok:
@@ -132,13 +119,13 @@ def ratio_monotonicity_check(metric: MetricSpec, x, lam, delta, r_grid,
                            skipped=True,
                            note="curvature-bound sweep failed; check skipped")
     x = np.asarray(x, dtype=float)
-    model = ModelVolume(lam, delta, metric.n)
     rows = []
+    exited = False
     if distance_source is None:
         distance_source = ("funk_closed_form" if metric.name == "funk"
                            else "geodesic_polar")
     if distance_source == "geodesic_polar":
-        mus, _ = polar_ball_volumes(metric, x, list(r_grid), n_dirs=n_dirs)
+        mus, exited = polar_ball_volumes(metric, x, list(r_grid), n_dirs=n_dirs)
         ests = [
             MeasureEstimate(value=float(m), stderr=0.0, n_samples=0, seed=seed,
                             method="quadrature")
@@ -151,7 +138,7 @@ def ratio_monotonicity_check(metric: MetricSpec, x, lam, delta, r_grid,
             for k, r in enumerate(r_grid)
         ]
     for r, est in zip(r_grid, ests):
-        V = model.volume(r)
+        V = model_volume(lam, delta, metric.n, r)
         rows.append((float(r), est.value, est.stderr, V, est.value / V))
     monotone = True
     for k in range(1, len(rows)):
@@ -161,7 +148,8 @@ def ratio_monotonicity_check(metric: MetricSpec, x, lam, delta, r_grid,
         if q1 > q0 + budget:
             monotone = False
     return RatioReport(rows=rows, monotone_ok=monotone, precondition=sweep,
-                       skipped=False)
+                       skipped=False,
+                       note="lower bound: chart exit before radius" if exited else "")
 
 
 # ---------------------------------------------------------------------------

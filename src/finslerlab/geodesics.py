@@ -193,17 +193,18 @@ class _Step(DenseOutput):
         return self.interpolant(self.fun)._call_impl(t)
 
 
-def _interpolate(sol, field, rhs, reads_t):
+def _interpolate(sol, field, rhs):
     """Build the dense output of every step of the solve sol and return the
     right-hand-side calls made.  Each extra stage of all steps not read
     during the solve is one call of field on the stack of their stage states
-    (steps x members, width), so each step keeps the bits of its own stages.
-    A right-hand side that reads t, or a stack that raises a domain error,
-    takes one rhs call per step and stage, as stock DOP853 does."""
+    (steps x members, width), so each step keeps the bits of its own stages;
+    field does not read t, so the first step's time serves them all.  A
+    stack that raises a domain error takes one rhs call per step and stage,
+    as stock DOP853 does."""
     interpolants = sol.sol.interpolants
     todo = [p for p in interpolants if isinstance(p, _Step) and p.dense is None]
     calls = 0
-    while todo and not reads_t and todo[0].stage < len(todo[0].K):
+    while todo and todo[0].stage < len(todo[0].K):
         inputs = [p.stage_input() for p in todo]
         calls += 1
         try:
@@ -224,8 +225,7 @@ def _interpolate(sol, field, rhs, reads_t):
     return calls
 
 
-def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True, restart=True,
-           reads_t=False):
+def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True, restart=True):
     """Integrate a flow from the states z0 (m, width) of its m members: DOP853
     with dense output, one solve_ivp call per segment, forward or backward.
 
@@ -235,10 +235,10 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True, restart=True,
     restart the rest restart from its exit time, so each member has its own
     reach and exit; a flow that fails at any exit stops at the first.  The
     interpolants are built after each solve_ivp call (_interpolate), in
-    stacked right-hand-side calls unless the right-hand side reads_t, and
-    nfev counts those calls too.  Returns the segments (t0, t1, OdeResult,
-    members), read by _StackedSolution, the reach (m,) and t_exit (m,), nan
-    where the member stayed in the chart.  A failed solve raises
+    stacked right-hand-side calls, and nfev counts those calls too; so rhs
+    must not read t, only the state.  Returns the segments (t0, t1,
+    OdeResult, members), read by _StackedSolution, the reach (m,) and t_exit
+    (m,), nan where the member stayed in the chart.  A failed solve raises
     GeometryError naming the flow.
     """
     n = metric.n
@@ -277,7 +277,7 @@ def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True, restart=True,
                         atol=atol, dense_output=True, events=events)
         if not sol.success:
             raise GeometryError(f"{flow} integration failed: {sol.message}")
-        sol.nfev += _interpolate(sol, field, rhs, reads_t)
+        sol.nfev += _interpolate(sol, field, rhs)
         t1 = float(sol.t_events[0][0]) if sol.status == 1 else t_end
         segments.append((t0, t1, sol, alive))
         reach[alive] = t1
@@ -646,24 +646,30 @@ def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
     """Transport along an arbitrary smooth curve given as t -> (x, xdot).
 
     The same equation D_cdot U = 0 is used as on geodesics; only geodesic
-    transport is exercised by the conservation identities.  The state holds
+    transport is exercised by the conservation identities.  The state is the
+    curve parameter, with derivative 1, and the frame, so the flow is
+    autonomous and a stack of states reads the curve row by row.  It holds
     no base point, so the flow watches no chart exit.
     """
     n = metric.n
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
     k = frame.shape[0]
+    width = 1 + k * n
 
     def rhs(t, z):
-        x, v = curve(t)
-        _, _, N = spray_gradients(metric, x, v, 1)
-        return (-N @ z.reshape(k, n).T).T.ravel()
+        Z = z.reshape(-1, width)
+        x, v = (np.array(a, dtype=float) for a in zip(*(curve(s) for s in Z[:, 0])))
+        dZ = np.ones_like(Z)
+        dZ[:, 1:] = _transport_field(metric, np.concatenate([x, v, Z[:, 1:]], axis=1),
+                                     k)[:, 2 * n:]
+        return dZ.ravel()
 
     if t_eval is None:
         t_eval = np.linspace(t_span[0], t_span[1], 17)
-    segments, _, _ = _solve("transport", metric, rhs, frame.ravel()[None], t_span,
-                            rtol, atol, chart=False, reads_t=True)
+    z0 = np.concatenate([[float(t_span[0])], frame.ravel()])[None]
+    segments, _, _ = _solve("transport", metric, rhs, z0, t_span, rtol, atol, chart=False)
     ts = np.asarray(t_eval, dtype=float)
-    frames = _StackedSolution(segments, 1, k * n)(ts)[0].reshape(len(ts), k, n)
+    frames = _StackedSolution(segments, 1, width)(ts)[0, :, 1:].reshape(len(ts), k, n)
     xs, vs = (np.array(a, dtype=float) for a in zip(*(curve(t) for t in ts)))
     path = GeodesicPath(metric=metric, t=ts, x=xs, v=vs, sol=None,
                         t_requested=float(t_span[1]), t_end=float(ts[-1]),

@@ -102,10 +102,6 @@ class _JetContext:
 
         self._build_mul_table(spec)
         self._build_shift_tables(spec)
-        self._masks = {}
-        self._gathers = {}
-        self._mul_tables = {}
-        self._shifts = {}
 
     def _build_mul_table(self, spec):
         xpairs = []
@@ -154,15 +150,16 @@ class _JetContext:
                         self.dy_src[v, k] = i * ny + self.ypos[up]
                         self.dy_fac[v, k] = up[v]
 
-    def mask(self, vx, vy):
-        key = (vx, vy)
-        m = self._masks.get(key)
-        if m is None:
-            m = (self.xdeg <= vx) & (self.ydeg <= vy)
-            self._masks[key] = m
-        return m
+    # The tables below are memoised per context and key, for the life of the
+    # process as the contexts themselves are (_context); every caller passes
+    # all arguments by position, so each key is stored once.
 
-    def mul_table(self, vx, vy, sa=None, sb=None):
+    @functools.cache
+    def mask(self, vx, vy):
+        return (self.xdeg <= vx) & (self.ydeg <= vy)
+
+    @functools.cache
+    def mul_table(self, vx, vy, sa, sb):
         """The product table cut to the output slots valid to (vx, vy) and to
         the pairs whose factors lie in the supports sa and sb (None: the
         whole box).
@@ -171,50 +168,36 @@ class _JetContext:
         sums the same nonzero products in the same order as with the full
         table, and the slots beyond (vx, vy) stay zero without a mask.
         """
-        key = (vx, vy, sa, sb)
-        tab = self._mul_tables.get(key)
-        if tab is None:
-            ca, cb = _cap(sa, vx, vy), _cap(sb, vx, vy)
-            if (ca, cb) != (sa, sb):
-                tab = self.mul_table(vx, vy, ca, cb)
-            else:
-                keep = self.mask(vx, vy)[self.tab_out]
-                for s, t in ((sa, self.tab_a), (sb, self.tab_b)):
-                    if s is not None:
-                        keep &= self.mask(*s)[t]
-                sup = None if sa is None or sb is None else _cap(
-                    (sa[0] + sb[0], sa[1] + sb[1]), vx, vy)
-                tab = _Table(self.tab_a[keep], self.tab_b[keep], self.tab_out[keep], sup,
-                             self.size)
-            self._mul_tables[key] = tab
-        return tab
+        ca, cb = _cap(sa, vx, vy), _cap(sb, vx, vy)
+        if (ca, cb) != (sa, sb):
+            return self.mul_table(vx, vy, ca, cb)
+        keep = self.mask(vx, vy)[self.tab_out]
+        for s, t in ((sa, self.tab_a), (sb, self.tab_b)):
+            if s is not None:
+                keep &= self.mask(*s)[t]
+        sup = None if sa is None or sb is None else _cap(
+            (sa[0] + sb[0], sa[1] + sb[1]), vx, vy)
+        return _Table(self.tab_a[keep], self.tab_b[keep], self.tab_out[keep], sup, self.size)
 
+    @functools.cache
     def shift(self, kind, i, vx, vy):
         """Source slots and factors of d/dx^i (kind 0) or d/dy^i (kind 1),
         with the factors zeroed beyond the derivative's validity (vx, vy)."""
-        key = (kind, i, vx, vy)
-        sh = self._shifts.get(key)
-        if sh is None:
-            src, fac = (self.dx_src, self.dx_fac) if kind == 0 else (self.dy_src, self.dy_fac)
-            sh = (src[i], np.where(self.mask(vx, vy), fac[i], 0.0))
-            self._shifts[key] = sh
-        return sh
+        src, fac = (self.dx_src, self.dx_fac) if kind == 0 else (self.dy_src, self.dy_fac)
+        return src[i], np.where(self.mask(vx, vy), fac[i], 0.0)
 
     def slot(self, a, b):
         return self.xpos[tuple(a)] * self.ny + self.ypos[tuple(b)]
 
+    @functools.cache
     def gather(self, ox, oy):
         """Slot of every entry of the order-(ox, oy) derivative tensor."""
-        key = (ox, oy)
-        slots = self._gathers.get(key)
-        if slots is None:
-            n = self.spec.n
-            slots = np.empty((n,) * (ox + oy), dtype=np.int64)
-            for idx in np.ndindex(slots.shape):
-                a = tuple(idx[:ox].count(v) for v in range(n))
-                b = tuple(idx[ox:].count(v) for v in range(n))
-                slots[idx] = self.slot(a, b)
-            self._gathers[key] = slots
+        n = self.spec.n
+        slots = np.empty((n,) * (ox + oy), dtype=np.int64)
+        for idx in np.ndindex(slots.shape):
+            a = tuple(idx[:ox].count(v) for v in range(n))
+            b = tuple(idx[ox:].count(v) for v in range(n))
+            slots[idx] = self.slot(a, b)
         return slots
 
 
@@ -253,15 +236,9 @@ class _Table:
         return self._bins[:k]
 
 
-_CONTEXTS: dict[JetSpec, _JetContext] = {}
-
-
+@functools.cache
 def _context(spec: JetSpec) -> _JetContext:
-    ctx = _CONTEXTS.get(spec)
-    if ctx is None:
-        ctx = _JetContext(spec)
-        _CONTEXTS[spec] = ctx
-    return ctx
+    return _JetContext(spec)
 
 
 class Jet:
@@ -521,40 +498,31 @@ class Jet:
 
         return self._series(coeffs, "log", require=lambda u: u > 0.0)
 
-    def exp(self):
+    def _cyclic(self, cycle, opname):
+        """The series whose k-th derivative at u0 is cycle[k mod p], as for
+        exp, sin, cos, sinh and cosh; cycle maps u0 to its p values."""
         def coeffs(u0, K):
-            e = math.exp(u0)
-            return [e / math.factorial(k) for k in range(K + 1)]
+            c = cycle(u0)
+            return [c[k % len(c)] / math.factorial(k) for k in range(K + 1)]
 
-        return self._series(coeffs, "exp")
+        return self._series(coeffs, opname)
+
+    def exp(self):
+        return self._cyclic(lambda u: [math.exp(u)], "exp")
 
     def sin(self):
-        def coeffs(u0, K):
-            cycle = [math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0)]
-            return [cycle[k % 4] / math.factorial(k) for k in range(K + 1)]
-
-        return self._series(coeffs, "sin")
+        return self._cyclic(lambda u: [math.sin(u), math.cos(u), -math.sin(u), -math.cos(u)],
+                            "sin")
 
     def cos(self):
-        def coeffs(u0, K):
-            cycle = [math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0)]
-            return [cycle[k % 4] / math.factorial(k) for k in range(K + 1)]
-
-        return self._series(coeffs, "cos")
+        return self._cyclic(lambda u: [math.cos(u), -math.sin(u), -math.cos(u), math.sin(u)],
+                            "cos")
 
     def sinh(self):
-        def coeffs(u0, K):
-            cycle = [math.sinh(u0), math.cosh(u0)]
-            return [cycle[k % 2] / math.factorial(k) for k in range(K + 1)]
-
-        return self._series(coeffs, "sinh")
+        return self._cyclic(lambda u: [math.sinh(u), math.cosh(u)], "sinh")
 
     def cosh(self):
-        def coeffs(u0, K):
-            cycle = [math.cosh(u0), math.sinh(u0)]
-            return [cycle[k % 2] / math.factorial(k) for k in range(K + 1)]
-
-        return self._series(coeffs, "cosh")
+        return self._cyclic(lambda u: [math.cosh(u), math.sinh(u)], "cosh")
 
     # -- polynomial differentiation ------------------------------------------
 

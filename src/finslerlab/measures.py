@@ -130,11 +130,6 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
 # ---------------------------------------------------------------------------
 
 
-def _domain_box(metric):
-    lo, hi = metric.chart.sample_box
-    return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-
-
 def ball_volume(metric: MetricSpec, ball: BallSpec, n_samples=1_000_000,
                 seed=20240817, n_dirs=None) -> MeasureEstimate:
     """BH volume of the forward metric ball B(center, radius).
@@ -161,7 +156,7 @@ def ball_volume(metric: MetricSpec, ball: BallSpec, n_samples=1_000_000,
     # the chart of a Funk or Hilbert metric is its domain, so bh_volume
     # passes only domain points
     indicator = lambda pts: dist(dom, x, pts) < ball.radius
-    return bh_volume(metric, indicator, _domain_box(metric),
+    return bh_volume(metric, indicator, metric.chart.sample_box,
                      n_samples=n_samples, seed=seed)
 
 

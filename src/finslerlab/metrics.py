@@ -97,9 +97,7 @@ class ConvexDomain:
         return t, 2.0 * z + (4.0 * self.eps) * (z * sq) if quartic else 2.0 * z
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        z = [x[..., i] for i in range(self.n)]
-        return self.phi(z) < 0.0
+        return self.margin(x) > 0.0
 
     def margin(self, x):
         """Positive inside the domain, zero on the boundary."""
@@ -175,36 +173,34 @@ def quartic_domain(n, eps=0.1):
 
 @dataclass(frozen=True)
 class ChartDomain:
-    """Chart of definition for a metric: membership, boundary margin, sample box."""
+    """Chart of definition for a metric: boundary margin and sample box."""
 
-    contains: object
     margin: object  # positive inside, 0 at the boundary; None when unbounded
     sample_box: tuple
 
+    def contains(self, x):
+        """Membership, margin(x) > 0: a bool for one point (n,), an array for
+        a stack (m, n)."""
+        if self.margin is None:
+            x = np.asarray(x, dtype=float)
+            return np.ones(x.shape[:-1], dtype=bool) if x.ndim > 1 else True
+        return self.margin(x) > 0.0
+
 
 def _ball_chart(n, radius=1.0):
-    def contains(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(x ** 2, axis=-1) < radius ** 2
-
     def margin(x):
         x = np.asarray(x, dtype=float)
         return radius ** 2 - np.sum(x ** 2, axis=-1)
 
-    return ChartDomain(contains, margin, ((-radius,) * n, (radius,) * n))
+    return ChartDomain(margin, ((-radius,) * n, (radius,) * n))
 
 
-def _full_chart(n, box=1.5):
-    def contains(x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1], dtype=bool) if x.ndim > 1 else True
-
-    return ChartDomain(contains, None, ((-box,) * n, (box,) * n))
+def _full_chart(n):
+    return ChartDomain(None, ((-1.5,) * n, (1.5,) * n))
 
 
 def _convex_chart(domain: ConvexDomain):
-    return ChartDomain(domain.contains, domain.margin,
-                       ((-1.0,) * domain.n, (1.0,) * domain.n))
+    return ChartDomain(domain.margin, ((-1.0,) * domain.n, (1.0,) * domain.n))
 
 
 # ---------------------------------------------------------------------------
@@ -399,28 +395,28 @@ def hilbert_metric(domain: ConvexDomain, x, y):
     return 0.5 * (forward + backward)
 
 
-def funk_distance(domain: ConvexDomain, p, q):
-    """log of the exit-point distance ratio along the ray from p through q."""
+def _point_distance(batch, domain, p, q):
+    """d(p, q) as the one row of a distance batch, for interior p and q; a
+    ray that leaves the domain before q gives a non-finite row."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if not domain.contains(p) or not domain.contains(q):
         raise GeometryError("distance endpoints must be interior points")
-    u = q - p
-    du = np.linalg.norm(u)
-    if du == 0.0:
-        return 0.0
-    s = domain.exit_columns(list(p), list(u))  # z = p + s u with s >= 1
-    if s <= 1.0:
+    with np.errstate(divide="ignore", invalid="ignore"):  # an early exit: inf or nan
+        d = float(batch(domain, p, q[None])[0])
+    if not np.isfinite(d):
         raise GeometryError("ray exit before reaching the second endpoint")
-    return float(np.log(s / (s - 1.0)))
+    return d
+
+
+def funk_distance(domain: ConvexDomain, p, q):
+    """log of the exit-point distance ratio along the ray from p through q."""
+    return _point_distance(funk_distance_batch, domain, p, q)
 
 
 def hilbert_distance(domain: ConvexDomain, p, q):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.array_equal(p, q):
-        return 0.0
-    return 0.5 * (funk_distance(domain, p, q) + funk_distance(domain, q, p))
+    """The mean of the Funk distances from p to q and from q to p."""
+    return _point_distance(hilbert_distance_batch, domain, p, q)
 
 
 def _moving_rows(p, Q):
@@ -658,12 +654,11 @@ def validate_metric(metric: MetricSpec, n_samples=100,
     return True
 
 
-def _build(name, n, evaluator, chart, reversible, validate=True,
-           n_validation=100, **kw):
+def _build(name, n, evaluator, chart, reversible, validate=True, **kw):
     m = MetricSpec(name=name, n=n, evaluator=evaluator, chart=chart,
                    reversible=reversible, **kw)
     if validate:
-        validate_metric(m, n_samples=n_validation)
+        validate_metric(m)
     return m
 
 
@@ -744,15 +739,11 @@ def make_berwald_product(c=0.25, validate=True):
         raise ConfigurationError("berwald product parameter must satisfy 0 <= c < 1")
     n = 3
 
-    def contains(x):
-        x = np.asarray(x, dtype=float)
-        return (x[..., 0] ** 2 + x[..., 1] ** 2 < 1.0) & (np.abs(x[..., 2]) < 4.0)
-
     def margin(x):
         x = np.asarray(x, dtype=float)
         return np.minimum(1.0 - x[..., 0] ** 2 - x[..., 1] ** 2, 4.0 - np.abs(x[..., 2]))
 
-    chart = ChartDomain(contains, margin, ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))
+    chart = ChartDomain(margin, ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))
     return _build("berwald_product", n, _berwald_product_eval(c), chart,
                   reversible=(c == 0), validate=validate,
                   params={"n": n, "c": c}, sigma_bh=_berwald_product_sigma(c))

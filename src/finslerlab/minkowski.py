@@ -264,12 +264,6 @@ def per_point(values, x):
 def density_field(metric: MetricSpec):
     """Callable sigma(x) backed by the closed form or by quadrature; like
     bh_density it takes one point (n,), giving a float, or a stack (m, n)."""
-    if metric.sigma_bh is not None:
-        def sigma(x):
-            x = np.asarray(x, dtype=float)
-            return per_point(metric.sigma_bh(x), x)
-
-        return sigma
     return lambda x: bh_density(metric, x)
 
 

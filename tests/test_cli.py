@@ -105,6 +105,72 @@ class TestConfig:
         assert not list(tmp_path.glob("volume_*.csv"))
 
 
+def _former_build_kwargs(cfg):
+    """The keyword arguments of the former hand-kept table of which catalog
+    ids take n, domain, eps, variant and c."""
+    name, kw = cfg["metric"], {}
+    if name in ("euclidean", "riemannian_sphere", "riemannian_hyperbolic",
+                "quartic_norm", "randers", "funk", "hilbert"):
+        kw["n"] = int(cfg["dim"])
+    if name in ("funk", "hilbert") and cfg["domain"]:
+        kw["domain"] = cfg["domain"]
+    if name == "quartic_norm" and cfg["eps"] is not None:
+        kw["eps"] = float(cfg["eps"])
+    if name == "randers":
+        if cfg["variant"]:
+            kw["variant"] = cfg["variant"]
+        if cfg["c"] is not None:
+            kw["c"] = float(cfg["c"])
+    if name == "berwald_product" and cfg["c"] is not None:
+        kw["c"] = float(cfg["c"])
+    return kw
+
+
+class TestBuildMetric:
+    """build_metric passes each config value that the constructor's
+    signature names, and n from dim."""
+
+    FLAG_SETS = ([], ["--dim", "3"], ["--eps", "0.3"], ["--c", "0.2"], ["--c", "0"],
+                 ["--variant", "closed"], ["--domain", "quartic:0.2"],
+                 ["--dim", "3", "--eps", "0", "--c", "0.1", "--variant", "const",
+                  "--domain", "quartic:0.1"])
+
+    @staticmethod
+    def _cfg(flags):
+        return cli.resolve_config(cli.make_parser().parse_args(["verify"] + flags))
+
+    @pytest.mark.parametrize("name", sorted(metrics.zoo_constructors()))
+    def test_same_arguments_as_the_former_table(self, monkeypatch, name):
+        monkeypatch.setattr(cli, "make_metric", lambda metric, **kw: (metric, kw))
+        for flags in self.FLAG_SETS:
+            cfg = self._cfg(["--metric", name] + flags)
+            assert cli.build_metric(cfg) == (name, _former_build_kwargs(cfg)), flags
+
+    def test_named_keys_reach_the_constructors(self, monkeypatch):
+        monkeypatch.setattr(cli, "make_metric", lambda metric, **kw: (metric, kw))
+        cases = {
+            ("quartic_norm", "--eps", "0.3"): {"n": 2, "eps": 0.3},
+            ("randers", "--c", "0.2", "--variant", "closed"):
+                {"n": 2, "c": 0.2, "variant": "closed"},
+            ("berwald_product", "--c", "0.1"): {"c": 0.1},
+            ("funk", "--domain", "quartic:0.2"): {"n": 2, "domain": "quartic:0.2"},
+            ("hilbert", "--domain", "quartic:0.1", "--dim", "3"):
+                {"n": 3, "domain": "quartic:0.1"},
+            # keys that a constructor does not take are ignored
+            ("funk", "--eps", "0.3", "--c", "0.2", "--variant", "curl"): {"n": 2},
+            ("euclidean", "--domain", "quartic:0.1"): {"n": 2},
+        }
+        for (name, *flags), kw in cases.items():
+            assert cli.build_metric(self._cfg(["--metric", name] + flags)) == (name, kw)
+
+    def test_built_metrics_carry_the_values(self):
+        assert cli.build_metric(self._cfg(["--metric", "quartic_norm", "--eps", "0.3"])
+                                ).params["eps"] == 0.3
+        m = cli.build_metric(self._cfg(["--metric", "funk", "--domain", "quartic:0.2",
+                                        "--eps", "0.7"]))
+        assert (m.params["domain"], m.params["eps"]) == ("quartic_perturbed", 0.2)
+
+
 class TestVerify:
     def test_euclidean_all_pass(self, tmp_path, capsys):
         code = run(["verify", "--metric", "euclidean", "--samples", "5"], tmp_path)
@@ -279,6 +345,21 @@ class TestReports:
         assert meta["monotone_ok"] in (True, False)
         assert not meta["skipped"]
 
+    def test_compare_notes_a_chart_exit(self, tmp_path, capsys):
+        # the sphere's chart ends at distance 3.00, so the 3.2 row is a lower bound
+        code = run(["compare", "--metric", "riemannian_sphere", "--lambda", "0",
+                    "--delta", "0", "--radii", "1,2,3.2", "--samples", "10"], tmp_path)
+        assert code == 0
+        meta = json.loads((tmp_path / "compare_riemannian_sphere_n2.json").read_text())
+        assert meta["note"] == "lower bound: chart exit before radius"
+        assert meta["monotone_ok"] and not meta["skipped"]
+        notes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("note:")]
+        assert notes == ["note: lower bound: chart exit before radius"]
+        code = run(["compare", "--metric", "riemannian_sphere", "--lambda", "0",
+                    "--delta", "0", "--radii", "1,2", "--samples", "10"], tmp_path)
+        assert code == 0
+        assert "note:" not in capsys.readouterr().out
+
     def test_compare_skips_on_bad_bounds(self, tmp_path, capsys):
         code = run(["compare", "--metric", "euclidean", "--dim", "2",
                     "--lambda", "1.0", "--delta", "0.0", "--radii", "0.5",
@@ -286,6 +367,7 @@ class TestReports:
         assert code == 0
         meta = json.loads((tmp_path / "compare_euclidean_n2.json").read_text())
         assert meta["skipped"]
+        assert capsys.readouterr().out.splitlines()[-1] == f"note: {meta['note']}"
 
     def test_validate_subcommand(self, tmp_path):
         code = run(["validate", "--metric", "quartic_norm", "--samples", "30"],

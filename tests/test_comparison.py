@@ -5,7 +5,7 @@ import pytest
 
 from finslerlab import comparison as co
 from finslerlab.errors import ConfigurationError, PreconditionError
-from finslerlab.measures import funk_ball_formula
+from finslerlab.measures import BallSpec, ball_volume, funk_ball_formula
 
 
 class TestSLambda:
@@ -56,15 +56,15 @@ class TestModelVolume:
             co.model_volume(1.0, 0.0, 2, 2 * np.pi)
 
     def test_strictly_increasing_and_prime_consistent(self):
-        mv = co.ModelVolume(-0.25, 1.5, 2)
         rs = np.linspace(0.1, 3.0, 12)
-        vols = [mv.volume(r) for r in rs]
+        vols = [co.model_volume(-0.25, 1.5, 2, r) for r in rs]
         assert np.all(np.diff(vols) > 0)
         h = 1e-6
         for r in (0.5, 1.0, 2.0):
-            fd = (mv.volume(r + h) - mv.volume(r - h)) / (2 * h)
-            assert fd == pytest.approx(mv.volume_prime(r), abs=1e-8)
-        assert mv.volume(0.0) == 0.0
+            fd = (co.model_volume(-0.25, 1.5, 2, r + h)
+                  - co.model_volume(-0.25, 1.5, 2, r - h)) / (2 * h)
+            assert fd == pytest.approx(co.model_volume_prime(-0.25, 1.5, 2, r), abs=1e-8)
+        assert co.model_volume(-0.25, 1.5, 2, 0.0) == 0.0
 
 
 class TestBoundSweep:
@@ -108,6 +108,23 @@ class TestRatioMonotonicity:
         )
         assert not rep.skipped
         assert rep.monotone_ok
+
+    def test_a_chart_exit_is_noted(self, zoo):
+        # the sphere's chart ends at distance 3.00: the 3.2 row is the polar
+        # lower bound that ball_volume flags, and the report says so
+        metric = zoo["riemannian_sphere"]
+        rep = co.ratio_monotonicity_check(
+            metric, [0.0, 0.0], 0.0, 0.0, [1.0, 2.0, 3.2],
+            distance_source="geodesic_polar", sweep_samples=10, n_dirs=16)
+        assert rep.note == "lower bound: chart exit before radius"
+        assert rep.monotone_ok and not rep.skipped
+        est = ball_volume(metric, BallSpec([0.0, 0.0], 3.2, "geodesic_polar"), n_dirs=16)
+        assert est.flagged and est.note == rep.note
+        assert rep.rows[2][1] == pytest.approx(est.value, rel=1e-12)
+        inside = co.ratio_monotonicity_check(
+            metric, [0.0, 0.0], 0.0, 0.0, [1.0, 2.0],
+            distance_source="geodesic_polar", sweep_samples=10, n_dirs=16)
+        assert inside.note == "" and inside.monotone_ok
 
     def test_guard_skips_on_violated_bounds(self, zoo):
         # deliberately violating metric: flat space cannot meet lambda = 1

@@ -208,6 +208,23 @@ def test_interpolation_costs_three_calls_per_segment(zoo, monkeypatch):
     made.clear()
     _exit_stack(zoo)  # an exit and a restart: two segments, three calls each
     assert [calls for _, calls in made] == [3, 3]
+    # transport along a curve carries the curve parameter in its state, so
+    # its stages stack like every other flow's
+    x0 = xs[0]
+    steps.clear()
+    for t_end in (0.25, 2.0):
+        def along():
+            return geodesics.transport_along_curve(
+                metric, lambda t: (x0 * (1.0 - 0.1 * t), -0.1 * x0), (0.0, t_end), np.eye(2))
+
+        made.clear()
+        path = along().path
+        stock = _stock(monkeypatch, along).path
+        (n_steps, calls), = made[:1]
+        assert calls == 3
+        assert stock.nfev - path.nfev == 3 * (n_steps - 1)
+        steps.add(n_steps)
+    assert len(steps) == 2 and min(steps) > 1
 
 
 def test_a_domain_error_in_a_stacked_stage_falls_back_to_each_step(zoo, monkeypatch):

@@ -718,3 +718,44 @@ class TestFusedSeries:
             assert (got.vx, got.vy) == (want.vx, want.vy)
             assert got.coeffs.shape == want.coeffs.shape
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+class TestMemoisedTables:
+    """Each table of a jet context is built once per key, and each spec has
+    one context."""
+
+    def test_repeated_calls_return_the_same_object(self):
+        ctx = jets._context(JetSpec(3, 2, 4))
+        for call in (lambda: ctx.mask(1, 3), lambda: ctx.mul_table(2, 4, None, None),
+                     lambda: ctx.mul_table(1, 3, (1, 0), (0, 1)),
+                     lambda: ctx.shift(0, 1, 1, 4), lambda: ctx.shift(1, 2, 2, 3),
+                     lambda: ctx.gather(1, 2)):
+            assert call() is call()
+
+    def test_a_support_past_validity_shares_the_capped_table(self):
+        ctx = jets._context(JetSpec(2, 2, 4))
+        assert ctx.mul_table(1, 2, (2, 4), (0, 1)) is ctx.mul_table(1, 2, None, (0, 1))
+
+    def test_one_context_per_spec(self):
+        assert jets._context(JetSpec(2, 1, 3)) is jets._context(JetSpec(2, 1, 3))
+        assert jets._context(JetSpec(2, 1, 3)) is not jets._context(JetSpec(2, 1, 4))
+        xs, _ = lift([0.1, 0.2], [0.3, 0.4], JetSpec(2, 1, 3))
+        assert xs[0].ctx is jets._context(JetSpec(2, 1, 3))
+
+
+@pytest.mark.parametrize(("op", "cycle"), [
+    ("exp", lambda u: [math.exp(u)]),
+    ("sin", lambda u: [math.sin(u), math.cos(u), -math.sin(u), -math.cos(u)]),
+    ("cos", lambda u: [math.cos(u), -math.sin(u), -math.cos(u), math.sin(u)]),
+    ("sinh", lambda u: [math.sinh(u), math.cosh(u)]),
+    ("cosh", lambda u: [math.cosh(u), math.sinh(u)]),
+])
+def test_cyclic_series_coefficients(op, cycle):
+    # along a lifted coordinate, coefficient k is cycle[k mod p] / k! exactly
+    spec = JetSpec(2, 0, 5)
+    for u0 in (-1.3, 0.0, 0.4, 2.5):
+        _, ys = lift([0.0, 0.0], [u0, 0.7], spec)
+        got = getattr(jets, op)(ys[0])
+        c = cycle(u0)
+        for k in range(6):
+            assert got.coeffs[got.ctx.slot((0, 0), (k, 0))] == c[k % len(c)] / math.factorial(k)

@@ -333,6 +333,139 @@ class TestDistances:
             assert hb[k] == pytest.approx(hilbert_distance(dom, p, Q[k]), rel=1e-9)
 
 
+class TestPointDistancesFromTheBatch:
+    """A point distance is the one row of its batch, with the bits of the
+    scalar exit-ratio formula it replaced."""
+
+    @staticmethod
+    def _pairs(n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-0.55, 0.55, (2, 24, n))
+
+    @staticmethod
+    def _scalar_funk(dom, p, q):
+        # the formula of the former scalar route: one ray exit on coordinate numbers
+        if np.array_equal(p, q):
+            return 0.0
+        s = dom.exit_columns(list(p), list(q - p))
+        return float(np.log(s / (s - 1.0)))
+
+    @pytest.mark.parametrize("kind", ["unit_ball", "quartic"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_point_is_the_batch_row_bit_for_bit(self, kind, n):
+        from finslerlab.metrics import hilbert_distance_batch
+
+        dom = unit_ball_domain(n) if kind == "unit_ball" else quartic_domain(n, 0.1)
+        P, Q = self._pairs(n, 40 + n)
+        Q[0] = P[0]  # a pair of equal points
+        for p, q in zip(P, Q):
+            f, h = funk_distance(dom, p, q), hilbert_distance(dom, p, q)
+            assert f == funk_distance_batch(dom, p, q[None])[0]
+            assert h == hilbert_distance_batch(dom, p, q[None])[0]
+            assert f == self._scalar_funk(dom, p, q)
+            assert h == 0.5 * (self._scalar_funk(dom, p, q) + self._scalar_funk(dom, q, p))
+
+    def test_endpoint_outside_raises(self):
+        dom = quartic_domain(2, 0.1)
+        inside, outside = np.array([0.1, 0.2]), np.array([0.99, 0.0])
+        for dist in (funk_distance, hilbert_distance):
+            # (outside, outside) is d(p, p) for p outside, which Hilbert also refuses
+            for p, q in ((inside, outside), (outside, inside), (outside, outside)):
+                with pytest.raises(GeometryError, match="interior"):
+                    dist(dom, p, q)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["unit_ball", "quartic"])
+    def test_exit_before_the_second_endpoint_raises(self, kind):
+        # a point one rounding inside the rim whose ray exit rounds to s <= 1;
+        # the point distance raises that, with no floating-point warning
+        dom = unit_ball_domain(2) if kind == "unit_ball" else quartic_domain(2, 0.1)
+        p = np.zeros(2)
+        for th in np.linspace(0.0, 1.0, 1001):
+            d = np.array([np.cos(th), np.sin(th)])
+            q = dom.ray_exit(p, d) * d * (1.0 - 2.0 ** -53)
+            with np.errstate(all="ignore"):
+                early = not np.isfinite(funk_distance_batch(dom, p, q[None])[0])
+            if dom.contains(q) and early:
+                break
+        else:
+            pytest.fail("no rim point with a rounded exit found")
+        with pytest.raises(GeometryError, match="before reaching"):
+            funk_distance(dom, p, q)
+
+
+class TestChartsFromTheirMargin:
+    """contains(x) is margin(x) > 0, which for the ball and convex charts is
+    the former strict test itself, one ulp either side of each boundary."""
+
+    @staticmethod
+    def _rim(points):
+        """Each point scaled by 1 + k ulp of 1, k = -3..3, as rows."""
+        k = np.arange(-3, 4)[:, None, None]
+        return (points[None] * (1.0 + k * 2.0 ** -52)).reshape(-1, points.shape[-1])
+
+    @staticmethod
+    def _directions(n):
+        from finslerlab._grids import halton_directions
+
+        return np.vstack([np.eye(n), -np.eye(n), halton_directions(n, 16)])
+
+    def _same(self, chart, pts, former):
+        got = chart.contains(pts)
+        assert got.dtype == bool and np.array_equal(got, chart.margin(pts) > 0)
+        assert np.array_equal(got, former)
+        assert [bool(chart.contains(x)) for x in pts] == got.tolist()
+        assert got.any() and not got.all()
+
+    @pytest.mark.parametrize(("n", "radius"), [(2, 1.0), (3, 1.0), (2, 14.0), (3, 14.0)])
+    def test_ball_chart(self, n, radius):
+        chart = metrics._ball_chart(n, radius)
+        pts = self._rim(radius * self._directions(n))
+        self._same(chart, pts, np.sum(pts ** 2, axis=-1) < radius ** 2)
+
+    @pytest.mark.parametrize("kind", ["unit_ball", "quartic"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_convex_chart(self, kind, n):
+        dom = unit_ball_domain(n) if kind == "unit_ball" else quartic_domain(n, 0.1)
+        dirs = self._directions(n)
+        pts = self._rim(dom.ray_exit(np.zeros_like(dirs), dirs)[:, None] * dirs)
+        former = dom.phi(list(pts.T)) < 0.0
+        self._same(metrics._convex_chart(dom), pts, former)
+        assert np.array_equal(dom.contains(pts), former)
+
+    def test_catalog_charts(self, zoo):
+        # every catalog chart is one of the kinds above or the full chart
+        for name in ("riemannian_sphere", "riemannian_hyperbolic", "randers_curl", "funk",
+                     "funk3", "funk_quartic", "hilbert", "hilbert_quartic"):
+            chart = zoo[name].chart
+            pts = self._rim(self._directions(zoo[name].n)
+                            * (14.0 if name == "riemannian_sphere" else 1.0))
+            assert np.array_equal(chart.contains(pts), chart.margin(pts) > 0), name
+
+    def test_berwald_faces_and_rim(self, zoo):
+        chart = zoo["berwald_product"].chart
+        below, above = np.nextafter(4.0, 0.0), np.nextafter(4.0, 5.0)
+        pts = np.array([[0.2, 0.1, z] for z in (below, 4.0, above, -below, -4.0, -above)]
+                       + [[0.0, y, 0.5] for y in (np.nextafter(1.0, 0.0), 1.0,
+                                                  np.nextafter(1.0, 2.0))])
+        assert chart.contains(pts).tolist() == [True, False, False] * 3
+        th = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+        disc = self._rim(np.column_stack([np.cos(th), np.sin(th), np.full_like(th, 3.0)]))
+        assert np.array_equal(chart.contains(disc), chart.margin(disc) > 0)
+        # off the rim by more than rounding, the product's two strict tests
+        far = np.vstack([0.999 * disc, 1.001 * disc])
+        far[:, 2] = 3.0
+        assert np.array_equal(chart.contains(far), (far[:, 0] ** 2 + far[:, 1] ** 2 < 1.0))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_chart(self, n):
+        chart = metrics._full_chart(n)
+        assert chart.margin is None
+        assert chart.contains(np.full(n, 1e300)) is True
+        got = chart.contains(np.zeros((5, n)))
+        assert got.shape == (5,) and got.dtype == bool and got.all()
+
+
 class TestRayExit:
     """The batched Newton ray-exit solver of ConvexDomain."""
 
