@@ -342,10 +342,10 @@ def _check_ball_formula(metric, cfg):
 
 def _check_model_equality(metric, cfg):
     n = metric.n
-    delta = (n + 1) / (2.0 * (n - 1))
+    lam, delta = comparison.default_model(metric)
     worst = 0.0
     for r in np.linspace(0.3, 6.0, 20):
-        V = comparison.model_volume(-0.25, delta, n, r)
+        V = comparison.model_volume(lam, delta, n, r)
         worst = max(worst, abs(V - measures.funk_ball_formula(n, r)))
     return worst, 1e-8
 
@@ -481,13 +481,16 @@ def run_geodesic_report(cfg):
     return cols, path.to_rows(), path
 
 
+def _model(cfg, metric):
+    """The configured (lambda, delta), each defaulting to the metric's model."""
+    return tuple(d if cfg[k] is None else cfg[k]
+                 for k, d in zip(("lam", "delta"), comparison.default_model(metric)))
+
+
 def run_volume_report(cfg):
     metric = build_metric(cfg)
     n = metric.n
-    lam = cfg["lam"] if cfg["lam"] is not None else (-0.25 if metric.name == "funk" else 0.0)
-    delta = cfg["delta"] if cfg["delta"] is not None else (
-        (n + 1) / (2.0 * (n - 1)) if metric.name == "funk" else 0.0
-    )
+    lam, delta = _model(cfg, metric)
     rows = []
     notes = []
     for k, r in enumerate(cfg["radii"]):
@@ -511,8 +514,7 @@ def run_volume_report(cfg):
 
 def run_compare_report(cfg):
     metric = build_metric(cfg)
-    lam = cfg["lam"] if cfg["lam"] is not None else -0.25
-    delta = cfg["delta"] if cfg["delta"] is not None else 1.5
+    lam, delta = _model(cfg, metric)
     rep = comparison.ratio_monotonicity_check(
         metric, np.zeros(metric.n), lam, delta, cfg["radii"],
         n_samples=cfg["mc_samples"], seed=cfg["seed"],

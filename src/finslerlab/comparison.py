@@ -55,6 +55,13 @@ def model_volume(lam, delta, n, r):
     return float(unit_sphere_area(n) * val)
 
 
+def default_model(metric: MetricSpec):
+    """The comparison model (lambda, delta): (-1/4, (n+1)/(2(n-1))) for Funk,
+    whose ball volume it is, and the flat (0, 0) for every other metric."""
+    n = metric.n
+    return (-0.25, (n + 1) / (2.0 * (n - 1))) if metric.name == "funk" else (0.0, 0.0)
+
+
 def model_volume_prime(lam, delta, n, r):
     """dV/dr, which is the sphere-area term of the model."""
     return float(unit_sphere_area(n) * model_volume_integrand(lam, delta, n, r))
@@ -73,8 +80,7 @@ class BoundSweep:
     n_samples: int
 
 
-def curvature_bound_sweep(metric: MetricSpec, lam, delta, n_samples=50,
-                          tol=1e-6) -> BoundSweep:
+def curvature_bound_sweep(metric: MetricSpec, lam, delta, n_samples=50) -> BoundSweep:
     """Numerically verify Ric/F^2 >= (n-1) lambda and S/F >= (n-1) delta."""
     n = metric.n
     sm = TangentSample(chart_points(metric, n_samples), halton_directions(n, n_samples))
@@ -82,7 +88,7 @@ def curvature_bound_sweep(metric: MetricSpec, lam, delta, n_samples=50,
     F = rep.F
     min_r = np.min(rep.ricci / ((n - 1) * F * F))
     min_s = np.min(s_curvature(metric, sm, method="analytic").S / ((n - 1) * F))
-    ok = bool(min_r >= lam - tol) and bool(min_s >= delta - tol)
+    ok = bool(min_r >= lam - 1e-6) and bool(min_s >= delta - 1e-6)
     return BoundSweep(ok=ok, min_ricci_ratio=float(min_r),
                       min_s_ratio=float(min_s), n_samples=n_samples)
 
@@ -111,7 +117,8 @@ def ratio_monotonicity_check(metric: MetricSpec, x, lam, delta, r_grid,
     reports itself skipped instead of asserting.  Monotonicity is asserted
     only up to the combined Monte-Carlo and quadrature error budget.  A
     polar sweep that leaves the chart before a radius makes that row a lower
-    bound, which the note says.
+    bound, which the note says; so does a zero-acceptance Monte-Carlo row,
+    which stays in the table but leaves the monotonicity test.
     """
     sweep = curvature_bound_sweep(metric, lam, delta, n_samples=sweep_samples)
     if not sweep.ok:
@@ -119,7 +126,6 @@ def ratio_monotonicity_check(metric: MetricSpec, x, lam, delta, r_grid,
                            skipped=True,
                            note="curvature-bound sweep failed; check skipped")
     x = np.asarray(x, dtype=float)
-    rows = []
     exited = False
     if distance_source is None:
         distance_source = ("funk_closed_form" if metric.name == "funk"
@@ -137,19 +143,17 @@ def ratio_monotonicity_check(metric: MetricSpec, x, lam, delta, r_grid,
                         n_samples=n_samples, seed=seed + k)
             for k, r in enumerate(r_grid)
         ]
+    rows = []
     for r, est in zip(r_grid, ests):
         V = model_volume(lam, delta, metric.n, r)
         rows.append((float(r), est.value, est.stderr, V, est.value / V))
-    monotone = True
-    for k in range(1, len(rows)):
-        r0, m0, e0, V0, q0 = rows[k - 1]
-        r1, m1, e1, V1, q1 = rows[k]
-        budget = 3.0 * (e0 / V0 + e1 / V1) + 1e-6
-        if q1 > q0 + budget:
-            monotone = False
+    tested = [row for row, est in zip(rows, ests) if not est.flagged]
+    monotone = not any(q1 > q0 + 3.0 * (e0 / V0 + e1 / V1) + 1e-6
+                       for (_, _, e0, V0, q0), (_, _, e1, V1, q1) in zip(tested, tested[1:]))
+    notes = [f"r={row[0]!r}: {est.note}" for row, est in zip(rows, ests) if est.flagged]
+    notes += ["lower bound: chart exit before radius"] if exited else []
     return RatioReport(rows=rows, monotone_ok=monotone, precondition=sweep,
-                       skipped=False,
-                       note="lower bound: chart exit before radius" if exited else "")
+                       skipped=False, note="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +170,7 @@ class ConjugateReport:
     note: str = ""
 
 
-def conjugate_point_bound(metric: MetricSpec, x, y_unit, lam,
-                          sweep_samples=50, margin=1e-3) -> ConjugateReport:
+def conjugate_point_bound(metric: MetricSpec, x, y_unit, lam, sweep_samples=50) -> ConjugateReport:
     """First vanishing of a Jacobi field with J(0) = 0 along the geodesic,
     against the bound pi/sqrt(lambda) valid when Ric >= (n-1) lambda > 0."""
     if lam <= 0:
@@ -202,5 +205,5 @@ def conjugate_point_bound(metric: MetricSpec, x, y_unit, lam,
         )
     return ConjugateReport(
         t_conjugate=t_conj, bound=float(bound),
-        within_bound=t_conj <= bound + margin, inconclusive=False,
+        within_bound=t_conj <= bound + 1e-3, inconclusive=False,
     )

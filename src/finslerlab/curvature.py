@@ -155,13 +155,13 @@ def landsberg_dot(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> np.ndar
         lambda sm, U: _frame_contract3(landsberg_from_berwald(metric, sm), U), dt)
 
 
-def landsberg_tilde(metric: MetricSpec, sample: TangentSample, h_rel=1e-3) -> np.ndarray:
+def landsberg_tilde(metric: MetricSpec, sample: TangentSample) -> np.ndarray:
     """L-tilde: fiber derivative of L, by Richardson central differences of the
     jet-exact L in each coordinate direction, at one sample or a stack."""
     sample.validate(metric)
     n = metric.n
     # steps (..., 1, 1, 1) divide L; their (..., 1) view moves y
-    step = h_rel * np.linalg.norm(sample.y, axis=-1)[..., None, None, None]
+    step = 1e-3 * np.linalg.norm(sample.y, axis=-1)[..., None, None, None]
     out = np.empty(sample.y.shape[:-1] + (n, n, n, n))
     for z, ez in enumerate(np.eye(n)):
         out[..., z] = richardson_central(
@@ -188,11 +188,11 @@ def mean_landsberg_by_transport(metric: MetricSpec, sample: TangentSample,
                                  dt)
 
 
-def landsberg_data(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> LandsbergTensor:
+def landsberg_data(metric: MetricSpec, sample: TangentSample) -> LandsbergTensor:
     L = landsberg_from_berwald(metric, sample)
     return LandsbergTensor(
         L=L,
-        L_dot=landsberg_dot(metric, sample, dt=dt),
+        L_dot=landsberg_dot(metric, sample),
         L_tilde=landsberg_tilde(metric, sample),
         J=mean_landsberg(metric, sample, L=L),
     )
@@ -217,11 +217,11 @@ class SData:
         return self._S_dot() if callable(self._S_dot) else self._S_dot
 
 
-def _log_density_gradient(sigma, x, h=1e-4):
+def _log_density_gradient(sigma, x):
     """The gradient of log sigma at one point (n,), giving (n,), or at a
     stack (m, n), giving (n, m): each difference takes the whole stack."""
     x = np.asarray(x, dtype=float)
-    return np.array([richardson_central(lambda hh: np.log(sigma(x + hh * e)), h)
+    return np.array([richardson_central(lambda hh: np.log(sigma(x + hh * e)), 1e-4)
                      for e in np.eye(x.shape[-1])])
 
 
@@ -261,35 +261,34 @@ def s_jet_workspace(metric: MetricSpec, sample: TangentSample, sigma):
     return S_jet, E
 
 
-def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
-                method="geodesic", h=1e-2) -> SData:
-    """S and S-dot at the sample, for the given density field (default BH).
+def s_curvature(metric: MetricSpec, sample: TangentSample, method="geodesic") -> SData:
+    """S and S-dot at the sample, for the Busemann-Hausdorff density.
 
     method "geodesic" differences the distortion along the integrated
     geodesic (the definition); method "analytic" reads S off the jet
     workspace and differences only for S-dot, which it computes on first
-    access.  Both step h in metric length, h / F(x, y) in the geodesic's
+    access.  Both step 1e-2 in metric length, 1e-2 / F(x, y) in the geodesic's
     parameter, so that the stencil keeps its reach near a Funk rim.
 
     Both methods take a stack of samples too, with one two-way transport
     for the stencils of all members, each at its own step.
     """
     sample.validate(metric)
-    sigma = density if density is not None else density_field(metric)
+    sigma = density_field(metric)
     no_frame = np.empty((0, metric.n))
     if method == "analytic":
         def s_at(x, v, U=None):
             return s_jet_workspace(metric, TangentSample(x, v), sigma)[0].value
 
         def s_dot():
-            hp = h / sample.F(metric)
-            q = _geodesic_stencil(metric, sample, s_at, hp, no_frame)
-            return per_point(richardson_doubling(*_stencil_pair(q, hp)), sample.y)
+            h = 1e-2 / sample.F(metric)
+            q = _geodesic_stencil(metric, sample, s_at, h, no_frame)
+            return per_point(richardson_doubling(*_stencil_pair(q, h)), sample.y)
 
         return SData(S=s_at(sample.x, sample.y), S_dot=s_dot)
     if method != "geodesic":
         raise PreconditionError(f"unknown S-curvature method {method!r}")
-    h = h / sample.F(metric)
+    h = 1e-2 / sample.F(metric)
 
     def tau_at(x, v, U):
         ft = fundamental_tensor(metric, TangentSample(x, v))
@@ -301,10 +300,9 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, density=None,
                    for order in (1, 2)))
 
 
-def es_residual(metric: MetricSpec, sample: TangentSample, density=None) -> float:
+def es_residual(metric: MetricSpec, sample: TangentSample) -> float:
     """max |fiber Hessian of S - 2 E|: the mean Berwald identity."""
-    sigma = density if density is not None else density_field(metric)
-    S_jet, E = s_jet_workspace(metric, sample, sigma)
+    S_jet, E = s_jet_workspace(metric, sample, density_field(metric))
     return float(np.max(np.abs(derivative_tensor(S_jet, 0, 2) - 2.0 * E)))
 
 
@@ -391,7 +389,7 @@ class JacobiReport:
     J_norms: np.ndarray
 
 
-def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> JacobiReport:
+def jacobi_oracle(metric: MetricSpec, x, y, v, t_end) -> JacobiReport:
     """Check D_cdot D_cdot J + R_cdot(J) = 0 on a central-difference variation.
 
     J comes from the geodesic variation exp_x(t (y + s v)), differenced in
@@ -406,12 +404,12 @@ def jacobi_oracle(metric: MetricSpec, x, y, v, t_end, s=3e-5, n_grid=161) -> Jac
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
-    scale = s * float(np.linalg.norm(y)) / max(np.linalg.norm(v), 1e-300)
+    scale = 3e-5 * float(np.linalg.norm(y)) / max(np.linalg.norm(v), 1e-300)
     # the varied geodesics and the central one: one 3-member stack
     paths = integrate_geodesic(metric, x, [y + scale * v, y - scale * v, y], t_end,
                                rtol=1e-12, atol=1e-12)
     t1 = min(float(np.min(paths.t_end)), t_end)
-    ts = np.linspace(0.0, t1, n_grid)
+    ts = np.linspace(0.0, t1, 161)
     h = ts[1] - ts[0]
 
     xs, vs = paths.state(ts)
@@ -550,10 +548,9 @@ def _closed_form_fit(kappa, ts, C_vals, L_vals, Ct_vals):
                            Ctilde_prediction_error=err4)
 
 
-def dot_lc_residual(metric: MetricSpec, sample: TangentSample, kappa,
-                    dt=1e-2) -> float | np.ndarray:
+def dot_lc_residual(metric: MetricSpec, sample: TangentSample, kappa) -> float | np.ndarray:
     """max |L-dot + kappa F^2 C| over tensor components, per member of a stack."""
-    Ld = landsberg_dot(metric, sample, dt=dt)
+    Ld = landsberg_dot(metric, sample)
     C = cartan_tensor(metric, sample)
     F = np.asarray(sample.F(metric))[..., None, None, None]
     return per_point(np.max(np.abs(Ld + kappa * F * F * C), axis=(-3, -2, -1)), sample.y)

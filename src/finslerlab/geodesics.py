@@ -345,19 +345,19 @@ class GeodesicPath:
         xs, vs = self.state(ts)
         return self.metric.F_batch(xs, vs)
 
-    def F_drift(self, n_checkpoints=101):
-        ts = np.linspace(self.t[0], self.t[-1], n_checkpoints)
+    def F_drift(self):
+        ts = np.linspace(self.t[0], self.t[-1], 101)
         F = self.F_values(ts)
         F0 = F[0]
         return float(np.max(np.abs(F - F0)) / abs(F0))
 
-    def el_residual(self, n_checkpoints=33, h=1e-3):
+    def el_residual(self):
         """max |xddot + 2G(xdot)| on dense checkpoints, with xddot recovered
         by central differences of the dense velocity output."""
         t0, t1 = float(self.t[0]), float(self.t[-1])
         span = t1 - t0
-        hs = h * abs(span)
-        ts = np.linspace(t0 + 2 * hs, t1 - 2 * hs, n_checkpoints)
+        hs = 1e-3 * abs(span)
+        ts = np.linspace(t0 + 2 * hs, t1 - 2 * hs, 33)
         _, vm = self.state(ts - hs)
         xs, vs = self.state(ts)
         _, vp = self.state(ts + hs)
@@ -528,7 +528,7 @@ def exp_map(metric: MetricSpec, x, y):
 # ---------------------------------------------------------------------------
 
 
-def covariant_derivative(metric: MetricSpec, U, sample: TangentSample, h=1e-5):
+def covariant_derivative(metric: MetricSpec, U, sample: TangentSample):
     """D_y U = { dU^i(y) + U^j dG^i/dy^j(y) } at the sample point.
 
     U is a callable x -> vector field components; its directional derivative
@@ -537,7 +537,7 @@ def covariant_derivative(metric: MetricSpec, U, sample: TangentSample, h=1e-5):
     sample.validate(metric)
     x, y = sample.x, sample.y
     dU = richardson_central(lambda s: np.asarray(U(x + s * y), dtype=float),
-                            h * max(1.0, float(np.linalg.norm(x))))
+                            1e-5 * max(1.0, float(np.linalg.norm(x))))
     N = derivative_tensor(spray_jets(metric, x, y, 1, 3).G, 0, 1)
     return dU + N @ np.asarray(U(x), dtype=float)
 

@@ -699,12 +699,6 @@ def power(v, p):
     return v.__pow__(p) if isinstance(v, Jet) else np.power(v, p)
 
 
-def smooth_max(a, b, eps=1e-6):
-    """Differentiable softening of max(a, b); exact as eps -> 0."""
-    d = a - b
-    return 0.5 * (a + b + sqrt(d * d + eps * eps))
-
-
 # -- finite-difference oracle --------------------------------------------------
 
 

@@ -38,8 +38,8 @@ class MeasureEstimate:
     flagged: bool = False
     note: str = ""
 
-    def agrees_with(self, other, n_sigma=3.0):
-        tol = n_sigma * np.hypot(self.stderr, other.stderr)
+    def agrees_with(self, other):
+        tol = 3.0 * np.hypot(self.stderr, other.stderr)
         return abs(self.value - other.value) <= max(tol, 1e-12)
 
 
@@ -171,31 +171,40 @@ def _direction_grid(n, n_dirs, default=(96, 10)):
     return circle_nodes(n_dirs) if n == 2 else sphere_nodes(n_dirs, 2 * n_dirs)
 
 
-def polar_ball_volumes(metric: MetricSpec, x, radii, n_dirs=None, n_radial=32,
-                       sigma=None, rtol=1e-10):
+def _polar_flow(metric, x, n_dirs, t_end):
+    """One stacked variational flow from x to t_end over the direction grid,
+    at unit F, and the grid weights times F(x, theta)^(-n)."""
+    dirs, w = _direction_grid(metric.n, n_dirs)
+    F_dirs = metric.F_batch(np.broadcast_to(x, dirs.shape), dirs)
+    flow = variational_flow(metric, x, dirs / F_dirs[:, None], t_end)
+    return flow, w * F_dirs ** (-metric.n)
+
+
+def _polar_integrand(metric, flow, t, weight):
+    """weight * sigma(c(t)) det M(t) / t on a polar flow, at a time t shared by
+    its directions or at times (m, k) each; a weight of 1.0 multiplies exactly."""
+    xc, _, M, _ = flow.unpack(t)
+    sigma = density_field(metric)(xc.reshape(-1, metric.n)).reshape(xc.shape[:-1])
+    return weight * sigma * np.linalg.det(M) / t
+
+
+def polar_ball_volumes(metric: MetricSpec, x, radii, n_dirs=None):
     """Ball volumes at several radii from one polar sweep.
 
     Integrates sigma(c(t)) det(M(t))/t * F(x, theta)^(-n) radially per
     direction, where M is the velocity sensitivity of the geodesic flow;
     that is the Jacobian of the exponential map in polar form.  All
     directions are one stacked variational flow, read at every Gauss node
-    at once; sigma, when given, maps a stack of points (k, n) to (k,).
+    at once.
     """
     x = np.asarray(x, dtype=float)
-    n = metric.n
     radii = np.asarray(radii, dtype=float)
-    dirs, w = _direction_grid(n, n_dirs)
-    sigma = sigma if sigma is not None else density_field(metric)
-    F_dirs = metric.F_batch(np.broadcast_to(x, dirs.shape), dirs)
-    flow = variational_flow(metric, x, dirs / F_dirs[:, None], float(np.max(radii)),
-                            rtol=rtol, atol=rtol)
+    flow, weights = _polar_flow(metric, x, n_dirs, float(np.max(radii)))
     # nodes (direction, radius, node) on [0, min(r, reach)]
     upper = np.minimum(radii, flow.t_end[:, None])[..., None]
-    ts, wts = gauss_legendre_on(0.0, upper, n_radial)
-    xc, _, M, _ = flow.unpack(ts.reshape(len(dirs), -1))
-    vals = (sigma(xc.reshape(-1, n)).reshape(ts.shape)
-            * np.linalg.det(M).reshape(ts.shape) / ts)
-    mu = (w * F_dirs ** (-n)) @ np.sum(wts * vals, axis=-1)
+    ts, wts = gauss_legendre_on(0.0, upper, 32)
+    vals = _polar_integrand(metric, flow, ts.reshape(len(weights), -1), 1.0).reshape(ts.shape)
+    mu = weights @ np.sum(wts * vals, axis=-1)
     return mu, bool(np.any(flow.exited))
 
 
@@ -206,28 +215,22 @@ def _grid_unit_volume(metric, x, dirs, w):
     return float(np.sum(w * F ** (-metric.n)) / metric.n)
 
 
-def sphere_area_integrand(metric: MetricSpec, x, r, n_dirs=None, sigma=None):
+def sphere_area_integrand(metric: MetricSpec, x, r, n_dirs=None):
     """nu_F(S(x, r)): the induced sphere measure in the coarea identity, from
     one stacked variational flow over all directions."""
-    x = np.asarray(x, dtype=float)
-    n = metric.n
-    dirs, w = _direction_grid(n, n_dirs)
-    sigma = sigma if sigma is not None else density_field(metric)
-    F_dirs = metric.F_batch(np.broadcast_to(x, dirs.shape), dirs)
-    flow = variational_flow(metric, x, dirs / F_dirs[:, None], r)
+    flow, weights = _polar_flow(metric, np.asarray(x, dtype=float), n_dirs, r)
     if np.any(flow.exited):
         raise GeometryError("sphere integrand beyond the chart")
-    xc, _, M, _ = flow.unpack(r)
-    return float(np.sum(w * F_dirs ** (-n) * sigma(xc) * np.linalg.det(M) / r))
+    return float(np.sum(_polar_integrand(metric, flow, r, weights)))
 
 
-def coarea_consistency(metric: MetricSpec, x, r, dr=1e-3, **kw):
+def coarea_consistency(metric: MetricSpec, x, r, n_dirs=None):
     """Relative deviation between d/dr of the polar ball volume and the
     sphere integrand; the coarea identity makes this a quadrature check."""
-    mu, _ = polar_ball_volumes(metric, x, [r - dr, r + dr], **kw)
+    dr = 1e-3
+    mu, _ = polar_ball_volumes(metric, x, [r - dr, r + dr], n_dirs=n_dirs)
     dmu = (mu[1] - mu[0]) / (2 * dr)
-    nu = sphere_area_integrand(metric, x, r,
-                               n_dirs=kw.get("n_dirs"), sigma=kw.get("sigma"))
+    nu = sphere_area_integrand(metric, x, r, n_dirs=n_dirs)
     return abs(dmu - nu) / abs(nu)
 
 
@@ -282,8 +285,7 @@ def curvature_ball_coefficient(metric: MetricSpec, x, n_dirs=None) -> float:
     return float(density_field(metric)(x) * total / (n * unit_ball_volume(n)))
 
 
-def small_ball_probe(metric: MetricSpec, x, eps_grid, n_dirs=None,
-                     compute_rx=True) -> SmallBallReport:
+def small_ball_probe(metric: MetricSpec, x, eps_grid, compute_rx=True) -> SmallBallReport:
     """Fit mu(B(x, eps)) = Vol(B^n) eps^n (1 + c2 eps^2 + ...) on the grid.
 
     Ball volumes come from the polar route; the fit solves for (c2, c3) by
@@ -302,17 +304,17 @@ def small_ball_probe(metric: MetricSpec, x, eps_grid, n_dirs=None,
     if len(eps) < 3:
         raise PreconditionError("need at least three radii to fit")
     n = metric.n
-    mu, exited = polar_ball_volumes(metric, x, eps, n_dirs=n_dirs)
+    mu, exited = polar_ball_volumes(metric, x, eps)
     if exited:
         raise GeometryError("small-ball probe hit the chart boundary")
-    dirs, w = _direction_grid(n, n_dirs)
+    dirs, w = _direction_grid(n, None)
     sigma0 = density_field(metric)(x)
     lead = sigma0 * _grid_unit_volume(metric, x, dirs, w)
     ratio = mu / (lead * eps ** n) - 1.0
     A = np.column_stack([eps ** 2, eps ** 3])
     sol, *_ = np.linalg.lstsq(A, ratio, rcond=None)
     c2 = float(sol[0])
-    r_x = curvature_ball_coefficient(metric, x, n_dirs=n_dirs) if compute_rx else np.nan
+    r_x = curvature_ball_coefficient(metric, x) if compute_rx else np.nan
     return SmallBallReport(
         c2=c2,
         c2_from_rx=float(-n * r_x / (6.0 * (n + 2))) if compute_rx else np.nan,

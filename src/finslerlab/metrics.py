@@ -110,11 +110,11 @@ class ConvexDomain:
         # phi >= |z|^2 - 1, so the domain sits inside the unit ball
         return 1.0
 
-    def boundary_checks(self, n_samples=32):
+    def boundary_checks(self):
         """Spot-check phi(0) < 0, nonzero gradient and convexity on the boundary."""
         if not self.phi([0.0] * self.n) < 0:
             raise MetricValidityError("domain does not contain the origin")
-        dirs = halton_directions(self.n, n_samples)
+        dirs = halton_directions(self.n, 32)
         z = self.ray_exit(np.zeros_like(dirs), dirs)[:, None] * dirs
         grad = np.stack(self.grad_phi(list(z.T)), axis=-1)
         # the Hessian of phi is diagonal, so its eigenvalues are its entries
@@ -224,8 +224,8 @@ class MetricSpec:
     sigma_bh: object | None = None  # closed-form Busemann-Hausdorff density, or None
 
     def F(self, x, y):
-        return float(self.evaluator(list(np.asarray(x, dtype=float)),
-                                    list(np.asarray(y, dtype=float))))
+        """F at one tangent point (n,), as a float: the one F_batch value."""
+        return float(self.F_batch(x, y))
 
     def F_batch(self, x, y):
         """Vectorized evaluation; x, y arrays of shape (..., n)."""
@@ -496,31 +496,20 @@ def _quartic_eval(eps):
     return ev
 
 
-@dataclass(frozen=True)
-class RandersData:
-    """Riemannian metric a_ij(x) and 1-form b_i(x), with alpha-norm of b < 1."""
-
-    alpha: object  # callable x -> (n, n) nested list of scalars
-    beta: object   # callable x -> length-n list of scalars
-
-    def norm_beta(self, x):
-        """alpha-length of beta at a plain point x (n,), or at each point of a
-        stack (m, n) through one batched solve."""
-        x = np.asarray(x, dtype=float)
-        cols = list(np.atleast_2d(x).T)
-        field = lambda v: np.broadcast_to(np.asarray(v, dtype=float), cols[0].shape)
-        a = np.stack([np.stack([field(v) for v in row], -1) for row in self.alpha(cols)], -2)
-        b = np.stack([field(v) for v in self.beta(cols)], -1)
-        nb = np.sqrt(np.sum(b * np.linalg.solve(a, b[..., None])[..., 0], axis=-1))
-        return float(nb[0]) if x.ndim == 1 else nb
+def _beta_length(beta, x):
+    """Euclidean length of the 1-form beta at a point x (n,), or at each
+    point of a stack (m, n)."""
+    x = np.asarray(x, dtype=float)
+    cols = list(np.atleast_2d(x).T)
+    b = np.stack([np.broadcast_to(np.asarray(v, dtype=float), cols[0].shape)
+                  for v in beta(cols)], -1)
+    nb = np.sqrt(np.sum(b * b, axis=-1))
+    return float(nb[0]) if x.ndim == 1 else nb
 
 
-def _randers_eval(data: RandersData):
+def _randers_eval(beta):
     def ev(x, y):
-        a = data.alpha(x)
-        b = data.beta(x)
-        quad = _dot([_dot(row, y) for row in a], y)
-        return jets.sqrt(quad) + _dot(b, y)
+        return jets.sqrt(_dot(y, y)) + _dot(beta(x), y)
 
     return ev
 
@@ -568,10 +557,10 @@ def _klein_sigma(n):
     return sigma
 
 
-def _flat_randers_sigma(data: RandersData, n):
+def _flat_randers_sigma(beta, n):
     def sigma(x):
         # float_power rounds like the scalar ** (numpy's power loop may not)
-        s = np.float_power(1.0 - np.float_power(data.norm_beta(x), 2), (n + 1) / 2.0)
+        s = np.float_power(1.0 - np.float_power(_beta_length(beta, x), 2), (n + 1) / 2.0)
         return float(s) if np.ndim(s) == 0 else s
 
     return sigma
@@ -610,21 +599,20 @@ def _funk_sigma(domain: ConvexDomain):
 # ---------------------------------------------------------------------------
 
 
-def chart_points(metric: MetricSpec, count, shrink=0.9):
+def chart_points(metric: MetricSpec, count):
     """Deterministic Halton points inside the metric's chart: the first
     `count` points of the scaled Halton stream that the chart contains,
     tested in one call."""
     lo = np.asarray(metric.chart.sample_box[0], dtype=float)
     hi = np.asarray(metric.chart.sample_box[1], dtype=float)
-    stream = shrink * (lo + halton(metric.n, 8 * count + 64) * (hi - lo))
+    stream = 0.9 * (lo + halton(metric.n, 8 * count + 64) * (hi - lo))
     pts = stream[metric.chart.contains(stream)][:count]
     if len(pts) < count:
         raise ConfigurationError("could not draw enough chart points for validation")
     return pts
 
 
-def validate_metric(metric: MetricSpec, n_samples=100,
-                    tol_homog=1e-10, tol_rev=1e-10):
+def validate_metric(metric: MetricSpec, n_samples=100):
     """Positivity, homogeneity (F2a), definiteness (F2b), reversibility claims.
 
     All samples go through one batched evaluation and one stacked jet per
@@ -642,14 +630,14 @@ def validate_metric(metric: MetricSpec, n_samples=100,
     F = metric.F_batch(pts, dirs)
     require(~np.isfinite(F) | (F <= F_FLOOR), "F not positive at sample")
     for lam in (0.5, 2.0):
-        require(np.abs(metric.F_batch(pts, lam * dirs) - lam * F) > tol_homog * np.maximum(1.0, F),
+        require(np.abs(metric.F_batch(pts, lam * dirs) - lam * F) > 1e-10 * np.maximum(1.0, F),
                 "homogeneity F(x, lam y) = lam F(x, y) violated", (lam,))
     fj = metric.jet(pts, dirs, 0, 2)
     g = 0.5 * jets.derivative_tensor(fj * fj, 0, 2)
     require(np.min(np.linalg.eigvalsh(g), axis=-1) <= 0,
             "fundamental tensor not positive definite")
     if metric.reversible:
-        require(np.abs(F - metric.F_batch(pts, -dirs)) > tol_rev * F,
+        require(np.abs(F - metric.F_batch(pts, -dirs)) > 1e-10 * F,
                 "metric flagged reversible is not")
     return True
 
@@ -696,41 +684,35 @@ def make_quartic(n=2, eps=0.1, validate=True):
                   params={"n": n, "eps": eps})
 
 
-def make_randers(n=2, variant="curl", c=0.3, validate=True,
-                 data: RandersData | None = None):
-    """Randers metrics F = alpha + beta on a flat alpha.
+def make_randers(n=2, variant="curl", c=0.3, validate=True):
+    """Randers metrics F = |y| + beta(y).
 
     variant "const": constant beta (locally Minkowski, Berwald);
     variant "closed": beta = c d(sin x1), closed but not parallel, so the
-    geodesics agree with alpha's straight lines while B != 0;
+    geodesics agree with the straight lines of |y| while B != 0;
     variant "curl": beta = c x2 dx1, with dbeta != 0.
-    Custom fields go through `data`.
     """
-    if data is None:
-        if not 0 <= c < 1:
-            raise ConfigurationError("randers parameter must satisfy 0 <= c < 1")
-        identity = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-        alpha = lambda x: identity
-        if variant == "const":
-            beta = lambda x: [c] + [0.0] * (n - 1)
-        elif variant == "closed":
-            beta = lambda x: [c * jets.cos(x[0])] + [0.0] * (n - 1)
-        elif variant == "curl":
-            beta = lambda x: [c * x[1]] + [0.0] * (n - 1)
-        else:
-            raise ConfigurationError(f"unknown randers variant {variant!r}")
-        data = RandersData(alpha, beta)
+    if not 0 <= c < 1:
+        raise ConfigurationError("randers parameter must satisfy 0 <= c < 1")
+    if variant == "const":
+        beta = lambda x: [c] + [0.0] * (n - 1)
+    elif variant == "closed":
+        beta = lambda x: [c * jets.cos(x[0])] + [0.0] * (n - 1)
+    elif variant == "curl":
+        beta = lambda x: [c * x[1]] + [0.0] * (n - 1)
+    else:
+        raise ConfigurationError(f"unknown randers variant {variant!r}")
     # the curl variant needs |x2| < 1/c to keep the beta norm below 1
     chart = _ball_chart(n) if variant == "curl" and c > 0 else _full_chart(n)
     pts = halton(n, 64) * 1.8 - 0.9
     pts = pts[chart.contains(pts)]
-    too_long = pts[data.norm_beta(pts) >= 1.0]
+    too_long = pts[_beta_length(beta, pts) >= 1.0]
     if len(too_long):
         raise MetricValidityError("alpha-length of beta must stay below 1", sample=too_long[0])
-    sigma = _flat_randers_sigma(data, n) if variant in ("const", "closed", "curl") else None
-    return _build("randers", n, _randers_eval(data), chart,
+    return _build("randers", n, _randers_eval(beta), chart,
                   reversible=(variant == "const" and c == 0), validate=validate,
-                  params={"n": n, "variant": variant, "c": c}, sigma_bh=sigma)
+                  params={"n": n, "variant": variant, "c": c},
+                  sigma_bh=_flat_randers_sigma(beta, n))
 
 
 def make_berwald_product(c=0.25, validate=True):

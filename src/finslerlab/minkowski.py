@@ -50,10 +50,9 @@ class TangentSample:
         return self
 
     def F(self, metric: MetricSpec):
-        """F here: the scalar F for one point, one F_batch call for a stack."""
-        if self.x.ndim > 1 or self.y.ndim > 1:
-            return metric.F_batch(self.x, self.y)
-        return metric.F(self.x, self.y)
+        """F here, from one F_batch call: a float for one point."""
+        F = metric.F_batch(self.x, self.y)
+        return F if F.ndim else float(F)
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def distortion(metric: MetricSpec, sample: TangentSample, density: float,
 
 
 def distortion_derivative_check(metric: MetricSpec, sample: TangentSample,
-                                density: float, h=1e-4) -> float:
+                                density: float) -> float:
     """max over basis directions of |d/dt tau(y + t v) - I_y(v)|.
 
     The left side is finite differences of jet-computed distortions; the right
@@ -151,7 +150,7 @@ def distortion_derivative_check(metric: MetricSpec, sample: TangentSample,
     for v in np.eye(n):
         deriv = richardson_central(
             lambda s: distortion(metric, TangentSample(sample.x, sample.y + s * v), density),
-            h * scale)
+            1e-4 * scale)
         worst = max(worst, abs(deriv - float(I @ v)))
     return worst
 
@@ -167,14 +166,10 @@ def cartan_data(metric: MetricSpec, sample: TangentSample, density: float) -> Ca
     )
 
 
-def cartan_norm(metric: MetricSpec, sample: TangentSample,
-                ft: FundamentalTensor | None = None,
-                C: np.ndarray | None = None) -> float | np.ndarray:
+def cartan_norm(metric: MetricSpec, sample: TangentSample) -> float | np.ndarray:
     """Fully g-contracted Frobenius norm of the Cartan torsion."""
-    if ft is None:
-        ft = fundamental_tensor(metric, sample)
-    if C is None:
-        C = cartan_tensor(metric, sample)
+    ft = fundamental_tensor(metric, sample)
+    C = cartan_tensor(metric, sample)
     Cup = np.einsum("...ia,...jb,...kc,...abc->...ijk", ft.g_inv, ft.g_inv, ft.g_inv, C)
     return per_point(np.sqrt(np.einsum("...ijk,...ijk->...", Cup, C)), sample.y)
 
@@ -305,10 +300,10 @@ def tangent_basis(ft: FundamentalTensor, y):
     return np.stack(basis, axis=-2)
 
 
-def _check_tangent(ft, y, vecs, tol=1e-8):
+def _check_tangent(ft, y, vecs):
     F = ft.F
     for v in vecs:
-        if abs(ft.inner(y, v)) > tol * F * np.sqrt(ft.inner(v, v)):
+        if abs(ft.inner(y, v)) > 1e-8 * F * np.sqrt(ft.inner(v, v)):
             raise PreconditionError("input vector not tangent to the indicatrix")
 
 
@@ -349,7 +344,7 @@ def indicatrix_sectional(metric: MetricSpec, y, u, v) -> float:
     return float(num / den)
 
 
-def indicatrix_gauss_oracle(metric: MetricSpec, y, h=2e-3) -> float:
+def indicatrix_gauss_oracle(metric: MetricSpec, y) -> float:
     """Gauss curvature of the embedded indicatrix surface at y/F(y) (n = 3).
 
     Brioschi formula on the first fundamental form of the central-projection
@@ -367,6 +362,7 @@ def indicatrix_gauss_oracle(metric: MetricSpec, y, h=2e-3) -> float:
     sample = TangentSample(x0, y)
     ft = fundamental_tensor(metric, sample)
     a, b = tangent_basis(ft, y)
+    h = 2e-3
 
     def point(s, t):
         nu = y + s * a + t * b

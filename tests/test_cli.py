@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from finslerlab import cli, metrics
+from finslerlab import cli, comparison, metrics
 
 
 def run(argv, tmp_path, extra=()):
@@ -359,6 +359,44 @@ class TestReports:
                     "--delta", "0", "--radii", "1,2", "--samples", "10"], tmp_path)
         assert code == 0
         assert "note:" not in capsys.readouterr().out
+
+    def test_compare_notes_zero_acceptance(self, tmp_path, capsys):
+        code = run(["compare", "--metric", "funk", "--radii", "0.001,0.5",
+                    "--mc-samples", "2000", "--samples", "5"], tmp_path)
+        assert code == 0
+        meta = json.loads((tmp_path / "compare_funk_n2.json").read_text())
+        assert meta["monotone_ok"] and not meta["skipped"]
+        assert meta["note"] == "r=0.001: zero acceptance"
+        notes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("note:")]
+        assert notes == ["note: r=0.001: zero acceptance"]
+        rows = (tmp_path / "compare_funk_n2.csv").read_text().splitlines()[3:]
+        assert rows[0].split(",")[:2] == ["0.001", "0.0"]
+
+    @pytest.mark.parametrize("argv, tag", [
+        (["--metric", "funk", "--dim", "3"], "funk_n3"),
+        (["--metric", "riemannian_sphere"], "riemannian_sphere_n2"),
+        (["--metric", "euclidean"], "euclidean_n2"),
+    ])
+    def test_compare_runs_on_the_default_model(self, tmp_path, argv, tag):
+        # the default model is the metric's own: Funk's at n = 3, flat elsewhere
+        code = run(["compare", *argv, "--mc-samples", "2000", "--samples", "5"], tmp_path)
+        assert code == 0
+        meta = json.loads((tmp_path / f"compare_{tag}.json").read_text())
+        assert not meta["skipped"] and meta["monotone_ok"]
+
+    def test_volume_and_compare_share_the_model(self, tmp_path):
+        for command in ("volume", "compare"):
+            assert run([command, "--metric", "funk", "--dim", "3", "--radii", "1",
+                        "--mc-samples", "2000", "--samples", "5"], tmp_path) == 0
+        volume, compare = (
+            (tmp_path / f"{c}_funk_n3.csv").read_text().splitlines()[3].split(",")
+            for c in ("volume", "compare"))
+        assert volume[3] == compare[3] == repr(comparison.model_volume(-0.25, 1.0, 3, 1.0))
+        # a configured value overrides the default
+        assert run(["volume", "--metric", "funk", "--dim", "3", "--radii", "1", "--delta", "0",
+                    "--mc-samples", "2000"], tmp_path) == 0
+        row = (tmp_path / "volume_funk_n3.csv").read_text().splitlines()[3].split(",")
+        assert row[3] == repr(comparison.model_volume(-0.25, 0.0, 3, 1.0))
 
     def test_compare_skips_on_bad_bounds(self, tmp_path, capsys):
         code = run(["compare", "--metric", "euclidean", "--dim", "2",

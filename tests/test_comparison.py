@@ -79,6 +79,33 @@ class TestBoundSweep:
         assert not sweep.ok
 
 
+class TestDefaultModel:
+    @pytest.mark.parametrize("n, delta", [(2, 1.5), (3, 1.0)])
+    def test_funk_takes_its_own_ball_volume(self, n, delta):
+        from finslerlab.metrics import make_funk
+
+        metric = make_funk(n, validate=False)
+        assert co.default_model(metric) == (-0.25, delta)
+        # the Funk model volume is the Funk ball volume
+        for r in (0.5, 2.0):
+            assert co.model_volume(*co.default_model(metric), n, r) == pytest.approx(
+                funk_ball_formula(n, r), rel=1e-10)
+
+    def test_every_other_metric_takes_the_flat_model(self, zoo):
+        for name, metric in zoo.items():
+            if metric.name != "funk":
+                assert co.default_model(metric) == (0.0, 0.0), name
+
+    def test_funk_n3_meets_its_model_bounds(self):
+        # S = (n+1) F / 2 on Funk, so the S ratio is exactly delta = 1 at n = 3
+        from finslerlab.metrics import make_funk
+
+        metric = make_funk(3, validate=False)
+        sweep = co.curvature_bound_sweep(metric, *co.default_model(metric), n_samples=5)
+        assert sweep.ok
+        assert sweep.min_s_ratio == pytest.approx(1.0, abs=1e-9)
+
+
 class TestRatioMonotonicity:
     def test_funk_is_the_equality_model(self, zoo):
         rep = co.ratio_monotonicity_check(
@@ -125,6 +152,18 @@ class TestRatioMonotonicity:
             metric, [0.0, 0.0], 0.0, 0.0, [1.0, 2.0],
             distance_source="geodesic_polar", sweep_samples=10, n_dirs=16)
         assert inside.note == "" and inside.monotone_ok
+
+    def test_zero_acceptance_is_noted_and_left_out(self, zoo):
+        # no Monte-Carlo point of 2,000 falls in the 0.001-ball: that row is
+        # flagged, stays in the table, and leaves the monotonicity test
+        rep = co.ratio_monotonicity_check(
+            zoo["funk"], [0.0, 0.0], -0.25, 1.5, [0.001, 0.5],
+            n_samples=2000, sweep_samples=5)
+        assert rep.note == "r=0.001: zero acceptance"
+        assert rep.monotone_ok and not rep.skipped
+        assert [row[0] for row in rep.rows] == [0.001, 0.5]
+        assert rep.rows[0][1] == 0.0 and rep.rows[0][4] == 0.0
+        assert rep.rows[1][4] > rep.rows[0][4] + 0.5
 
     def test_guard_skips_on_violated_bounds(self, zoo):
         # deliberately violating metric: flat space cannot meet lambda = 1

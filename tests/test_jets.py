@@ -205,14 +205,6 @@ class TestElementaryOps:
         q = jets.power(j, 0.25)
         np.testing.assert_allclose((q ** 4).coeffs, j.coeffs, rtol=1e-11, atol=1e-12)
 
-    def test_smooth_max(self):
-        spec = JetSpec(2, 1, 2)
-        _, ys = lift([0.0, 0.0], [2.0, 0.5], spec)
-        m = jets.smooth_max(ys[0], ys[1], eps=1e-9)
-        assert m.value == pytest.approx(2.0, abs=1e-8)
-        # plain numbers too
-        assert jets.smooth_max(1.0, 3.0, eps=1e-9) == pytest.approx(3.0, abs=1e-8)
-
     def test_domain_errors(self):
         spec = JetSpec(2, 0, 2)
         _, ys = lift([0.0, 0.0], [-1.0, 1.0], spec)

@@ -466,6 +466,19 @@ class TestChartsFromTheirMargin:
         assert got.shape == (5,) and got.dtype == bool and got.all()
 
 
+def test_scalar_F_is_the_batch_value_bit_for_bit(zoo):
+    # one evaluation path: F at a point has the bits of F_batch there, and of
+    # that point's row in a batch of 50
+    for k, (name, m) in enumerate(sorted(zoo.items())):
+        rng = np.random.default_rng(k)
+        xs = metrics.chart_points(m, 50)
+        ys = rng.normal(size=(50, m.n)) * rng.uniform(0.01, 10.0, (50, 1))
+        for x, y, row in zip(xs, ys, m.F_batch(xs, ys)):
+            F = m.F(x, y)
+            assert type(F) is float
+            assert F == float(m.F_batch(x, y)) == row, (name, x, y)
+
+
 class TestRayExit:
     """The batched Newton ray-exit solver of ConvexDomain."""
 
