@@ -87,9 +87,11 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
     expectation and ships a standard error.  Sampling runs in fixed-size
     chunks from one seeded stream, so results are reproducible and memory
     stays bounded.  Each chunk is drawn, chart-tested and indicated in
-    cache-sized blocks (_grids.uniform_blocks), and the density and the sums
-    run once over the chunk's accepted rows, so working memory is one block
-    plus the accepted rows of a chunk.  The indicator sees only the points
+    cache-sized blocks (_grids.uniform_blocks); each block writes its
+    accepted rows straight into one array of the chunk's size, and the
+    density and the sums run once over those rows, so working memory is one
+    block plus one copy of the accepted rows of a chunk (pages of the array
+    that no row reaches stay untouched).  The indicator sees only the points
     inside the metric's chart, as a stack (k, n), and must act row by row.
     Zero acceptance comes back flagged rather than raising.
     """
@@ -104,16 +106,19 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        kept = []
+        rows = np.empty((m, metric.n))
+        k = 0
         for pts in uniform_blocks(rng, lo, hi, m, metric.n):
             pts = _rows_where(pts, metric.chart.contains(pts))
-            kept.append(_rows_where(pts, indicator(pts)))
-        pts = np.concatenate(kept)
-        if len(pts):
-            v = sigma(pts)
+            mask = np.asarray(indicator(pts), dtype=bool)
+            c = int(np.count_nonzero(mask))
+            np.compress(mask, pts, axis=0, out=rows[k:k + c])
+            k += c
+        if k:
+            v = sigma(rows[:k])
             total += float(np.sum(v))
-            total_sq += float(np.sum(v * v))
-            n_inside += len(pts)
+            total_sq += float(np.sum(np.multiply(v, v, out=v)))
+            n_inside += k
         done += m
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)

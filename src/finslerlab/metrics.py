@@ -152,9 +152,36 @@ class ConvexDomain:
         s = _ball_exit_parameter(xs, ys)
         if self.kind == "unit_ball":
             return s
+        step, z, zz, acc, sq, q, slope = (np.empty(np.shape(s)) for _ in range(7))
+        quartic = self.eps != 0.0
         for _ in range(_RAY_NEWTON_CAP):
-            z = [xi + s * yi for xi, yi in zip(xs, ys)]
-            step = s - self.phi(z) / _dot(self.grad_phi(z), ys)
+            # step = s - phi(z) / _dot(grad_phi(z), ys) at z = x + s y, in one
+            # sweep per coordinate with the operations and order of phi,
+            # grad_phi and _dot, so every step keeps its bits: the first
+            # coordinate writes the sums sq, q and slope, the others add to them
+            for i, (xi, yi) in enumerate(zip(xs, ys)):
+                z2, z4, g = (zz, acc, acc) if i else (sq, q, slope)
+                np.add(np.multiply(s, yi, out=z), xi, out=z)
+                np.multiply(z, z, out=z2)
+                if i:
+                    sq += zz
+                if quartic:
+                    np.multiply(np.multiply(z2, z, out=z4), z, out=z4)
+                    if i:
+                        q += acc
+                    np.multiply(z, 4.0 * self.eps, out=g)
+                    g *= z
+                    g *= z
+                    g += np.multiply(z, 2.0, out=zz)
+                else:
+                    np.multiply(z, 2.0, out=g)
+                g *= yi
+                if i:
+                    slope += acc
+            if quartic:
+                sq += np.multiply(q, self.eps, out=q)
+            sq -= 1.0
+            np.subtract(s, np.divide(sq, slope, out=sq), out=step)
             down = step < s
             if not np.any(down):
                 return s

@@ -87,10 +87,14 @@ class TestBhVolume:
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_working_memory_is_one_block_plus_the_accepted_rows(self, zoo):
-        """numpy reports its buffers to tracemalloc.  A 1e6-point Funk ball at
-        r = 1 peaked at 54 MiB when the draw, chart test and distances ran over
-        the whole chunk; in blocks it is about 14 MiB, most of it the
-        accepted rows."""
+        """numpy reports its buffers to tracemalloc, which counts the whole
+        array that a chunk's accepted rows are written into (15.3 MiB for 1e6
+        rows at n = 2), though only the pages that rows reach become
+        resident.  A 1e6-point Funk ball at r = 1 peaked at 54 MiB when the
+        draw, chart test and distances ran over the whole chunk, and at 14.3
+        MiB in blocks whose accepted rows were then joined into a second
+        copy; with the one array it peaks at 17.9 MiB, while its resident
+        peak is 9.8 MiB above the start, where the two copies took 14.2."""
         import tracemalloc
 
         ball = me.BallSpec(np.zeros(2), 1.0, "funk_closed_form")

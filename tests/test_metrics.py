@@ -549,6 +549,79 @@ class TestRayExit:
         assert _domain_lebesgue_volume(dom) == pytest.approx(reference, rel=1e-14)
 
 
+def _column_dot(u, v):
+    s = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        s = s + a * b
+    return s
+
+
+def _list_exit_columns(dom, xs, ys):
+    """ConvexDomain.exit_columns on a quartic domain as a list-of-columns
+    Newton pass, frozen: each pass builds z, phi(z), the gradient list and
+    the slope as new arrays, from the unit-ball exit."""
+    xy, yy, xx = _column_dot(xs, ys), _column_dot(ys, ys), _column_dot(xs, xs)
+    s = (np.sqrt(xy * xy + yy * (1.0 - xx)) - xy) / yy
+    eps = dom.eps
+    while True:
+        z = [xi + s * yi for xi, yi in zip(xs, ys)]
+        phi = _column_dot(z, z)
+        if eps != 0.0:
+            q = z[0] * z[0] * z[0] * z[0]
+            for zi in z[1:]:
+                q = q + zi * zi * zi * zi
+            phi = phi + eps * q
+            grad = [2.0 * zi + 4.0 * eps * zi * zi * zi for zi in z]
+        else:
+            grad = [2.0 * zi for zi in z]
+        step = s - (phi - 1.0) / _column_dot(grad, ys)
+        down = step < s
+        if not np.any(down):
+            return s
+        s = np.where(down, step, s)
+
+
+class TestFusedNewtonPass:
+    """The in-place Newton pass of exit_columns gives the bits of the
+    list-of-columns pass, for every shape of column it takes."""
+
+    @staticmethod
+    def _columns(n, rng, k):
+        X = rng.uniform(-0.45, 0.45, (k, n))
+        Y = rng.standard_normal((k, n))
+        return {
+            "shared base point": ([float(v) for v in X[0]], list(Y.T)),
+            "per-ray arrays": (list(X.T), list(Y.T)),
+            "(k, 1) x (d,)": ([c[:, None] for c in X.T],
+                              list(rng.standard_normal((n, 5)))),
+            "one 0-d ray": ([float(v) for v in X[1]], [float(v) for v in Y[1]]),
+        }
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 0.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bits_of_the_list_pass(self, n, eps):
+        dom = quartic_domain(n, eps)
+        rng = np.random.default_rng(60 + n)
+        # a rounding slip in the slope moves about one root in 2,000 at
+        # eps = 0.1, so one large batch goes with the small ones
+        for k in [20_000] + [6] * 20:
+            for label, (xs, ys) in self._columns(n, rng, k).items():
+                got = dom.exit_columns(xs, ys)
+                want = _list_exit_columns(dom, xs, ys)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want), label
+                np.testing.assert_array_equal(got, want, err_msg=label)
+
+    def test_outside_base_point_and_newton_cap(self, monkeypatch):
+        from finslerlab.errors import NumericalIntegrityError
+
+        dom = quartic_domain(2, 0.1)
+        with pytest.raises(GeometryError, match="outside"):
+            dom.exit_columns([np.array([0.1, 0.97]), 0.0], [1.0, 0.5])
+        monkeypatch.setattr(metrics, "_RAY_NEWTON_CAP", 1)
+        with pytest.raises(NumericalIntegrityError, match="1 steps"):
+            dom.exit_columns([0.1, 0.2], [np.array([1.0, -0.3]), 0.5])
+
+
 class TestOkada:
     def test_funk_satisfies_okada(self, zoo):
         worst = 0.0

@@ -302,7 +302,7 @@ class TestStackedBhDensity:
         stacked = bh_density(m, pts)
         single = np.array([bh_density(m, p) for p in pts])
         assert isinstance(stacked, np.ndarray) and stacked.shape == (len(pts),)
-        np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(stacked, single)
 
     def test_single_point_stack(self, zoo):
         m = zoo["hilbert_quartic"]
@@ -315,14 +315,25 @@ class TestStackedBhDensity:
 
         m = zoo["hilbert_quartic"]
         pts = np.random.default_rng(50).uniform(-0.6, 0.6, (7, 2))
-        # three points (3 x 720 rays) per F_batch call: chunks of 3, 3 and 1
-        monkeypatch.setattr(minkowski, "_RAY_CHUNK", 3 * 720 + 5)
+        # three points (3 x 360 rays of the half circle grid) per F_batch
+        # call: chunks of 3, 3 and 1
+        monkeypatch.setattr(minkowski, "_RAY_CHUNK", 3 * 360 + 5)
+        self._check(m, pts)
+
+    def test_n2_stack_across_a_default_chunk(self, zoo):
+        from finslerlab import minkowski
+
+        m = zoo["hilbert_quartic"]
+        per_chunk = minkowski._RAY_CHUNK // 360  # points per F_batch call
+        # two default chunks, the second one partial
+        pts = np.random.default_rng(52).uniform(-0.6, 0.6, (per_chunk + 7, 2))
         self._check(m, pts)
 
     def test_n3_quartic_stack(self):
-        # 33 points span two chunks of the default size (32 points each)
+        # 5 points span three chunks of the default size (two points of the
+        # 4096-node half sphere grid each), the last one partial
         m = metrics.make_hilbert(3, domain="quartic:0.1", validate=False)
-        pts = np.random.default_rng(51).uniform(-0.4, 0.4, (33, 3))
+        pts = np.random.default_rng(51).uniform(-0.4, 0.4, (5, 3))
         self._check(m, pts)
 
     def test_closed_forms_stack(self, zoo):
