@@ -47,22 +47,42 @@ def halton_directions(n, count):
 # of its chart test and indicator stay near a core's L2 cache (2 MiB); on the
 # mc_volume benchmark 2^14 and 2^16 were no faster.
 _MC_BLOCK = 1 << 15
+# Rows drawn at a time into the row-major buffer that a block's columns are
+# scaled from, so that the buffer stays small beside the block.
+_DRAW_ROWS = 1 << 12
+
+
+def check_sample_count(m):
+    """ConfigurationError unless m is an integer >= 1: the check of every
+    Monte-Carlo sample count."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ConfigurationError(f"Monte-Carlo sample count must be an integer >= 1, got {m!r}")
 
 
 def uniform_blocks(rng, lo, hi, m, n):
     """m points drawn uniformly from the box [lo, hi), in blocks of at most
-    _MC_BLOCK rows.  Joined in order, the blocks have the bits of one
-    rng.uniform(lo, hi, size=(m, n)) draw (lo + (hi - lo) * u), since
-    rng.random fills rows from one stream; each block is scaled column by
-    column rather than by broadcasting along a length-n axis."""
+    _MC_BLOCK points, each block as its coordinate columns (n, b).  Joined in
+    order, the blocks are the columns of one rng.uniform(lo, hi, size=(m, n))
+    draw (lo + (hi - lo) * u), since rng.random fills rows from one stream;
+    each column is scaled as that draw scales it.  Every block is a view of
+    the same buffer, so a caller keeps what it needs before the next one.
+    The count m is checked before anything is drawn."""
+    check_sample_count(m)
     lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
-    for k in range(0, m, _MC_BLOCK):
-        pts = rng.random((min(_MC_BLOCK, m - k), n))
-        for i in range(n):
-            col = pts[:, i]
-            col *= hi[i] - lo[i]
-            col += lo[i]
-        yield pts
+    cols = np.empty((n, min(_MC_BLOCK, m)))
+    raw = np.empty((min(_DRAW_ROWS, cols.shape[1]), n))
+    return _blocks(rng, lo[:, None], (hi - lo)[:, None], m, raw, cols)
+
+
+def _blocks(rng, lo, width, m, raw, cols):
+    b, d = cols.shape[1], len(raw)
+    for k in range(0, m, b):
+        block = cols[:, :min(b, m - k)]
+        for j in range(0, block.shape[1], d):
+            piece = block[:, j:j + d]
+            rng.random(out=raw[:piece.shape[1]])
+            np.multiply(raw[:piece.shape[1]].T, width, out=piece)
+        yield np.add(block, lo, out=block)
 
 
 def circle_nodes(m=720):

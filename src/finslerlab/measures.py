@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._grids import (
+    check_sample_count,
     circle_nodes,
     gauss_legendre_on,
     sphere_nodes,
@@ -20,7 +21,7 @@ from .errors import ConfigurationError, GeometryError, PreconditionError
 from .geodesics import variational_flow
 from .metrics import (
     MetricSpec,
-    funk_distance_batch,
+    funk_ball_mask,
     hilbert_distance_batch,
 )
 from .minkowski import TangentSample, bh_density, density_field
@@ -51,7 +52,7 @@ class BallSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
+        if not self.radius > 0:  # refuses nan too
             raise ConfigurationError("ball radius must be positive")
         if self.distance_source not in (
             "funk_closed_form", "hilbert_closed_form", "geodesic_polar"
@@ -72,13 +73,6 @@ def _batched_sigma(metric: MetricSpec):
     return lambda pts: bh_density(metric, pts)
 
 
-def _rows_where(pts, mask):
-    """The rows of pts (m, n) where mask holds, without a copy when it holds
-    on every row (compress gathers rows several times faster than pts[mask])."""
-    mask = np.asarray(mask, dtype=bool)
-    return pts if np.all(mask) else np.compress(mask, pts, axis=0)
-
-
 def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
               seed=20240817, chunk=4_000_000) -> MeasureEstimate:
     """Monte-Carlo integral of the BH density over the indicated region.
@@ -87,14 +81,20 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
     expectation and ships a standard error.  Sampling runs in fixed-size
     chunks from one seeded stream, so results are reproducible and memory
     stays bounded.  Each chunk is drawn, chart-tested and indicated in
-    cache-sized blocks (_grids.uniform_blocks); each block writes its
-    accepted rows straight into one array of the chunk's size, and the
-    density and the sums run once over those rows, so working memory is one
-    block plus one copy of the accepted rows of a chunk (pages of the array
-    that no row reaches stay untouched).  The indicator sees only the points
-    inside the metric's chart, as a stack (k, n), and must act row by row.
-    Zero acceptance comes back flagged rather than raising.
+    cache-sized blocks of coordinate columns (_grids.uniform_blocks); each
+    block writes its accepted points straight into one array (m, n) of the
+    chunk's size, and the density and the sums run once over those rows, so
+    working memory is one block plus one copy of the accepted rows of a
+    chunk.  That array stays row-major: its touched pages then grow from one
+    end, where n column fronts would each fault in pages of their own (2 MiB
+    ones where numpy asks for transparent huge pages).  The indicator sees
+    only the points inside the metric's chart, as a stack (k, n) whose
+    columns are contiguous, and must act row by row.  A sample count that
+    is not an integer >= 1 raises ConfigurationError
+    (_grids.check_sample_count); zero acceptance comes back flagged rather
+    than raising.
     """
+    check_sample_count(n_samples)
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     rng = np.random.default_rng(seed)
@@ -108,12 +108,14 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
         m = min(chunk, n_samples - done)
         rows = np.empty((m, metric.n))
         k = 0
-        for pts in uniform_blocks(rng, lo, hi, m, metric.n):
-            pts = _rows_where(pts, metric.chart.contains(pts))
-            mask = np.asarray(indicator(pts), dtype=bool)
-            c = int(np.count_nonzero(mask))
-            np.compress(mask, pts, axis=0, out=rows[k:k + c])
-            k += c
+        for block in uniform_blocks(rng, lo, hi, m, metric.n):
+            chart = np.asarray(metric.chart.contains(block.T), dtype=bool)
+            if not np.all(chart):
+                block = np.compress(chart, block, axis=1)
+            mask = np.asarray(indicator(block.T), dtype=bool)
+            kept = np.compress(mask, block, axis=1)
+            rows[k:k + kept.shape[1]] = kept.T
+            k += kept.shape[1]
         if k:
             v = sigma(rows[:k])
             total += float(np.sum(v))
@@ -144,6 +146,9 @@ def ball_volume(metric: MetricSpec, ball: BallSpec, n_samples=1_000_000,
     and is flagged as a lower bound past a chart exit.
     """
     x = ball.center
+    if x.shape != (metric.n,) or not np.all(np.isfinite(x)):
+        raise ConfigurationError(
+            f"ball centre must be {metric.n} finite coordinates, got {x.tolist()}")
     if ball.distance_source == "geodesic_polar":
         vols, exited = polar_ball_volumes(metric, x, [ball.radius], n_dirs=n_dirs)
         return MeasureEstimate(
@@ -156,11 +161,12 @@ def ball_volume(metric: MetricSpec, ball: BallSpec, n_samples=1_000_000,
         raise PreconditionError(
             f"{ball.distance_source} needs a metric carrying a convex domain"
         )
-    dist = (funk_distance_batch if ball.distance_source == "funk_closed_form"
-            else hilbert_distance_batch)
     # the chart of a Funk or Hilbert metric is its domain, so bh_volume
     # passes only domain points
-    indicator = lambda pts: dist(dom, x, pts) < ball.radius
+    if ball.distance_source == "funk_closed_form":
+        indicator = lambda pts: funk_ball_mask(dom, x, pts, ball.radius)
+    else:
+        indicator = lambda pts: hilbert_distance_batch(dom, x, pts) < ball.radius
     return bh_volume(metric, indicator, metric.chart.sample_box,
                      n_samples=n_samples, seed=seed)
 

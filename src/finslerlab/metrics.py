@@ -147,9 +147,13 @@ class ConvexDomain:
         """ray_exit on coordinate columns: xs and ys are n numbers or arrays
         that broadcast together, so a shared base point is n numbers and its
         terms are computed once."""
+        return self._exit(xs, ys, _dot(ys, ys))
+
+    def _exit(self, xs, ys, yy):
+        """exit_columns with |y|^2 = yy given, as a distance batch has it."""
         if self.kind != "unit_ball" and np.any(self.phi(xs) >= 0):
             raise GeometryError("ray base point outside the convex domain")
-        s = _ball_exit_parameter(xs, ys)
+        s = _ball_exit_parameter(xs, ys, yy)
         if self.kind == "unit_ball":
             return s
         step, z, zz, acc, sq, q, slope = (np.empty(np.shape(s)) for _ in range(7))
@@ -301,17 +305,22 @@ def funk_unit_ball(x, y):
     return _per_member(toward, yy, r + xy) / _per_member(toward, r - xy, one_minus)
 
 
-def _ball_exit_parameter(xs, ys):
+def _ball_exit_parameter(xs, ys, yy):
     """Closed-form s with |x0 + s y0| = 1, s > 0, for x0 inside the unit ball;
-    xs and ys are the coordinate columns of x0 and y0."""
+    xs and ys are the coordinate columns of x0 and y0, and yy is |y0|^2.  An
+    array s is computed in place."""
     xy = _dot(xs, ys)
-    yy = _dot(ys, ys)
     xx = _dot(xs, xs)
     if np.any(yy < F_FLOOR * F_FLOOR):
         raise GeometryError("funk metric evaluated on a vanishing vector")
     if np.any(xx >= 1.0):
         raise GeometryError("ray base point outside the unit ball")
-    return (np.sqrt(xy * xy + yy * (1.0 - xx)) - xy) / yy
+    s = xy * xy
+    s += yy * (1.0 - xx)
+    s = np.sqrt(s, out=s) if isinstance(s, np.ndarray) else np.sqrt(s)
+    s -= xy
+    s /= yy
+    return s
 
 
 def _coordinate_jets(j, x, y):
@@ -448,25 +457,69 @@ def hilbert_distance(domain: ConvexDomain, p, q):
 
 def _moving_rows(p, Q):
     """The rows of the points Q (m, n) with q != p, as a slice when that is
-    every row or else as an index array, and the columns of u = q - p there."""
+    every row or else as an index array, and there the columns of u = q - p
+    and |u|^2."""
     u = [Q[:, i] - pi for i, pi in enumerate(p)]
-    moving = _dot(u, u) > 0
+    uu = _dot(u, u)
+    moving = uu > 0
     if np.all(moving):
-        return slice(None), u
+        return slice(None), u, uu
     rows = np.flatnonzero(moving)
-    return rows, [ui[rows] for ui in u]
+    return rows, [ui[rows] for ui in u], uu[rows]
+
+
+def _funk_ratios(domain, p, Q):
+    """For one point p and many interior points Q (..., n): the rows of Q with
+    q != p (see _moving_rows) and there t = s / (s - 1), with s the exit
+    parameter of the ray from p along q - p, so that d_f(p, q) = log t."""
+    rows, u, uu = _moving_rows(p, Q.reshape(-1, domain.n))
+    if not len(uu):
+        return rows, uu
+    s = domain._exit(list(p), u, uu)
+    return rows, np.divide(s, s - 1.0, out=s)
 
 
 def funk_distance_batch(domain: ConvexDomain, p, Q):
     """d_f(p, q) from one point p to many interior points q (..., n) at once."""
     p = np.asarray(p, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    flat = Q.reshape(-1, domain.n)
-    rows, u = _moving_rows(p, flat)
-    out = np.zeros(len(flat))
-    if len(u[0]):
-        s = domain.exit_columns(list(p), u)
-        out[rows] = np.log(s / (s - 1.0))
+    rows, t = _funk_ratios(domain, p, Q)
+    out = np.zeros(Q.shape[:-1]).reshape(-1)
+    out[rows] = np.log(t, out=t)
+    return out.reshape(Q.shape[:-1])
+
+
+# Where t lies within this relative distance of e^r, _log_below compares
+# log t with r; elsewhere t < e^r decides it.  np.exp and np.log are good to
+# a few ulps, and the band is still 8 ulps of r at r = 709.78, past which
+# e^r is inf: then no t is near, and t < e^r decides, as log t < 709.79 < r
+# for every finite t.
+_LOG_BAND = 2.0 ** -40
+
+
+def _log_below(t, r):
+    """np.log(t) < r for an array t, with a log taken only where t lies
+    within a relative _LOG_BAND of e^r (and none at a t < 0, whose log is
+    nan)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        er = np.exp(r)
+        lo, hi = er - er * _LOG_BAND, er + er * _LOG_BAND
+    below = t < hi
+    below &= t >= 0.0
+    near = np.flatnonzero(below & (t >= lo))
+    if len(near):
+        below[near] = np.log(t[near]) < r
+    return below
+
+
+def funk_ball_mask(domain: ConvexDomain, p, Q, r):
+    """funk_distance_batch(domain, p, Q) < r, with a log only where the
+    distance lies near r (see _log_below)."""
+    p = np.asarray(p, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    rows, t = _funk_ratios(domain, p, Q)
+    out = np.full(Q.shape[:-1], 0.0 < r).reshape(-1)  # d(p, p) = 0
+    out[rows] = _log_below(t, r)
     return out.reshape(Q.shape[:-1])
 
 
@@ -476,13 +529,14 @@ def hilbert_distance_batch(domain: ConvexDomain, p, Q):
     p = np.asarray(p, dtype=float)
     Q = np.asarray(Q, dtype=float)
     flat = Q.reshape(-1, domain.n)
-    rows, u = _moving_rows(p, flat)
+    rows, u, uu = _moving_rows(p, flat)
     out = np.zeros(len(flat))
-    k = len(u[0])
+    k = len(uu)
     if k:
         xs = [np.concatenate([np.full(k, pi), flat[rows, i]]) for i, pi in enumerate(p)]
-        s = domain.exit_columns(xs, [np.concatenate([ui, -ui]) for ui in u])
-        d = np.log(s / (s - 1.0))
+        s = domain._exit(xs, [np.concatenate([ui, -ui]) for ui in u],
+                         np.concatenate([uu, uu]))
+        d = np.log(np.divide(s, s - 1.0, out=s), out=s)
         out[rows] = 0.5 * (d[:k] + d[k:])
     return out.reshape(Q.shape[:-1])
 

@@ -187,8 +187,10 @@ def unit_body_volume(metric: MetricSpec, x):
 
     x is one point (n,), giving a float, or a stack of points (m, n), giving
     an array (m,).  The rays of a stack go through F_batch together, at most
-    _RAY_CHUNK at a time.  A reversible metric has an even F^-n, so it takes
-    the antipodal half of the direction grid.
+    _RAY_CHUNK at a time, as base points (k, 1, n) against the directions
+    (d, n), so that the terms of a base point are computed once per point.
+    A reversible metric has an even F^-n, so it takes the antipodal half of
+    the direction grid.
     """
     x = np.asarray(x, dtype=float)
     dirs, w = sphere_surface_nodes(metric.n, half=metric.reversible)
@@ -196,25 +198,22 @@ def unit_body_volume(metric: MetricSpec, x):
     per_chunk = max(1, _RAY_CHUNK // len(dirs))
     vol = np.empty(len(pts))
     for k in range(0, len(pts), per_chunk):
-        block = pts[k:k + per_chunk, None, :]
-        shape = (len(block), *dirs.shape)
-        F = metric.F_batch(np.broadcast_to(block, shape), np.broadcast_to(dirs, shape))
+        F = metric.F_batch(pts[k:k + per_chunk, None, :], dirs)
         vol[k:k + per_chunk] = np.sum(w * F ** (-metric.n), axis=-1) / metric.n
     return float(vol[0]) if x.ndim == 1 else vol
 
 
 def unit_body_volume_mc(metric: MetricSpec, x, n_samples=200_000, seed=0):
     """Rejection Monte-Carlo estimate of the unit-body volume with its stderr,
-    drawn and tested in the cache-sized blocks of bh_volume's sampler."""
+    drawn and tested in the cache-sized blocks of bh_volume's sampler, with
+    the one base point x shared by every F_batch row."""
     x = np.asarray(x, dtype=float)
     dirs, _ = sphere_surface_nodes(metric.n)
-    Fd = metric.F_batch(np.broadcast_to(x, dirs.shape), dirs)
-    half = 1.05 / np.min(Fd)
+    half = 1.05 / np.min(metric.F_batch(x, dirs))
     rng = np.random.default_rng(seed)
     inside = 0
-    for pts in uniform_blocks(rng, -half, half, n_samples, metric.n):
-        F = metric.F_batch(np.broadcast_to(x, pts.shape), pts)
-        inside += int(np.count_nonzero(F < 1.0))
+    for cols in uniform_blocks(rng, -half, half, n_samples, metric.n):
+        inside += int(np.count_nonzero(metric.F_batch(x, cols.T) < 1.0))
     box = (2 * half) ** metric.n
     p = inside / n_samples
     value = box * p

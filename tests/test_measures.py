@@ -108,6 +108,55 @@ class TestBhVolume:
         assert peak < 24 * 2 ** 20
 
 
+class TestSampleCount:
+    """Both Monte-Carlo routes refuse a sample count that is not an integer
+    >= 1 (a count of 0 divided by zero, a negative one gave -0.0)."""
+
+    BAD = (0, -5, 2.5, 1000.0, True, None)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_bh_volume(self, zoo, bad):
+        with pytest.raises(ConfigurationError):
+            me.bh_volume(zoo["euclidean"], lambda p: np.ones(len(p), dtype=bool),
+                         ((-1, -1), (1, 1)), n_samples=bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_ball_volume(self, zoo, bad):
+        for source, name in (("funk_closed_form", "funk"), ("hilbert_closed_form", "hilbert")):
+            with pytest.raises(ConfigurationError):
+                me.ball_volume(zoo[name], me.BallSpec([0.0, 0.0], 1.0, source), n_samples=bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_unit_body_volume_mc(self, zoo, bad):
+        from finslerlab.minkowski import unit_body_volume_mc
+
+        with pytest.raises(ConfigurationError):
+            unit_body_volume_mc(zoo["quartic_norm"], [0.0, 0.0], n_samples=bad)
+
+    def test_one_sample_is_an_estimate(self, zoo):
+        est = me.bh_volume(zoo["euclidean"], lambda p: np.ones(len(p), dtype=bool),
+                           ((-1, -1), (1, 1)), n_samples=1)
+        assert est.n_samples == 1 and est.value == 4.0
+
+
+class TestBallCentre:
+    """A centre of the wrong length or with a non-finite entry is refused on
+    every route; a (1,) centre used to be read as a shorter point, a (3,) one
+    raised an IndexError, and [0, nan] returned a volume."""
+
+    BAD = ([0.1, 0.0, 0.0], [0.1], [0.0, np.nan], [np.inf, 0.0], [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("centre", BAD, ids=repr)
+    @pytest.mark.parametrize("name,source", [
+        ("funk", "funk_closed_form"), ("hilbert", "hilbert_closed_form"),
+        ("hilbert_quartic", "hilbert_closed_form"), ("funk_quartic", "funk_closed_form"),
+        ("funk", "geodesic_polar"), ("riemannian_hyperbolic", "geodesic_polar")])
+    def test_malformed_centre_is_refused(self, zoo, name, source, centre):
+        with pytest.raises(ConfigurationError):
+            me.ball_volume(zoo[name], me.BallSpec(centre, 1.0, source), n_samples=100,
+                           n_dirs=4)
+
+
 class TestBallVolume:
     def test_euclid_polar_exact(self, zoo):
         est = me.ball_volume(zoo["euclidean"],
@@ -145,6 +194,8 @@ class TestBallVolume:
     def test_invalid_spec(self):
         with pytest.raises(ConfigurationError):
             me.BallSpec([0, 0], -1.0, "funk_closed_form")
+        with pytest.raises(ConfigurationError):
+            me.BallSpec([0, 0], np.nan, "geodesic_polar")
         with pytest.raises(ConfigurationError):
             me.BallSpec([0, 0], 1.0, "teleport")
 
@@ -394,13 +445,16 @@ class TestColumnKernel:
         want = np.random.default_rng(2).uniform(lo, hi, size=(1001, 3))
         for block in (_grids._MC_BLOCK, 257):  # one block; three and a partial one
             monkeypatch.setattr(_grids, "_MC_BLOCK", block)
-            blocks = list(_grids.uniform_blocks(np.random.default_rng(2), lo, hi, 1001, 3))
-            assert [len(b) for b in blocks] == ([1001] if block > 1001 else [257] * 3 + [230])
-            np.testing.assert_array_equal(np.concatenate(blocks), want)
+            # each block is a view of one buffer that the next block overwrites
+            blocks = [b.copy() for b in
+                      _grids.uniform_blocks(np.random.default_rng(2), lo, hi, 1001, 3)]
+            assert [b.shape for b in blocks] == ([(3, 1001)] if block > 1001
+                                                 else [(3, 257)] * 3 + [(3, 230)])
+            np.testing.assert_array_equal(np.concatenate(blocks, axis=1).T, want)
         # a scalar box, as the unit-body sampler draws it
         want = np.random.default_rng(3).uniform(-0.8, 0.8, size=(600, 2))
-        got = np.concatenate(list(_grids.uniform_blocks(np.random.default_rng(3), -0.8, 0.8,
-                                                        600, 2)))
+        got = np.concatenate([b.copy() for b in _grids.uniform_blocks(
+            np.random.default_rng(3), -0.8, 0.8, 600, 2)], axis=1).T
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("case", _KERNEL_CASES, ids=_KERNEL_IDS)
@@ -420,6 +474,96 @@ class TestColumnKernel:
         np.testing.assert_array_equal(dom.ray_exit(Q, Y), _rowwise_exit(dom, Q, Y))
         np.testing.assert_array_equal(dom.ray_exit(Q.reshape(20, 20, n), Y.reshape(20, 20, n)),
                                       _rowwise_exit(dom, Q, Y).reshape(20, 20))
+
+
+def _near_radius_points(dom, p, r, rng, count):
+    """Interior points q whose Funk ratio t = s / (s - 1) from p lies near
+    e^r: the points at parameter 1 / s* = 1 - e^-r of the way from p to the
+    rim, in random directions, each nudged by a few ulps per coordinate."""
+    n = dom.n
+    theta = rng.standard_normal((count, n))
+    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+    exit_ = dom.ray_exit(np.broadcast_to(p, theta.shape), theta)
+    q = p + (-np.expm1(-r) * exit_)[:, None] * theta
+    steps = rng.integers(-3, 4, size=q.shape)
+    return q + steps * np.spacing(q)
+
+
+class TestFunkBallMask:
+    """The Funk ball indicator decides t < e^r and takes log t < r only near
+    the radius; every decision is that of funk_distance_batch(...) < r."""
+
+    @pytest.mark.parametrize("r", [709.79, 1e4, np.inf])
+    def test_log_below_past_an_infinite_e_to_the_r(self, r):
+        from finslerlab.metrics import _log_below
+
+        top = np.finfo(float).max
+        t = np.concatenate([top - np.arange(50) * np.spacing(top / 2), np.logspace(-300, 308, 50),
+                            [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan]])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = np.log(t) < r
+        np.testing.assert_array_equal(_log_below(t, r), want)
+
+    @pytest.mark.parametrize("r", np.concatenate([np.geomspace(1e-9, 50.0, 97), [700.0, 709.78]]))
+    def test_log_below_is_the_log_decision_at_ulp_offsets(self, r):
+        from finslerlab.metrics import _LOG_BAND, _log_below
+
+        er = np.exp(r)
+        ulps = np.arange(-200, 201) * np.spacing(er)
+        with np.errstate(over="ignore"):  # e^709.78 (1 + band) and 2 e^709.78 are inf
+            edges = np.concatenate([er * (1 - _LOG_BAND) + ulps[::8],
+                                    er * (1 + _LOG_BAND) + ulps[::8]])
+            t = np.concatenate([er + ulps, edges, [0.0, -0.0, -1.0, 1.0, 0.5 * er, 2.0 * er,
+                                                   np.inf, -np.inf, np.nan]])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = np.log(t) < r
+        np.testing.assert_array_equal(_log_below(t, r), want)
+
+    def test_offsets_split_the_naive_comparison(self):
+        """At ulp offsets from e^r, t < e^r and log t < r disagree often, so
+        that a band of 0 fails the test above."""
+        split = 0
+        for r in np.geomspace(1e-9, 50.0, 97):
+            er = np.exp(r)
+            t = er + np.arange(-200, 201) * np.spacing(er)
+            split += int(np.count_nonzero((t < er) != (np.log(t) < r)))
+        assert split > 100
+
+    @pytest.mark.parametrize("case", _KERNEL_CASES[:4], ids=_KERNEL_IDS[:4])
+    def test_mask_is_the_distance_decision(self, kernel_metrics, case):
+        """On p itself, points a hair inside the rim, random interior
+        points, and points whose t lies within a few ulps of e^r, at radii
+        where t < e^r and log t < r disagree within 4 ulps of e^r; among
+        these points they disagree, so a band of 0 fails here too."""
+        from finslerlab.metrics import funk_ball_mask, funk_distance_batch
+
+        dom = kernel_metrics[case].convex_domain
+        n = dom.n
+
+        def splits(r):
+            t = np.exp(r) + np.arange(-4, 5) * np.spacing(np.exp(r))
+            return np.any((t < np.exp(r)) != (np.log(t) < r))
+
+        split = [r for r in np.linspace(0.3, 3.0, 400) if splits(r)]
+        rng = np.random.default_rng(7)
+        naive_wrong = 0
+        for p in (np.zeros(n), np.array([0.3, -0.1, 0.2])[:n]):
+            theta = rng.standard_normal((50, n))
+            theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+            rim = p + (dom.ray_exit(np.broadcast_to(p, theta.shape), theta)
+                       * (1 - 1e-13))[:, None] * theta
+            inner = rng.uniform(-0.6, 0.6, size=(400, n))
+            for r in (1e-3, 8.0, *split[:3]):
+                Q = np.vstack([p, inner, rim, p, _near_radius_points(dom, p, r, rng, 2000)])
+                Q = Q[dom.contains(Q)]
+                with np.errstate(divide="ignore"):
+                    want = funk_distance_batch(dom, p, Q) < r
+                np.testing.assert_array_equal(funk_ball_mask(dom, p, Q, r), want)
+                assert want[0] and want[len(inner) + len(rim) + 1]  # q = p
+                moving = np.any(Q != p, axis=1)
+                s = dom.ray_exit(np.broadcast_to(p, Q.shape)[moving], Q[moving] - p)
+                naive_wrong += int(np.count_nonzero((s / (s - 1.0) < np.exp(r)) != want[moving]))
+        assert naive_wrong > 0
 
 
 def _grid_density(metric, pts, dirs, w):

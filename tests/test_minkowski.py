@@ -434,3 +434,56 @@ class TestSantalo:
             2 * np.pi, abs=1e-8)
         val = indicatrix_bh_length(zoo["quartic_norm"])
         assert 0 < val < 2 * np.pi + 1.0
+
+
+def _broadcast_unit_body_volume(metric, x):
+    """unit_body_volume as it broadcast every base point over the direction
+    grid before F_batch."""
+    from finslerlab import minkowski
+
+    x = np.asarray(x, dtype=float)
+    dirs, w = sphere_surface_nodes(metric.n, half=metric.reversible)
+    pts = x.reshape(-1, metric.n)
+    per_chunk = max(1, minkowski._RAY_CHUNK // len(dirs))
+    vol = np.empty(len(pts))
+    for k in range(0, len(pts), per_chunk):
+        block = pts[k:k + per_chunk, None, :]
+        shape = (len(block), *dirs.shape)
+        F = metric.F_batch(np.broadcast_to(block, shape), np.broadcast_to(dirs, shape))
+        vol[k:k + per_chunk] = np.sum(w * F ** (-metric.n), axis=-1) / metric.n
+    return float(vol[0]) if x.ndim == 1 else vol
+
+
+class TestBasePointColumns:
+    """unit_body_volume hands F_batch its base points as (k, 1, n) against the
+    (d, n) grid; every volume keeps the bits of the broadcast rows."""
+
+    @pytest.fixture(scope="class")
+    def metrics3(self):
+        from finslerlab.metrics import make_hilbert
+
+        return {"hilbert_quartic3": make_hilbert(3, domain="quartic:0.1", validate=False)}
+
+    @pytest.mark.parametrize("name", ["hilbert_quartic", "quartic_norm", "quartic_norm3",
+                                      "hilbert_quartic3", "randers_curl", "funk_quartic"])
+    def test_bits_of_the_broadcast_rows(self, zoo, metrics3, name, monkeypatch):
+        from finslerlab import minkowski
+
+        m = zoo[name] if name in zoo else metrics3[name]
+        pts = np.random.default_rng(60).uniform(-0.5, 0.5, (9, m.n))
+        assert unit_body_volume(m, pts[0]) == _broadcast_unit_body_volume(m, pts[0])
+        np.testing.assert_array_equal(unit_body_volume(m, pts[:1]),
+                                      _broadcast_unit_body_volume(m, pts[:1]))
+        dirs, _ = sphere_surface_nodes(m.n, half=m.reversible)
+        # four points per block: blocks of 4, 4 and 1, so a boundary falls mid-stack
+        monkeypatch.setattr(minkowski, "_RAY_CHUNK", 4 * len(dirs) + 3)
+        got = unit_body_volume(m, pts)
+        np.testing.assert_array_equal(got, _broadcast_unit_body_volume(m, pts))
+        assert isinstance(got, np.ndarray) and got.shape == (9,)
+
+    def test_shared_base_point_of_the_mc_sampler(self, zoo):
+        """unit_body_volume_mc passes its one base point unbroadcast."""
+        m = zoo["hilbert_quartic"]
+        x = np.array([0.2, -0.3])
+        assert repr(unit_body_volume_mc(m, x, n_samples=70_000, seed=8)) == \
+            repr(_one_shot_unit_body_volume_mc(m, x, n_samples=70_000, seed=8))

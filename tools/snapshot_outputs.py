@@ -4,8 +4,8 @@ that two checkouts can be compared byte for byte with diff -r:
     PYTHONPATH=src python tools/snapshot_outputs.py OUTDIR
 
 verify, validate, curvature, geodesic and volume (at 2,000 Monte-Carlo
-samples) run on each config of CONFIGS, and compare on the runs of
-COMPARE.  Each label gets a directory with the files its commands write and
+samples) run on each config of CONFIGS, volume at 100,000 samples on the
+configs of BLOCKS, and compare on the runs of COMPARE.  Each label gets a directory with the files its commands write and
 one <command>.txt per command: its exit code and what it printed.  The
 out-dir path is replaced by OUT in every file, since the reports embed it.
 The commands run in one process, one after another.
@@ -37,6 +37,10 @@ CONFIGS = {
     "quartic_norm_n3": ["--metric", "quartic_norm", "--dim", "3"],
 }
 
+# 100,000 samples per radius are four Monte-Carlo blocks of 2^15 points, the
+# last one partial; 2,000 samples stay inside one block.
+BLOCKS = {f"{label}_blocks": CONFIGS[label] for label in ("funk_n2", "funk_n3", "hilbert_n2")}
+
 SMALL = ["--mc-samples", "2000", "--samples", "5"]
 COMPARE = {
     "compare_funk_n3": ["--metric", "funk", "--dim", "3", *SMALL],
@@ -51,6 +55,8 @@ def _runs():
         for command in ("verify", "validate", "curvature", "geodesic"):
             yield label, command, args
         yield label, "volume", [*args, "--mc-samples", "2000"]
+    for label, args in BLOCKS.items():
+        yield label, "volume", [*args, "--mc-samples", "100000"]
     for label, args in COMPARE.items():
         yield label, "compare", args
 
