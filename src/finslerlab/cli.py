@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import comparison, curvature, measures
-from ._grids import halton_directions
+from ._grids import halton_directions, unit_sphere_area
 from .errors import (
     ConfigurationError,
     FinslerError,
@@ -351,8 +351,6 @@ def _check_model_equality(metric, cfg):
 
 
 def _check_santalo(metric, cfg):
-    from ._grids import unit_sphere_area
-
     vol = santalo_volume(metric)
     target = unit_sphere_area(metric.n)
     if metric.name == "euclidean":

@@ -10,13 +10,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from ._grids import unit_sphere_area
+from ._grids import halton_directions, unit_sphere_area
 from .curvature import riemann_curvature, s_curvature
 from .errors import ConfigurationError, PreconditionError
 from .geodesics import variational_flow
 from .measures import BallSpec, MeasureEstimate, ball_volume, polar_ball_volumes
 from .metrics import MetricSpec, chart_points
-from ._grids import halton_directions
 from .minkowski import TangentSample
 
 

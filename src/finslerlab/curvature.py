@@ -64,17 +64,6 @@ def berwald_curvature(metric: MetricSpec, sample: TangentSample) -> BerwaldTenso
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LandsbergTensor:
-    L: np.ndarray
-    L_dot: np.ndarray | None = None
-    L_tilde: np.ndarray | None = None
-    J: np.ndarray | None = None
-
-    def norm(self):
-        return float(np.sqrt(np.sum(self.L ** 2)))
-
-
 def landsberg_from_berwald(metric: MetricSpec, sample: TangentSample,
                            bt: BerwaldTensor | None = None) -> np.ndarray:
     """Identity route: L(u,v,w) = -1/2 g(B(u,v,w), y)."""
@@ -155,26 +144,9 @@ def landsberg_dot(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> np.ndar
         lambda sm, U: _frame_contract3(landsberg_from_berwald(metric, sm), U), dt)
 
 
-def landsberg_tilde(metric: MetricSpec, sample: TangentSample) -> np.ndarray:
-    """L-tilde: fiber derivative of L, by Richardson central differences of the
-    jet-exact L in each coordinate direction, at one sample or a stack."""
-    sample.validate(metric)
-    n = metric.n
-    # steps (..., 1, 1, 1) divide L; their (..., 1) view moves y
-    step = 1e-3 * np.linalg.norm(sample.y, axis=-1)[..., None, None, None]
-    out = np.empty(sample.y.shape[:-1] + (n, n, n, n))
-    for z, ez in enumerate(np.eye(n)):
-        out[..., z] = richardson_central(
-            lambda h: landsberg_from_berwald(
-                metric, TangentSample(sample.x, sample.y + h[..., 0, 0] * ez)), step)
-    return out
-
-
-def mean_landsberg(metric: MetricSpec, sample: TangentSample,
-                   L: np.ndarray | None = None) -> np.ndarray:
+def mean_landsberg(metric: MetricSpec, sample: TangentSample) -> np.ndarray:
     """J_u = g^{ij} L(u, e_i, e_j), at one sample or a stack."""
-    if L is None:
-        L = landsberg_from_berwald(metric, sample)
+    L = landsberg_from_berwald(metric, sample)
     ft = fundamental_tensor(metric, sample)
     return np.sum(ft.g_inv[..., None, :, :] * L, axis=(-2, -1))
 
@@ -186,16 +158,6 @@ def mean_landsberg_by_transport(metric: MetricSpec, sample: TangentSample,
     return _transport_derivative(metric, sample,
                                  lambda sm, U: (U @ mean_cartan(metric, sm)[..., None])[..., 0],
                                  dt)
-
-
-def landsberg_data(metric: MetricSpec, sample: TangentSample) -> LandsbergTensor:
-    L = landsberg_from_berwald(metric, sample)
-    return LandsbergTensor(
-        L=L,
-        L_dot=landsberg_dot(metric, sample),
-        L_tilde=landsberg_tilde(metric, sample),
-        J=mean_landsberg(metric, sample, L=L),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +260,6 @@ def s_curvature(metric: MetricSpec, sample: TangentSample, method="geodesic") ->
     q[0] = tau_at(sample.x, sample.y, no_frame)
     return SData(*(per_point(richardson_doubling(*_stencil_pair(q, h, order)), sample.y)
                    for order in (1, 2)))
-
-
-def es_residual(metric: MetricSpec, sample: TangentSample) -> float:
-    """max |fiber Hessian of S - 2 E|: the mean Berwald identity."""
-    S_jet, E = s_jet_workspace(metric, sample, density_field(metric))
-    return float(np.max(np.abs(derivative_tensor(S_jet, 0, 2) - 2.0 * E)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Geodesic coefficients, the initial-value integrator, exponential map,
-covariant derivative and parallel transport."""
+"""Geodesic coefficients, the initial-value integrator and parallel
+transport."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.base import DenseOutput
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-from ._grids import richardson_central
 from .errors import ChartExitError, GeometryError, JetDomainError, PreconditionError
 from .jets import Jet, JetSpec, derivative_tensor, join_members, lift
 from .metrics import MetricSpec
@@ -225,26 +224,26 @@ def _interpolate(sol, field, rhs):
     return calls
 
 
-def _solve(flow, metric, rhs, z0, t_span, rtol, atol, chart=True, restart=True):
+def _solve(flow, metric, rhs, z0, t_span, rtol, atol, restart=True):
     """Integrate a flow from the states z0 (m, width) of its m members: DOP853
     with dense output, one solve_ivp call per segment, forward or backward.
 
-    With chart, each member's state starts with its base point and a terminal
-    event stops the solve at the first chart exit; that member drops out,
-    with every member then at or below the event's threshold, and with
-    restart the rest restart from its exit time, so each member has its own
-    reach and exit; a flow that fails at any exit stops at the first.  The
-    interpolants are built after each solve_ivp call (_interpolate), in
-    stacked right-hand-side calls, and nfev counts those calls too; so rhs
-    must not read t, only the state.  Returns the segments (t0, t1,
-    OdeResult, members), read by _StackedSolution, the reach (m,) and t_exit
-    (m,), nan where the member stayed in the chart.  A failed solve raises
-    GeometryError naming the flow.
+    Each member's state starts with its base point.  On a chart with a
+    margin, a terminal event stops the solve at the first chart exit; that
+    member drops out, with every member then at or below the event's
+    threshold, and with restart the rest restart from its exit time, so
+    each member has its own reach and exit; a flow that fails at any exit
+    stops at the first.  The interpolants are built after each solve_ivp
+    call (_interpolate), in stacked right-hand-side calls, and nfev counts
+    those calls too; so rhs must not read t, only the state.  Returns the
+    segments (t0, t1, OdeResult, members), read by _StackedSolution, the
+    reach (m,) and t_exit (m,), nan where the member stayed in the chart.
+    A failed solve raises GeometryError naming the flow.
     """
     n = metric.n
     z = np.asarray(z0, dtype=float)
     m, width = z.shape
-    margin = metric.chart.margin if chart else None
+    margin = metric.chart.margin
     events = None
     threshold = 1e-12
     field = rhs
@@ -315,22 +314,11 @@ class GeodesicPath:
     x: np.ndarray
     v: np.ndarray
     sol: object
-    t_requested: float
     t_end: float | np.ndarray
     exited: bool | np.ndarray = False
     t_exit: float | np.ndarray | None = None
     reverse_flagged: bool = False
     nfev: int = 0
-
-    def require_reach(self):
-        """This path, or ChartExitError at the exit time of the first member
-        that left the chart before t_requested."""
-        if np.any(self.exited):
-            t_exit = float(np.atleast_1d(self.t_exit)[np.argmax(self.exited)])
-            raise ChartExitError(
-                f"geodesic left the chart at t={t_exit:.6g} before reaching "
-                f"{self.t_requested:.6g}", t_exit=t_exit)
-        return self
 
     def _states(self, t):
         z = self.sol(t)
@@ -428,7 +416,7 @@ def _read_flow(cls, metric, flow, t_end, t_eval, width, point):
         reach, exited, t_exit = float(reach[0]), bool(exited[0]), t_exit[0]
         t_exit = float(t_exit) if exited else None
     return cls(metric=metric, t=t, x=Z[..., :metric.n], v=Z[..., metric.n: 2 * metric.n],
-               sol=dense, t_requested=float(t_end), t_end=reach, exited=exited, t_exit=t_exit,
+               sol=dense, t_end=reach, exited=exited, t_exit=t_exit,
                reverse_flagged=bool(t_end < 0 and metric.positively_complete_only),
                nfev=sum(int(seg[2].nfev) for seg in segments)), Z
 
@@ -517,29 +505,9 @@ def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10,
     return _read_flow(VariationalFlow, metric, flow, t_end, None, width, point)[0]
 
 
-def exp_map(metric: MetricSpec, x, y):
-    """Endpoint at parameter 1 of the geodesic with initial velocity y, (n,),
-    or of each member of stacks x, y (m, n), giving (m, n)."""
-    return integrate_geodesic(metric, x, y, 1.0).require_reach().state(1.0)[0]
-
-
 # ---------------------------------------------------------------------------
-# Covariant derivative and parallel transport
+# Parallel transport
 # ---------------------------------------------------------------------------
-
-
-def covariant_derivative(metric: MetricSpec, U, sample: TangentSample):
-    """D_y U = { dU^i(y) + U^j dG^i/dy^j(y) } at the sample point.
-
-    U is a callable x -> vector field components; its directional derivative
-    is taken by Richardson-extrapolated central differences.
-    """
-    sample.validate(metric)
-    x, y = sample.x, sample.y
-    dU = richardson_central(lambda s: np.asarray(U(x + s * y), dtype=float),
-                            1e-5 * max(1.0, float(np.linalg.norm(x))))
-    N = derivative_tensor(spray_jets(metric, x, y, 1, 3).G, 0, 1)
-    return dU + N @ np.asarray(U(x), dtype=float)
 
 
 @dataclass
@@ -639,44 +607,6 @@ def transport_both_ways(metric: MetricSpec, x0, y0, ts, frame, scale=1.0, rtol=1
     if point:
         Z = Z[:, 0]
     return Z[..., :n], Z[..., n: 2 * n], Z[..., 2 * n: -1].reshape(Z.shape[:-1] + (k, n))
-
-
-def transport_along_curve(metric: MetricSpec, curve, t_span, frame,
-                          t_eval=None, rtol=1e-10, atol=1e-10) -> TransportResult:
-    """Transport along an arbitrary smooth curve given as t -> (x, xdot).
-
-    The same equation D_cdot U = 0 is used as on geodesics; only geodesic
-    transport is exercised by the conservation identities.  The state is the
-    curve parameter, with derivative 1, and the frame, so the flow is
-    autonomous and a stack of states reads the curve row by row.  It holds
-    no base point, so the flow watches no chart exit.
-    """
-    n = metric.n
-    frame = np.atleast_2d(np.asarray(frame, dtype=float))
-    k = frame.shape[0]
-    width = 1 + k * n
-
-    def rhs(t, z):
-        Z = z.reshape(-1, width)
-        x, v = (np.array(a, dtype=float) for a in zip(*(curve(s) for s in Z[:, 0])))
-        dZ = np.ones_like(Z)
-        dZ[:, 1:] = _transport_field(metric, np.concatenate([x, v, Z[:, 1:]], axis=1),
-                                     k)[:, 2 * n:]
-        return dZ.ravel()
-
-    if t_eval is None:
-        t_eval = np.linspace(t_span[0], t_span[1], 17)
-    z0 = np.concatenate([[float(t_span[0])], frame.ravel()])[None]
-    segments, _, _ = _solve("transport", metric, rhs, z0, t_span, rtol, atol, chart=False)
-    ts = np.asarray(t_eval, dtype=float)
-    frames = _StackedSolution(segments, 1, width)(ts)[0, :, 1:].reshape(len(ts), k, n)
-    xs, vs = (np.array(a, dtype=float) for a in zip(*(curve(t) for t in ts)))
-    path = GeodesicPath(metric=metric, t=ts, x=xs, v=vs, sol=None,
-                        t_requested=float(t_span[1]), t_end=float(ts[-1]),
-                        nfev=int(segments[0][2].nfev))
-    return TransportResult(frame_in=frame, frame_out=frames[-1],
-                           gram_drift=_gram_drift(metric, xs, vs, frames),
-                           ts=ts, frames=frames, path=path)
 
 
 def _gram_drift(metric, xs, vs, frames):

@@ -415,10 +415,6 @@ class Jet:
 
     # -- analytic functions via truncated series ----------------------------
 
-    def _nilpotency(self):
-        """uhat, the jet less its constant, vanishes past this power."""
-        return self.vx + self.vy
-
     def _series(self, coeff_fn, opname, require=None):
         vx, vy, sup = self.vx, self.vy, self.sup
         sx, sy = (vx, vy) if sup is None else sup

@@ -39,10 +39,6 @@ class MeasureEstimate:
     flagged: bool = False
     note: str = ""
 
-    def agrees_with(self, other):
-        tol = 3.0 * np.hypot(self.stderr, other.stderr)
-        return abs(self.value - other.value) <= max(tol, 1e-12)
-
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -206,10 +202,14 @@ def polar_ball_volumes(metric: MetricSpec, x, radii, n_dirs=None):
     direction, where M is the velocity sensitivity of the geodesic flow;
     that is the Jacobian of the exponential map in polar form.  All
     directions are one stacked variational flow, read at every Gauss node
-    at once.
+    at once.  Every radius must be finite and positive: a flow to t = inf or
+    nan would not end.
     """
     x = np.asarray(x, dtype=float)
     radii = np.asarray(radii, dtype=float)
+    if not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ConfigurationError(
+            f"polar ball radii must be finite and positive, got {radii.tolist()}")
     flow, weights = _polar_flow(metric, x, n_dirs, float(np.max(radii)))
     # nodes (direction, radius, node) on [0, min(r, reach)]
     upper = np.minimum(radii, flow.t_end[:, None])[..., None]

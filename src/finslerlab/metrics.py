@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import jets
-from ._grids import halton, halton_directions, unit_ball_volume
+from ._grids import halton, halton_directions, sphere_surface_nodes, unit_ball_volume
 from .errors import (
     ConfigurationError,
     GeometryError,
@@ -104,11 +104,6 @@ class ConvexDomain:
         x = np.asarray(x, dtype=float)
         z = [x[..., i] for i in range(self.n)]
         return -self.phi(z)
-
-    @property
-    def bounding_radius(self):
-        # phi >= |z|^2 - 1, so the domain sits inside the unit ball
-        return 1.0
 
     def boundary_checks(self):
         """Spot-check phi(0) < 0, nonzero gradient and convexity on the boundary."""
@@ -541,14 +536,6 @@ def hilbert_distance_batch(domain: ConvexDomain, p, Q):
     return out.reshape(Q.shape[:-1])
 
 
-def okada_residual(metric: MetricSpec, x, y):
-    """Componentwise dF/dx^i - F * dF/dy^i; vanishes exactly for Funk metrics.
-    x and y are one tangent point (n,) or stacks (m, n)."""
-    fj = metric.jet(x, y, 1, 1)
-    return (jets.derivative_tensor(fj, 1, 0)
-            - np.expand_dims(fj.value, -1) * jets.derivative_tensor(fj, 0, 1))
-
-
 # ---------------------------------------------------------------------------
 # Catalog evaluators
 # ---------------------------------------------------------------------------
@@ -659,8 +646,6 @@ def _berwald_product_sigma(c):
 
 def _domain_lebesgue_volume(domain: ConvexDomain):
     """Lebesgue volume of the convex body by radial quadrature."""
-    from ._grids import sphere_surface_nodes
-
     dirs, w = sphere_surface_nodes(domain.n)
     r = domain.ray_exit(np.zeros_like(dirs), dirs)
     return float(np.sum(w * r ** domain.n) / domain.n)

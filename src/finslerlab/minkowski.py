@@ -72,16 +72,6 @@ class FundamentalTensor:
         return float(np.asarray(u) @ self.g @ np.asarray(v))
 
 
-@dataclass(frozen=True)
-class CartanData:
-    """Cartan torsion family at one tangent sample (fields filled on demand)."""
-
-    C: np.ndarray | None = None
-    C_tilde: np.ndarray | None = None
-    I: np.ndarray | None = None
-    tau: float | None = None
-
-
 def _f2_jet(metric, sample, mx, my):
     fj = metric.jet(sample.x, sample.y, mx, my)
     return fj * fj, fj.value
@@ -118,24 +108,18 @@ def cartan_tilde(metric: MetricSpec, sample: TangentSample) -> np.ndarray:
 
 
 def mean_cartan(metric: MetricSpec, sample: TangentSample,
-                ft: FundamentalTensor | None = None,
-                C: np.ndarray | None = None) -> np.ndarray:
+                ft: FundamentalTensor | None = None) -> np.ndarray:
     """I_u = g^{ij} C(e_i, e_j, u)."""
     if ft is None:
         ft = fundamental_tensor(metric, sample)
-    if C is None:
-        C = cartan_tensor(metric, sample)
-    return np.einsum("...ij,...ijk->...k", ft.g_inv, C)
+    return np.einsum("...ij,...ijk->...k", ft.g_inv, cartan_tensor(metric, sample))
 
 
-def distortion(metric: MetricSpec, sample: TangentSample, density: float,
-               ft: FundamentalTensor | None = None) -> float:
+def distortion(metric: MetricSpec, sample: TangentSample, density: float) -> float:
     """tau = log(sqrt(det g_ij(y)) / sigma) for a positive density sigma at x."""
     if density <= 0:
         raise ConfigurationError("distortion needs a positive density")
-    if ft is None:
-        ft = fundamental_tensor(metric, sample)
-    return float(0.5 * np.log(ft.det_g) - np.log(density))
+    return float(0.5 * np.log(fundamental_tensor(metric, sample).det_g) - np.log(density))
 
 
 def distortion_derivative_check(metric: MetricSpec, sample: TangentSample,
@@ -156,17 +140,6 @@ def distortion_derivative_check(metric: MetricSpec, sample: TangentSample,
             1e-4 * scale)
         worst = max(worst, abs(deriv - float(I @ v)))
     return worst
-
-
-def cartan_data(metric: MetricSpec, sample: TangentSample, density: float) -> CartanData:
-    ft = fundamental_tensor(metric, sample)
-    C = cartan_tensor(metric, sample)
-    return CartanData(
-        C=C,
-        C_tilde=cartan_tilde(metric, sample),
-        I=mean_cartan(metric, sample, ft=ft, C=C),
-        tau=distortion(metric, sample, density, ft=ft),
-    )
 
 
 def cartan_norm(metric: MetricSpec, sample: TangentSample) -> float | np.ndarray:

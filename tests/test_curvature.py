@@ -150,26 +150,6 @@ class TestLandsberg:
                     assert np.max(np.abs(L2 - L1)) <= 1e-7 * max(
                         1.0, np.max(np.abs(L1)))
 
-    def test_ltilde_vanishes_where_l_does(self, zoo):
-        m = zoo["berwald_product"]
-        x, y = tangent_samples(m, 1, seed=69)[0]
-        s = TangentSample(x, y)
-        assert np.max(np.abs(cu.landsberg_from_berwald(m, s))) < 1e-8
-        assert np.max(np.abs(cu.landsberg_tilde(m, s))) < 1e-7
-
-    def test_ltilde_is_fiber_derivative(self, zoo):
-        m = zoo["funk"]
-        x, y = tangent_samples(m, 1, seed=70)[0]
-        s = TangentSample(x, y)
-        Lt = cu.landsberg_tilde(m, s)
-        h = 1e-5 * np.linalg.norm(y)
-        for z in range(2):
-            e = np.eye(2)[z]
-            Lp = cu.landsberg_from_berwald(m, TangentSample(x, y + h * e))
-            Lm = cu.landsberg_from_berwald(m, TangentSample(x, y - h * e))
-            fd = (Lp - Lm) / (2 * h)
-            assert np.max(np.abs(Lt[..., z] - fd)) < 1e-6
-
     def test_mean_landsberg_two_routes(self, zoo):
         m = zoo["funk"]
         for x, y in tangent_samples(m, 5, seed=71):
@@ -187,13 +167,6 @@ class TestLandsberg:
             J = cu.mean_landsberg_by_transport(m, s, dt=1e-12)
         J_ref = cu.mean_landsberg(m, s)
         assert np.max(np.abs(J - J_ref)) <= 1e-4 * max(1.0, np.max(np.abs(J_ref)))
-
-    def test_landsberg_data_bundle(self, zoo):
-        m = zoo["funk"]
-        x, y = tangent_samples(m, 1, seed=72)[0]
-        data = cu.landsberg_data(m, _unit_sample(m, x, y))
-        assert data.L is not None and data.L_dot is not None
-        assert data.L_tilde is not None and data.J is not None
 
 
 class TestSCurvature:
@@ -259,7 +232,8 @@ class TestSCurvature:
             out[2] = fn(sample.x, sample.y)
             for sign, idxs in ((1.0, (3, 4)), (-1.0, (1, 0))):
                 path = integrate_geodesic(m, sample.x, sample.y, sign * 2 * h,
-                                          t_eval=[0.0, sign * h, sign * 2 * h]).require_reach()
+                                          t_eval=[0.0, sign * h, sign * 2 * h])
+                assert not path.exited
                 for slot, k in zip(idxs, (1, 2)):
                     out[slot] = fn(path.x[k], path.v[k])
             return out
@@ -316,8 +290,9 @@ class TestSCurvature:
     def test_es_identity(self, zoo):
         for name in ("funk", "randers_curl", "hilbert_quartic", "berwald_product"):
             m = zoo[name]
-            for x, y in tangent_samples(m, 5, seed=76):
-                assert cu.es_residual(m, TangentSample(x, y)) < 1e-5
+            xs, ys = (np.array(a) for a in zip(*tangent_samples(m, 5, seed=76)))
+            a, b, _ = cli._es(m, TangentSample(xs, ys))
+            assert np.max(np.abs(a - b)) < 1e-5
 
     def test_es_identity_fd_route(self, zoo):
         # definition-faithful route: finite differences of the geodesic S

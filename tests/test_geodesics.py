@@ -6,20 +6,16 @@ import pytest
 from finslerlab import geodesics, metrics
 from finslerlab.errors import ChartExitError, GeometryError, JetDomainError, PreconditionError
 from finslerlab.geodesics import (
-    covariant_derivative,
-    exp_map,
     integrate_geodesic,
     parallel_transport,
     spray_gradients,
     spray_jets,
     spray_values,
-    transport_along_curve,
     transport_both_ways,
     variational_flow,
 )
 from finslerlab.jets import derivative_tensor
 from finslerlab.metrics import funk_distance, unit_ball_domain
-from finslerlab.minkowski import TangentSample
 
 from conftest import tangent_samples
 
@@ -190,9 +186,7 @@ class TestIntegration:
         # spray has no jet, before the exit event fires
         x, y = tangent_samples(zoo["funk3"], 6, seed=3)[4]
         p = integrate_geodesic(zoo["funk3"], x, y, t_end)
-        assert p.exited and 0.3 < p.t_exit < 0.4
-        with pytest.raises(ChartExitError):
-            p.require_reach()
+        assert p.exited and 0.3 < p.t_exit < 0.4 and p.t_end == p.t_exit
         # in a stack, the inner member goes on to t_end
         x2, y2 = tangent_samples(zoo["funk3"], 6, seed=3)[0]
         s = integrate_geodesic(zoo["funk3"], np.stack([x, x2]), np.stack([y, y2]), t_end)
@@ -231,16 +225,21 @@ class TestIntegration:
         assert rows[-1][0] == pytest.approx(1.0)
 
 
+def _endpoint(metric, x, y):
+    """The point at parameter 1 of the geodesic with initial velocity y."""
+    return integrate_geodesic(metric, x, y, 1.0).state(1.0)[0]
+
+
 class TestExpMap:
     def test_euclidean_translation(self, zoo):
         np.testing.assert_allclose(
-            exp_map(zoo["euclidean"], [0.1, 0.2], [0.3, -0.4]), [0.4, -0.2],
+            _endpoint(zoo["euclidean"], [0.1, 0.2], [0.3, -0.4]), [0.4, -0.2],
             atol=1e-12)
 
     def test_small_vector_continuity(self, zoo):
         m = zoo["funk"]
         x = np.array([0.2, 0.1])
-        out = exp_map(m, x, 1e-8 * np.array([1.0, 1.0]))
+        out = _endpoint(m, x, 1e-8 * np.array([1.0, 1.0]))
         assert np.linalg.norm(out - x) < 1e-7
 
     def test_sphere_antipode(self, zoo):
@@ -248,15 +247,13 @@ class TestExpMap:
         x = np.array([0.3, 0.2])
         y = np.array([0.4, -0.1])
         y = np.pi * y / m.F(x, y)
-        end = exp_map(m, x, y)
+        end = _endpoint(m, x, y)
         antipode = -x / np.dot(x, x)
         assert np.linalg.norm(end - antipode) < 1e-5
 
-    def test_exit_raises_range_error(self, zoo):
-        m = zoo["randers_curl"]
-        with pytest.raises(ChartExitError) as err:
-            exp_map(m, [0.5, 0.0], [3.0, 0.0])
-        assert err.value.t_exit is not None
+    def test_exit_is_flagged_before_parameter_one(self, zoo):
+        p = integrate_geodesic(zoo["randers_curl"], [0.5, 0.0], [3.0, 0.0], 1.0)
+        assert p.exited and 0.0 < p.t_exit < 1.0 and p.t_end == p.t_exit
 
 
 class TestTransport:
@@ -324,40 +321,14 @@ class TestTransport:
             devs.append(abs(Ft - F0) / F0)
         assert max(devs) > 1e-3
 
-    def test_transport_along_generic_curve(self, zoo):
-        # same equation on a non-geodesic curve: inner products still settle
-        # because the connection is evaluated on the curve tangent
-        m = zoo["riemannian_sphere"]
-
-        def curve(t):
-            x = np.array([0.2 * np.cos(t), 0.2 * np.sin(t)])
-            v = np.array([-0.2 * np.sin(t), 0.2 * np.cos(t)])
-            return x, v
-
-        tr = transport_along_curve(m, curve, (0.0, 1.0), np.eye(2))
-        assert tr.frame_out.shape == (2, 2)
-        assert np.isfinite(tr.gram_drift)
-
     def test_degenerate_frame_rejected_on_both_routes(self, zoo):
+        # one path and a stack of two, whose Gram drift is read per member
         m = zoo["riemannian_sphere"]
         frame = np.array([[1.0, 0.0], [1.0, 0.0]])
-
-        def curve(t):
-            return np.array([0.2 * t, 0.1]), np.array([0.2, 0.0])
-
-        with pytest.raises(GeometryError, match="degenerate"):
-            transport_along_curve(m, curve, (0.0, 1.0), frame)
-        with pytest.raises(GeometryError, match="degenerate"):
-            parallel_transport(m, [0.1, 0.0], [0.3, 0.1], 0.5, frame)
-
-    def test_covariant_derivative_formula(self, zoo):
-        # D_y U for a linear field on flat space reduces to dU(y)
-        m = zoo["euclidean"]
-        A = np.array([[0.3, -0.2], [0.1, 0.5]])
-        U = lambda x: A @ x
-        s = TangentSample([0.2, 0.1], [0.4, 0.3])
-        out = covariant_derivative(m, U, s)
-        np.testing.assert_allclose(out, A @ s.y, atol=1e-9)
+        for x, y in (([0.1, 0.0], [0.3, 0.1]),
+                     ([[0.1, 0.0], [0.0, 0.2]], [[0.3, 0.1], [0.2, 0.0]])):
+            with pytest.raises(GeometryError, match="degenerate"):
+                parallel_transport(m, x, y, 0.5, frame)
 
 
 class TestVariationalFlow:

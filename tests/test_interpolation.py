@@ -77,16 +77,8 @@ def _both_ways(metric, x, y, t_end, t_eval):
     return geodesics.transport_both_ways(metric, x, y, ts, np.eye(metric.n))
 
 
-def _along_curve(metric, x, y, t_end, t_eval):
-    x0, y0 = np.atleast_2d(x)[0], np.atleast_2d(y)[0]
-    u = -0.1 * np.sign(t_end) * x0 / np.linalg.norm(x0)  # a line toward the centre
-    tr = geodesics.transport_along_curve(metric, lambda t: (x0 + t * u, u), (0.0, t_end),
-                                         np.eye(metric.n), t_eval=t_eval)
-    return tr.ts, tr.frames, tr.gram_drift
-
-
 FLOWS = {"geodesic": _geodesic, "variational": _variational, "transport": _transport,
-         "both_ways": _both_ways, "along_curve": _along_curve}
+         "both_ways": _both_ways}
 
 
 def _case(zoo, name):
@@ -162,8 +154,6 @@ NFEV_FLOWS = {
     "chart_exit": lambda zoo, x, y: _exit_stack(zoo),
     "rim_exit": lambda zoo, x, y: geodesics.integrate_geodesic(
         zoo["funk3"], *tangent_samples(zoo["funk3"], 6, seed=3)[4], 0.4),
-    "along_curve": lambda zoo, x, y: geodesics.transport_along_curve(
-        zoo["hilbert_quartic"], lambda t: (x[0] + t * y[0], y[0]), (0.0, 0.5), np.eye(2)).path,
 }
 
 
@@ -208,23 +198,6 @@ def test_interpolation_costs_three_calls_per_segment(zoo, monkeypatch):
     made.clear()
     _exit_stack(zoo)  # an exit and a restart: two segments, three calls each
     assert [calls for _, calls in made] == [3, 3]
-    # transport along a curve carries the curve parameter in its state, so
-    # its stages stack like every other flow's
-    x0 = xs[0]
-    steps.clear()
-    for t_end in (0.25, 2.0):
-        def along():
-            return geodesics.transport_along_curve(
-                metric, lambda t: (x0 * (1.0 - 0.1 * t), -0.1 * x0), (0.0, t_end), np.eye(2))
-
-        made.clear()
-        path = along().path
-        stock = _stock(monkeypatch, along).path
-        (n_steps, calls), = made[:1]
-        assert calls == 3
-        assert stock.nfev - path.nfev == 3 * (n_steps - 1)
-        steps.add(n_steps)
-    assert len(steps) == 2 and min(steps) > 1
 
 
 def test_a_domain_error_in_a_stacked_stage_falls_back_to_each_step(zoo, monkeypatch):

@@ -661,7 +661,7 @@ def _unfused_series(self, coeff_fn, opname, require=None):
     """Jet._series with every Horner step a ring product and a sum,
     out = out * uhat + cs[k], over the nilpotency of a full jet and with
     full product tables: the reference for the fused loop's bits."""
-    K = self._nilpotency()
+    K = self.vx + self.vy  # uhat, the jet less its constant, vanishes past this power
     members = self._members()
     if require is not None:
         for u in members:

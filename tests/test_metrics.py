@@ -1,9 +1,9 @@
-"""Metric zoo: closed forms, distances, Okada residual, validity checks."""
+"""Metric zoo: closed forms, distances, the Okada equation, validity checks."""
 
 import numpy as np
 import pytest
 
-from finslerlab import jets, metrics
+from finslerlab import cli, jets, metrics
 from finslerlab.errors import ConfigurationError, GeometryError
 from finslerlab.metrics import (
     ConvexDomain,
@@ -14,12 +14,12 @@ from finslerlab.metrics import (
     hilbert_distance,
     hilbert_metric,
     make_metric,
-    okada_residual,
     quartic_domain,
     unit_ball_domain,
     validate_metric,
     zoo_constructors,
 )
+from finslerlab.minkowski import TangentSample
 
 from conftest import tangent_samples
 
@@ -137,7 +137,8 @@ def root(dom, x0, y0):
     root finder independent of the batched Newton ray exit."""
     from scipy.optimize import brentq
 
-    s_hi = (dom.bounding_radius + np.linalg.norm(x0) + 1.0) / np.linalg.norm(y0)
+    # phi >= |z|^2 - 1, so every convex domain sits inside the unit ball
+    s_hi = (1.0 + np.linalg.norm(x0) + 1.0) / np.linalg.norm(y0)
     return brentq(lambda s: dom.phi(list(x0 + s * y0)), 0.0, s_hi,
                   xtol=1e-15, rtol=8.9e-16)
 
@@ -622,28 +623,30 @@ class TestFusedNewtonPass:
             dom.exit_columns([0.1, 0.2], [np.array([1.0, -0.3]), 0.5])
 
 
+def _okada_difference(metric, pairs):
+    """dF/dx^i - F dF/dy^i (m, n) at the tangent points pairs, from the two
+    routes of verify's okada_pde check."""
+    xs, ys = (np.array(a, dtype=float) for a in zip(*pairs))
+    a, b, _ = cli._okada(metric, TangentSample(xs, ys))
+    return a - b
+
+
 class TestOkada:
     def test_funk_satisfies_okada(self, zoo):
-        worst = 0.0
-        for x, y in tangent_samples(zoo["funk"], 50):
-            worst = max(worst, np.max(np.abs(okada_residual(zoo["funk"], x, y))))
-        assert worst < 1e-8
+        res = _okada_difference(zoo["funk"], tangent_samples(zoo["funk"], 50))
+        assert np.max(np.abs(res)) < 1e-8
 
     def test_funk_quartic_satisfies_okada(self, zoo):
-        worst = 0.0
-        for x, y in tangent_samples(zoo["funk_quartic"], 20):
-            worst = max(worst, np.max(np.abs(okada_residual(zoo["funk_quartic"], x, y))))
-        assert worst < 1e-8
+        res = _okada_difference(zoo["funk_quartic"], tangent_samples(zoo["funk_quartic"], 20))
+        assert np.max(np.abs(res)) < 1e-8
 
     def test_euclidean_fails_okada(self, zoo):
-        res = okada_residual(zoo["euclidean"], [0.5, 0.0], [1.0, 0.0])
-        np.testing.assert_allclose(res, [-1.0, 0.0], atol=1e-12)
+        res = _okada_difference(zoo["euclidean"], [([0.5, 0.0], [1.0, 0.0])])
+        np.testing.assert_allclose(res[0], [-1.0, 0.0], atol=1e-12)
 
     def test_hilbert_fails_okada(self, zoo):
-        worst = 0.0
-        for x, y in tangent_samples(zoo["hilbert"], 10):
-            worst = max(worst, np.max(np.abs(okada_residual(zoo["hilbert"], x, y))))
-        assert worst > 1e-3
+        res = _okada_difference(zoo["hilbert"], tangent_samples(zoo["hilbert"], 10))
+        assert np.max(np.abs(res)) > 1e-3
 
 
 class TestRandersDensity:
@@ -713,6 +716,7 @@ class TestZooCatalog:
 
         cases = {
             "homogeneity": (lambda x, y: y[0] * y[0] + y[1] * y[1] + 1.0, False),
+            "positive definite": (metrics._quartic_eval(-0.9), True),
             "reversible": (lambda x, y: norm(y) + 0.3 * y[0], True),
         }
         for claim, (ev, rev) in cases.items():

@@ -1,4 +1,4 @@
-"""Pointwise tangent-space quantities: fundamental tensor, Cartan family,
+"""Pointwise tangent-space quantities: fundamental tensor, Cartan torsion,
 distortion, BH density, indicatrix geometry and the volume bound."""
 
 import numpy as np
@@ -15,7 +15,6 @@ from finslerlab.jets import FdScheme, fd_oracle
 from finslerlab.minkowski import (
     TangentSample,
     bh_density,
-    cartan_data,
     cartan_norm,
     cartan_tensor,
     cartan_tilde,
@@ -79,6 +78,14 @@ class TestFundamentalTensor:
                 ft = fundamental_tensor(m, TangentSample(x, y))
                 assert np.min(np.linalg.eigvalsh(ft.g)) > 0
                 assert ft.det_g > 0
+
+    def test_not_positive_definite_raises(self):
+        # (|y|^4 - 0.9 sum y_i^4)^(1/4) is positive and homogeneous, but its
+        # indicatrix is not convex on the diagonal
+        m = metrics.MetricSpec(name="broken", n=2, evaluator=metrics._quartic_eval(-0.9),
+                               chart=metrics._full_chart(2), reversible=True)
+        with pytest.raises(MetricValidityError, match="not positive definite"):
+            fundamental_tensor(m, TangentSample([0.0, 0.0], [0.7, 0.7]))
 
 
 class TestCartanTorsion:
@@ -204,13 +211,6 @@ class TestMeanCartanAndDistortion:
                 res = distortion_derivative_check(m, TangentSample(x, y), sigma(x))
                 assert res < 1e-6
 
-    def test_cartan_data_bundle(self, zoo):
-        m = zoo["quartic_norm"]
-        cd = cartan_data(m, TangentSample([0.0, 0.0], [0.9, 0.4]),
-                         bh_density(m, [0.0, 0.0]))
-        assert cd.C is not None and cd.C_tilde is not None
-        assert cd.I is not None and cd.tau is not None
-
 
 class TestBhDensity:
     def test_euclidean_is_one(self, zoo):
@@ -252,6 +252,16 @@ class TestBhDensity:
         monkeypatch.setattr(minkowski, "unit_body_volume_mc", broken_mc)
         with pytest.raises(NumericalIntegrityError):
             bh_density(zoo["quartic_norm"], [0.0, 0.0], mc_check=True)
+
+    def test_closed_form_disagreement_raises(self, zoo):
+        from dataclasses import replace
+
+        from finslerlab.errors import NumericalIntegrityError
+
+        m = replace(zoo["euclidean"], sigma_bh=lambda x: 2.0)
+        with pytest.raises(NumericalIntegrityError,
+                           match="closed-form density 2.0 disagrees with quadrature 1.0"):
+            bh_density(m, [0.3, 0.4], mc_check=True)
 
     def test_closed_forms_match_quadrature(self, zoo):
         for name in ("randers_const", "randers_closed", "randers_curl",

@@ -52,7 +52,6 @@ READS = {
     "berwald_curvature": _berwald_fields,
     "landsberg_from_berwald": lambda m, s: (cu.landsberg_from_berwald(m, s),),
     "mean_landsberg": lambda m, s: (cu.mean_landsberg(m, s),),
-    "landsberg_tilde": lambda m, s: (cu.landsberg_tilde(m, s),),
     "s_jet_workspace": _s_jet_fields,
 }
 
@@ -297,6 +296,11 @@ def _jb(metric, s):
             -0.5 * np.einsum("mijk,m->ijk", bt.B, gy), 1.0 + bt.norm())
 
 
+def _one_member(route):
+    """A cli route, which takes a stack, called on a stack of one point."""
+    return lambda m, s: route(m, TangentSample(s.x[None], s.y[None]))
+
+
 def _funk_e(metric, s):
     bt = cu.berwald_curvature(metric, s)
     ft = fundamental_tensor(metric, s)
@@ -310,11 +314,8 @@ LOOP_CHECKS = {
         lambda m, s: (-np.linalg.eigvalsh(fundamental_tensor(m, s).g), 0.0, 1.0),
         -np.finfo(float).tiny, one_sided=True),
     "jb_identity": _loop_sampled(_jb, 1e-6),
-    "es_identity": _loop_sampled(
-        lambda m, s: (cu.es_residual(m, s), 0.0, 1.0), 1e-5, count=lambda k: min(k, 10)),
-    "okada_pde": _loop_sampled(
-        lambda m, s: (metrics.okada_residual(m, s.x, s.y), 0.0, 1.0), 1e-8,
-        count=lambda k: 50),
+    "es_identity": _loop_sampled(_one_member(cli._es), 1e-5, count=lambda k: min(k, 10)),
+    "okada_pde": _loop_sampled(_one_member(cli._okada), 1e-8, count=lambda k: 50),
     "ll_funk": _loop_sampled(
         lambda m, s: (cu.landsberg_from_berwald(m, s),
                       -0.5 * m.F(s.x, s.y) * cartan_tensor(m, s), 1.0), 1e-4),
@@ -353,19 +354,16 @@ def test_verify_payload_equals_the_per_sample_loop(monkeypatch, label):
 
 
 def test_split_routes_give_the_library_residuals(zoo):
-    # es and okada return both routes; their difference is the residual
-    # the library returns
+    # es and okada return both routes, and each member of a stack has the
+    # bits of its own one-member call
     metric = zoo["funk3"]
     xs, ys = (np.array(a) for a in zip(*tangent_samples(metric, 3)))
     s = TangentSample(xs, ys)
-    a, b, _ = cli._okada(metric, s)
-    residual = metrics.okada_residual(metric, xs, ys)
-    assert np.array_equal(a - b, residual)
-    for k in range(3):  # three members of dimension three: F broadcasts per member
-        assert np.array_equal(residual[k], metrics.okada_residual(metric, xs[k], ys[k]))
-    a, b, _ = cli._es(metric, s)
-    for k in range(3):
-        assert np.max(np.abs(a[k] - b[k])) == cu.es_residual(metric, TangentSample(xs[k], ys[k]))
+    for route in (cli._okada, cli._es):
+        a, b, _ = route(metric, s)
+        for k in range(3):  # three members of dimension three: F broadcasts per member
+            a1, b1, _ = route(metric, TangentSample(xs[k:k + 1], ys[k:k + 1]))
+            assert np.array_equal(a[k], a1[0]) and np.array_equal(b[k], b1[0])
     assert np.max(np.abs(a)) > 1.0  # the routes themselves, not a residual against 0
 
 
@@ -467,26 +465,23 @@ def test_one_member_stack_reads_the_point_bits(zoo, name, sign):
     assert np.array_equal(one.path.sol(stored.t)[0], stored.y.T)
 
 
-def test_exp_map_and_require_reach_take_a_stack(zoo):
+def test_geodesic_endpoints_take_a_stack(zoo):
     metric = zoo["funk"]
     xs, ys = np.array([[0.1, 0.2], [0.0, -0.3]]), np.array([[0.5, 0.1], [0.2, 0.4]])
-    ends = geodesics.exp_map(metric, xs, ys)
+    ends = geodesics.integrate_geodesic(metric, xs, ys, 1.0).state(1.0)[0]
     assert ends.shape == (2, 2)
     for k in range(2):
-        np.testing.assert_allclose(ends[k], geodesics.exp_map(metric, xs[k], ys[k]),
-                                   rtol=0, atol=1e-9)
-    # the unit-ball chart of randers curl: the second member leaves it
+        one = geodesics.integrate_geodesic(metric, xs[k], ys[k], 1.0).state(1.0)[0]
+        np.testing.assert_allclose(ends[k], one, rtol=0, atol=1e-9)
+    # the unit-ball chart of randers curl: the second member leaves it, at
+    # the exit time of its own one-point path
     metric = zoo["randers_curl"]
     xs[1], ys[1] = [0.5, 0.0], [3.0, 0.0]
-    with pytest.raises(ChartExitError) as one:
-        geodesics.exp_map(metric, xs[1], ys[1])
+    one = geodesics.integrate_geodesic(metric, xs[1], ys[1], 1.0)
     path = geodesics.integrate_geodesic(metric, xs, ys, 1.0)
-    assert list(path.exited) == [False, True]
-    for read in (path.require_reach, lambda: geodesics.exp_map(metric, xs, ys)):
-        with pytest.raises(ChartExitError) as err:
-            read()
-        assert err.value.t_exit == path.t_exit[1]
-        assert err.value.t_exit == pytest.approx(one.value.t_exit, abs=1e-9)
+    assert one.exited and list(path.exited) == [False, True]
+    assert np.isnan(path.t_exit[0])
+    assert path.t_exit[1] == pytest.approx(one.t_exit, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", FLOW_METRICS)
@@ -527,17 +522,17 @@ def test_a_member_leaving_the_chart_names_its_exit(zoo, monkeypatch):
         assert err.value.t_exit == pytest.approx(one.value.t_exit, abs=1e-9)
 
 
-def test_landsberg_data_takes_a_stack(zoo):
+def test_landsberg_dot_takes_a_stack(zoo):
+    # L and J take stacks bit for bit (READS); L-dot's members share one
+    # two-way transport, so they move by round-off
     metric = zoo["funk3"]
     pairs, xs, ys = _stack(metric, 4)
-    data = cu.landsberg_data(metric, TangentSample(xs, ys))
+    L_dot = cu.landsberg_dot(metric, TangentSample(xs, ys))
     for k, (x, y) in enumerate(pairs):
-        one = cu.landsberg_data(metric, TangentSample(x, y))
-        for f in ("L", "L_tilde", "J"):
-            assert np.array_equal(getattr(data, f)[k], getattr(one, f)), f
+        one = cu.landsberg_dot(metric, TangentSample(x, y))
         # L-dot scales as F^3; dot_lc holds unit-speed funk samples to 1e-5
         F = metric.F(x, y)
-        assert np.max(np.abs(data.L_dot[k] - one.L_dot)) <= 1e-2 * 1e-5 * max(1.0, F) ** 3
+        assert np.max(np.abs(L_dot[k] - one)) <= 1e-2 * 1e-5 * max(1.0, F) ** 3
 
 
 def _geodesic_s(metric, s):
