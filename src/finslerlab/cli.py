@@ -26,7 +26,7 @@ from .errors import (
     FinslerError,
     NumericalIntegrityError,
 )
-from .geodesics import integrate_geodesic, parallel_transport
+from .geodesics import integrate_geodesic, parallel_transport, spray_jets
 from .jets import derivative_tensor
 from .metrics import MetricSpec, chart_points, make_metric, validate_metric, zoo_constructors
 from .minkowski import (
@@ -264,11 +264,21 @@ def _definiteness(metric, s):
 
 
 def _jb(metric, s):
-    bt = curvature.berwald_curvature(metric, s)
-    gy = (fundamental_tensor(metric, s).g @ s.y[..., None])[..., 0]
-    return (curvature.landsberg_from_berwald(metric, s, bt),
-            -0.5 * np.einsum("...mijk,...m->...ijk", bt.B, gy),
-            (1.0 + bt.norm())[:, None, None, None])
+    # -g(B, y)/2 against the rate of C along the geodesic flow (Shen 2001),
+    # y^m dC_ijk/dx^m - 2 G^l dC_ijk/dy^l - C_ljk N^l_i - C_ilk N^l_j - C_ijl N^l_k
+    # with N = dG/dy, both from one spray workspace
+    s.validate(metric)
+    ws = spray_jets(metric, s.x, s.y, 1, 5)
+    G, N, B = (derivative_tensor(ws.G, 0, k) for k in (0, 1, 3))
+    gy = 0.5 * np.einsum("...ij,...j->...i", derivative_tensor(ws.f2, 0, 2), s.y)
+    C = 0.25 * derivative_tensor(ws.f2, 0, 3)
+    C_dot = 0.25 * (np.einsum("...m,...mijk->...ijk", s.y, derivative_tensor(ws.f2, 1, 3))
+                    - 2.0 * np.einsum("...l,...ijkl->...ijk", G, derivative_tensor(ws.f2, 0, 4)))
+    C_dot -= (np.einsum("...ljk,...li->...ijk", C, N) + np.einsum("...ilk,...lj->...ijk", C, N)
+              + np.einsum("...ijl,...lk->...ijk", C, N))
+    B_norm = np.sqrt(np.sum(B.reshape(len(B), -1) ** 2, axis=-1))
+    return (-0.5 * np.einsum("...mijk,...m->...ijk", B, gy), C_dot,
+            (1.0 + B_norm)[:, None, None, None])
 
 
 def _es(metric, s):

@@ -107,17 +107,18 @@ class RatioReport:
 
 
 def ratio_monotonicity_check(metric: MetricSpec, x, lam, delta, r_grid,
-                             distance_source=None, n_samples=2_000_000,
-                             seed=20240817, sweep_samples=50,
-                             n_dirs=None) -> RatioReport:
+                             n_samples=2_000_000, seed=20240817,
+                             sweep_samples=50) -> RatioReport:
     """Tabulate mu_F(B(x, r)) / V_{lambda,delta}(r) and test non-increase.
 
-    The curvature bounds are swept numerically first; on failure the check
-    reports itself skipped instead of asserting.  Monotonicity is asserted
-    only up to the combined Monte-Carlo and quadrature error budget.  A
-    polar sweep that leaves the chart before a radius makes that row a lower
-    bound, which the note says; so does a zero-acceptance Monte-Carlo row,
-    which stays in the table but leaves the monotonicity test.
+    Funk balls take Monte Carlo on the closed-form distance, every other
+    metric's the polar route.  The curvature bounds are swept numerically
+    first; on failure the check reports itself skipped instead of asserting.
+    Monotonicity is asserted only up to the combined Monte-Carlo and
+    quadrature error budget.  A polar sweep that leaves the chart before a
+    radius makes that row a lower bound, which the note says; so does a
+    zero-acceptance Monte-Carlo row, which stays in the table but leaves the
+    monotonicity test.
     """
     sweep = curvature_bound_sweep(metric, lam, delta, n_samples=sweep_samples)
     if not sweep.ok:
@@ -126,11 +127,8 @@ def ratio_monotonicity_check(metric: MetricSpec, x, lam, delta, r_grid,
                            note="curvature-bound sweep failed; check skipped")
     x = np.asarray(x, dtype=float)
     exited = False
-    if distance_source is None:
-        distance_source = ("funk_closed_form" if metric.name == "funk"
-                           else "geodesic_polar")
-    if distance_source == "geodesic_polar":
-        mus, exited = polar_ball_volumes(metric, x, list(r_grid), n_dirs=n_dirs)
+    if metric.name != "funk":
+        mus, exited = polar_ball_volumes(metric, x, list(r_grid))
         ests = [
             MeasureEstimate(value=float(m), stderr=0.0, n_samples=0, seed=seed,
                             method="quadrature")
@@ -138,7 +136,7 @@ def ratio_monotonicity_check(metric: MetricSpec, x, lam, delta, r_grid,
         ]
     else:
         ests = [
-            ball_volume(metric, BallSpec(x, r, distance_source),
+            ball_volume(metric, BallSpec(x, r, "funk_closed_form"),
                         n_samples=n_samples, seed=seed + k)
             for k, r in enumerate(r_grid)
         ]

@@ -136,12 +136,13 @@ def landsberg_by_transport(metric: MetricSpec, sample: TangentSample,
         metric, sample, lambda sm, U: _frame_contract3(cartan_tensor(metric, sm), U), dt)
 
 
-def landsberg_dot(metric: MetricSpec, sample: TangentSample, dt=1e-2) -> np.ndarray:
+def landsberg_dot(metric: MetricSpec, sample: TangentSample) -> np.ndarray:
     """L-dot: derivative of the Landsberg curvature along the geodesic with
-    parallel arguments, via the jet-exact identity route at stencil states."""
+    parallel arguments, via the jet-exact identity route at stencil states,
+    from step 1e-2."""
     return _transport_derivative(
         metric, sample,
-        lambda sm, U: _frame_contract3(landsberg_from_berwald(metric, sm), U), dt)
+        lambda sm, U: _frame_contract3(landsberg_from_berwald(metric, sm), U), 1e-2)
 
 
 def mean_landsberg(metric: MetricSpec, sample: TangentSample) -> np.ndarray:

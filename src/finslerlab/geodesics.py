@@ -15,6 +15,9 @@ from .jets import Jet, JetSpec, derivative_tensor, join_members, lift
 from .metrics import MetricSpec
 from .minkowski import TangentSample, fundamental_tensor, per_point
 
+# rtol and atol of the variational and transport flows, read at each call
+_FLOW_TOL = 1e-10
+
 # ---------------------------------------------------------------------------
 # Spray coefficients
 # ---------------------------------------------------------------------------
@@ -317,7 +320,6 @@ class GeodesicPath:
     t_end: float | np.ndarray
     exited: bool | np.ndarray = False
     t_exit: float | np.ndarray | None = None
-    reverse_flagged: bool = False
     nfev: int = 0
 
     def _states(self, t):
@@ -398,11 +400,10 @@ def _members(x0, y0):
     return X, Y, x0.ndim == y0.ndim == 1
 
 
-def _read_flow(cls, metric, flow, t_end, t_eval, width, point):
+def _read_flow(cls, metric, flow, t_eval, width, point):
     """A GeodesicPath or subclass of a flow (segments, reach, t_exit) from
     _solve, and its states (m, len(t), width) on t_eval; one point is member
-    0 cut at its reach, on t_eval or the solver's steps, (len(t), width).
-    Only positively-complete-only metrics flag a reverse run."""
+    0 cut at its reach, on t_eval or the solver's steps, (len(t), width)."""
     segments, reach, t_exit = flow
     exited = ~np.isnan(t_exit)
     dense = _StackedSolution(segments, len(reach), width)
@@ -417,7 +418,6 @@ def _read_flow(cls, metric, flow, t_end, t_eval, width, point):
         t_exit = float(t_exit) if exited else None
     return cls(metric=metric, t=t, x=Z[..., :metric.n], v=Z[..., metric.n: 2 * metric.n],
                sol=dense, t_end=reach, exited=exited, t_exit=t_exit,
-               reverse_flagged=bool(t_end < 0 and metric.positively_complete_only),
                nfev=sum(int(seg[2].nfev) for seg in segments)), Z
 
 
@@ -441,7 +441,7 @@ def integrate_geodesic(metric: MetricSpec, x0, y0, t_end, rtol=1e-10, atol=1e-10
 
     flow = _solve("geodesic", metric, rhs, np.concatenate([X, Y], axis=1), (0.0, t_end),
                   rtol, atol)
-    return _read_flow(GeodesicPath, metric, flow, t_end, t_eval, 2 * n, point)[0]
+    return _read_flow(GeodesicPath, metric, flow, t_eval, 2 * n, point)[0]
 
 
 class _StackedSolution:
@@ -472,8 +472,7 @@ class _StackedSolution:
         return out[:, 0] if t.ndim == 0 else out
 
 
-def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10,
-                     atol=1e-10) -> VariationalFlow:
+def variational_flow(metric: MetricSpec, x0, y0, t_end) -> VariationalFlow:
     """Integrate the geodesic together with its velocity-sensitivity matrix.
 
     x0 and y0 are one tangent point or stacks (m, n), a shared x0
@@ -501,8 +500,8 @@ def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10,
 
     z = np.concatenate([X, Y, np.zeros((m, n * n)), np.tile(np.eye(n).ravel(), (m, 1))],
                        axis=1)
-    flow = _solve("variational", metric, rhs, z, (0.0, t_end), rtol, atol)
-    return _read_flow(VariationalFlow, metric, flow, t_end, None, width, point)[0]
+    flow = _solve("variational", metric, rhs, z, (0.0, t_end), _FLOW_TOL, _FLOW_TOL)
+    return _read_flow(VariationalFlow, metric, flow, None, width, point)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +511,11 @@ def variational_flow(metric: MetricSpec, x0, y0, t_end, rtol=1e-10,
 
 @dataclass
 class TransportResult:
-    """Frames transported along a geodesic, with inner-product diagnostics."""
+    """Frames transported along a geodesic, read at the path's times path.t,
+    with the drift of their Gram matrix."""
 
-    frame_in: np.ndarray
-    frame_out: np.ndarray
     gram_drift: float
-    ts: np.ndarray
-    frames: np.ndarray  # (len(ts), k, n), or (m, len(ts), k, n) for a stack
+    frames: np.ndarray  # (len(path.t), k, n), or (m, len(path.t), k, n) for a stack
     path: GeodesicPath
 
 
@@ -537,7 +534,7 @@ def _transport_field(metric, Z, k):
 
 
 def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
-                       t_eval=None, rtol=1e-10, atol=1e-10) -> TransportResult:
+                       t_eval=None) -> TransportResult:
     """Transport a frame along the geodesic from (x0, y0) by D_cdot U = 0.
 
     Integrates the geodesic and the frame jointly so both see the same
@@ -559,16 +556,14 @@ def parallel_transport(metric: MetricSpec, x0, y0, t_end, frame,
         t_eval = np.linspace(0.0, float(t_end), 33)
     U0 = np.broadcast_to(frame, (len(X), k, n)).reshape(len(X), k * n)
     flow = _solve("transport", metric, rhs, np.concatenate([X, Y, U0], axis=1), (0.0, t_end),
-                  rtol, atol)
-    path, Z = _read_flow(GeodesicPath, metric, flow, t_end, t_eval, width, point)
+                  _FLOW_TOL, _FLOW_TOL)
+    path, Z = _read_flow(GeodesicPath, metric, flow, t_eval, width, point)
     frames = Z[..., 2 * n:].reshape(Z.shape[:-1] + (k, n))
-    return TransportResult(frame_in=frame, frame_out=frames[..., -1, :, :],
-                           gram_drift=_gram_drift(metric, path.x, path.v, frames),
-                           ts=path.t, frames=frames, path=path)
+    return TransportResult(gram_drift=_gram_drift(metric, path.x, path.v, frames),
+                           frames=frames, path=path)
 
 
-def transport_both_ways(metric: MetricSpec, x0, y0, ts, frame, scale=1.0, rtol=1e-10,
-                        atol=1e-10):
+def transport_both_ways(metric: MetricSpec, x0, y0, ts, frame, scale=1.0):
     """States and frames transported along the geodesic from (x0, y0) at
     t = +ts and t = -ts, for increasing ts > 0; member j of stacks x0, y0
     (m, n) at t = +-scale[j] ts, 0 < scale <= 1.
@@ -598,7 +593,7 @@ def transport_both_ways(metric: MetricSpec, x0, y0, ts, frame, scale=1.0, rtol=1
     start = np.concatenate([X, Y, np.broadcast_to(frame, (m, k, n)).reshape(m, k * n)], axis=1)
     z0 = np.column_stack([np.vstack([start, start]), np.concatenate([c, -c])])
     segments, _, t_exit = _solve("transport", metric, rhs, z0, (0.0, float(ts[-1])),
-                                 rtol, atol, restart=False)
+                                 _FLOW_TOL, _FLOW_TOL, restart=False)
     for c, t in zip(z0[:, -1], t_exit):  # the first run to leave the chart
         if not np.isnan(t):
             raise ChartExitError(f"geodesic left the chart at t={c * t:.6g} before reaching "

@@ -494,31 +494,12 @@ class Jet:
 
         return self._series(coeffs, "log", require=lambda u: u > 0.0)
 
-    def _cyclic(self, cycle, opname):
-        """The series whose k-th derivative at u0 is cycle[k mod p], as for
-        exp, sin, cos, sinh and cosh; cycle maps u0 to its p values."""
-        def coeffs(u0, K):
-            c = cycle(u0)
-            return [c[k % len(c)] / math.factorial(k) for k in range(K + 1)]
-
-        return self._series(coeffs, opname)
-
-    def exp(self):
-        return self._cyclic(lambda u: [math.exp(u)], "exp")
-
-    def sin(self):
-        return self._cyclic(lambda u: [math.sin(u), math.cos(u), -math.sin(u), -math.cos(u)],
-                            "sin")
-
     def cos(self):
-        return self._cyclic(lambda u: [math.cos(u), -math.sin(u), -math.cos(u), math.sin(u)],
-                            "cos")
+        def coeffs(u0, K):
+            cycle = [math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0)]
+            return [cycle[k % 4] / math.factorial(k) for k in range(K + 1)]
 
-    def sinh(self):
-        return self._cyclic(lambda u: [math.sinh(u), math.cosh(u)], "sinh")
-
-    def cosh(self):
-        return self._cyclic(lambda u: [math.cosh(u), math.sinh(u)], "cosh")
+        return self._series(coeffs, "cos")
 
     # -- polynomial differentiation ------------------------------------------
 
@@ -667,28 +648,8 @@ def sqrt(v):
     return v.sqrt() if isinstance(v, Jet) else np.sqrt(v)
 
 
-def log(v):
-    return v.log() if isinstance(v, Jet) else np.log(v)
-
-
-def exp(v):
-    return v.exp() if isinstance(v, Jet) else np.exp(v)
-
-
-def sin(v):
-    return v.sin() if isinstance(v, Jet) else np.sin(v)
-
-
 def cos(v):
     return v.cos() if isinstance(v, Jet) else np.cos(v)
-
-
-def sinh(v):
-    return v.sinh() if isinstance(v, Jet) else np.sinh(v)
-
-
-def cosh(v):
-    return v.cosh() if isinstance(v, Jet) else np.cosh(v)
 
 
 def power(v, p):

@@ -26,6 +26,9 @@ from .metrics import (
 )
 from .minkowski import TangentSample, bh_density, density_field
 
+# Monte-Carlo samples per bh_volume chunk, read at each call
+_MC_CHUNK = 4_000_000
+
 
 @dataclass(frozen=True)
 class MeasureEstimate:
@@ -70,25 +73,25 @@ def _batched_sigma(metric: MetricSpec):
 
 
 def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
-              seed=20240817, chunk=4_000_000) -> MeasureEstimate:
+              seed=20240817) -> MeasureEstimate:
     """Monte-Carlo integral of the BH density over the indicated region.
 
     box is (lo, hi) arrays bounding the region; the estimate is exact in
-    expectation and ships a standard error.  Sampling runs in fixed-size
-    chunks from one seeded stream, so results are reproducible and memory
-    stays bounded.  Each chunk is drawn, chart-tested and indicated in
-    cache-sized blocks of coordinate columns (_grids.uniform_blocks); each
-    block writes its accepted points straight into one array (m, n) of the
-    chunk's size, and the density and the sums run once over those rows, so
-    working memory is one block plus one copy of the accepted rows of a
-    chunk.  That array stays row-major: its touched pages then grow from one
-    end, where n column fronts would each fault in pages of their own (2 MiB
-    ones where numpy asks for transparent huge pages).  The indicator sees
-    only the points inside the metric's chart, as a stack (k, n) whose
-    columns are contiguous, and must act row by row.  A sample count that
-    is not an integer >= 1 raises ConfigurationError
-    (_grids.check_sample_count); zero acceptance comes back flagged rather
-    than raising.
+    expectation and ships a standard error.  Sampling runs in chunks of
+    _MC_CHUNK samples from one seeded stream, so results are reproducible
+    and memory stays bounded.  Each chunk is drawn, chart-tested and
+    indicated in cache-sized blocks of coordinate columns
+    (_grids.uniform_blocks); each block writes its accepted points straight
+    into one array (m, n) of the chunk's size, and the density and the sums
+    run once over those rows, so working memory is one block plus one copy
+    of the accepted rows of a chunk.  That array stays row-major: its
+    touched pages then grow from one end, where n column fronts would each
+    fault in pages of their own (2 MiB ones where numpy asks for transparent
+    huge pages).  The indicator sees only the points inside the metric's
+    chart, as a stack (k, n) whose columns are contiguous, and must act row
+    by row.  A sample count that is not an integer >= 1 raises
+    ConfigurationError (_grids.check_sample_count); zero acceptance comes
+    back flagged rather than raising.
     """
     check_sample_count(n_samples)
     lo = np.asarray(box[0], dtype=float)
@@ -101,7 +104,7 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
     n_inside = 0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_MC_CHUNK, n_samples - done)
         rows = np.empty((m, metric.n))
         k = 0
         for block in uniform_blocks(rng, lo, hi, m, metric.n):
@@ -134,7 +137,7 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
 
 
 def ball_volume(metric: MetricSpec, ball: BallSpec, n_samples=1_000_000,
-                seed=20240817, n_dirs=None) -> MeasureEstimate:
+                seed=20240817) -> MeasureEstimate:
     """BH volume of the forward metric ball B(center, radius).
 
     Closed-form distance sources run seeded Monte Carlo with the distance
@@ -146,7 +149,7 @@ def ball_volume(metric: MetricSpec, ball: BallSpec, n_samples=1_000_000,
         raise ConfigurationError(
             f"ball centre must be {metric.n} finite coordinates, got {x.tolist()}")
     if ball.distance_source == "geodesic_polar":
-        vols, exited = polar_ball_volumes(metric, x, [ball.radius], n_dirs=n_dirs)
+        vols, exited = polar_ball_volumes(metric, x, [ball.radius])
         return MeasureEstimate(
             value=float(vols[0]), stderr=0.0, n_samples=0, seed=seed,
             method="quadrature", flagged=exited,

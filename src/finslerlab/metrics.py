@@ -63,8 +63,10 @@ class ConvexDomain:
     def __post_init__(self):
         if self.kind not in ("unit_ball", "quartic_perturbed"):
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
-        if self.eps < 0:
-            raise ConfigurationError("quartic perturbation must be nonnegative")
+        # for finite eps >= 0, phi(0) = -1, the boundary gradient 2z + 4 eps z^3
+        # is nonzero and the Hessian 2 + 12 eps z^2 is positive: strongly convex
+        if not (np.isfinite(self.eps) and self.eps >= 0):
+            raise ConfigurationError("quartic perturbation must be finite and nonnegative")
         if self.n < 2:
             raise ConfigurationError("domain dimension must be >= 2")
 
@@ -76,11 +78,6 @@ class ConvexDomain:
                 q = q + zi * zi * zi * zi
             s = s + self.eps * q
         return s - 1.0
-
-    def grad_phi(self, z):
-        if self.kind == "quartic_perturbed" and self.eps != 0.0:
-            return [2.0 * zi + 4.0 * self.eps * zi * zi * zi for zi in z]
-        return [2.0 * zi for zi in z]
 
     def coordinate_terms(self, z, slope_value=False):
         """phi is a sum of terms in one coordinate each: for z standing for
@@ -104,24 +101,6 @@ class ConvexDomain:
         x = np.asarray(x, dtype=float)
         z = [x[..., i] for i in range(self.n)]
         return -self.phi(z)
-
-    def boundary_checks(self):
-        """Spot-check phi(0) < 0, nonzero gradient and convexity on the boundary."""
-        if not self.phi([0.0] * self.n) < 0:
-            raise MetricValidityError("domain does not contain the origin")
-        dirs = halton_directions(self.n, 32)
-        z = self.ray_exit(np.zeros_like(dirs), dirs)[:, None] * dirs
-        grad = np.stack(self.grad_phi(list(z.T)), axis=-1)
-        # the Hessian of phi is diagonal, so its eigenvalues are its entries
-        hess = np.full_like(z, 2.0)
-        if self.kind == "quartic_perturbed":
-            hess = hess + 12.0 * self.eps * z ** 2
-        for bad, message in ((np.linalg.norm(grad, axis=-1) < 1e-10,
-                              "vanishing boundary gradient"),
-                             (np.min(hess, axis=-1) <= 0,
-                              "boundary Hessian not positive definite")):
-            if np.any(bad):
-                raise MetricValidityError(message, sample=z[np.argmax(bad)])
 
     def ray_exit(self, x0, y0):
         """Exit parameters s > 0 with phi(x0 + s y0) = 0; x0, y0 of shape (..., n).
@@ -154,9 +133,9 @@ class ConvexDomain:
         step, z, zz, acc, sq, q, slope = (np.empty(np.shape(s)) for _ in range(7))
         quartic = self.eps != 0.0
         for _ in range(_RAY_NEWTON_CAP):
-            # step = s - phi(z) / _dot(grad_phi(z), ys) at z = x + s y, in one
-            # sweep per coordinate with the operations and order of phi,
-            # grad_phi and _dot, so every step keeps its bits: the first
+            # step = s - phi(z) / _dot(grad phi(z), ys) at z = x + s y, in one
+            # sweep per coordinate with the operations and order of phi, the
+            # gradient 2 z + 4 eps z^3 and _dot, so every step keeps its bits: the first
             # coordinate writes the sums sq, q and slope, the others add to them
             for i, (xi, yi) in enumerate(zip(xs, ys)):
                 z2, z4, g = (zz, acc, acc) if i else (sq, q, slope)
@@ -244,7 +223,6 @@ class MetricSpec:
     chart: ChartDomain
     reversible: bool
     is_minkowski: bool = False
-    positively_complete_only: bool = False
     params: dict = field(default_factory=dict)
     convex_domain: ConvexDomain | None = None
     sigma_bh: object | None = None  # closed-form Busemann-Hausdorff density, or None
@@ -708,21 +686,19 @@ def validate_metric(metric: MetricSpec, n_samples=100):
     return True
 
 
-def _build(name, n, evaluator, chart, reversible, validate=True, **kw):
+def _build(name, n, evaluator, chart, reversible, **kw):
     m = MetricSpec(name=name, n=n, evaluator=evaluator, chart=chart,
                    reversible=reversible, **kw)
-    if validate:
-        validate_metric(m)
+    validate_metric(m)
     return m
 
 
-def make_euclidean(n=2, validate=True):
+def make_euclidean(n=2):
     return _build("euclidean", n, _euclidean_eval, _full_chart(n), True,
-                  validate=validate, is_minkowski=True,
-                  sigma_bh=_const_sigma(1.0), params={"n": n})
+                  is_minkowski=True, sigma_bh=_const_sigma(1.0), params={"n": n})
 
 
-def make_sphere(n=2, validate=True):
+def make_sphere(n=2):
     """Round sphere of curvature +1 in a conformally flat chart.
 
     The stereographic chart sends the antipode of the origin to infinity, so
@@ -733,24 +709,23 @@ def make_sphere(n=2, validate=True):
     """
     chart = replace(_ball_chart(n, radius=14.0), sample_box=_full_chart(n).sample_box)
     return _build("riemannian_sphere", n, _conformal_eval(+1.0), chart, True,
-                  validate=validate, sigma_bh=_conformal_sigma(+1.0, n), params={"n": n})
+                  sigma_bh=_conformal_sigma(+1.0, n), params={"n": n})
 
 
-def make_hyperbolic(n=2, validate=True):
+def make_hyperbolic(n=2):
     """Hyperbolic space of curvature -1 in the conformal ball chart."""
     return _build("riemannian_hyperbolic", n, _conformal_eval(-1.0), _ball_chart(n), True,
-                  validate=validate, sigma_bh=_conformal_sigma(-1.0, n), params={"n": n})
+                  sigma_bh=_conformal_sigma(-1.0, n), params={"n": n})
 
 
-def make_quartic(n=2, eps=0.1, validate=True):
+def make_quartic(n=2, eps=0.1):
     if eps < 0:
         raise ConfigurationError("quartic perturbation must be nonnegative")
     return _build("quartic_norm", n, _quartic_eval(eps), _full_chart(n), True,
-                  validate=validate, is_minkowski=True,
-                  params={"n": n, "eps": eps})
+                  is_minkowski=True, params={"n": n, "eps": eps})
 
 
-def make_randers(n=2, variant="curl", c=0.3, validate=True):
+def make_randers(n=2, variant="curl", c=0.3):
     """Randers metrics F = |y| + beta(y).
 
     variant "const": constant beta (locally Minkowski, Berwald);
@@ -776,12 +751,12 @@ def make_randers(n=2, variant="curl", c=0.3, validate=True):
     if len(too_long):
         raise MetricValidityError("alpha-length of beta must stay below 1", sample=too_long[0])
     return _build("randers", n, _randers_eval(beta), chart,
-                  reversible=(variant == "const" and c == 0), validate=validate,
+                  reversible=(variant == "const" and c == 0),
                   params={"n": n, "variant": variant, "c": c},
                   sigma_bh=_flat_randers_sigma(beta, n))
 
 
-def make_berwald_product(c=0.25, validate=True):
+def make_berwald_product(c=0.25):
     """Hyperbolic plane x line with a parallel 1-form: Berwald, non-Riemannian."""
     if not 0 <= c < 1:
         raise ConfigurationError("berwald product parameter must satisfy 0 <= c < 1")
@@ -793,8 +768,8 @@ def make_berwald_product(c=0.25, validate=True):
 
     chart = ChartDomain(margin, ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))
     return _build("berwald_product", n, _berwald_product_eval(c), chart,
-                  reversible=(c == 0), validate=validate,
-                  params={"n": n, "c": c}, sigma_bh=_berwald_product_sigma(c))
+                  reversible=(c == 0), params={"n": n, "c": c},
+                  sigma_bh=_berwald_product_sigma(c))
 
 
 def _domain_from_param(n, domain):
@@ -815,26 +790,23 @@ def _domain_from_param(n, domain):
                              f"EPS a finite number >= 0, got {domain!r}")
 
 
-def make_funk(n=2, domain=None, validate=True):
+def make_funk(n=2, domain=None):
     dom = _domain_from_param(n, domain)
-    dom.boundary_checks()
     if dom.kind == "unit_ball":
         ev = funk_unit_ball
     else:
         ev = lambda x, y: funk_general(dom, x, y)
     return _build("funk", n, ev, _convex_chart(dom), reversible=False,
-                  validate=validate, positively_complete_only=True,
                   convex_domain=dom, sigma_bh=_funk_sigma(dom),
                   params={"n": n, "domain": dom.kind, "eps": dom.eps})
 
 
-def make_hilbert(n=2, domain=None, validate=True):
+def make_hilbert(n=2, domain=None):
     dom = _domain_from_param(n, domain)
-    dom.boundary_checks()
     ev = lambda x, y: hilbert_metric(dom, x, y)
     sigma = _klein_sigma(n) if dom.kind == "unit_ball" else None
     return _build("hilbert", n, ev, _convex_chart(dom), reversible=True,
-                  validate=validate, convex_domain=dom, sigma_bh=sigma,
+                  convex_domain=dom, sigma_bh=sigma,
                   params={"n": n, "domain": dom.kind, "eps": dom.eps})
 
 

@@ -25,6 +25,9 @@ from .metrics import F_FLOOR, MetricSpec
 # 2-core x86 host) 2^13 was the fastest of 2^12 to 2^16, and 2^18 took 1.6 to
 # 2.6 times as long.
 _RAY_CHUNK = 2 ** 13
+# draws and seed of bh_density's mc_check sampler, read at each call
+_MC_CHECK_SAMPLES = 200_000
+_MC_CHECK_SEED = 0
 
 @dataclass(frozen=True)
 class TangentSample:
@@ -176,14 +179,16 @@ def unit_body_volume(metric: MetricSpec, x):
     return float(vol[0]) if x.ndim == 1 else vol
 
 
-def unit_body_volume_mc(metric: MetricSpec, x, n_samples=200_000, seed=0):
+def unit_body_volume_mc(metric: MetricSpec, x):
     """Rejection Monte-Carlo estimate of the unit-body volume with its stderr,
-    drawn and tested in the cache-sized blocks of bh_volume's sampler, with
-    the one base point x shared by every F_batch row."""
+    from _MC_CHECK_SAMPLES draws seeded with _MC_CHECK_SEED, drawn and tested
+    in the cache-sized blocks of bh_volume's sampler, with the one base
+    point x shared by every F_batch row."""
     x = np.asarray(x, dtype=float)
+    n_samples = _MC_CHECK_SAMPLES
     dirs, _ = sphere_surface_nodes(metric.n)
     half = 1.05 / np.min(metric.F_batch(x, dirs))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_MC_CHECK_SEED)
     inside = 0
     for cols in uniform_blocks(rng, -half, half, n_samples, metric.n):
         inside += int(np.count_nonzero(metric.F_batch(x, cols.T) < 1.0))
@@ -194,7 +199,7 @@ def unit_body_volume_mc(metric: MetricSpec, x, n_samples=200_000, seed=0):
     return value, stderr
 
 
-def bh_density(metric: MetricSpec, x, mc_check=False, seed=0):
+def bh_density(metric: MetricSpec, x, mc_check=False):
     """sigma_F(x) = Vol(B^n) / Vol{F(x, .) < 1}.
 
     x is one point (n,), giving a float, or a stack of points (m, n), giving
@@ -210,7 +215,7 @@ def bh_density(metric: MetricSpec, x, mc_check=False, seed=0):
     sigma = unit_ball_volume(metric.n) / vol
     if mc_check:
         for p, v in zip(x.reshape(-1, metric.n), np.atleast_1d(vol)):
-            mc, err = unit_body_volume_mc(metric, p, seed=seed)
+            mc, err = unit_body_volume_mc(metric, p)
             if abs(mc - v) > 3.0 * max(err, 1e-12):
                 raise NumericalIntegrityError(
                     f"unit-body volume at {p}: quadrature {v} vs MC {mc} +- {err}"

@@ -8,7 +8,6 @@ lines; the whole suite is deterministic (fixed seeds throughout).
 import time
 
 import numpy as np
-import pytest
 
 from finslerlab import cli
 from finslerlab import comparison as co
@@ -149,7 +148,7 @@ class TestAcceptance:
             y = y / m.F(x, y)
             frame = np.eye(3)
             tr = parallel_transport(m, x, y, 2.0, frame)
-            for k in range(len(tr.ts)):
+            for k in range(len(tr.path.t)):
                 for v in range(3):
                     F0 = m.F(x, frame[v])
                     Ft = m.F(tr.path.x[k], tr.frames[k][v])

@@ -3,13 +3,17 @@ public method of a finslerlab module is referenced from the package outside
 its own definition, or is on ALLOWED with the identity or API it serves.
 
 Deleting a caller tends to leave its callee behind, and a function that only
-its own tests reach is code no command runs.  A reference is a name or an
-attribute read (`f`, `module.f`, `obj.f`) or an import of the name anywhere
-in the package, so the re-exports of __init__.py count, and a method counts
-as called when any attribute of its name is read.
+its own tests reach is code no command runs.  The references are read
+module by module.  A top-level function is referenced by its name in its own
+module, by an import of it (`from .jets import sqrt`, as __init__.py's
+re-exports are), or as an attribute of a name bound to its module
+(`jets.sqrt` after `from . import jets`); `np.sqrt` is no reference to
+jets.sqrt.  A method is referenced by any attribute read of its name, except
+on the names np, math and scipy.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import finslerlab
@@ -54,21 +58,60 @@ def public_definitions(tree):
     return out
 
 
+LIBRARIES = {"np", "math", "scipy"}
+
+
+def _module_of(node):
+    """The package module that an ImportFrom node reads from, by its last
+    dotted part, or None for `from . import ...`."""
+    return node.module.rsplit(".", 1)[-1] if node.module else None
+
+
+def _references(root, module, bound):
+    """The reference keys under root, in the source of module, whose names
+    bound to package modules are bound: ("name", module, id) per name,
+    ("import", source, name) per imported name, ("qual", source, attr) per
+    attribute of a bound module name, ("attr", attr) per other attribute
+    read that is not on a library name."""
+    keys = []
+    for n in ast.walk(root):
+        if isinstance(n, ast.Name):
+            keys.append(("name", module, n.id))
+        elif isinstance(n, ast.ImportFrom) and _module_of(n):
+            keys += [("import", _module_of(n), a.name) for a in n.names]
+        elif isinstance(n, ast.Attribute):
+            owner = n.value.id if isinstance(n.value, ast.Name) else None
+            if owner in bound:
+                keys.append(("qual", bound[owner], n.attr))
+            elif owner not in LIBRARIES:
+                keys.append(("attr", n.attr))
+    return keys
+
+
+def _bound_modules(tree, modules):
+    """Local name -> module for each `from . import m [as name]` (or from
+    finslerlab) of a package module."""
+    return {a.asname or a.name: a.name for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and _module_of(n) in (None, "finslerlab")
+            for a in n.names if a.name in modules}
+
+
 def uncalled(sources):
     """The qualified names of the public definitions in sources (a dict of
-    module name to source text) that no code outside their own body reads or
-    imports, in module and definition order."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
+    module file name to source text) that no code outside their own body
+    references, in module and definition order."""
+    trees = {Path(name).stem: ast.parse(text) for name, text in sources.items()}
+    bound = {module: _bound_modules(tree, trees) for module, tree in trees.items()}
+    total = Counter(k for module, tree in trees.items()
+                    for k in _references(tree, module, bound[module]))
     out = []
-    for tree in trees.values():
+    for module, tree in trees.items():
         for qualname, node in public_definitions(tree):
-            own = {id(n) for n in ast.walk(node)}
+            own = Counter(_references(node, module, bound[module]))
             name = node.name
-            if not any(id(n) not in own
-                       and (isinstance(n, ast.Name) and n.id == name
-                            or isinstance(n, ast.Attribute) and n.attr == name
-                            or isinstance(n, ast.alias) and n.name == name)
-                       for other in trees.values() for n in ast.walk(other)):
+            keys = ([("attr", name)] if "." in qualname else
+                    [("name", module, name), ("import", module, name), ("qual", module, name)])
+            if not any(total[k] > own[k] for k in keys):
                 out.append(qualname)
     return out
 
@@ -98,6 +141,16 @@ def test_the_check_sees_an_uncalled_function():
     }
     # planted reads only itself; Box.read has no reader; _hidden is private
     assert uncalled(sources) == ["planted", "Box.read"]
+    # a function or method read only as a numpy attribute has no caller, an
+    # attribute of a name bound to its module is one, and any other object's
+    # attribute calls a method
+    sources["a.py"] += ("\n\ndef exp(x):\n    return x\n\n"
+                        "def sqrt(x):\n    return x\n\n"
+                        "class Vec:\n    def dot(self):\n        return 0\n\n"
+                        "    def norm(self):\n        return 1\n")
+    sources["c.py"] = ("import numpy as np\n\nfrom . import a\n\n"
+                       "def run(v):\n    return np.exp(a.sqrt(v.norm())) + np.dot(v, v)\n")
+    assert uncalled(sources) == ["planted", "Box.read", "exp", "Vec.dot", "run"]
     package = _package()
     package["measures.py"] += "\n\ndef planted_volume(metric):\n    return 0.0\n"
     assert [name for name in uncalled(package) if name not in ALLOWED] == ["planted_volume"]

@@ -84,7 +84,7 @@ class TestDefaultModel:
     def test_funk_takes_its_own_ball_volume(self, n, delta):
         from finslerlab.metrics import make_funk
 
-        metric = make_funk(n, validate=False)
+        metric = make_funk(n)
         assert co.default_model(metric) == (-0.25, delta)
         # the Funk model volume is the Funk ball volume
         for r in (0.5, 2.0):
@@ -100,7 +100,7 @@ class TestDefaultModel:
         # S = (n+1) F / 2 on Funk, so the S ratio is exactly delta = 1 at n = 3
         from finslerlab.metrics import make_funk
 
-        metric = make_funk(3, validate=False)
+        metric = make_funk(3)
         sweep = co.curvature_bound_sweep(metric, *co.default_model(metric), n_samples=5)
         assert sweep.ok
         assert sweep.min_s_ratio == pytest.approx(1.0, abs=1e-9)
@@ -120,7 +120,7 @@ class TestRatioMonotonicity:
     def test_euclid_flat_model_ratio_one(self, zoo):
         rep = co.ratio_monotonicity_check(
             zoo["euclidean"], [0.0, 0.0], 0.0, 0.0, [0.5, 1.0],
-            distance_source="geodesic_polar", sweep_samples=10, n_dirs=48,
+            sweep_samples=10,
         )
         assert not rep.skipped
         assert rep.monotone_ok
@@ -130,8 +130,7 @@ class TestRatioMonotonicity:
     def test_sphere_bishop_gromov(self, zoo):
         rep = co.ratio_monotonicity_check(
             zoo["riemannian_sphere"], [0.2, 0.1], 1.0, 0.0,
-            [0.5, 1.0, 1.5, 2.0, 2.5], distance_source="geodesic_polar",
-            sweep_samples=10, n_dirs=48,
+            [0.5, 1.0, 1.5, 2.0, 2.5], sweep_samples=10,
         )
         assert not rep.skipped
         assert rep.monotone_ok
@@ -142,15 +141,15 @@ class TestRatioMonotonicity:
         metric = zoo["riemannian_sphere"]
         rep = co.ratio_monotonicity_check(
             metric, [0.0, 0.0], 0.0, 0.0, [1.0, 2.0, 3.2],
-            distance_source="geodesic_polar", sweep_samples=10, n_dirs=16)
+            sweep_samples=10)
         assert rep.note == "lower bound: chart exit before radius"
         assert rep.monotone_ok and not rep.skipped
-        est = ball_volume(metric, BallSpec([0.0, 0.0], 3.2, "geodesic_polar"), n_dirs=16)
+        est = ball_volume(metric, BallSpec([0.0, 0.0], 3.2, "geodesic_polar"))
         assert est.flagged and est.note == rep.note
         assert rep.rows[2][1] == pytest.approx(est.value, rel=1e-12)
         inside = co.ratio_monotonicity_check(
             metric, [0.0, 0.0], 0.0, 0.0, [1.0, 2.0],
-            distance_source="geodesic_polar", sweep_samples=10, n_dirs=16)
+            sweep_samples=10)
         assert inside.note == "" and inside.monotone_ok
 
     def test_zero_acceptance_is_noted_and_left_out(self, zoo):

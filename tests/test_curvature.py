@@ -13,11 +13,9 @@ from finslerlab.jets import JetSpec, lift
 from finslerlab.metrics import make_metric
 from finslerlab.minkowski import (
     TangentSample,
-    cartan_norm,
     cartan_tensor,
     density_field,
     fundamental_tensor,
-    mean_cartan,
     tangent_basis,
 )
 
@@ -487,9 +485,9 @@ class TestRiemannCurvature:
         from finslerlab import metrics
 
         cases = [
-            (metrics.make_hilbert(3, validate=False), -1.0),
-            (metrics.make_sphere(3, validate=False), 1.0),
-            (metrics.make_hilbert(3, domain="quartic:0.1", validate=False), -1.0),
+            (metrics.make_hilbert(3), -1.0),
+            (metrics.make_sphere(3), 1.0),
+            (metrics.make_hilbert(3, domain="quartic:0.1"), -1.0),
         ]
         rng = np.random.default_rng(88)
         for m, kappa in cases:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finslerlab import geodesics, metrics
+from finslerlab import geodesics
 from finslerlab.errors import ChartExitError, GeometryError, JetDomainError, PreconditionError
 from finslerlab.geodesics import (
     integrate_geodesic,
@@ -208,10 +208,6 @@ class TestIntegration:
         assert tr.path.exited
         assert abs(tr.path.t_exit - p.t_exit) < 1e-6
 
-    def test_reverse_integration_flagged_for_funk(self, zoo):
-        p = integrate_geodesic(zoo["funk"], [0.0, 0.0], [1.0, 0.0], -0.3)
-        assert p.reverse_flagged
-
     def test_zero_vector_rejected(self, zoo):
         with pytest.raises(PreconditionError):
             integrate_geodesic(zoo["funk"], [0.0, 0.0], [0.0, 0.0], 1.0)
@@ -260,7 +256,7 @@ class TestTransport:
     def test_euclidean_transport_is_identity(self, zoo):
         tr = parallel_transport(zoo["euclidean"], [0.0, 0.0], [1.0, 0.0], 2.0,
                                 np.eye(2))
-        np.testing.assert_allclose(tr.frame_out, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(tr.frames[-1], np.eye(2), atol=1e-12)
         assert tr.gram_drift < 1e-12
 
     def test_gram_preserved_across_zoo(self, zoo):
@@ -301,7 +297,7 @@ class TestTransport:
         y = y / m.F(x, y)
         frame = np.eye(3)
         tr = parallel_transport(m, x, y, 2.0, frame)
-        for k in range(len(tr.ts)):
+        for k in range(len(tr.path.t)):
             for mvec in range(3):
                 F0 = m.F(x, frame[mvec])
                 Ft = m.F(tr.path.x[k], tr.frames[k][mvec])
@@ -350,17 +346,18 @@ class TestVariationalFlow:
         assert t0 == pytest.approx(np.pi, abs=1e-9)
 
     @pytest.mark.parametrize("name", ["funk", "funk3", "hilbert_quartic"])
-    def test_stacked_flow_matches_per_row_flows(self, zoo, name):
+    def test_stacked_flow_matches_per_row_flows(self, zoo, name, monkeypatch):
+        monkeypatch.setattr(geodesics, "_FLOW_TOL", 1e-13)
         m = zoo[name]
         x = np.linspace(0.1, -0.1, m.n)
         Y = np.random.default_rng(3).normal(size=(3, m.n)) * 0.7
         for T in (0.5, -0.25):  # forward, and backward short of the funk chart edge
-            stack = variational_flow(m, x, Y, T, rtol=1e-13, atol=1e-13)
+            stack = variational_flow(m, x, Y, T)
             assert stack.t_end.shape == (3,) and not np.any(stack.exited)
             at_end = stack.unpack(T)
             dets = stack.det_M([0.4 * T, 0.8 * T])
             for k in range(3):
-                one = variational_flow(m, x, Y[k], T, rtol=1e-13, atol=1e-13)
+                one = variational_flow(m, x, Y[k], T)
                 assert one.t_end == stack.t_end[k] == T
                 for got, want in zip(at_end, one.unpack(T)):
                     np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12)

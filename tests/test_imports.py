@@ -1,8 +1,10 @@
-"""No dead imports: every name a finslerlab module imports is used in it.
+"""No dead imports: every name a finslerlab module or a test module imports
+is used in it.
 
 No linter runs on this package, and deleting code tends to leave its
-imports behind.  The package's __init__.py re-exports names, so it is
-exempt, and so are `from __future__` imports.
+imports behind, in the package and in the tests that reached it.  The
+package's __init__.py re-exports names, so it is exempt, and so are
+`from __future__` imports.
 """
 
 import ast
@@ -14,6 +16,7 @@ import finslerlab
 
 MODULES = sorted(p for p in Path(finslerlab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -31,6 +34,11 @@ def unused_imports(source):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_every_test_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -69,7 +69,7 @@ def _variational(metric, x, y, t_end, t_eval):
 
 def _transport(metric, x, y, t_end, t_eval):
     tr = geodesics.parallel_transport(metric, x, y, t_end, np.eye(metric.n), t_eval=t_eval)
-    return tr.ts, tr.frames, tr.path.x, tr.path.t_exit, tr.gram_drift
+    return tr.path.t, tr.frames, tr.path.x, tr.path.t_exit, tr.gram_drift
 
 
 def _both_ways(metric, x, y, t_end, t_eval):

@@ -7,6 +7,8 @@ import pytest
 from finslerlab import measures as me
 from finslerlab.errors import ConfigurationError, PreconditionError
 
+from conftest import grad_phi
+
 
 class TestFunkBallFormula:
     def test_n2_closed_form(self):
@@ -127,11 +129,12 @@ class TestSampleCount:
                 me.ball_volume(zoo[name], me.BallSpec([0.0, 0.0], 1.0, source), n_samples=bad)
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
-    def test_unit_body_volume_mc(self, zoo, bad):
-        from finslerlab.minkowski import unit_body_volume_mc
+    def test_unit_body_volume_mc(self, zoo, bad, monkeypatch):
+        from finslerlab import minkowski
 
+        monkeypatch.setattr(minkowski, "_MC_CHECK_SAMPLES", bad)
         with pytest.raises(ConfigurationError):
-            unit_body_volume_mc(zoo["quartic_norm"], [0.0, 0.0], n_samples=bad)
+            minkowski.unit_body_volume_mc(zoo["quartic_norm"], [0.0, 0.0])
 
     def test_one_sample_is_an_estimate(self, zoo):
         est = me.bh_volume(zoo["euclidean"], lambda p: np.ones(len(p), dtype=bool),
@@ -153,8 +156,7 @@ class TestBallCentre:
         ("funk", "geodesic_polar"), ("riemannian_hyperbolic", "geodesic_polar")])
     def test_malformed_centre_is_refused(self, zoo, name, source, centre):
         with pytest.raises(ConfigurationError):
-            me.ball_volume(zoo[name], me.BallSpec(centre, 1.0, source), n_samples=100,
-                           n_dirs=4)
+            me.ball_volume(zoo[name], me.BallSpec(centre, 1.0, source), n_samples=100)
 
 
 class TestBallVolume:
@@ -214,8 +216,7 @@ class TestBallVolume:
             with pytest.raises(ConfigurationError, match="finite and positive"):
                 me.polar_ball_volumes(metric, np.zeros(metric.n), radii, n_dirs=4)
         with pytest.raises(ConfigurationError):
-            me.ball_volume(metric, me.BallSpec(np.zeros(metric.n), radius, "geodesic_polar"),
-                           n_dirs=4)
+            me.ball_volume(metric, me.BallSpec(np.zeros(metric.n), radius, "geodesic_polar"))
 
     def test_stacked_sweep_matches_single_direction_flows(self, zoo):
         from finslerlab._grids import circle_nodes, gauss_legendre_on
@@ -239,8 +240,7 @@ class TestBallVolume:
 
     def test_polar_chart_exit_flagged(self, zoo):
         m = zoo["randers_curl"]  # ball chart, straight-ish geodesics exit
-        est = me.ball_volume(m, me.BallSpec([0.0, 0.0], 3.0, "geodesic_polar"),
-                             n_dirs=16)
+        est = me.ball_volume(m, me.BallSpec([0.0, 0.0], 3.0, "geodesic_polar"))
         assert est.flagged
         assert "lower bound" in est.note
 
@@ -303,7 +303,7 @@ def _rowwise_exit(dom, X, Y):
     ys = [Y[..., i] for i in range(dom.n)]
     while True:
         z = [xi + s * yi for xi, yi in zip(xs, ys)]
-        grad = dom.grad_phi(z)
+        grad = grad_phi(dom, z)
         slope = grad[0] * ys[0]
         for gi, yi in zip(grad[1:], ys[1:]):
             slope = slope + gi * yi
@@ -383,7 +383,7 @@ _KERNEL_IDS = [f"{kind}{n}-{domain}" for kind, n, domain in _KERNEL_CASES]
 def kernel_metrics():
     from finslerlab.metrics import make_metric
 
-    return {case: make_metric(case[0], n=case[1], domain=case[2], validate=False)
+    return {case: make_metric(case[0], n=case[1], domain=case[2])
             for case in _KERNEL_CASES}
 
 
@@ -393,15 +393,13 @@ class TestColumnKernel:
 
     @pytest.mark.parametrize("case", _KERNEL_CASES, ids=_KERNEL_IDS)
     def test_ball_volume_bit_identical(self, kernel_metrics, case, monkeypatch):
-        import functools
-
         m = kernel_metrics[case]
         source = f"{case[0]}_closed_form"
         # each Hilbert-quartic sample inside the ball costs a density quadrature
         n_samples = 3000 if source == "funk_closed_form" or case[2] == "unit_ball" else \
             {2: 300, 3: 90}[case[1]]
         chunk = n_samples // 4 + 1  # every estimate runs four chunks
-        monkeypatch.setattr(me, "bh_volume", functools.partial(me.bh_volume, chunk=chunk))
+        monkeypatch.setattr(me, "_MC_CHUNK", chunk)
         for center in (np.zeros(case[1]), np.array([0.3, -0.1, 0.2])[:case[1]]):
             for r in (0.5, 1.0, 2.0):
                 ball = me.BallSpec(center, r, source)
@@ -415,8 +413,6 @@ class TestColumnKernel:
         are no multiple of it (the last block of each chunk is partial), a
         sample count below one block, a radius at which most blocks accept no
         row, and one at which none does."""
-        import functools
-
         from finslerlab import _grids
 
         m = kernel_metrics[case]
@@ -429,19 +425,19 @@ class TestColumnKernel:
         accepted = []  # accepted rows per indicator call, one call per block
         bh_volume = me.bh_volume
 
-        def counting_bh_volume(metric, indicator, box, *, chunk, **kw):
+        def counting_bh_volume(metric, indicator, box, **kw):
             def counted(pts):
                 mask = indicator(pts)
                 accepted.append(int(np.count_nonzero(mask)))
                 return mask
-            return bh_volume(metric, counted, box, chunk=chunk, **kw)
+            return bh_volume(metric, counted, box, **kw)
 
+        monkeypatch.setattr(me, "bh_volume", counting_bh_volume)
         r_few = (4.0 / n_many) ** (1.0 / n)  # about three rows inside the ball
         center = np.array([0.3, -0.1, 0.2])[:n]
         for n_samples, chunk in ((n_many, n_many // 4 + 1), (block - 4, 4_000_000)):
             assert chunk % block
-            monkeypatch.setattr(me, "bh_volume", functools.partial(counting_bh_volume,
-                                                                   chunk=chunk))
+            monkeypatch.setattr(me, "_MC_CHUNK", chunk)
             for c, r in ((np.zeros(n), 1.0), (center, 0.5), (np.zeros(n), r_few),
                          (np.zeros(n), 1e-6)):
                 accepted.clear()

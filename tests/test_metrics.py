@@ -21,7 +21,7 @@ from finslerlab.metrics import (
 )
 from finslerlab.minkowski import TangentSample
 
-from conftest import tangent_samples
+from conftest import grad_phi, tangent_samples
 
 
 class TestFunkClosedForm:
@@ -101,7 +101,7 @@ class TestFunkGeneralDomain:
         t, dt = dom.coordinate_terms(z)
         np.testing.assert_allclose(t.sum(axis=1) - 1.0, dom.phi(list(z.T)), rtol=0,
                                    atol=1e-15)
-        np.testing.assert_allclose(dt, np.stack(dom.grad_phi(list(z.T)), axis=-1),
+        np.testing.assert_allclose(dt, np.stack(grad_phi(dom, list(z.T)), axis=-1),
                                    rtol=0, atol=1e-15)
 
     def test_point_outside_domain_rejected(self):
@@ -153,7 +153,7 @@ def _two_solve_funk_jet(dom, xj, yj):
     u = xj[0]._const_like(s, spec.max_x_order, spec.max_y_order)
     for _ in range(4):
         z = [xi + yi * u for xi, yi in zip(xj, yj)]
-        u = u - dom.phi(z) / metrics._dot(dom.grad_phi(z), yj)
+        u = u - dom.phi(z) / metrics._dot(grad_phi(dom, z), yj)
     return 1.0 / u
 
 
@@ -168,7 +168,7 @@ class TestPairedHilbertJets:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_two_solve_path(self, n, orders):
         dom = quartic_domain(n, 0.1)
-        m = metrics.make_hilbert(n, domain="quartic:0.1", validate=False)
+        m = metrics.make_hilbert(n, domain="quartic:0.1")
         X, Y = (np.array(a) for a in zip(*tangent_samples(m, 8, seed=91)))
         xs, ys = jets.lift(X, Y, jets.JetSpec(n, *orders))
         got = hilbert_metric(dom, xs, ys).coeffs
@@ -233,7 +233,7 @@ class TestGradedFunkRoot:
     @pytest.mark.parametrize("eps", [0.1, 1.0])
     @pytest.mark.parametrize("kind", ["funk", "hilbert"])
     def test_matches_the_full_order_loop(self, kind, eps, n, orders, monkeypatch):
-        m = metrics.make_metric(kind, n=n, domain=f"quartic:{eps}", validate=False)
+        m = metrics.make_metric(kind, n=n, domain=f"quartic:{eps}")
         X, Y = self._points(m.convex_domain, n)
         got = m.jet(X, Y, *orders).coeffs
         for k in range(len(X)):  # a single point has the bits of its member
@@ -653,7 +653,7 @@ class TestRandersDensity:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("variant", ["const", "closed", "curl"])
     def test_stacked_density_equals_per_point(self, variant, n):
-        m = metrics.make_randers(n, variant=variant, c=0.3, validate=False)
+        m = metrics.make_randers(n, variant=variant, c=0.3)
         pts = np.random.default_rng(40).uniform(-0.6, 0.6, (200, n))
         stacked = m.sigma_bh(pts)
         np.testing.assert_array_equal(stacked, [m.sigma_bh(p) for p in pts])
@@ -739,7 +739,7 @@ class TestZooCatalog:
         assert abs(fu.F([0.5, 0.0], [1.0, 0.0]) - fu.F([0.5, 0.0], [-1.0, 0.0])) > 1.0
 
     def test_randers_zero_beta_equals_alpha(self):
-        m = metrics.make_randers(2, variant="const", c=0.0, validate=False)
+        m = metrics.make_randers(2, variant="const", c=0.0)
         rng = np.random.default_rng(19)
         for _ in range(20):
             x = rng.uniform(-0.5, 0.5, 2)
@@ -765,8 +765,10 @@ class TestZooCatalog:
             assert np.min(np.linalg.eigvalsh(ft.g)) > 0
 
     def test_domain_validation(self):
-        dom = quartic_domain(2, 0.1)
-        dom.boundary_checks()
+        # a nan eps once passed as far as "domain does not contain the origin"
+        for eps in (np.nan, np.inf, -np.inf, -0.5):
+            with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+                quartic_domain(2, eps)
         with pytest.raises(ConfigurationError):
             ConvexDomain("octagon", 2)
 

@@ -15,7 +15,6 @@ from finslerlab.jets import FdScheme, fd_oracle
 from finslerlab.minkowski import (
     TangentSample,
     bh_density,
-    cartan_norm,
     cartan_tensor,
     cartan_tilde,
     density_field,
@@ -235,18 +234,21 @@ class TestBhDensity:
                 for x in ([0.0, 0.0], [0.3, 0.1], [-0.2, 0.4])]
         assert max(vals) - min(vals) < 1e-9
 
-    def test_quadrature_vs_mc(self, zoo):
+    def test_quadrature_vs_mc(self, zoo, monkeypatch):
+        from finslerlab import minkowski
+
+        monkeypatch.setattr(minkowski, "_MC_CHECK_SEED", 99)
         for name in ("quartic_norm", "randers_curl", "hilbert_quartic"):
             m = zoo[name]
             x = [0.1, 0.2]
             # raises NumericalIntegrityError on disagreement beyond 3 sigma
-            bh_density(m, x, mc_check=True, seed=99)
+            bh_density(m, x, mc_check=True)
 
     def test_route_disagreement_raises(self, zoo, monkeypatch):
         from finslerlab import minkowski
         from finslerlab.errors import NumericalIntegrityError
 
-        def broken_mc(metric, x, n_samples=1, seed=0):
+        def broken_mc(metric, x):
             return 1e6, 1e-9
 
         monkeypatch.setattr(minkowski, "unit_body_volume_mc", broken_mc)
@@ -293,15 +295,18 @@ class TestBlockedUnitBodyMc:
     @pytest.mark.parametrize("name", ["hilbert_quartic", "funk3", "quartic_norm",
                                       "randers_curl"])
     def test_bits_of_the_one_shot_draw(self, zoo, name, monkeypatch):
-        from finslerlab import _grids
+        from finslerlab import _grids, minkowski
 
         m = zoo[name]
         x = np.zeros(m.n) + 0.1
         # 2e5 points are six full blocks and a partial one
-        assert repr(unit_body_volume_mc(m, x, seed=4)) == \
+        monkeypatch.setattr(minkowski, "_MC_CHECK_SEED", 4)
+        assert repr(unit_body_volume_mc(m, x)) == \
             repr(_one_shot_unit_body_volume_mc(m, x, seed=4))
         monkeypatch.setattr(_grids, "_MC_BLOCK", 257)
-        assert repr(unit_body_volume_mc(m, x, n_samples=5000, seed=5)) == \
+        monkeypatch.setattr(minkowski, "_MC_CHECK_SAMPLES", 5000)
+        monkeypatch.setattr(minkowski, "_MC_CHECK_SEED", 5)
+        assert repr(unit_body_volume_mc(m, x)) == \
             repr(_one_shot_unit_body_volume_mc(m, x, n_samples=5000, seed=5))
 
 
@@ -342,7 +347,7 @@ class TestStackedBhDensity:
     def test_n3_quartic_stack(self):
         # 5 points span three chunks of the default size (two points of the
         # 4096-node half sphere grid each), the last one partial
-        m = metrics.make_hilbert(3, domain="quartic:0.1", validate=False)
+        m = metrics.make_hilbert(3, domain="quartic:0.1")
         pts = np.random.default_rng(51).uniform(-0.4, 0.4, (5, 3))
         self._check(m, pts)
 
@@ -352,9 +357,12 @@ class TestStackedBhDensity:
             np.testing.assert_array_equal(
                 bh_density(zoo[name], pts), [bh_density(zoo[name], p) for p in pts])
 
-    def test_stacked_mc_check(self, zoo):
+    def test_stacked_mc_check(self, zoo, monkeypatch):
+        from finslerlab import minkowski
+
+        monkeypatch.setattr(minkowski, "_MC_CHECK_SEED", 99)
         pts = np.array([[0.1, 0.2], [-0.3, 0.05]])
-        vals = bh_density(zoo["hilbert_quartic"], pts, mc_check=True, seed=99)
+        vals = bh_density(zoo["hilbert_quartic"], pts, mc_check=True)
         assert vals.shape == (2,)
 
 
@@ -436,7 +444,7 @@ class TestSantalo:
     def test_rejects_nonreversible(self, zoo):
         with pytest.raises(PreconditionError):
             santalo_volume(metrics.make_randers(
-                2, variant="const", c=0.3, validate=False))
+                2, variant="const", c=0.3))
 
     def test_bh_indicatrix_length_reported(self, zoo):
         # reported quantity: positive, equal to 2 pi in the Euclidean case
@@ -472,7 +480,7 @@ class TestBasePointColumns:
     def metrics3(self):
         from finslerlab.metrics import make_hilbert
 
-        return {"hilbert_quartic3": make_hilbert(3, domain="quartic:0.1", validate=False)}
+        return {"hilbert_quartic3": make_hilbert(3, domain="quartic:0.1")}
 
     @pytest.mark.parametrize("name", ["hilbert_quartic", "quartic_norm", "quartic_norm3",
                                       "hilbert_quartic3", "randers_curl", "funk_quartic"])
@@ -491,9 +499,13 @@ class TestBasePointColumns:
         np.testing.assert_array_equal(got, _broadcast_unit_body_volume(m, pts))
         assert isinstance(got, np.ndarray) and got.shape == (9,)
 
-    def test_shared_base_point_of_the_mc_sampler(self, zoo):
+    def test_shared_base_point_of_the_mc_sampler(self, zoo, monkeypatch):
         """unit_body_volume_mc passes its one base point unbroadcast."""
+        from finslerlab import minkowski
+
+        monkeypatch.setattr(minkowski, "_MC_CHECK_SAMPLES", 70_000)
+        monkeypatch.setattr(minkowski, "_MC_CHECK_SEED", 8)
         m = zoo["hilbert_quartic"]
         x = np.array([0.2, -0.3])
-        assert repr(unit_body_volume_mc(m, x, n_samples=70_000, seed=8)) == \
+        assert repr(unit_body_volume_mc(m, x)) == \
             repr(_one_shot_unit_body_volume_mc(m, x, n_samples=70_000, seed=8))

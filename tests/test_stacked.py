@@ -12,6 +12,7 @@ from finslerlab import curvature as cu
 from finslerlab._grids import halton_directions
 from finslerlab.errors import ChartExitError, PreconditionError
 from finslerlab.geodesics import transport_both_ways
+from finslerlab.jets import derivative_tensor
 from finslerlab.minkowski import (
     TangentSample,
     cartan_norm,
@@ -124,7 +125,7 @@ class TestStackValidation:
     @pytest.mark.parametrize("domain", ["unit_ball", "quartic:0.1"])
     @pytest.mark.parametrize("name", ["funk", "hilbert"])
     def test_vanishing_y_is_a_precondition_error(self, name, domain, stack):
-        metric = metrics.make_metric(name, n=2, domain=domain, validate=False)
+        metric = metrics.make_metric(name, n=2, domain=domain)
         x, y = [0.1, 0.2], [0.0, 0.0]
         sample = TangentSample([x, x, x], [[1.0, 0.5], y, [0.3, -0.2]]) if stack \
             else TangentSample(x, y)
@@ -290,10 +291,17 @@ def _homogeneity(metric, s):
 
 
 def _jb(metric, s):
-    bt = cu.berwald_curvature(metric, s)
-    gy = fundamental_tensor(metric, s).g @ s.y
-    return (cu.landsberg_from_berwald(metric, s, bt),
-            -0.5 * np.einsum("mijk,m->ijk", bt.B, gy), 1.0 + bt.norm())
+    # -g(B, y)/2 against the rate of C along the geodesic flow, at one point
+    ws = geodesics.spray_jets(metric, s.x, s.y, 1, 5)
+    G, N, B = (derivative_tensor(ws.G, 0, k) for k in (0, 1, 3))
+    gy = 0.5 * np.einsum("ij,j->i", derivative_tensor(ws.f2, 0, 2), s.y)
+    C = 0.25 * derivative_tensor(ws.f2, 0, 3)
+    C_dot = 0.25 * (np.einsum("m,mijk->ijk", s.y, derivative_tensor(ws.f2, 1, 3))
+                    - 2.0 * np.einsum("l,ijkl->ijk", G, derivative_tensor(ws.f2, 0, 4)))
+    C_dot -= (np.einsum("ljk,li->ijk", C, N) + np.einsum("ilk,lj->ijk", C, N)
+              + np.einsum("ijl,lk->ijk", C, N))
+    return (-0.5 * np.einsum("mijk,m->ijk", B, gy), C_dot,
+            1.0 + np.sqrt(np.sum(B ** 2)))
 
 
 def _one_member(route):
@@ -418,17 +426,18 @@ def test_stacked_geodesics_match_one_member_calls(zoo, name):
 
 
 @pytest.mark.parametrize("name", FLOW_METRICS)
-def test_stacked_transport_matches_one_member_calls(zoo, name):
+def test_stacked_transport_matches_one_member_calls(zoo, name, monkeypatch):
+    monkeypatch.setattr(geodesics, "_FLOW_TOL", TIGHT["rtol"])
     metric = zoo[name]
     pairs, xs, ys = _stack(metric, 3)
     frames = np.random.default_rng(5).normal(size=(3, 2, metric.n))  # one per member
     for t_end in (0.5, -0.5):  # forward and backward spans
-        tr = geodesics.parallel_transport(metric, xs, ys, t_end, frames, **TIGHT)
+        tr = geodesics.parallel_transport(metric, xs, ys, t_end, frames)
         assert tr.frames.shape == (3, 33, 2, metric.n) and tr.gram_drift.shape == (3,)
         for k, (x, y) in enumerate(pairs):
-            one = geodesics.parallel_transport(metric, x, y, t_end, frames[k], **TIGHT)
+            one = geodesics.parallel_transport(metric, x, y, t_end, frames[k])
             reached = ~np.isnan(tr.path.x[k, :, 0])
-            assert np.sum(reached) == len(one.ts)
+            assert np.sum(reached) == len(one.path.t)
             np.testing.assert_allclose(tr.path.x[k, reached], one.path.x, rtol=0, atol=1e-11)
             np.testing.assert_allclose(tr.frames[k, reached], one.frames, rtol=0, atol=1e-10)
             assert tr.gram_drift[k] == pytest.approx(one.gram_drift, abs=1e-9)
@@ -460,7 +469,7 @@ def test_one_member_stack_reads_the_point_bits(zoo, name, sign):
         assert np.array_equal(got[0], want)
     one, stack = (geodesics.parallel_transport(metric, a, b, t_end, np.eye(n))
                   for a, b in ((x, y), (x[None], y[None])))
-    assert np.array_equal(stack.frames[0, :len(one.ts)], one.frames)
+    assert np.array_equal(stack.frames[0, :len(one.path.t)], one.frames)
     stored = one.path.sol.segments[0][2]
     assert np.array_equal(one.path.sol(stored.t)[0], stored.y.T)
 
@@ -485,14 +494,15 @@ def test_geodesic_endpoints_take_a_stack(zoo):
 
 
 @pytest.mark.parametrize("name", FLOW_METRICS)
-def test_two_way_stack_reads_each_member_at_its_own_times(zoo, name):
+def test_two_way_stack_reads_each_member_at_its_own_times(zoo, name, monkeypatch):
+    monkeypatch.setattr(geodesics, "_FLOW_TOL", TIGHT["rtol"])
     metric = zoo[name]
     pairs, xs, ys = _stack(metric, 3)
     scale, ts = np.array([1.0, 0.5, 0.25]), np.array([0.01, 0.02, 0.04])
-    got = transport_both_ways(metric, xs, ys, ts, np.eye(metric.n), scale=scale, **TIGHT)
+    got = transport_both_ways(metric, xs, ys, ts, np.eye(metric.n), scale=scale)
     assert got[0].shape == (2, 3, 3, metric.n) and got[2].shape == (2, 3, 3, metric.n, metric.n)
     for k, (x, y) in enumerate(pairs):
-        one = transport_both_ways(metric, x, y, scale[k] * ts, np.eye(metric.n), **TIGHT)
+        one = transport_both_ways(metric, x, y, scale[k] * ts, np.eye(metric.n))
         for a, b in zip(got, one):
             np.testing.assert_allclose(a[:, k], b, rtol=0, atol=1e-12)
 
