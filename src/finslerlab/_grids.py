@@ -3,18 +3,28 @@ used across the library."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigurationError
 
 
+# Halton streams kept per (dim, count): every metric build draws the same
+# few, and the memoised arrays are read-only, so no caller can change what
+# a later call returns.
+_STREAMS = 32
+
+
+@functools.lru_cache(maxsize=_STREAMS)
 def halton(dim, count):
     """Low-discrepancy points in [0,1)^dim; unscrambled, hence reproducible.
 
     Radical inverses of the indices 1..count in the first dim prime bases,
     with the bits of scipy's unscrambled Halton sampler past its all-zero
     first point: digits are added lowest first, and the digit weight is
-    divided by the base (times its reciprocal can be one ulp off).
+    divided by the base (times its reciprocal can be one ulp off).  The
+    array is memoised and read-only.
     """
     bases, k = [], 2  # the first dim primes
     while len(bases) < dim:
@@ -28,11 +38,14 @@ def halton(dim, count):
             q, r = np.divmod(q, base)
             col += r * b2r
             b2r /= base
+    out.flags.writeable = False
     return out
 
 
+@functools.lru_cache(maxsize=_STREAMS)
 def halton_directions(n, count):
-    """Deterministic unit vectors, uniformly distributed on S^(n-1)."""
+    """Deterministic unit vectors, uniformly distributed on S^(n-1); the
+    array is memoised and read-only, like halton's."""
     u = halton(n, count)
     # inverse-normal map gives rotation-invariant directions
     from scipy.special import ndtri
@@ -40,7 +53,9 @@ def halton_directions(n, count):
     g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    return g / norms
+    dirs = g / norms
+    dirs.flags.writeable = False
+    return dirs
 
 
 # Rows per block of a Monte-Carlo draw, so that a block and the temporaries

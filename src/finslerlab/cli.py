@@ -251,10 +251,9 @@ def _sampled(routes, tol, count=None, one_sided=False):
 
 
 def _homogeneity(metric, s):
-    F = metric.F_batch(s.x, s.y)
     lams = (0.5, 2.0)
-    return (np.stack([metric.F_batch(s.x, lam * s.y) for lam in lams], axis=-1),
-            F[:, None] * lams, np.maximum(F, 1e-12)[:, None])
+    F, *F_lams = metric.F_sets(s.x, [s.y] + [lam * s.y for lam in lams])
+    return np.stack(F_lams, axis=-1), F[:, None] * lams, np.maximum(F, 1e-12)[:, None]
 
 
 def _definiteness(metric, s):

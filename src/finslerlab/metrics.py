@@ -9,6 +9,7 @@ Minkowski norm, and the Funk/Hilbert metrics on strongly convex domains.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +48,13 @@ def _find_jet(vals):
 # ---------------------------------------------------------------------------
 
 
+def _check_quartic_eps(eps):
+    """ConfigurationError unless eps is a finite number >= 0: the rule for
+    the quartic perturbation of a domain and of the quartic norm."""
+    if not (isinstance(eps, numbers.Real) and np.isfinite(eps) and eps >= 0):
+        raise ConfigurationError("quartic perturbation must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class ConvexDomain:
     """Strongly convex bounded domain {phi < 0} with jet-capable boundary data.
@@ -65,8 +73,7 @@ class ConvexDomain:
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
         # for finite eps >= 0, phi(0) = -1, the boundary gradient 2z + 4 eps z^3
         # is nonzero and the Hessian 2 + 12 eps z^2 is positive: strongly convex
-        if not (np.isfinite(self.eps) and self.eps >= 0):
-            raise ConfigurationError("quartic perturbation must be finite and nonnegative")
+        _check_quartic_eps(self.eps)
         if self.n < 2:
             raise ConfigurationError("domain dimension must be >= 2")
 
@@ -238,6 +245,13 @@ class MetricSpec:
         xs = [x[..., i] for i in range(self.n)]
         ys = [y[..., i] for i in range(self.n)]
         return np.asarray(self.evaluator(xs, ys), dtype=float)
+
+    def F_sets(self, x, ys):
+        """F at the points x (m, n) along each direction set of ys, each
+        (m, n), from one F_batch call, as an array (len(ys), m).  F_batch
+        evaluates each row on its own, so every value has the bits of a
+        separate call."""
+        return self.F_batch(np.tile(x, (len(ys), 1)), np.concatenate(ys)).reshape(len(ys), -1)
 
     def jet(self, x, y, mx, my) -> Jet:
         """F as a jet at the tangent point (x, y); stacked points (m, n) give a
@@ -659,9 +673,10 @@ def chart_points(metric: MetricSpec, count):
 def validate_metric(metric: MetricSpec, n_samples=100):
     """Positivity, homogeneity (F2a), definiteness (F2b), reversibility claims.
 
-    All samples go through one batched evaluation and one stacked jet per
-    claim, checked in that order.  Raises MetricValidityError naming the
-    first sample that breaks the first failing claim.
+    The directions y, y/2, 2y and, for a reversible claim, -y go through one
+    F_sets call, and all samples through one stacked jet; the claims are
+    checked in that order.  Raises MetricValidityError naming the first
+    sample that breaks the first failing claim.
     """
     pts = chart_points(metric, n_samples)
     dirs = halton_directions(metric.n, n_samples)
@@ -671,18 +686,19 @@ def validate_metric(metric: MetricSpec, n_samples=100):
             k = int(np.argmax(bad))
             raise MetricValidityError(message, sample=(pts[k], dirs[k], *extra))
 
-    F = metric.F_batch(pts, dirs)
+    lams = (0.5, 2.0)
+    F, *Fs = metric.F_sets(pts, [dirs] + [lam * dirs for lam in lams]
+                           + ([-dirs] if metric.reversible else []))
     require(~np.isfinite(F) | (F <= F_FLOOR), "F not positive at sample")
-    for lam in (0.5, 2.0):
-        require(np.abs(metric.F_batch(pts, lam * dirs) - lam * F) > 1e-10 * np.maximum(1.0, F),
+    for lam, F_lam in zip(lams, Fs):
+        require(np.abs(F_lam - lam * F) > 1e-10 * np.maximum(1.0, F),
                 "homogeneity F(x, lam y) = lam F(x, y) violated", (lam,))
     fj = metric.jet(pts, dirs, 0, 2)
     g = 0.5 * jets.derivative_tensor(fj * fj, 0, 2)
     require(np.min(np.linalg.eigvalsh(g), axis=-1) <= 0,
             "fundamental tensor not positive definite")
     if metric.reversible:
-        require(np.abs(F - metric.F_batch(pts, -dirs)) > 1e-10 * F,
-                "metric flagged reversible is not")
+        require(np.abs(F - Fs[-1]) > 1e-10 * F, "metric flagged reversible is not")
     return True
 
 
@@ -719,8 +735,7 @@ def make_hyperbolic(n=2):
 
 
 def make_quartic(n=2, eps=0.1):
-    if eps < 0:
-        raise ConfigurationError("quartic perturbation must be nonnegative")
+    _check_quartic_eps(eps)
     return _build("quartic_norm", n, _quartic_eval(eps), _full_chart(n), True,
                   is_minkowski=True, params={"n": n, "eps": eps})
 
@@ -779,15 +794,16 @@ def _domain_from_param(n, domain):
         return unit_ball_domain(n)
     if domain == "quartic":
         return quartic_domain(n)
-    if isinstance(domain, str) and domain.startswith("quartic:"):
-        try:
-            eps = float(domain[len("quartic:"):])
-        except ValueError:
-            eps = np.nan
-        if np.isfinite(eps) and eps >= 0:
-            return quartic_domain(n, eps)
-    raise ConfigurationError(f"domain must be unit_ball, quartic or quartic:EPS with "
-                             f"EPS a finite number >= 0, got {domain!r}")
+    grammar = ConfigurationError(f"domain must be unit_ball, quartic or quartic:EPS with "
+                                 f"EPS a finite number >= 0, got {domain!r}")
+    if not (isinstance(domain, str) and domain.startswith("quartic:")):
+        raise grammar
+    try:
+        eps = float(domain[len("quartic:"):])
+        _check_quartic_eps(eps)
+    except (ValueError, ConfigurationError) as exc:
+        raise grammar from exc
+    return quartic_domain(n, eps)
 
 
 def make_funk(n=2, domain=None):

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ._grids import richardson_central, sphere_surface_nodes, uniform_blocks, unit_ball_volume
 from .errors import (
@@ -81,18 +80,26 @@ def _f2_jet(metric, sample, mx, my):
 
 
 def fundamental_tensor(metric: MetricSpec, sample: TangentSample) -> FundamentalTensor:
-    """g_ij = half the second fiber derivative of F^2, from the jet engine."""
+    """g_ij = half the second fiber derivative of F^2, from the jet engine.
+
+    A stack is factored and inverted whole by numpy: det_g from the
+    Cholesky diagonal, g_inv from one stacked solve.  A non-finite or
+    indefinite g raises MetricValidityError."""
     sample.validate(metric)
     f2, F = _f2_jet(metric, sample, 0, 2)
     g = 0.5 * derivative_tensor(f2, 0, 2)
+    if not np.all(np.isfinite(g)):  # numpy's Cholesky passes a NaN through
+        raise MetricValidityError(f"fundamental tensor not finite at x={sample.x}, y={sample.y}")
     try:
-        c, low = cho_factor(g)
+        low = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise MetricValidityError(
             f"fundamental tensor not positive definite at x={sample.x}, y={sample.y}"
         ) from exc
-    g_inv = cho_solve((c, low), np.eye(metric.n))
-    det_g = np.prod(np.diagonal(c, axis1=-2, axis2=-1), axis=-1) ** 2
+    # I broadcast to g's shape: numpy < 2 reads a 2-d right-hand side
+    # against a stack as a stack of vectors
+    g_inv = np.linalg.solve(g, np.broadcast_to(np.eye(metric.n), g.shape))
+    det_g = np.prod(np.diagonal(low, axis1=-2, axis2=-1), axis=-1) ** 2
     return FundamentalTensor(g=g, g_inv=g_inv, det_g=per_point(det_g, sample.y), F=F)
 
 

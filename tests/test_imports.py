@@ -1,5 +1,7 @@
 """No dead imports: every name a finslerlab module or a test module imports
-is used in it.
+is used in it.  And no finslerlab module imports scipy.linalg: the tensors
+are factored with numpy, whose stacked Cholesky and solve run in C where
+scipy's batched wrappers loop over the members in Python.
 
 No linter runs on this package, and deleting code tends to leave its
 imports behind, in the package and in the tests that reached it.  The
@@ -30,6 +32,33 @@ def unused_imports(source):
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def scipy_linalg_imports(source):
+    """The import statements of source that load scipy.linalg, by line."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_linalg(path):
+    assert scipy_linalg_imports(path.read_text()) == []
+
+
+def test_the_check_sees_scipy_linalg():
+    source = ("import scipy\nimport scipy.linalg\nfrom scipy import linalg\n"
+              "from scipy.linalg import cho_factor\nfrom scipy.special import ndtri\n"
+              "import numpy.linalg\n")
+    assert scipy_linalg_imports(source) == [2, 3, 4]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

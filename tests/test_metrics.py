@@ -726,6 +726,17 @@ class TestZooCatalog:
                 validate_metric(m, n_samples=20)
             assert len(err.value.sample) >= 2
 
+    def test_direction_sets_have_the_bits_of_separate_calls(self, zoo):
+        # validate_metric and verify's homogeneity check read F at y, y/2,
+        # 2y and -y from one F_sets call
+        for name, m in zoo.items():
+            xs, ys = (np.array(a) for a in zip(*tangent_samples(m, 30, seed=41)))
+            sets = [ys, 0.5 * ys, 2.0 * ys, -ys]
+            got = m.F_sets(xs, sets)
+            assert got.shape == (4, 30), name
+            for row, y in zip(got, sets):
+                assert row.tobytes() == m.F_batch(xs, y).tobytes(), name
+
     def test_reversibility_flags(self, zoo):
         rng = np.random.default_rng(18)
         for name, m in zoo.items():
@@ -754,6 +765,13 @@ class TestZooCatalog:
         with pytest.raises(ConfigurationError):
             metrics.make_quartic(2, -0.5)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, "0.1", None, [0.1]])
+    def test_quartic_eps_not_a_finite_number_rejected(self, eps):
+        # a nan eps once built its evaluator and failed validation instead,
+        # and a non-number raised an untyped TypeError
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+            metrics.make_quartic(2, eps)
+
     def test_quartic_positive_definite_sweep(self, zoo):
         # 360-direction sweep of the fundamental tensor spectrum
         from finslerlab.minkowski import TangentSample, fundamental_tensor
@@ -766,7 +784,7 @@ class TestZooCatalog:
 
     def test_domain_validation(self):
         # a nan eps once passed as far as "domain does not contain the origin"
-        for eps in (np.nan, np.inf, -np.inf, -0.5):
+        for eps in (np.nan, np.inf, -np.inf, -0.5, "0.1", None):
             with pytest.raises(ConfigurationError, match="finite and nonnegative"):
                 quartic_domain(2, eps)
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ distortion, BH density, indicatrix geometry and the volume bound."""
 import numpy as np
 import pytest
 
-from finslerlab import metrics
+from finslerlab import jets, metrics
 from finslerlab._grids import sphere_surface_nodes, unit_sphere_area
 from finslerlab.errors import (
     ConfigurationError,
@@ -85,6 +85,33 @@ class TestFundamentalTensor:
                                chart=metrics._full_chart(2), reversible=True)
         with pytest.raises(MetricValidityError, match="not positive definite"):
             fundamental_tensor(m, TangentSample([0.0, 0.0], [0.7, 0.7]))
+
+    def test_non_finite_g_raises(self):
+        # numpy's Cholesky factors a NaN matrix without complaint
+        m = metrics.MetricSpec(name="broken", n=2, chart=metrics._full_chart(2),
+                               evaluator=lambda x, y: jets.sqrt(y[0] * y[0] + y[1] * y[1])
+                               * float("nan"), reversible=True)
+        with pytest.raises(MetricValidityError, match="not finite"):
+            fundamental_tensor(m, TangentSample([0.0, 0.0], [0.7, 0.7]))
+
+    def test_stack_members_have_their_single_point_bits(self, zoo):
+        for name, m in zoo.items():
+            pairs = tangent_samples(m, 20, seed=36)
+            xs, ys = (np.array(a) for a in zip(*pairs))
+            stacked = fundamental_tensor(m, TangentSample(xs, ys))
+            for k, (x, y) in enumerate(pairs):
+                single = fundamental_tensor(m, TangentSample(x, y))
+                for field in ("g", "g_inv", "det_g", "F"):
+                    got = np.asarray(getattr(stacked, field)[k])
+                    assert got.tobytes() == np.asarray(getattr(single, field)).tobytes(), \
+                        (name, k, field)
+
+    def test_inverse_is_within_round_off(self, zoo):
+        for name, m in zoo.items():
+            xs, ys = (np.array(a) for a in zip(*tangent_samples(m, 20, seed=37)))
+            ft = fundamental_tensor(m, TangentSample(xs, ys))
+            err = np.max(np.abs(ft.g_inv @ ft.g - np.eye(m.n)), axis=(-2, -1))
+            assert np.all(err <= 4 * m.n * np.finfo(float).eps * np.linalg.cond(ft.g)), name
 
 
 class TestCartanTorsion:
