@@ -193,10 +193,10 @@ def conjugate_point_bound(metric: MetricSpec, x, y_unit, lam, sweep_samples=50) 
             t_conj = float(brentq(flow.det_M, ts[k - 1], ts[k], xtol=1e-12))
             break
     if t_conj is None:
-        inconclusive = flow.exited or t_hi < bound
+        inconclusive = bool(flow.exited or t_hi < bound)
         return ConjugateReport(
             t_conjugate=None, bound=float(bound), within_bound=False,
-            inconclusive=True,
+            inconclusive=inconclusive,
             note="no conjugate point before chart exit" if inconclusive
             else "no conjugate point found inside the search window",
         )

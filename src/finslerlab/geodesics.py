@@ -42,9 +42,12 @@ def spray_jets(metric: MetricSpec, x, y, mx, my) -> SprayWorkspace:
     make every stored derivative of G exact.  The n^2 entries of g - g0 are
     one stack, so a pass is one stacked product.  x and y are one tangent
     point (n,) or stacks (m, n), as for jets.lift.
+
+    G reads F^2 only through orders (mx, my - 1) and (mx - 1, my), so F^2 is
+    valid to total degree mx + my - 1: its readers (C, C-dot, g) stay below.
     """
     n = metric.n
-    fj = metric.jet(x, y, mx, my)
+    fj = metric.jet(x, y, mx, my, mx + my - 1)
     f2 = fj * fj
     ctx, vx, vy = f2.ctx, mx - 1, my - 2
     _, ys = lift(np.asarray(x, dtype=float), np.asarray(y, dtype=float), JetSpec(n, mx, my))
@@ -101,7 +104,7 @@ def _spray(metric, x, v, mx):
     """
     if np.ndim(x) == np.ndim(v) == 2 and len(v) == 1:  # one member: the single-point path
         return tuple(None if a is None else a[None] for a in _spray(metric, x[0], v[0], mx))
-    fj = metric.jet(x, v, mx or 1, 3 if mx else 2)
+    fj = metric.jet(x, v, mx or 1, 3 if mx else 2, 4)  # no read below is past degree 4
     f2 = fj * fj
     g = 0.5 * derivative_tensor(f2, 0, 2)
     dg = 0.5 * derivative_tensor(f2, 1, 2)

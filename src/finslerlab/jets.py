@@ -23,6 +23,19 @@ and that a zero term leaves as it is.  So every coefficient keeps the bits
 of the full table wherever the coefficients are finite: 0 * inf is NaN in
 the full table and absent from the cut one, so only a jet that already
 holds an inf or a NaN can differ.
+
+Degrees.  A slot of total degree d of a sum, product or series depends only
+on the operands' slots of degree d or less, and of a derivative on degree
+d + 1.  So a jet also carries a total-degree validity vd (at most vx + vy):
+lift takes it from its caller, sums and products take the smaller of their
+operands', and dx and dy lower it by one.  Masks and product tables stop at
+it, a series stops its Horner loop there, and Jet.partial and
+derivative_tensor refuse a read past it.  Horner steps are graded too:
+uhat has no constant term, so step j of a series of length K needs only the
+slots of degree j + 1 or less, a higher one feeding only slots past K.
+Either cut drops only table terms whose output no read reaches, or terms
+with a factor that is exactly zero, and keeps the order of the rest, so
+every slot it keeps has the bits of the uncut computation.
 """
 
 from __future__ import annotations
@@ -40,6 +53,11 @@ MAX_X_ORDER = 2
 MAX_Y_ORDER = 5
 
 _SCALARS = (int, float, np.integer, np.floating)
+
+# A stack of at least this many members takes the coefficients of a series
+# whose coeff_fn is stacked as arrays, with the bits of the member loop; below
+# it numpy's cost per call exceeds the loop's (4 members: 10-25% slower).
+_STACKED_MEMBERS = 8
 
 
 @dataclass(frozen=True)
@@ -91,6 +109,7 @@ class _JetContext:
         ydeg = np.array([sum(b) for b in self.yidx], dtype=np.int64)
         self.xdeg = np.repeat(xdeg, self.ny)
         self.ydeg = np.tile(ydeg, self.nx)
+        self.deg = self.xdeg + self.ydeg
 
         fact = np.empty(self.size)
         for i, a in enumerate(self.xidx):
@@ -159,6 +178,13 @@ class _JetContext:
         return (self.xdeg <= vx) & (self.ydeg <= vy)
 
     @functools.cache
+    def valid(self, vx, vy, vd):
+        """The slots valid to orders (vx, vy) and total degree vd."""
+        if vd >= vx + vy:
+            return self.mask(vx, vy)
+        return self.mask(vx, vy) & (self.deg <= vd)
+
+    @functools.cache
     def mul_table(self, vx, vy, sa, sb):
         """The product table cut to the output slots valid to (vx, vy) and to
         the pairs whose factors lie in the supports sa and sb (None: the
@@ -178,6 +204,17 @@ class _JetContext:
         sup = None if sa is None or sb is None else _cap(
             (sa[0] + sb[0], sa[1] + sb[1]), vx, vy)
         return _Table(self.tab_a[keep], self.tab_b[keep], self.tab_out[keep], sup, self.size)
+
+    @functools.cache
+    def graded_table(self, vx, vy, sa, sb, d):
+        """mul_table(vx, vy, sa, sb) cut to the output slots of total degree
+        d or less, in table order: the table of a product valid to total
+        degree d, or of a Horner step whose higher slots no read reaches."""
+        tab = self.mul_table(vx, vy, sa, sb)
+        if d >= vx + vy:
+            return tab
+        keep = self.deg[tab.out] <= d
+        return _Table(tab.a[keep], tab.b[keep], tab.out[keep], tab.sup, self.size)
 
     @functools.cache
     def shift(self, kind, i, vx, vy):
@@ -206,6 +243,15 @@ def _cap(sup, vx, vy):
     if sup is None or (sup[0] >= vx and sup[1] >= vy):
         return None
     return (min(sup[0], vx), min(sup[1], vy))
+
+
+def _check_read(jet, ox, oy):
+    """Refuse a read of order (ox, oy) past the jet's orders or total degree."""
+    if ox > jet.vx or oy > jet.vy or ox + oy > jet.vd:
+        raise ConfigurationError(
+            f"partial order ({ox},{oy}) exceeds valid orders ({jet.vx},{jet.vy})"
+            f" or total degree {jet.vd}"
+        )
 
 
 def _larger(a, b):
@@ -248,26 +294,30 @@ class Jet:
     divided by a! b!) for basis slot k: shape (size,) for one jet, (m, size)
     for a stack of m jets sharing the spec and the validity orders, one
     expansion point per member.  ``vx``/``vy`` are the orders up to which the
-    stored coefficients are trusted; differentiating a jet lowers them.
-    ``sup`` is the members' support (see the module docstring), None for the
-    whole validity box.  Every operation acts on each member as on a single
-    jet, with the same bits.  Jets are immutable values; all operations
-    return new jets.
+    stored coefficients are trusted, and ``vd`` the total degree (at most
+    vx + vy); differentiating a jet lowers them.  ``sup`` is the members'
+    support (see the module docstring), None for the whole validity box.
+    Every operation acts on each member as on a single jet, with the same
+    bits.  Jets are immutable values; all operations return new jets.
     """
 
-    __slots__ = ("ctx", "coeffs", "vx", "vy", "sup")
+    __slots__ = ("ctx", "coeffs", "vx", "vy", "vd", "sup")
 
-    def __init__(self, ctx, coeffs, vx, vy, masked=False, sup=None):
-        # masked=True: the slots beyond (vx, vy) are zero already, as after a
-        # product (which fills only its cut table's slots) or any operation
-        # that keeps its operands' validity.  The slot descriptors set the
-        # fields at less cost than object.__setattr__.
+    def __init__(self, ctx, coeffs, vx, vy, masked=False, sup=None, vd=None):
+        # masked=True: the slots beyond (vx, vy) and vd are zero already, as
+        # after a product (which fills only its cut table's slots) or any
+        # operation that keeps its operands' validity.  vd None is the whole
+        # box.  The slot descriptors set the fields at less cost than
+        # object.__setattr__.
+        if vd is None or vd > vx + vy:
+            vd = vx + vy
         if not masked:
-            coeffs = np.where(ctx.mask(vx, vy), coeffs, 0.0)
+            coeffs = np.where(ctx.valid(vx, vy, vd), coeffs, 0.0)
         _set_ctx(self, ctx)
         _set_coeffs(self, coeffs)
         _set_vx(self, vx)
         _set_vy(self, vy)
+        _set_vd(self, vd)
         _set_sup(self, sup if sup is None else _cap(sup, vx, vy))
 
     def __setattr__(self, name, value):
@@ -299,10 +349,7 @@ class Jet:
         b = tuple(int(k) for k in b)
         if len(a) != self.spec.n or len(b) != self.spec.n:
             raise ConfigurationError("multi-index length does not match dimension")
-        if sum(a) > self.vx or sum(b) > self.vy:
-            raise ConfigurationError(
-                f"partial order ({sum(a)},{sum(b)}) exceeds valid orders ({self.vx},{self.vy})"
-            )
+        _check_read(self, sum(a), sum(b))
         k = self.ctx.slot(a, b)
         d = self.coeffs[..., k] * self.ctx.factorial[k]
         return float(d) if d.ndim == 0 else d
@@ -315,7 +362,7 @@ class Jet:
         c = np.zeros(self.coeffs.shape)
         c.T[0] = value
         return Jet(self.ctx, c, self.vx if vx is None else vx,
-                   self.vy if vy is None else vy, masked=True, sup=(0, 0))
+                   self.vy if vy is None else vy, masked=True, sup=(0, 0), vd=self.vd)
 
     def _check(self, other):
         if other.ctx is not self.ctx:
@@ -323,11 +370,14 @@ class Jet:
 
     def _combine(self, coeffs, other):
         """The sum or difference of self and other, valid to their common
-        orders and supported on the larger of their supports; masked only
-        when validity drops."""
-        vx, vy = min(self.vx, other.vx), min(self.vy, other.vy)
-        kept = vx == self.vx == other.vx and vy == self.vy == other.vy
-        return Jet(self.ctx, coeffs, vx, vy, masked=kept, sup=_larger(self.sup, other.sup))
+        orders and degree and supported on the larger of their supports;
+        masked only when validity drops."""
+        v = (self.vx, self.vy, self.vd)
+        kept = v == (other.vx, other.vy, other.vd)
+        vx, vy, vd = v if kept else (min(self.vx, other.vx), min(self.vy, other.vy),
+                                     min(self.vd, other.vd))
+        return Jet(self.ctx, coeffs, vx, vy, masked=kept, sup=_larger(self.sup, other.sup),
+                   vd=vd)
 
     # -- ring operations ----------------------------------------------------
     #
@@ -340,13 +390,14 @@ class Jet:
         if isinstance(other, _CONSTS):
             c = self.coeffs.copy()
             c.T[0] += _as_const(other)
-            return Jet(self.ctx, c, self.vx, self.vy, masked=True, sup=self.sup)
+            return Jet(self.ctx, c, self.vx, self.vy, masked=True, sup=self.sup, vd=self.vd)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.ctx, -self.coeffs, self.vx, self.vy, masked=True, sup=self.sup)
+        return Jet(self.ctx, -self.coeffs, self.vx, self.vy, masked=True, sup=self.sup,
+                   vd=self.vd)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
@@ -363,12 +414,14 @@ class Jet:
         if not isinstance(other, Jet):
             if isinstance(other, _SCALARS):
                 return Jet(self.ctx, self.coeffs * float(other), self.vx, self.vy,
-                           masked=True, sup=self.sup)
+                           masked=True, sup=self.sup, vd=self.vd)
             return NotImplemented
         self._check(other)
         ctx = self.ctx
-        vx, vy = min(self.vx, other.vx), min(self.vy, other.vy)
-        tab = ctx.mul_table(vx, vy, self.sup, other.sup)
+        vx, vy, vd = self.vx, self.vy, self.vd
+        if (vx, vy, vd) != (other.vx, other.vy, other.vd):
+            vx, vy, vd = min(vx, other.vx), min(vy, other.vy), min(vd, other.vd)
+        tab = ctx.graded_table(vx, vy, self.sup, other.sup, vd)
         prod = self.coeffs.take(tab.a, axis=-1) * other.coeffs.take(tab.b, axis=-1)
         if prod.ndim == 1:
             c = np.bincount(tab.out, weights=prod, minlength=ctx.size)
@@ -376,7 +429,7 @@ class Jet:
             m = len(prod)
             c = np.bincount(tab.bins(m), weights=prod.ravel(),
                             minlength=m * ctx.size).reshape(m, ctx.size)
-        return Jet(ctx, c, vx, vy, masked=True, sup=tab.sup)
+        return Jet(ctx, c, vx, vy, masked=True, sup=tab.sup, vd=vd)
 
     __rmul__ = __mul__
 
@@ -385,7 +438,7 @@ class Jet:
             if other == 0:
                 raise ZeroDivisionError("jet divided by zero scalar")
             return Jet(self.ctx, self.coeffs / float(other), self.vx, self.vy,
-                       masked=True, sup=self.sup)
+                       masked=True, sup=self.sup, vd=self.vd)
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
@@ -416,12 +469,15 @@ class Jet:
     # -- analytic functions via truncated series ----------------------------
 
     def _series(self, coeff_fn, opname, require=None):
-        vx, vy, sup = self.vx, self.vy, self.sup
+        vx, vy, vd, sup = self.vx, self.vy, self.vd, self.sup
         sx, sy = (vx, vy) if sup is None else sup
-        # uhat's own support bounds its powers' degrees: uhat^k = 0 for k > K
-        K = (vx if sx else 0) + (vy if sy else 0)
-        # the series coefficients of a stack come member by member from the
-        # same float arithmetic as for a single jet
+        # uhat's own support bounds its powers' degrees: uhat^k = 0 for k > K;
+        # past the degree validity no power is read
+        K = min((vx if sx else 0) + (vy if sy else 0), vd)
+        # the series coefficients of a stack come from the same float
+        # arithmetic as for a single jet: member by member, or, if
+        # coeff_fn.stacked and the stack is large, from one call on the
+        # array of constant terms
         members = self._members()
         if require is not None:
             for u in members:
@@ -429,6 +485,8 @@ class Jet:
                     raise JetDomainError(f"{opname} of jet with constant term {u}")
         if self.coeffs.ndim == 1:
             cs = coeff_fn(members[0], K)
+        elif len(members) >= _STACKED_MEMBERS and getattr(coeff_fn, "stacked", False):
+            cs = coeff_fn(self.coeffs[:, 0], K)
         else:
             cs = np.array([coeff_fn(u, K) for u in members]).T
         ctx = self.ctx
@@ -437,27 +495,27 @@ class Jet:
             # to +0.0 and cs[0] is added to it
             out = np.zeros(self.coeffs.shape)
             out.T[0] = cs[0] + 0.0 if vx + vy else cs[0]
-            return Jet(ctx, out, vx, vy, masked=True, sup=(0, 0))
+            return Jet(ctx, out, vx, vy, masked=True, sup=(0, 0), vd=vd)
         # Horner's rule, out = out * uhat + cs[k], each product summed as in
         # __mul__ (the same nonzero terms in the same order).  The first
         # product has a constant factor, so it is a broadcast product; adding
         # 0.0 turns its -0.0 into the +0.0 a sum of products would give.
+        # Step j is graded: uhat has no constant term, so a slot of out above
+        # degree j + 1 only feeds slots above K, and its table stops there.
         uhat = self.coeffs.copy()
         uhat.T[0] = 0.0
         m = 1 if uhat.ndim == 1 else len(uhat)
         out = uhat * (cs[K] if uhat.ndim == 1 else cs[K][:, None]) + 0.0
         out.T[0] += cs[K - 1]
-        tab = None
         for j in range(1, K):  # out has the support j * sup
-            step = ctx.mul_table(vx, vy, (j * sx, j * sy), sup)
-            if step is not tab:
-                tab = step
-                ub = uhat.take(tab.b, axis=-1)
-                idx = tab.out if uhat.ndim == 1 else tab.bins(m)
-            out = np.bincount(idx, weights=(out.take(tab.a, axis=-1) * ub).ravel(),
+            tab = ctx.graded_table(vx, vy, (j * sx, j * sy), sup, j + 1)
+            idx = tab.out if uhat.ndim == 1 else tab.bins(m)
+            out = np.bincount(idx, weights=(out.take(tab.a, axis=-1)
+                                            * uhat.take(tab.b, axis=-1)).ravel(),
                               minlength=m * ctx.size).reshape(uhat.shape)
             out.T[0] += cs[K - 1 - j]
-        return Jet(ctx, out, vx, vy, masked=True, sup=(vx if sx else 0, vy if sy else 0))
+        return Jet(ctx, out, vx, vy, masked=True, sup=(vx if sx else 0, vy if sy else 0),
+                   vd=vd)
 
     def _require_positive(self, message):
         if any(u <= 0.0 for u in self._members()):
@@ -470,14 +528,17 @@ class Jet:
 
     def _pow_real(self, p):
         def coeffs(u0, K):
-            cs = []
-            c = u0 ** p
-            cs.append(c)
+            # u0 a float or an array of members; one scalar power per member,
+            # as numpy's vectorised power rounds differently, and the
+            # recurrence is the same IEEE operations on floats and arrays
+            c = np.array([u ** p for u in u0.tolist()]) if isinstance(u0, np.ndarray) else u0 ** p
+            cs = [c]
             for k in range(1, K + 1):
                 c = c * (p - (k - 1)) / k / u0
                 cs.append(c)
             return cs
 
+        coeffs.stacked = True
         self._require_positive(f"real power {p} of jet with nonpositive constant term")
         return self._series(coeffs, f"pow({p})")
 
@@ -507,33 +568,34 @@ class Jet:
         """Derivative with respect to base coordinate x^i (validity drops by one)."""
         if not 0 <= i < self.spec.n:
             raise ConfigurationError(f"base variable index {i} out of range")
-        if self.vx < 1:
+        if min(self.vx, self.vd) < 1:
             raise ConfigurationError("jet has no base orders left to differentiate")
+        # a slot past degree vd - 1 takes a source past vd, which is zero
         src, fac = self.ctx.shift(0, i, self.vx - 1, self.vy)
         sup = self.sup and (max(self.sup[0] - 1, 0), self.sup[1])
         return Jet(self.ctx, self.coeffs.take(src, axis=-1) * fac, self.vx - 1, self.vy,
-                   masked=True, sup=sup)
+                   masked=True, sup=sup, vd=self.vd - 1)
 
     def dy(self, i):
         """Derivative with respect to fiber coordinate y^i (validity drops by one)."""
         if not 0 <= i < self.spec.n:
             raise ConfigurationError(f"fiber variable index {i} out of range")
-        if self.vy < 1:
+        if min(self.vy, self.vd) < 1:
             raise ConfigurationError("jet has no fiber orders left to differentiate")
         src, fac = self.ctx.shift(1, i, self.vx, self.vy - 1)
         sup = self.sup and (self.sup[0], max(self.sup[1] - 1, 0))
         return Jet(self.ctx, self.coeffs.take(src, axis=-1) * fac, self.vx, self.vy - 1,
-                   masked=True, sup=sup)
+                   masked=True, sup=sup, vd=self.vd - 1)
 
     def __repr__(self):
         value = self.value
         shown = (f"value={value:.6g}" if self.coeffs.ndim == 1
                  else f"members={len(value)}")
         return (f"Jet(n={self.spec.n}, orders=({self.spec.max_x_order},{self.spec.max_y_order}), "
-                f"valid=({self.vx},{self.vy}), {shown})")
+                f"valid=({self.vx},{self.vy}), degree={self.vd}, {shown})")
 
 
-_set_ctx, _set_coeffs, _set_vx, _set_vy, _set_sup = (
+_set_ctx, _set_coeffs, _set_vx, _set_vy, _set_vd, _set_sup = (
     Jet.__dict__[name].__set__ for name in Jet.__slots__)
 
 _CONSTS = _SCALARS + (np.ndarray,)
@@ -549,7 +611,7 @@ def _as_const(v):
 # -- construction -------------------------------------------------------------
 
 
-def lift(x, y, spec: JetSpec):
+def lift(x, y, spec: JetSpec, degree=None):
     """Seed coordinate jets at the expansion point (x, y).
 
     Returns two lists of n jets each: the base coordinates and the fiber
@@ -557,11 +619,14 @@ def lift(x, y, spec: JetSpec):
     variable.  Any smooth expression of them evaluates to its exact Taylor
     coefficients at (x, y).  x and y are one point (n,) each, or stacks
     (m, n) (one of them may be a single point shared by the stack); a stack
-    gives jets of m members.
+    gives jets of m members.  degree, if given, is their total-degree
+    validity: expressions of them keep and compute no coefficient above it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = spec.n
+    if degree is not None and degree < 1:
+        raise ConfigurationError(f"total degree must be >= 1, got {degree}")
     if x.shape[-1:] != (n,) or y.shape[-1:] != (n,) or max(x.ndim, y.ndim) > 2:
         raise ConfigurationError(
             f"expansion point must have {n} base and {n} fiber coordinates"
@@ -580,34 +645,37 @@ def lift(x, y, spec: JetSpec):
         c.T[0] = x[..., i]
         if spec.max_x_order >= 1:
             c.T[ctx.slot(e[i], zero)] = 1.0
-        xs.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True, sup=(1, 0)))
+        xs.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True, sup=(1, 0),
+                      vd=degree))
     for i in range(n):
         c = np.zeros(y.shape[:-1] + (ctx.size,))
         c.T[0] = y[..., i]
         if spec.max_y_order >= 1:
             c.T[ctx.slot(zero, e[i])] = 1.0
-        ys.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True, sup=(0, 1)))
+        ys.append(Jet(ctx, c, spec.max_x_order, spec.max_y_order, masked=True, sup=(0, 1),
+                      vd=degree))
     return xs, ys
 
 
 def join_members(jets) -> Jet:
     """One stack of the members of jets of one spec, in order; a single jet
-    is one member.  The stack is valid to the jets' common orders and
-    supported on the largest of their supports."""
+    is one member.  The stack is valid to the jets' common orders and degree
+    and supported on the largest of their supports."""
     for j in jets:
         jets[0]._check(j)
-    vx, vy = min(j.vx for j in jets), min(j.vy for j in jets)
+    vx, vy, vd = (min(getattr(j, v) for j in jets) for v in ("vx", "vy", "vd"))
     sup = functools.reduce(_larger, {j.sup for j in jets})
     coeffs = np.concatenate([np.atleast_2d(j.coeffs) for j in jets])
     return Jet(jets[0].ctx, coeffs, vx, vy,
-               masked=all(j.vx == vx and j.vy == vy for j in jets), sup=sup)
+               masked=all((j.vx, j.vy, j.vd) == (vx, vy, vd) for j in jets), sup=sup, vd=vd)
 
 
 def split_members(jet, like) -> list:
     """Undo join_members: the members of a stack, in order, as jets shaped
     like the jet like (a single jet, or a stack of as many members)."""
     parts = jet.coeffs.reshape((-1,) + like.coeffs.shape)
-    return [Jet(jet.ctx, c, jet.vx, jet.vy, masked=True, sup=jet.sup) for c in parts]
+    return [Jet(jet.ctx, c, jet.vx, jet.vy, masked=True, sup=jet.sup, vd=jet.vd)
+            for c in parts]
 
 
 def derivative_tensor(jet, ox, oy) -> np.ndarray:
@@ -617,17 +685,15 @@ def derivative_tensor(jet, ox, oy) -> np.ndarray:
     is the derivative by x^i1 ... x^i_ox y^j1 ... y^j_oy, the same number
     Jet.partial returns.  A sequence of jets of one spec gives their tensors
     stacked along a leading axis.  A stack of m jets puts its member axis
-    first: shape (m, *tensor), or (m, len(sequence), *tensor).
+    first: shape (m, *tensor), or (m, len(sequence), *tensor).  A read past
+    a jet's orders or total degree is refused.
     """
     group = [jet] if isinstance(jet, Jet) else list(jet)
     ctx = group[0].ctx
     for j in group:
         if j.ctx is not ctx:
             raise ConfigurationError("jets from different specs cannot be mixed")
-        if ox > j.vx or oy > j.vy:
-            raise ConfigurationError(
-                f"partial order ({ox},{oy}) exceeds valid orders ({j.vx},{j.vy})"
-            )
+        _check_read(j, ox, oy)
     slots = ctx.gather(ox, oy)
     if isinstance(jet, Jet):
         coeffs = jet.coeffs

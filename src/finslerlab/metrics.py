@@ -253,11 +253,12 @@ class MetricSpec:
         separate call."""
         return self.F_batch(np.tile(x, (len(ys), 1)), np.concatenate(ys)).reshape(len(ys), -1)
 
-    def jet(self, x, y, mx, my) -> Jet:
-        """F as a jet at the tangent point (x, y); stacked points (m, n) give a
-        stack of m jets (see jets.lift)."""
+    def jet(self, x, y, mx, my, degree=None) -> Jet:
+        """F as a jet at the tangent point (x, y), valid to orders (mx, my)
+        and, if given, only to total degree degree; stacked points (m, n)
+        give a stack of m jets (see jets.lift)."""
         spec = JetSpec(self.n, mx, my)
-        xs, ys = lift(np.asarray(x, dtype=float), np.asarray(y, dtype=float), spec)
+        xs, ys = lift(np.asarray(x, dtype=float), np.asarray(y, dtype=float), spec, degree)
         return self.evaluator(xs, ys)
 
     def __repr__(self):
@@ -343,11 +344,13 @@ def _funk_jet_exit(domain: ConvexDomain, X, Y, shape):
     mostly the last, else a reciprocal at orders (min(mx, h), min(my, h)).
     ceil(log2(D + 1)) passes reach degree D.  The n coordinates travel as
     one stack, so that a pass is a few products of stacks rather than of
-    single coordinates.
+    single coordinates.  Every pass keeps the total-degree validity of X and
+    Y, so coefficients above it are neither stored nor computed.
     """
     spec = X.spec
     mx, my = spec.max_x_order, spec.max_y_order
     n = spec.n
+    vd = min(X.vd, Y.vd)
 
     def columns(S):  # each coordinate's values, as Jet.value gives them
         c = S.coeffs.T[0].reshape((n,) + shape).copy()
@@ -359,7 +362,8 @@ def _funk_jet_exit(domain: ConvexDomain, X, Y, shape):
 
     def coordinate_sum(t):  # the n parts of the stack t, added in order
         parts = t.coeffs.reshape((n,) + u.coeffs.shape)
-        return Jet(t.ctx, sum(parts[1:], parts[0]), t.vx, t.vy, masked=True, sup=t.sup)
+        return Jet(t.ctx, sum(parts[1:], parts[0]), t.vx, t.vy, masked=True, sup=t.sup,
+                   vd=t.vd)
 
     a = 1
     while a <= mx + my:
@@ -367,18 +371,18 @@ def _funk_jet_exit(domain: ConvexDomain, X, Y, shape):
         h = tgt - a
         # a jet at other orders is its coefficients masked to them, and u
         # is zero beyond its last orders
-        u = Jet(u.ctx, u.coeffs, min(mx, tgt), min(my, tgt), sup=(u.vx, u.vy))
-        U = Jet(u.ctx, np.tile(u.coeffs, (n, 1)), u.vx, u.vy, masked=True, sup=u.sup)
+        u = Jet(u.ctx, u.coeffs, min(mx, tgt), min(my, tgt), sup=(u.vx, u.vy), vd=vd)
+        U = Jet(u.ctx, np.tile(u.coeffs, (n, 1)), u.vx, u.vy, masked=True, sup=u.sup, vd=u.vd)
         t, dt = domain.coordinate_terms(X + Y * U, h == 0)
         r = coordinate_sum(t) - 1.0
         if h == 0:  # the slope's value, summed over coordinates as coordinate_sum does
             rows = (dt * Y.coeffs.T[0]).reshape(n, -1)
             slope = sum(rows[1:], rows[0]).reshape(r.coeffs.shape[:-1] + (1,))
-            u = u - Jet(u.ctx, r.coeffs / slope, u.vx, u.vy, masked=True)
+            u = u - Jet(u.ctx, r.coeffs / slope, u.vx, u.vy, masked=True, vd=r.vd)
         else:
-            dt = Jet(dt.ctx, dt.coeffs, min(mx, h), min(my, h))
+            dt = Jet(dt.ctx, dt.coeffs, min(mx, h), min(my, h), vd=dt.vd)
             w = coordinate_sum(dt * Y)._reciprocal()
-            u = u - r * Jet(w.ctx, w.coeffs, u.vx, u.vy, sup=(w.vx, w.vy))
+            u = u - r * Jet(w.ctx, w.coeffs, u.vx, u.vy, sup=(w.vx, w.vy), vd=u.vd)
         a = tgt + 1
     return u
 

@@ -188,6 +188,31 @@ class TestConjugatePoints:
                                        [4.0, -1.0], 1.0, sweep_samples=10)
         assert rep.t_conjugate == pytest.approx(np.pi, abs=1e-3)
 
+    @pytest.mark.parametrize("t_end, exited, inconclusive", [
+        (1.05 * np.pi, False, False),  # past pi/sqrt(lambda) inside the chart
+        (2.0, False, True),            # stopped short of the bound
+        (3.2, True, True),             # left the chart
+    ])
+    def test_no_conjugate_point_report(self, zoo, monkeypatch, t_end, exited, inconclusive):
+        # a stand-in flow whose det M stays positive: no sign change is found
+        class Flow:
+            def det_M(self, t):
+                return 1.0 + t
+
+        flow = Flow()
+        flow.t_end, flow.exited = t_end, exited
+        monkeypatch.setattr(co, "curvature_bound_sweep", lambda *a, **k: co.BoundSweep(
+            ok=True, min_ricci_ratio=1.0, min_s_ratio=0.0, n_samples=1))
+        monkeypatch.setattr(co, "variational_flow", lambda *a: flow)
+        rep = co.conjugate_point_bound(zoo["riemannian_sphere"], [0.3, 0.2],
+                                       [0.4, -0.1], 1.0, sweep_samples=1)
+        assert rep.t_conjugate is None
+        assert not rep.within_bound
+        assert rep.inconclusive is inconclusive
+        assert rep.bound == np.pi
+        assert rep.note == ("no conjugate point before chart exit" if inconclusive
+                            else "no conjugate point found inside the search window")
+
     def test_euclid_rejected(self, zoo):
         with pytest.raises(PreconditionError):
             co.conjugate_point_bound(zoo["euclidean"], [0.0, 0.0], [1.0, 0.0],

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from finslerlab import geodesics
-from finslerlab.errors import ChartExitError, GeometryError, JetDomainError, PreconditionError
+from finslerlab.errors import (
+    ChartExitError,
+    ConfigurationError,
+    GeometryError,
+    JetDomainError,
+    PreconditionError,
+)
 from finslerlab.geodesics import (
     integrate_geodesic,
     parallel_transport,
@@ -15,7 +21,7 @@ from finslerlab.geodesics import (
     variational_flow,
 )
 from finslerlab.jets import derivative_tensor
-from finslerlab.metrics import funk_distance, unit_ball_domain
+from finslerlab.metrics import MetricSpec, funk_distance, unit_ball_domain
 
 from conftest import tangent_samples
 
@@ -389,3 +395,58 @@ class TestVariationalFlow:
         assert np.all(stack.exited)
         assert stack.t_exit[0] == stack.t_exit[1] == stack.t_end[1]
         assert stack.t_exit[2] == pytest.approx(2.0 * stack.t_exit[0], rel=1e-8)
+
+
+def _without_degree(monkeypatch):
+    """Make every metric jet valid to its whole box, as before the spray
+    callers asked for a total-degree bound."""
+    jet = MetricSpec.jet
+    monkeypatch.setattr(MetricSpec, "jet",
+                        lambda self, x, y, mx, my, degree=None: jet(self, x, y, mx, my))
+
+
+class TestDegreeBoundedSpray:
+    """spray_jets and _spray ask for F's jet only to the total degree their
+    readers need; every value they give keeps the bits of the whole box."""
+
+    @pytest.mark.parametrize("orders", [(1, 3), (1, 5), (2, 3), (2, 4)])
+    def test_spray_jets_keep_their_bits(self, zoo, orders, monkeypatch):
+        mx, my = orders
+        reads = [(ox, oy) for ox in range(mx + 1) for oy in range(my + 1)
+                 if ox + oy <= mx + my - 1]
+        for name, m in zoo.items():
+            pts = tangent_samples(m, 3, seed=91)
+            X, Y = (np.array(a) for a in zip(*pts))
+            points = [(X, Y)] + pts
+            bounded = [spray_jets(m, x, y, mx, my) for x, y in points]
+            for ws in bounded:
+                assert ws.f2.vd == mx + my - 1
+                with pytest.raises(ConfigurationError):
+                    derivative_tensor(ws.f2, mx, my)
+            with monkeypatch.context() as mp:
+                _without_degree(mp)
+                full = [spray_jets(m, x, y, mx, my) for x, y in points]
+            for ws, want in zip(bounded, full):
+                assert want.f2.vd == mx + my
+                for Gi, Wi in zip(ws.G, want.G):
+                    assert (Gi.vx, Gi.vy, Gi.vd) == (Wi.vx, Wi.vy, Wi.vd), name
+                    assert Gi.coeffs.tobytes() == Wi.coeffs.tobytes(), name
+                for ox, oy in reads:
+                    got = derivative_tensor(ws.f2, ox, oy)
+                    assert got.tobytes() == derivative_tensor(want.f2, ox, oy).tobytes(), name
+
+    @pytest.mark.parametrize("mx", [0, 1, 2])
+    def test_spray_values_and_gradients_keep_their_bits(self, zoo, mx, monkeypatch):
+        for name, m in zoo.items():
+            pts = tangent_samples(m, 3, seed=92)
+            X, Y = (np.array(a) for a in zip(*pts))
+            points = [(X, Y), (X[:1], Y[:1])] + pts
+            bounded = [geodesics._spray(m, x, y, mx) for x, y in points]
+            with monkeypatch.context() as mp:
+                _without_degree(mp)
+                full = [geodesics._spray(m, x, y, mx) for x, y in points]
+            for got, want in zip(bounded, full):
+                for a, b in zip(got, want):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert a.tobytes() == b.tobytes(), name

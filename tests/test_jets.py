@@ -771,3 +771,169 @@ def test_cyclic_series_coefficients(op, cycle):
         c = cycle(u0)
         for k in range(6):
             assert got.coeffs[got.ctx.slot((0, 0), (k, 0))] == c[k % len(c)] / math.factorial(k)
+
+
+def _ungraded_series(self, coeff_fn, opname, require=None):
+    """Jet._series before graded steps and degree validity: every Horner
+    step sums the support-cut product table of the whole validity box, and
+    the loop runs over the nilpotency of uhat's support (a frozen copy, kept
+    as the oracle of the graded loop's bits)."""
+    vx, vy, sup = self.vx, self.vy, self.sup
+    sx, sy = (vx, vy) if sup is None else sup
+    K = (vx if sx else 0) + (vy if sy else 0)
+    members = self._members()
+    if require is not None:
+        for u in members:
+            if not require(u):
+                raise JetDomainError(f"{opname} of jet with constant term {u}")
+    if self.coeffs.ndim == 1:
+        cs = coeff_fn(members[0], K)
+    else:
+        cs = np.array([coeff_fn(u, K) for u in members]).T
+    ctx = self.ctx
+    if not K:
+        out = np.zeros(self.coeffs.shape)
+        out.T[0] = cs[0] + 0.0 if vx + vy else cs[0]
+        return Jet(ctx, out, vx, vy, masked=True, sup=(0, 0))
+    uhat = self.coeffs.copy()
+    uhat.T[0] = 0.0
+    m = 1 if uhat.ndim == 1 else len(uhat)
+    out = uhat * (cs[K] if uhat.ndim == 1 else cs[K][:, None]) + 0.0
+    out.T[0] += cs[K - 1]
+    for j in range(1, K):
+        tab = ctx.mul_table(vx, vy, (j * sx, j * sy), sup)
+        idx = tab.out if uhat.ndim == 1 else tab.bins(m)
+        out = np.bincount(idx, weights=(out.take(tab.a, axis=-1)
+                                        * uhat.take(tab.b, axis=-1)).ravel(),
+                          minlength=m * ctx.size).reshape(uhat.shape)
+        out.T[0] += cs[K - 1 - j]
+    return Jet(ctx, out, vx, vy, masked=True, sup=(vx if sx else 0, vy if sy else 0))
+
+
+_GRADED_OPS = {
+    "sqrt": jets.sqrt,
+    "reciprocal": lambda j: j._reciprocal(),
+    "pow_real": lambda j: jets.power(j, 0.25),
+    "pow_negative": lambda j: j ** -1.5,
+    "log": Jet.log,
+    "cos": jets.cos,
+}
+
+
+def _support_family(xs, ys):
+    """Positive jets of full, narrow and mixed supports, at full and lowered
+    validity: a product of two (1, 2) jets, pure x, pure y, (1, 2), (1, 1)
+    and constants."""
+    u = _u(xs, ys)
+    yy = _dot(ys, ys)
+    c = xs[0]._const_like(0.7)
+    return [u * u + 0.1 * exp(xs[0] * ys[1]), u, 1.5 + xs[0] * xs[1] - 0.2 * xs[1], yy,
+            (yy * yy).dy(0) + 3.0, 1.2 + xs[0] * ys[1], u.dy(1) + 2.0, (u * u).dx(1) + 2.0,
+            c, 2.0 - c]
+
+
+class TestGradedSeries:
+    """Graded Horner steps keep the bits of the ungraded loop, for single
+    jets and stacks of every support."""
+
+    @pytest.mark.parametrize("n, orders", [(2, (2, 3)), (2, (1, 5)), (3, (2, 4)), (3, (1, 5))])
+    @pytest.mark.parametrize("op", sorted(_GRADED_OPS))
+    def test_bits_match_the_ungraded_loop(self, n, orders, op, monkeypatch):
+        (xs, ys), singles = _stack_and_singles(JetSpec(n, *orders), 3, _rng())
+        args = _support_family(xs, ys)
+        for sx, sy in singles:
+            args += _support_family(sx, sy)
+        kinds = {None if a.sup is None else (a.sup[0] > 0, a.sup[1] > 0) for a in args}
+        assert kinds == {None, (True, False), (False, True), (True, True), (False, False)}
+        graded = [_GRADED_OPS[op](a) for a in args]
+        monkeypatch.setattr(Jet, "_series", _ungraded_series)
+        for a, got in zip(args, graded):
+            want = _GRADED_OPS[op](a)
+            assert (got.vx, got.vy, got.vd) == (want.vx, want.vy, want.vd)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("n, orders", [(2, (0, 2)), (2, (2, 3)), (3, (1, 5))])
+    @pytest.mark.parametrize("members", [1, 10 ** 9])
+    def test_stacked_coefficients_have_the_bits_of_single_jets(self, n, orders, members,
+                                                               monkeypatch):
+        # both routes to a large stack's power coefficients: arrays, and the
+        # member loop
+        monkeypatch.setattr(jets, "_STACKED_MEMBERS", members)
+        (xs, ys), singles = _stack_and_singles(JetSpec(n, *orders), 12, _rng())
+        for op in ("sqrt", "reciprocal", "pow_real", "pow_negative"):
+            stack = _GRADED_OPS[op](_u(xs, ys))
+            for k, (sx, sy) in enumerate(singles):
+                assert stack.coeffs[k].tobytes() == _GRADED_OPS[op](_u(sx, sy)).coeffs.tobytes()
+
+    def test_steps_sum_fewer_terms(self):
+        ctx = jets._context(JetSpec(3, 1, 5))
+        full = len(ctx.mul_table(1, 5, None, None).out)
+        graded = [len(ctx.graded_table(1, 5, None, None, j + 1).out) for j in range(1, 6)]
+        assert graded[-1] == full
+        assert sum(graded) < 0.4 * 5 * full
+
+
+def _degree_family(xs, ys):
+    """Sums, products, series, derivatives and joins of the coordinates."""
+    u = _u(xs, ys)
+    f = jets.sqrt(u) * u.log() + jets.cos(xs[0] * ys[1]) - 1.0 / (u + xs[1])
+    g = jets.power(u * u + 0.5, 0.25)
+    out = [u, f, g, f * g, f + g.dy(0), f.dx(0), f.dy(1).dy(0), (f * g.dx(1)).dy(1),
+           jets.sqrt(f.dy(0) * f.dy(0) + 1.0), jets.join_members([f, g.dy(1)])]
+    return out + [j * j for j in out[:4]]
+
+
+class TestDegreeValidity:
+    """A total-degree validity keeps every slot below it bit for bit, holds
+    only zeros above it, and refuses reads past it."""
+
+    @pytest.mark.parametrize("n, orders", [(2, (2, 4)), (2, (1, 5)), (3, (2, 4))])
+    def test_bounded_jets_keep_the_bits_below_their_degree(self, n, orders):
+        spec = JetSpec(n, *orders)
+        rng = _rng()
+        X, Y = rng.uniform(-0.3, 0.3, (3, n)), rng.uniform(0.5, 1.2, (3, n))
+        for x, y in [(X, Y), (X[0], Y[0])]:
+            full = _degree_family(*lift(x, y, spec))
+            for degree in range(3, sum(orders)):
+                bounded = _degree_family(*lift(x, y, spec, degree))
+                for a, b in zip(full, bounded):
+                    assert (b.vx, b.vy) == (a.vx, a.vy)
+                    derivatives = sum(orders) - (a.vx + a.vy)
+                    assert b.vd == min(degree - derivatives, a.vx + a.vy) < a.vx + a.vy
+                    # +0.0 in the box past the degree, and a's bits elsewhere
+                    # (outside the box a derivative leaves its zeros signed)
+                    past = a.ctx.mask(a.vx, a.vy) & (a.ctx.deg > b.vd)
+                    want = np.where(past, 0.0, a.coeffs)
+                    assert b.coeffs.tobytes() == want.tobytes()
+
+    def test_degree_rules(self):
+        spec = JetSpec(2, 2, 4)
+        xs, ys = lift([0.1, 0.2], [0.7, 0.4], spec, 3)
+        fx, fy = lift([0.1, 0.2], [0.7, 0.4], spec)
+        assert xs[0].vd == ys[1].vd == 3 and fx[0].vd == 6
+        assert (xs[0] * fy[1]).vd == (fx[0] + ys[0]).vd == jets.sqrt(ys[0]).vd == 3
+        assert ys[0].dy(0).vd == 2 and ys[0].dx(1).dy(0).vd == 1
+        assert jets.join_members([fy[0], ys[0]]).vd == 3
+        assert fy[0].dx(0).dx(1).vd == 4  # the box of orders (0, 4)
+        assert lift([0.1, 0.2], [0.7, 0.4], JetSpec(2, 1, 2), 10)[0][0].vd == 3
+        with pytest.raises(ConfigurationError):
+            lift([0.1, 0.2], [0.7, 0.4], spec, 0)
+        with pytest.raises(ConfigurationError):
+            xs[0].dx(0).dy(0).dy(1).dx(1)  # no degree left
+
+    def test_reads_past_the_degree_raise(self):
+        spec = JetSpec(2, 2, 4)
+        xs, ys = lift([[0.1, 0.2], [0.0, -0.1]], [[0.7, 0.4], [0.5, 0.9]], spec, 4)
+        f = jets.sqrt(_u(xs, ys))
+        jets.derivative_tensor(f, 2, 2)
+        jets.derivative_tensor(f, 0, 4)
+        f.partial((1, 0), (2, 1))
+        for ox, oy in [(1, 4), (2, 3), (2, 4)]:
+            with pytest.raises(ConfigurationError, match="total degree 4"):
+                jets.derivative_tensor(f, ox, oy)
+            with pytest.raises(ConfigurationError, match="total degree 4"):
+                f.partial((ox, 0), (oy, 0))
+        with pytest.raises(ConfigurationError):
+            jets.derivative_tensor([f.dx(0), f.dy(0)], 1, 3)
+        with pytest.raises(ConfigurationError):
+            jets.derivative_tensor(f.dy(0), 1, 3)
