@@ -2,17 +2,16 @@
 
 Curvature tensors, geodesic flow, volume measures and comparison checks for
 built-in and user-supplied Finsler metrics, driven by truncated Taylor (jet)
-arithmetic with independent finite-difference and Monte-Carlo oracles.
+arithmetic and checked against independent identities and Monte-Carlo
+oracles.
 """
 
-from .jets import Jet, JetSpec, FdScheme, derivative_tensor, fd_oracle, lift
+from .jets import Jet, JetSpec, derivative_tensor, lift
 
 __all__ = [
     "Jet",
     "JetSpec",
-    "FdScheme",
     "derivative_tensor",
-    "fd_oracle",
     "lift",
 ]
 

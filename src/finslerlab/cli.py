@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import comparison, curvature, measures
+from . import comparison, curvature, measures, metrics
 from ._grids import halton_directions, unit_sphere_area
 from .errors import (
     ConfigurationError,
@@ -540,13 +540,15 @@ def run_compare_report(cfg):
 
 def run_validate(cfg):
     metric = build_metric(cfg)
-    validate_metric(metric, n_samples=max(cfg["samples"], 100))
+    samples = max(cfg["samples"], metrics.BUILD_SAMPLES)
+    if samples > metrics.BUILD_SAMPLES:  # build_metric validated that many already
+        validate_metric(metric, n_samples=samples)
     sigma = bh_density(metric, np.zeros(metric.n))
     return {
         "metric": metric.name,
         "n": metric.n,
         "reversible": metric.reversible,
-        "validated_samples": max(cfg["samples"], 100),
+        "validated_samples": samples,
         "bh_density_at_origin": sigma,
     }
 

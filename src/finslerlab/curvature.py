@@ -19,7 +19,7 @@ import numpy as np
 from ._grids import five_point, richardson_central, richardson_doubling
 from .errors import GeometryError, PreconditionError
 from .geodesics import integrate_geodesic, parallel_transport, spray_jets, transport_both_ways
-from .jets import derivative_tensor, lift
+from .jets import derivative_tensor
 from .metrics import MetricSpec
 from .minkowski import (
     TangentSample,
@@ -215,10 +215,9 @@ def s_jet_workspace(metric: MetricSpec, sample: TangentSample, sigma):
     half_log_det = 0.5 * det.log()
 
     dlog_sigma = _log_density_gradient(sigma, sample.x)
-    _, ys = lift(sample.x, sample.y, ws.f2.spec)
     S_jet = None
     for i in range(n):
-        term = (ys[i] * (half_log_det.dx(i) - dlog_sigma[i])
+        term = (ws.ys[i] * (half_log_det.dx(i) - dlog_sigma[i])
                 - 2.0 * ws.G[i] * half_log_det.dy(i))
         S_jet = term if S_jet is None else S_jet + term
     return S_jet, E

@@ -26,10 +26,11 @@ _FLOW_TOL = 1e-10
 @dataclass
 class SprayWorkspace:
     """Jets of the spray and of F^2 at one tangent point, or stacks of them
-    at m tangent points."""
+    at m tangent points, with the lifted fiber coordinates ys of f2's spec."""
 
     G: list
     f2: Jet
+    ys: list
 
 
 def spray_jets(metric: MetricSpec, x, y, mx, my) -> SprayWorkspace:
@@ -65,7 +66,7 @@ def spray_jets(metric: MetricSpec, x, y, mx, my) -> SprayWorkspace:
                     vx, vy, masked=True)
         dgG = (dg * tiled).coeffs.reshape((n, n) + G.shape[1:]).sum(axis=1)
         G = np.einsum("...il,l...k->i...k", inv0, rhs - dgG)
-    return SprayWorkspace(G=[Jet(ctx, Gi, vx, vy, masked=True) for Gi in G], f2=f2)
+    return SprayWorkspace(G=[Jet(ctx, Gi, vx, vy, masked=True) for Gi in G], f2=f2, ys=ys)
 
 
 def spray_values(metric: MetricSpec, x, v) -> np.ndarray:

@@ -8,8 +8,8 @@ function, so one evaluation of a metric through this module yields all the
 mixed partial derivatives the curvature machinery needs.
 
 Base (x) orders are capped at 2 and fiber (y) orders at 5; larger requests
-are rejected at configuration time.  A finite-difference oracle with
-Richardson extrapolation is provided for cross-validation.
+are rejected at configuration time.  derivative_tensor is the one reader of
+the derivatives a jet holds.
 
 Supports.  A jet also carries a support (sx, sy): no slot of base degree
 above sx or fiber degree above sy is nonzero (None: the whole validity box).
@@ -29,10 +29,10 @@ on the operands' slots of degree d or less, and of a derivative on degree
 d + 1.  So a jet also carries a total-degree validity vd (at most vx + vy):
 lift takes it from its caller, sums and products take the smaller of their
 operands', and dx and dy lower it by one.  Masks and product tables stop at
-it, a series stops its Horner loop there, and Jet.partial and
-derivative_tensor refuse a read past it.  Horner steps are graded too:
-uhat has no constant term, so step j of a series of length K needs only the
-slots of degree j + 1 or less, a higher one feeding only slots past K.
+it, a series stops its Horner loop there, and derivative_tensor refuses a
+read past it.  Horner steps are graded too: uhat has no constant term, so
+step j of a series of length K needs only the slots of degree j + 1 or
+less, a higher one feeding only slots past K.
 Either cut drops only table terms whose output no read reaches, or terms
 with a factor that is exactly zero, and keeps the order of the rest, so
 every slot it keeps has the bits of the uncut computation.
@@ -342,17 +342,6 @@ class Jet:
         """The constant terms as Python floats, one per member."""
         c = self.coeffs
         return [float(c[0])] if c.ndim == 1 else c[:, 0].tolist()
-
-    def partial(self, a, b):
-        """Raw mixed partial derivative: a! b! times the stored coefficient."""
-        a = tuple(int(k) for k in a)
-        b = tuple(int(k) for k in b)
-        if len(a) != self.spec.n or len(b) != self.spec.n:
-            raise ConfigurationError("multi-index length does not match dimension")
-        _check_read(self, sum(a), sum(b))
-        k = self.ctx.slot(a, b)
-        d = self.coeffs[..., k] * self.ctx.factorial[k]
-        return float(d) if d.ndim == 0 else d
 
     # -- constant / coercion helpers ---------------------------------------
 
@@ -682,11 +671,12 @@ def derivative_tensor(jet, ox, oy) -> np.ndarray:
     """All raw mixed partials of order (ox, oy) as one symmetric array.
 
     Axes are ox base indices, then oy fiber indices: entry [i1..i_ox, j1..j_oy]
-    is the derivative by x^i1 ... x^i_ox y^j1 ... y^j_oy, the same number
-    Jet.partial returns.  A sequence of jets of one spec gives their tensors
-    stacked along a leading axis.  A stack of m jets puts its member axis
-    first: shape (m, *tensor), or (m, len(sequence), *tensor).  A read past
-    a jet's orders or total degree is refused.
+    is the derivative by x^i1 ... x^i_ox y^j1 ... y^j_oy, a! b! times the
+    stored coefficient of its multi-index pair (a, b).  A sequence of jets
+    of one spec gives their tensors stacked along a leading axis.  A stack
+    of m jets puts its member axis first: shape (m, *tensor), or
+    (m, len(sequence), *tensor).  A read past a jet's orders or total degree
+    is refused.
     """
     group = [jet] if isinstance(jet, Jet) else list(jet)
     ctx = group[0].ctx
@@ -720,115 +710,3 @@ def cos(v):
 
 def power(v, p):
     return v.__pow__(p) if isinstance(v, Jet) else np.power(v, p)
-
-
-# -- finite-difference oracle --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FdScheme:
-    """Central-difference settings: base step and Richardson levels (1-3)."""
-
-    step: float = 1e-3
-    richardson_levels: int = 2
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ConfigurationError("finite-difference step must be positive")
-        if not 1 <= self.richardson_levels <= 3:
-            raise ConfigurationError("richardson_levels must be in 1..3")
-
-
-@dataclass(frozen=True)
-class FdEstimate:
-    value: float
-    error: float
-    ok: bool
-
-
-# second-order central stencils for the k-th derivative, k = 0..4
-_STENCILS = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-}
-
-
-def _fd_single(f, x, y, vars_orders, steps):
-    """One tensor-product central-difference pass at the given steps."""
-    stencils = [_STENCILS[k] for _, _, k in vars_orders]
-    total = 0.0
-    denom = 1.0
-    for (_, _, k), h in zip(vars_orders, steps):
-        denom *= h ** k
-    for combo in itertools.product(*stencils):
-        xs = x.copy()
-        ys = y.copy()
-        w = 1.0
-        for (kind, idx, _), (off, cw), h in zip(vars_orders, combo, steps):
-            w *= cw
-            if kind == 0:
-                xs[idx] += off * h
-            else:
-                ys[idx] += off * h
-        val = f(xs, ys)
-        if not np.isfinite(val):
-            return None
-        total += w * float(val)
-    return total / denom
-
-
-def fd_oracle(f, x, y, a, b, scheme: FdScheme = FdScheme()) -> FdEstimate:
-    """Mixed partial derivative of f(x, y) by central differences.
-
-    Richardson extrapolation runs over step doublings (the base step is the
-    smallest used), which keeps roundoff amplification bounded for the
-    higher orders.  Total order up to 4 is supported; non-finite function
-    values inside any stencil yield ok=False rather than a silent number.
-    """
-    x = np.asarray(x, dtype=float).copy()
-    y = np.asarray(y, dtype=float).copy()
-    a = tuple(int(k) for k in a)
-    b = tuple(int(k) for k in b)
-    vars_orders = [(0, i, k) for i, k in enumerate(a) if k > 0]
-    vars_orders += [(1, i, k) for i, k in enumerate(b) if k > 0]
-    total_order = sum(a) + sum(b)
-    if any(k > 4 for _, _, k in vars_orders) or total_order > 4:
-        raise ConfigurationError("fd_oracle supports per-variable and total order <= 4")
-    if not vars_orders:
-        v = float(f(x, y))
-        return FdEstimate(v, 0.0, np.isfinite(v))
-
-    base = []
-    for kind, idx, _ in vars_orders:
-        c = x[idx] if kind == 0 else y[idx]
-        bump = 5.0 if total_order >= 3 else 1.0
-        base.append(scheme.step * bump * max(1.0, abs(c)))
-
-    levels = scheme.richardson_levels
-    raw = []
-    for lev in range(levels + 1):
-        steps = [h * 2.0 ** lev for h in base]
-        d = _fd_single(f, x, y, vars_orders, steps)
-        if d is None:
-            return FdEstimate(float("nan"), float("inf"), False)
-        raw.append(d)
-
-    def extrapolate(vals):
-        vals = list(vals)
-        m = 1
-        while len(vals) > 1:
-            fac = 4.0 ** m
-            vals = [
-                (fac * vals[i] - vals[i + 1]) / (fac - 1.0)
-                for i in range(len(vals) - 1)
-            ]
-            m += 1
-        return vals[0]
-
-    value = extrapolate(raw)
-    prev = extrapolate(raw[:-1])
-    err = abs(value - prev) if levels >= 1 else abs(value) * 1e-8
-    return FdEstimate(float(value), float(err), True)

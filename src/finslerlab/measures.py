@@ -66,12 +66,6 @@ class BallSpec:
 # ---------------------------------------------------------------------------
 
 
-def _batched_sigma(metric: MetricSpec):
-    if metric.sigma_bh is not None:
-        return lambda pts: np.asarray(metric.sigma_bh(pts), dtype=float)
-    return lambda pts: bh_density(metric, pts)
-
-
 def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
               seed=20240817) -> MeasureEstimate:
     """Monte-Carlo integral of the BH density over the indicated region.
@@ -98,7 +92,6 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
     hi = np.asarray(box[1], dtype=float)
     rng = np.random.default_rng(seed)
     box_vol = float(np.prod(hi - lo))
-    sigma = _batched_sigma(metric)
     total = 0.0
     total_sq = 0.0
     n_inside = 0
@@ -116,7 +109,7 @@ def bh_volume(metric: MetricSpec, indicator, box, n_samples=1_000_000,
             rows[k:k + kept.shape[1]] = kept.T
             k += kept.shape[1]
         if k:
-            v = sigma(rows[:k])
+            v = bh_density(metric, rows[:k])
             total += float(np.sum(v))
             total_sq += float(np.sum(np.multiply(v, v, out=v)))
             n_inside += k

@@ -25,6 +25,8 @@ from .errors import (
 from .jets import Jet, JetSpec, lift
 
 F_FLOOR = 1e-12
+# Samples every catalog constructor validates its metric at
+BUILD_SAMPLES = 100
 # Newton passes allowed per batched ray exit; quartic domains take eight to ten
 _RAY_NEWTON_CAP = 64
 
@@ -674,7 +676,7 @@ def chart_points(metric: MetricSpec, count):
     return pts
 
 
-def validate_metric(metric: MetricSpec, n_samples=100):
+def validate_metric(metric: MetricSpec, n_samples):
     """Positivity, homogeneity (F2a), definiteness (F2b), reversibility claims.
 
     The directions y, y/2, 2y and, for a reversible claim, -y go through one
@@ -709,7 +711,7 @@ def validate_metric(metric: MetricSpec, n_samples=100):
 def _build(name, n, evaluator, chart, reversible, **kw):
     m = MetricSpec(name=name, n=n, evaluator=evaluator, chart=chart,
                    reversible=reversible, **kw)
-    validate_metric(m)
+    validate_metric(m, BUILD_SAMPLES)
     return m
 
 

@@ -5,11 +5,12 @@ its own definition, or is on ALLOWED with the identity or API it serves.
 Deleting a caller tends to leave its callee behind, and a function that only
 its own tests reach is code no command runs.  The references are read
 module by module.  A top-level function is referenced by its name in its own
-module, by an import of it (`from .jets import sqrt`, as __init__.py's
-re-exports are), or as an attribute of a name bound to its module
-(`jets.sqrt` after `from . import jets`); `np.sqrt` is no reference to
-jets.sqrt.  A method is referenced by any attribute read of its name, except
-on the names np, math and scipy.
+module, by an import of it (`from .jets import sqrt`), or as an attribute of
+a name bound to its module (`jets.sqrt` after `from . import jets`);
+`np.sqrt` is no reference to jets.sqrt.  A method is referenced by any
+attribute read of its name, except on the names np, math and scipy.
+__init__.py is read for no reference: a re-export hands a name to code
+outside the package, so it is no caller.
 """
 
 import ast
@@ -40,8 +41,6 @@ ALLOWED = {
     # point API over the batch
     "funk_distance": "the Funk distance of one pair of points, over funk_distance_batch",
     "hilbert_distance": "the Hilbert distance of one pair of points, over hilbert_distance_batch",
-    # the per-slot reader of a jet
-    "Jet.partial": "one mixed partial, which the jet tests check derivative_tensor against",
 }
 
 
@@ -98,11 +97,11 @@ def _bound_modules(tree, modules):
 
 def uncalled(sources):
     """The qualified names of the public definitions in sources (a dict of
-    module file name to source text) that no code outside their own body
-    references, in module and definition order."""
+    module file name to source text) that no code outside their own body and
+    __init__.py references, in module and definition order."""
     trees = {Path(name).stem: ast.parse(text) for name, text in sources.items()}
     bound = {module: _bound_modules(tree, trees) for module, tree in trees.items()}
-    total = Counter(k for module, tree in trees.items()
+    total = Counter(k for module, tree in trees.items() if module != "__init__"
                     for k in _references(tree, module, bound[module]))
     out = []
     for module, tree in trees.items():
@@ -153,4 +152,18 @@ def test_the_check_sees_an_uncalled_function():
     assert uncalled(sources) == ["planted", "Box.read", "exp", "Vec.dot", "run"]
     package = _package()
     package["measures.py"] += "\n\ndef planted_volume(metric):\n    return 0.0\n"
+    assert [name for name in uncalled(package) if name not in ALLOWED] == ["planted_volume"]
+
+
+def test_a_re_export_is_no_caller():
+    sources = {
+        "__init__.py": "from .a import exported, used\n\n__all__ = [\"exported\", \"used\"]\n",
+        "a.py": ("def used(x):\n    return x\n\n"
+                 "def exported(x):\n    return x\n"),
+        "b.py": "from .a import used\n\nVALUE = used(1)\n",
+    }
+    assert uncalled(sources) == ["exported"]
+    package = _package()
+    package["measures.py"] += "\n\ndef planted_volume(metric):\n    return 0.0\n"
+    package["__init__.py"] += "\nfrom .measures import planted_volume\n"
     assert [name for name in uncalled(package) if name not in ALLOWED] == ["planted_volume"]

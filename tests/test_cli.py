@@ -414,6 +414,25 @@ class TestReports:
         payload = json.loads((tmp_path / "validate_quartic_norm_n2.json").read_text())
         assert payload["reversible"] is True
 
+    @pytest.mark.parametrize("samples, calls", [(None, [100]), ("100", [100]),
+                                                ("150", [100, 150])])
+    def test_validate_checks_each_sample_set_once(self, tmp_path, monkeypatch, samples, calls):
+        # building validates at BUILD_SAMPLES; validate repeats only for more
+        seen = []
+
+        def counted(metric, n_samples):
+            seen.append(n_samples)
+            return real(metric, n_samples)
+
+        real = metrics.validate_metric
+        monkeypatch.setattr(metrics, "validate_metric", counted)
+        monkeypatch.setattr(cli, "validate_metric", counted)
+        argv = ["validate", "--metric", "funk"] + (["--samples", samples] if samples else [])
+        assert run(argv, tmp_path) == 0
+        assert seen == calls
+        payload = json.loads((tmp_path / "validate_funk_n2.json").read_text())
+        assert payload["validated_samples"] == calls[-1]
+
     def test_verify_smoke_every_catalog_metric(self, tmp_path):
         from finslerlab.metrics import zoo_constructors
 

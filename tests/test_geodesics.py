@@ -20,7 +20,7 @@ from finslerlab.geodesics import (
     transport_both_ways,
     variational_flow,
 )
-from finslerlab.jets import derivative_tensor
+from finslerlab.jets import derivative_tensor, lift
 from finslerlab.metrics import MetricSpec, funk_distance, unit_ball_domain
 
 from conftest import tangent_samples
@@ -403,6 +403,23 @@ def _without_degree(monkeypatch):
     jet = MetricSpec.jet
     monkeypatch.setattr(MetricSpec, "jet",
                         lambda self, x, y, mx, my, degree=None: jet(self, x, y, mx, my))
+
+
+class TestSprayWorkspaceFiberJets:
+    def test_fiber_jets_are_the_lift_of_the_point(self, zoo):
+        # s_jet_workspace reads ws.ys in place of lifting the point again
+        for name, m in zoo.items():
+            pts = tangent_samples(m, 3, seed=93)
+            X, Y = (np.array(a) for a in zip(*pts))
+            for x, y in [(X, Y)] + pts:
+                ws = spray_jets(m, x, y, 1, 5)
+                _, ys = lift(x, y, ws.f2.spec)
+                assert len(ws.ys) == len(ys) == m.n
+                for got, want in zip(ws.ys, ys):
+                    assert got.ctx is want.ctx
+                    assert ((got.vx, got.vy, got.vd, got.sup)
+                            == (want.vx, want.vy, want.vd, want.sup)), name
+                    assert got.coeffs.tobytes() == want.coeffs.tobytes(), name
 
 
 class TestDegreeBoundedSpray:

@@ -6,7 +6,8 @@ scipy's batched wrappers loop over the members in Python.
 No linter runs on this package, and deleting code tends to leave its
 imports behind, in the package and in the tests that reached it.  The
 package's __init__.py re-exports names, so it is exempt, and so are
-`from __future__` imports.
+`from __future__` imports; instead the names it imports must be its
+__all__, so that a re-export cannot outlive its definition or its listing.
 """
 
 import ast
@@ -16,8 +17,8 @@ import pytest
 
 import finslerlab
 
-MODULES = sorted(p for p in Path(finslerlab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+INIT = Path(finslerlab.__file__)
+MODULES = sorted(p for p in INIT.parent.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
@@ -32,6 +33,18 @@ def unused_imports(source):
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def exports(source):
+    """The names that source imports and the names its __all__ lists, each
+    sorted."""
+    tree = ast.parse(source)
+    imported = [a.asname or a.name for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names]
+    listed = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    return sorted(imported), sorted(listed[0] if listed else [])
 
 
 def scipy_linalg_imports(source):
@@ -77,3 +90,14 @@ def test_the_check_sees_dead_imports():
               "from .jets import Jet\n"
               "def f(x: Jet):\n    return np.sin(x) * pi\n")
     assert unused_imports(source) == ["os", "tau"]
+
+
+def test_the_init_imports_are_its_all():
+    imported, listed = exports(INIT.read_text())
+    assert imported == listed == sorted(finslerlab.__all__)
+
+
+def test_the_check_sees_a_stale_re_export():
+    source = ("from .jets import Jet, lift\nfrom .measures import gone\n\n"
+              "__all__ = [\"Jet\", \"lift\", \"listed\"]\n")
+    assert exports(source) == (["Jet", "gone", "lift"], ["Jet", "lift", "listed"])

@@ -6,6 +6,7 @@ import pytest
 
 from finslerlab import measures as me
 from finslerlab.errors import ConfigurationError, PreconditionError
+from finslerlab.minkowski import density_field
 
 from conftest import grad_phi
 
@@ -350,7 +351,7 @@ def _rowwise_ball_volume(metric, ball, n_samples, seed, chunk):
 
     lo, hi = (np.asarray(b, dtype=float) for b in metric.chart.sample_box)
     rng = np.random.default_rng(seed)
-    sigma = me._batched_sigma(metric)
+    sigma = density_field(metric)
     total = total_sq = 0.0
     n_inside = done = 0
     while done < n_samples:

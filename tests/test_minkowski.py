@@ -11,7 +11,6 @@ from finslerlab.errors import (
     MetricValidityError,
     PreconditionError,
 )
-from finslerlab.jets import FdScheme, fd_oracle
 from finslerlab.minkowski import (
     TangentSample,
     bh_density,
@@ -33,6 +32,7 @@ from finslerlab.minkowski import (
 )
 
 from conftest import tangent_samples
+from fd_oracle import FdScheme, fd_oracle
 
 
 class TestFundamentalTensor:
